@@ -149,13 +149,6 @@ def _symmetry_group(problem: str):
     return triangle_group() if problem == "triangle" else tetra_group()
 
 
-def _safe_det_sign(system, x, p) -> int:
-    try:
-        return det_sign(system.jacobian(x, p))
-    except SingularSystemError:
-        return 0
-
-
 def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
     params = sorted(set(np.linspace(window[0], window[1], samples).tolist()) | set(extra_params))
     points: list[BranchPoint] = []
@@ -170,7 +163,7 @@ def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
             arclength=0.0,
             stability=stability,
             shape=shape,
-            det_sign=_safe_det_sign(system, x, p),
+            det_sign=det_sign(system.jacobian(x, p)),
         )
         if prev is not None:
             dz = pt.z() - prev.z()
@@ -189,7 +182,7 @@ def _junction_point(system, ev: BifurcationEvent) -> BranchPoint:
         arclength=0.0,
         stability=stability,
         shape=shape,
-        det_sign=_safe_det_sign(system, x, ev.parameter),
+        det_sign=det_sign(system.jacobian(x, ev.parameter)),
     )
 
 

@@ -218,13 +218,10 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         if res_norm < settings.newton_tol and on_constraint:
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
-            try:
-                if constraint is None:
-                    sign = det_sign(system.jacobian(x, p))
-                else:
-                    sign = det_sign(_bordered_matrix(system, x, p, row))
-            except SingularSystemError:
-                sign = 0  # converged onto a singular (non-isolated) solution
+            if constraint is None:
+                sign = det_sign(system.jacobian(x, p))
+            else:
+                sign = det_sign(_bordered_matrix(system, x, p, row))
             return _classified_point(system, x, p, sign), it
         if it == settings.newton_max_iters:
             break
@@ -303,11 +300,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     z = np.append(x0, p0)
     w = metric_weights(z)
     t = branch_tangent(system, x0, p0, d, w)
-    try:
-        sign0 = det_sign(_bordered_matrix(system, x0, p0, w * t))
-    except SingularSystemError:
-        sign0 = 0  # starting on a singular point (degenerate solution family)
-    points = [replace(start, det_sign=int(sign0), arclength=0.0)]
+    sign0 = det_sign(_bordered_matrix(system, x0, p0, w * t))
+    points = [replace(start, det_sign=sign0, arclength=0.0)]
     tangents = [t]
     inertias = [_jacobian_inertia(system, x0, p0)]
     events: list[BifurcationEvent] = []
@@ -696,11 +690,7 @@ def _verified_seed(system, x: np.ndarray, p: float, settings: ContinuationSettin
     full = float(np.max(np.abs(system.residual(x, p))))
     if full > 10.0 * settings.newton_tol:
         raise CorrectorFailure(f"reduced-space seed fails full-system verification (|F|={full:.3e})", full)
-    try:
-        sign = det_sign(system.jacobian(x, p))
-    except SingularSystemError:
-        sign = 0  # non-isolated solution (degenerate family); no orientation to record
-    return _classified_point(system, x, p, sign)
+    return _classified_point(system, x, p, det_sign(system.jacobian(x, p)))
 
 
 def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:

@@ -1,12 +1,24 @@
 """Small dense linear-algebra kernels (n <= 8).
 
-Everything here is written out explicitly instead of calling a LAPACK
-wrapper: the systems in this package never exceed 8x8, and having our own
-factorizations keeps the determinant-sign bookkeeping (used for bifurcation
-detection) in one place and bit-for-bit reproducible across platforms.
+The symmetric eigensolver is LAPACK's `eigh` (through numpy) with one sign
+convention fixed on top: every eigenvector's largest-magnitude entry is
+positive, the first such entry on a tie.  Bifurcation kernels are exported
+and orient the switched branches' seeds, so they must not depend on the
+sign LAPACK happens to choose.
+
+The pivoted LU stays in the package because its pivots define what
+"singular" means here: a pivot below 1e-14 * max|A| raises
+`SingularSystemError` in `solve` and makes `det_sign` 0.  Neither
+`numpy.linalg.solve` nor `slogdet` exposes its pivots.  At these sizes
+the elimination runs fastest on Python floats, one scalar at a time; it
+performs the same operations in the same order as the row-at-a-time numpy
+elimination kept as a reference in the tests, so the factors are
+bit-identical.  numpy remains the only runtime dependency.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,7 +28,6 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "solve",
-    "solve_bordered",
     "det_sign",
     "det",
     "householder_complement",
@@ -41,132 +52,116 @@ def _as_square(M) -> np.ndarray:
 
 
 def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a symmetric matrix (LAPACK `eigh`).
 
     Returns (w, V) with eigenvalues ascending and orthonormal eigenvectors in
-    the columns of V, so that V @ diag(w) @ V.T reconstructs M.  Sweeps stop
-    once the off-diagonal Frobenius norm falls below 1e-13 * ||M||.
+    the columns of V, so that V @ diag(w) @ V.T reconstructs M.  Each column
+    of V has its largest-magnitude entry positive (the first one on a tie).
     """
     A = _as_square(M)
-    n = A.shape[0]
     scale = np.abs(A).max()
     if scale > 0 and np.abs(A - A.T).max() > 1e-10 * scale:
         raise ValueError("sym_eigen requires a symmetric matrix")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    if scale == 0.0 or n == 1:
-        return np.diag(A).copy(), V
-    for _ in range(40 * n * n):
-        off = 0.0
-        p, q, best = 0, 1, -1.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                m = abs(A[i, j])
-                off += 2.0 * m * m
-                if m > best:
-                    best, p, q = m, i, j
-        if np.sqrt(off) <= 1e-13 * scale:
-            break
-        apq = A[p, q]
-        if apq == 0.0:
-            break
-        tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau)) if tau >= 0 else -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        for i in range(n):
-            if i != p and i != q:
-                aip, aiq = A[i, p], A[i, q]
-                A[i, p] = A[p, i] = aip * c - aiq * s
-                A[i, q] = A[q, i] = aiq * c + aip * s
-        A[p, p] -= t * apq
-        A[q, q] += t * apq
-        A[p, q] = A[q, p] = 0.0
-        vp = V[:, p].copy()
-        V[:, p] = vp * c - V[:, q] * s
-        V[:, q] = V[:, q] * c + vp * s
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])])
+    return w, V
+
+
+def _factor(M) -> tuple[list[list[float]], list[int], int]:
+    """Partial-pivot elimination on Python floats: (LU rows, permutation, parity).
+
+    The pivot of column k is the first row with the largest |a_ik|; one below
+    1e-14 * max(max|A|, 1e-300) raises SingularSystemError(k, |pivot|).
+    """
+    A = _as_square(M)
+    n = A.shape[0]
+    tol = 1e-14 * max(float(np.abs(A).max()), 1e-300)
+    rows = A.tolist()
+    piv = list(range(n))
+    parity = 1
+    for k in range(n):
+        r, best = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            a = abs(rows[i][k])
+            if a > best:
+                r, best = i, a
+        if best < tol:
+            raise SingularSystemError(k, best)
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            piv[k], piv[r] = piv[r], piv[k]
+            parity = -parity
+        top = rows[k]
+        d = top[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            m = row[k] / d
+            row[k] = m
+            for j in range(k + 1, n):
+                row[j] -= m * top[j]
+    return rows, piv, parity
+
+
+def _substitute(rows: list[list[float]], piv: list[int], b) -> np.ndarray:
+    bl = np.asarray(b, dtype=float).tolist()
+    x = [bl[p] for p in piv]
+    n = len(x)
+    for k in range(1, n):
+        row = rows[k]
+        s = x[k]
+        for j in range(k):
+            s -= row[j] * x[j]
+        x[k] = s
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        s = x[k]
+        for j in range(k + 1, n):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return np.array(x)
+
+
+def _sign(rows: list[list[float]], parity: int) -> int:
+    sign = parity
+    for k, row in enumerate(rows):
+        if row[k] < 0:
+            sign = -sign
+    return sign
 
 
 def lu_factor(M) -> tuple[np.ndarray, np.ndarray, int]:
     """Partial-pivot LU. Returns (LU, row permutation, parity of the permutation)."""
-    A = _as_square(M).copy()
-    n = A.shape[0]
-    piv = np.arange(n)
-    parity = 1
-    scale = np.abs(A).max()
-    for k in range(n):
-        r = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[r, k]) < 1e-14 * max(scale, 1e-300):
-            raise SingularSystemError(k, abs(A[r, k]))
-        if r != k:
-            A[[k, r]] = A[[r, k]]
-            piv[[k, r]] = piv[[r, k]]
-            parity = -parity
-        A[k + 1:, k] /= A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, piv, parity
+    rows, piv, parity = _factor(M)
+    return np.array(rows), np.array(piv), parity
 
 
 def lu_solve(LU: np.ndarray, piv: np.ndarray, b) -> np.ndarray:
-    n = LU.shape[0]
-    x = np.array(b, dtype=float)[piv]
-    for k in range(1, n):
-        x[k] -= LU[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - LU[k, k + 1:] @ x[k + 1:]) / LU[k, k]
-    return x
+    """Solve with the factors from `lu_factor`."""
+    return _substitute(np.asarray(LU, dtype=float).tolist(), [int(p) for p in piv], b)
 
 
 def solve(M, b) -> tuple[np.ndarray, int]:
-    """Solve M x = b; returns (x, sign of det M)."""
-    LU, piv, parity = lu_factor(M)
-    sign = parity
-    for k in range(LU.shape[0]):
-        if LU[k, k] < 0:
-            sign = -sign
-    return lu_solve(LU, piv, b), sign
+    """Solve M x = b; returns (x, sign of det M).  A singular M raises SingularSystemError."""
+    rows, piv, parity = _factor(M)
+    return _substitute(rows, piv, b), _sign(rows, parity)
 
 
 def det_sign(M) -> int:
-    """Sign of det(M) from the pivoted factorization (0 never occurs: singular raises)."""
-    LU, _, parity = lu_factor(M)
-    sign = parity
-    for k in range(LU.shape[0]):
-        if LU[k, k] < 0:
-            sign = -sign
-    return sign
+    """Sign of det(M) from the pivoted factorization: +1, -1, or 0 for a singular M."""
+    try:
+        rows, _, parity = _factor(M)
+    except SingularSystemError:
+        return 0
+    return _sign(rows, parity)
 
 
 def det(M) -> float:
     """Determinant from the pivoted factorization; 0.0 for a singular matrix."""
     try:
-        LU, _, parity = lu_factor(M)
+        rows, _, parity = _factor(M)
     except SingularSystemError:
         return 0.0
-    return float(parity) * float(np.prod(np.diag(LU)))
-
-
-def solve_bordered(J, rhs, border_row=None, border_col=None, corner: float = 0.0):
-    """Solve the (optionally bordered) system, returning (x, det sign).
-
-    With a border the assembled matrix is [[J, c], [r^t, corner]] and `rhs`
-    must have length n+1.  Without one this is a plain pivoted solve.
-    """
-    A = _as_square(J)
-    if border_row is None and border_col is None:
-        return solve(A, rhs)
-    if border_row is None or border_col is None:
-        raise ValueError("border row and column must be supplied together")
-    n = A.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = np.asarray(border_col, dtype=float)
-    M[n, :n] = np.asarray(border_row, dtype=float)
-    M[n, n] = corner
-    return solve(M, rhs)
+    return float(parity) * math.prod(row[k] for k, row in enumerate(rows))
 
 
 def householder_complement(g) -> np.ndarray:

@@ -1,0 +1,37 @@
+"""Golden event sets: whole diagram builds whose events must not move.
+
+Each list is the sorted (kind, parameter) event set of the build, recorded
+with the row-at-a-time LU and the Jacobi eigensolver the package used before
+its kernels moved to scalar elimination and LAPACK `eigh`.  A kernel change
+that alters what counts as singular, or how an eigenvector is oriented,
+shows here as a missing, extra or shifted event.
+"""
+
+import pytest
+
+from cluster_bifurc.cli import build_diagram
+from cluster_bifurc.continuation import ContinuationSettings
+from cluster_bifurc.potentials import Buckingham, PolynomialSpring
+
+GOLDEN = {
+    "buckingham-triangle": (
+        ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0), ContinuationSettings(h_max=0.2)),
+        [("primary", 5.315398), ("primary", 74.225313), ("secondary", 9.840963),
+         ("turning", 4.494281), ("turning", 46.04417)],
+    ),
+    "soft-spring-tetrahedron": (
+        ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0),
+         ContinuationSettings(h_max=0.05, max_points=400)),
+        [("primary", 2.028602), ("primary", 2.666667), ("secondary", 2.276626),
+         ("turning", 2.108185), ("turning", 2.704803)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_event_set(name):
+    args, expected = GOLDEN[name]
+    events = sorted((ev.kind, ev.parameter) for ev in build_diagram(*args).events)
+    assert [kind for kind, _ in events] == [kind for kind, _ in expected]
+    for (_, got), (_, want) in zip(events, expected):
+        assert abs(got - want) < 1e-6
