@@ -38,9 +38,14 @@ from .continuation import (  # noqa: E402
     newton_correct,
     trace_branch,
 )
-from .triangle import (  # noqa: E402
+from .cluster import (  # noqa: E402
     BoundaryRoot,
+    ClusterProblem,
+    Geometry,
     StabilityInterval,
+)
+from .triangle import (  # noqa: E402
+    TRIANGLE,
     TriState,
     TriangleProblem,
     classify_point3,
@@ -55,6 +60,7 @@ from .triangle import (  # noqa: E402
     trivial_spectrum3,
 )
 from .tetrahedron import (  # noqa: E402
+    TETRAHEDRON,
     TetState,
     TetraProblem,
     cayley_menger,
@@ -77,7 +83,6 @@ from .symmetry import (  # noqa: E402
     fixed_projection,
     isotropy,
     orbit,
-    reduced_system,
     tetra_apex_reduction,
     tetra_equal_pair_reduction,
     tetra_group,

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .cluster import ClusterProblem, Geometry, jacobian, margin, residual, stability_boundaries
 from .continuation import (
     BifurcationEvent,
     Branch,
@@ -43,13 +44,14 @@ from .continuation import (
     TransversalityError,
     dedup_events,
     branch_switch,
+    classified_point,
     concatenate_branches,
     is_isolated,
     newton_correct,
     trace_branch,
 )
-from .diagram import Abc3d, Diagram, ParamVsComponent, export, render_svg
-from .linalg import SingularSystemError, det_sign, sym_eigen
+from .diagram import Abc3d, Diagram, ParamVsComponent, check_projection, export, render_svg
+from .linalg import SingularSystemError, sym_eigen
 from .potentials import (
     Buckingham,
     ConfigError,
@@ -69,84 +71,35 @@ from .symmetry import (
     orbit,
     tetra_apex_reduction,
     tetra_equal_pair_reduction,
-    tetra_group,
     tetra_opposite_pair_reduction,
-    triangle_group,
     triangle_isosceles_reduction,
 )
 from .tetrahedron import (
     RESTRICTION_COLUMNS,
-    TetraProblem,
+    TETRAHEDRON,
     cayley_menger,
-    grad_g4,
-    hess_g4,
     jacobian4,
-    mu_tetra,
-    residual4,
-    stability_boundaries4,
     trivial4,
     trivial_spectrum4,
 )
-from .triangle import (
-    TriangleProblem,
-    grad_heron,
-    heron,
-    hess_heron,
-    jacobian3,
-    mu3,
-    residual3,
-    stability_boundaries3,
-    trivial3,
-    trivial_spectrum3,
-)
+from .triangle import TRIANGLE, jacobian3, trivial3, trivial_spectrum3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-TRIANGLE_KERNEL = ((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0))
-TETRA_KERNEL_3 = (
-    (0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-    (0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0),
-    (0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0),
-)
-TETRA_KERNEL_7 = (
-    (0.0, -1.0, 1.0, 0.0, -1.0, 1.0, 0.0),
-    (0.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0),
-)
+GEOMETRIES = {geometry.name: geometry for geometry in (TRIANGLE, TETRAHEDRON)}
 
 
-def make_system(problem: str, spec):
-    if problem == "triangle":
-        return TriangleProblem(spec)
-    if problem == "tetrahedron":
-        return TetraProblem(spec)
-    raise ConfigError(f"unknown problem kind {problem!r}", key="problem")
+def _geometry(problem: str) -> Geometry:
+    if not isinstance(problem, str) or problem not in GEOMETRIES:
+        raise ConfigError(f"problem must be 'triangle' or 'tetrahedron', got {problem!r}", key="problem")
+    return GEOMETRIES[problem]
 
 
-def _scan_boundaries(problem: str, spec, window, grid_n: int):
-    if problem == "triangle":
-        return stability_boundaries3(spec, window, grid_n)
-    return stability_boundaries4(spec, window, grid_n)
-
-
-def _primary_kernel(problem: str, margin_coefficient: int):
-    if problem == "triangle":
-        return TRIANGLE_KERNEL
-    return TETRA_KERNEL_3 if margin_coefficient == 3 else TETRA_KERNEL_7
-
-
-def _reductions_for(problem: str, margin_coefficient: int) -> list[Reduction]:
-    if problem == "triangle":
-        return [triangle_isosceles_reduction()]
-    if margin_coefficient == 3:
-        return [tetra_opposite_pair_reduction(), tetra_apex_reduction()]
-    return [tetra_equal_pair_reduction()]
-
-
-def _symmetry_group(problem: str):
-    return triangle_group() if problem == "triangle" else tetra_group()
+def make_system(problem: str, spec) -> ClusterProblem:
+    return ClusterProblem(_geometry(problem), spec)
 
 
 def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
@@ -155,16 +108,7 @@ def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
     s = 0.0
     prev = None
     for p in params:
-        x = system.trivial_state(p)
-        stability, shape = system.classify(x, p)
-        pt = BranchPoint(
-            state=tuple(float(v) for v in x),
-            parameter=float(p),
-            arclength=0.0,
-            stability=stability,
-            shape=shape,
-            det_sign=det_sign(system.jacobian(x, p)),
-        )
+        pt = classified_point(system, system.trivial_state(p), p)
         if prev is not None:
             dz = pt.z() - prev.z()
             s += float(np.sqrt(dz @ dz))
@@ -174,21 +118,7 @@ def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
 
 
 def _junction_point(system, ev: BifurcationEvent) -> BranchPoint:
-    x = np.asarray(ev.state, dtype=float)
-    stability, shape = system.classify(x, ev.parameter)
-    return BranchPoint(
-        state=tuple(ev.state),
-        parameter=ev.parameter,
-        arclength=0.0,
-        stability=stability,
-        shape=shape,
-        det_sign=det_sign(system.jacobian(x, ev.parameter)),
-    )
-
-
-def _relabel_shapes(system, branch: Branch) -> Branch:
-    branch.points = [replace(pt, shape=system.shape_of(np.asarray(pt.state))) for pt in branch.points]
-    return branch
+    return classified_point(system, np.asarray(ev.state, dtype=float), ev.parameter)
 
 
 @dataclass
@@ -236,7 +166,7 @@ def _run_traces(system, jobs, settings, window):
 
 
 def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings,
-                      window, trivial_curve, label: str) -> _Entry | None:
+                      window, trivial_curve) -> _Entry | None:
     try:
         seeds, _ = branch_switch(system, ev, reduction, settings, trivial_curve=trivial_curve)
     except (TransversalityError, CorrectorFailure, DomainExit):
@@ -248,7 +178,7 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
         # branch trace is ill posed; report the verified seed points alone
         merged = concatenate_branches(Branch(points=[seeds[0]]), _junction_point(system, ev),
                                       Branch(points=list(seeds[1:])))
-        merged.label = label or system.shape_of(np.asarray(seeds[0].state))
+        merged.label = system.shape_of(np.asarray(seeds[0].state))
         return _Entry(branch=merged, events=[], parent_event_id=ev.id, label=merged.label)
     center_z = np.append(np.asarray(ev.state, dtype=float), ev.parameter)
     results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window)
@@ -258,7 +188,7 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
         merged = concatenate_branches(halves[0], _junction_point(system, ev), halves[1])
     else:
         merged = halves[0]
-    merged.label = label or system.shape_of(np.asarray(seeds[0].state))
+    merged.label = system.shape_of(np.asarray(seeds[0].state))
     # events within the small seeding gap around the source bifurcation are echoes of it
     events = [e for e in events
               if abs(e.parameter - ev.parameter) > 2e-3 * max(1.0, abs(ev.parameter))
@@ -284,19 +214,19 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     window = (lo, hi)
     settings = settings or ContinuationSettings()
     system = make_system(problem, spec)
-    group = _symmetry_group(problem)
+    geometry = system.geometry
 
-    roots = _scan_boundaries(problem, spec, window, scan_n)
+    roots = stability_boundaries(geometry, spec, window, scan_n)
     event_counter = 0
     primary_events: list[BifurcationEvent] = []
-    switch_jobs: list[tuple[BifurcationEvent, list[Reduction]]] = []
+    jobs = []  # (event, reduction, symmetric curve) to switch at
     for root in roots:
-        kernel = _primary_kernel(problem, root.margin_coefficient)
+        row = geometry.margins[root.margin_coefficient]
         ev = BifurcationEvent(
             kind="primary",
             parameter=root.parameter,
-            kernel_dim=len(kernel),
-            kernel=kernel,
+            kernel_dim=len(row.kernel),
+            kernel=row.kernel,
             state=tuple(float(v) for v in system.trivial_state(root.parameter)),
             source_branch=0,
             refined=True,
@@ -305,47 +235,30 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         event_counter += 1
         primary_events.append(ev)
         if root.transversal:
-            switch_jobs.append((ev, _reductions_for(problem, root.margin_coefficient)))
+            jobs += [(ev, make(), system.trivial_state) for make in row.reductions]
 
     trivial = _trivial_branch(system, window, trivial_samples, [ev.parameter for ev in primary_events])
 
     entries: list[_Entry] = []
-    frontier: list[_Entry] = []
-    for ev, reductions in switch_jobs:
-        for red in reductions:
-            entry = _switch_and_trace(system, ev, red, settings, window,
-                                      system.trivial_state, label="")
-            if entry is not None:
-                frontier.append(entry)
-    for entry in frontier:
-        for i, e in enumerate(entry.events):
-            entry.events[i] = replace(e, id=event_counter)
-            event_counter += 1
-    entries.extend(frontier)
-
-    depth = 1
     max_depth = 4 if deep else 2
-    while frontier and depth < max_depth:
-        next_frontier: list[_Entry] = []
+    for depth in range(1, max_depth + 1):
+        frontier = [entry for ev, red, curve in jobs
+                    if (entry := _switch_and_trace(system, ev, red, settings, window, curve)) is not None]
         for entry in frontier:
-            for ev in entry.events:
-                if ev.kind != "secondary" or ev.kernel_dim < 1:
-                    continue
-                child = _switch_and_trace(system, ev, _identity_reduction(ev, system.dim),
-                                          settings, window, None, label="")
-                if child is not None:
-                    next_frontier.append(child)
-        for entry in next_frontier:
             for i, e in enumerate(entry.events):
                 entry.events[i] = replace(e, id=event_counter)
                 event_counter += 1
-        entries.extend(next_frontier)
-        frontier = next_frontier
-        depth += 1
+        entries.extend(frontier)
+        if depth == max_depth:
+            break
+        # secondary bifurcations are switched on their own, with no symmetric curve
+        jobs = [(ev, _identity_reduction(ev, system.dim), None) for entry in frontier
+                for ev in entry.events if ev.kind == "secondary" and ev.kernel_dim >= 1]
 
     branches: list[Branch] = [trivial]
     events: list[BifurcationEvent] = list(primary_events)
     next_branch_id = 1
+    group = geometry.group()
     for entry in entries:
         images = orbit(group, entry.branch)
         rep_id = next_branch_id
@@ -353,7 +266,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
             image.id = next_branch_id
             image.parent_event = entry.parent_event_id
             image.label = entry.label
-            _relabel_shapes(system, image)
+            image.points = [replace(pt, shape=system.shape_of(np.asarray(pt.state))) for pt in image.points]
             branches.append(image)
             next_branch_id += 1
         events.extend(replace(e, source_branch=rep_id) for e in entry.events)
@@ -422,73 +335,57 @@ def run_verification() -> list[tuple[str, bool, str]]:
             worst = max(worst, e1, e2)
     checks.append(_check("potential-derivatives-fd", worst < 1e-6, f"max rel err {worst:.2e}"))
 
-    # triangle constraint derivatives
-    worst = 0.0
-    count = 0
-    while count < 100:
-        a, b, c = rng.uniform(0.5, 2.0, 3)
-        if heron(a, b, c) <= 1e-3:
-            continue
-        count += 1
-        g = grad_heron(a, b, c)
-        H = hess_heron(a, b, c)
-        for i, e in enumerate((a, b, c)):
-            h = 1e-6 * e
-            args_p = [a, b, c]
-            args_m = [a, b, c]
-            args_p[i] += h
-            args_m[i] -= h
-            fd_g = (heron(*args_p) - heron(*args_m)) / (2 * h)
-            worst = max(worst, abs(fd_g - g[i]) / max(1.0, abs(g[i])))
-            fd_h = (grad_heron(*args_p) - grad_heron(*args_m)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(fd_h - H[:, i]) / np.maximum(1.0, np.abs(H[:, i])))))
-    checks.append(_check("triangle-constraint-fd", worst < 1e-6, f"max rel err {worst:.2e}"))
+    # per geometry: check-name prefix, random edges for the constraint
+    # derivatives, random edges and parameter range for the equivariance
+    cases = (
+        (TRIANGLE, "triangle", lambda: rng.uniform(0.5, 2.0, 3),
+         lambda: rng.uniform(0.6, 1.6, 3), (0.2, 2.0)),
+        (TETRAHEDRON, "tetra", lambda: 1.0 + 0.25 * rng.uniform(-1.0, 1.0, 6),
+         lambda: 1.0 + 0.15 * rng.uniform(-1, 1, 6), (0.1, 0.3)),
+    )
 
-    # tetrahedron constraint derivatives
-    worst = 0.0
-    for _ in range(100):
-        e = 1.0 + 0.25 * rng.uniform(-1.0, 1.0, 6)
-        g = grad_g4(e)
-        H = hess_g4(e)
-        for i in range(6):
-            h = 1e-6 * e[i]
-            ep, em = e.copy(), e.copy()
-            ep[i] += h
-            em[i] -= h
-            fd_g = (cayley_menger(ep) - cayley_menger(em)) / (2 * h)
-            worst = max(worst, abs(fd_g - g[i]) / max(1.0, abs(g[i])))
-            fd_h = (grad_g4(ep) - grad_g4(em)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(fd_h - H[:, i]) / np.maximum(1.0, np.abs(H[:, i])))))
-    checks.append(_check("tetra-constraint-fd", worst < 1e-6, f"max rel err {worst:.2e}"))
+    # constraint derivatives against central differences
+    for geometry, prefix, draw_edges, _, _ in cases:
+        g_fn, grad, hess = geometry.constraint, geometry.grad, geometry.hess
+        worst = 0.0
+        count = 0
+        while count < 100:
+            e = draw_edges()
+            if g_fn(e) <= 1e-3:
+                continue
+            count += 1
+            g = grad(e)
+            H = hess(e)
+            for i in range(geometry.n_edges):
+                h = 1e-6 * e[i]
+                ep, em = e.copy(), e.copy()
+                ep[i] += h
+                em[i] -= h
+                fd_g = (g_fn(ep) - g_fn(em)) / (2 * h)
+                worst = max(worst, abs(fd_g - g[i]) / max(1.0, abs(g[i])))
+                fd_h = (grad(ep) - grad(em)) / (2 * h)
+                worst = max(worst, float(np.max(np.abs(fd_h - H[:, i]) / np.maximum(1.0, np.abs(H[:, i])))))
+        checks.append(_check(f"{prefix}-constraint-fd", worst < 1e-6, f"max rel err {worst:.2e}"))
 
-    # equivariance of both residuals
-    worst = 0.0
+    # equivariance of the residual under the symmetry group
     spec = LennardJones(1, 2, 12, 6)
-    for _ in range(100):
-        x = np.concatenate([[rng.uniform(-2, 2)], rng.uniform(0.6, 1.6, 3)])
-        A = float(rng.uniform(0.2, 2.0))
-        Fx = residual3(spec, x, A)
-        for P in triangle_group():
-            diff = float(np.max(np.abs(residual3(spec, P.apply(x), A) - P.apply(Fx))))
-            worst = max(worst, diff)
-    checks.append(_check("triangle-equivariance", worst < 1e-12, f"max |F(Px)-PF(x)| {worst:.2e}"))
-
-    worst = 0.0
-    for _ in range(100):
-        x = np.concatenate([[rng.uniform(-2, 2)], 1.0 + 0.15 * rng.uniform(-1, 1, 6)])
-        V = float(rng.uniform(0.1, 0.3))
-        Fx = residual4(spec, x, V)
-        for P in tetra_group():
-            diff = float(np.max(np.abs(residual4(spec, P.apply(x), V) - P.apply(Fx))))
-            worst = max(worst, diff)
-    checks.append(_check("tetra-equivariance", worst < 1e-12, f"max |F(Qx)-QF(x)| {worst:.2e}"))
+    for geometry, prefix, _, draw_edges, (p_lo, p_hi) in cases:
+        worst = 0.0
+        for _ in range(100):
+            x = np.concatenate([[rng.uniform(-2, 2)], draw_edges()])
+            p = float(rng.uniform(p_lo, p_hi))
+            Fx = residual(geometry, spec, x, p)
+            for P in geometry.group():
+                diff = float(np.max(np.abs(residual(geometry, spec, P.apply(x), p) - P.apply(Fx))))
+                worst = max(worst, diff)
+        checks.append(_check(f"{prefix}-equivariance", worst < 1e-12, f"max |F(Px)-PF(x)| {worst:.2e}"))
 
     # Cayley-Menger invariance under all 24 permutations
     worst = 0.0
     for _ in range(100):
         e = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, 6)
         g0 = cayley_menger(e)
-        for P in tetra_group():
+        for P in TETRAHEDRON.group():
             ge = cayley_menger(P.apply(np.concatenate([[0.0], e]))[1:])
             worst = max(worst, abs(ge - g0) / max(1.0, abs(g0)))
     checks.append(_check("cm-invariance", worst < 1e-12, f"max rel diff {worst:.2e}"))
@@ -530,23 +427,15 @@ def run_verification() -> list[tuple[str, bool, str]]:
     worst = 0.0
     for _ in range(10):
         spec_i = _random_spec(rng)
-        A = float(rng.uniform(0.3, 3.0))
-        J = jacobian3(spec_i, trivial3(spec_i, A).as_array())
-        mu = mu3(spec_i, A)
-        scale = max(1.0, float(np.max(np.abs(J))))
-        for v in ((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0)):
-            v = np.asarray(v)
-            worst = max(worst, float(np.max(np.abs(J @ v - mu * v))) / scale)
-        V = float(rng.uniform(0.3, 3.0))
-        J4 = jacobian4(spec_i, trivial4(spec_i, V).as_array())
-        m1, m2 = mu_tetra(spec_i, V)
-        scale = max(1.0, float(np.max(np.abs(J4))))
-        for v in TETRA_KERNEL_3:
-            v = np.asarray(v)
-            worst = max(worst, float(np.max(np.abs(J4 @ v - m1 * v))) / scale)
-        for v in TETRA_KERNEL_7:
-            v = np.asarray(v)
-            worst = max(worst, float(np.max(np.abs(J4 @ v - m2 * v))) / scale)
+        for geometry in (TRIANGLE, TETRAHEDRON):
+            p = float(rng.uniform(0.3, 3.0))
+            J = jacobian(geometry, spec_i, ClusterProblem(geometry, spec_i).trivial_state(p))
+            scale = max(1.0, float(np.max(np.abs(J))))
+            for k, row in geometry.margins.items():
+                mu = margin(geometry, spec_i, p, k)
+                for v in row.kernel:
+                    v = np.asarray(v)
+                    worst = max(worst, float(np.max(np.abs(J @ v - mu * v))) / scale)
     checks.append(_check("trivial-eigenvectors", worst < 1e-12, f"max rel dev {worst:.2e}"))
 
     # projections match their reference matrices entry for entry
@@ -650,17 +539,29 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _config_int(cfg: dict, key: str, default: int) -> int:
+def _config_int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
     val = cfg.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)) or int(val) != val:
         raise ConfigError(f"{key} must be an integer, got {val!r}", key=key)
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {val!r}", key=key)
     return int(val)
+
+
+def _config_float(value, key: str, positive: bool = False) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out) or (positive and not out > 0):
+        kind = "a positive number" if positive else "a finite number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}", key=key)
+    return out
 
 
 def _config_problem_spec(cfg: dict):
     problem = _require(cfg, "problem")
-    if problem not in ("triangle", "tetrahedron"):
-        raise ConfigError(f"problem must be 'triangle' or 'tetrahedron', got {problem!r}", key="problem")
+    _geometry(problem)
     spec = potential_from_json(_require(cfg, "potential"))
     return problem, spec
 
@@ -700,8 +601,8 @@ def cmd_trivial(cfg: dict, out_dir: Path | None) -> int:
     values = _require(cfg, "values")
     if not isinstance(values, list) or not values:
         raise ConfigError("values must be a non-empty list of parameter values", key="values")
+    values = [_config_float(p, "values", positive=True) for p in values]
     for p in values:
-        p = float(p)
         if problem == "triangle":
             st = trivial3(spec, p)
             sp = trivial_spectrum3(spec, p)
@@ -718,8 +619,8 @@ def cmd_trivial(cfg: dict, out_dir: Path | None) -> int:
 def cmd_stability(cfg: dict, out_dir: Path | None) -> int:
     problem, spec = _config_problem_spec(cfg)
     window = _config_window(cfg)
-    grid_n = _config_int(cfg, "grid_n", 2000)
-    roots = _scan_boundaries(problem, spec, window, grid_n)
+    grid_n = _config_int(cfg, "grid_n", 2000, minimum=2)
+    roots = stability_boundaries(GEOMETRIES[problem], spec, window, grid_n)
     closed = closed_form_thresholds(spec, problem)
     if not roots:
         print("no stability boundaries in the window")
@@ -749,24 +650,25 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
     tr = cfg.get("trace", {})
     if not isinstance(tr, dict):
         raise ConfigError("trace options must be an object", key="trace")
-    p0 = float(tr.get("parameter", 0.5 * (window[0] + window[1])))
-    direction = float(tr.get("direction", 1.0))
+    p0 = _config_float(tr.get("parameter", 0.5 * (window[0] + window[1])), "trace.parameter",
+                       positive=True)
+    direction = _config_float(tr.get("direction", 1.0), "trace.direction")
+    outputs = _config_outputs(cfg, problem) if out_dir is not None else None
     if tr.get("start", "trivial") == "trivial":
         x0 = system.trivial_state(p0)
     else:
-        x0 = np.asarray(tr["start"], dtype=float)
-        if x0.shape != (system.dim,):
+        try:
+            x0 = np.asarray(tr["start"], dtype=float)
+        except (TypeError, ValueError):
+            x0 = None
+        if x0 is None or x0.shape != (system.dim,):
             raise ConfigError(f"trace.start must have {system.dim} components", key="trace.start")
-    try:
-        start, _ = newton_correct(system, x0, p0, settings)
-        hint = np.zeros(system.dim + 1)
-        hint[-1] = math.copysign(1.0, direction)
-        branch, events = trace_branch(system, start, hint, settings, window,
-                                      bifurcation_kind="primary" if tr.get("start", "trivial") == "trivial"
-                                      else "secondary")
-    except (TraceAbort, CorrectorFailure, DomainExit, SingularSystemError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    start, _ = newton_correct(system, x0, p0, settings)
+    hint = np.zeros(system.dim + 1)
+    hint[-1] = math.copysign(1.0, direction)
+    branch, events = trace_branch(system, start, hint, settings, window,
+                                  bifurcation_kind="primary" if tr.get("start", "trivial") == "trivial"
+                                  else "secondary")
     branch.id = 0
     branch.label = "traced"
     params = branch.parameters()
@@ -778,7 +680,7 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
         diagram = Diagram(problem=problem, potential=potential_to_json(spec), window=window,
                           settings=settings, branches=[branch],
                           events=[replace(e, id=i, source_branch=0) for i, e in enumerate(events)])
-        _write_outputs(diagram, out_dir, cfg)
+        _write_outputs(diagram, out_dir, *outputs)
     return EXIT_OK
 
 
@@ -788,25 +690,39 @@ def _svg_projection(cfg: dict, problem: str):
         raise ConfigError("svg options must be an object", key="svg")
     kind = svg.get("projection", "param_vs_component")
     if kind == "param_vs_component":
-        return ParamVsComponent(svg.get("component", "a"))
-    if kind == "abc_3d":
-        if "azimuth_deg" in svg or "tilt_deg" in svg:
-            return Abc3d(float(svg.get("azimuth_deg", -60.0)), float(svg.get("tilt_deg", 30.0)))
-        return Abc3d.trivial_axis_view()
-    raise ConfigError(f"unknown svg projection {kind!r}", key="svg.projection")
+        projection = ParamVsComponent(svg.get("component", "a"))
+    elif kind == "abc_3d" and ("azimuth_deg" in svg or "tilt_deg" in svg):
+        projection = Abc3d(_config_float(svg.get("azimuth_deg", -60.0), "svg.azimuth_deg"),
+                           _config_float(svg.get("tilt_deg", 30.0), "svg.tilt_deg"))
+    elif kind == "abc_3d":
+        projection = Abc3d.trivial_axis_view()
+    else:
+        raise ConfigError(f"unknown svg projection {kind!r}", key="svg.projection")
+    try:
+        check_projection(problem, projection)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="svg") from exc
+    return projection
 
 
-def _write_outputs(diagram: Diagram, out_dir: Path, cfg: dict) -> None:
+def _config_outputs(cfg: dict, problem: str):
+    """(formats, svg projection) to write, checked before any work is done."""
+    formats = cfg.get("outputs", ["json", "csv", "svg"])
+    if not isinstance(formats, list) or not all(f in ("json", "csv", "svg") for f in formats):
+        raise ConfigError(f"outputs must be a list of 'json', 'csv', 'svg', got {formats!r}",
+                          key="outputs")
+    return formats, _svg_projection(cfg, problem) if "svg" in formats else None
+
+
+def _write_outputs(diagram: Diagram, out_dir: Path, formats, projection) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        formats = cfg.get("outputs", ["json", "csv", "svg"])
         if "json" in formats:
             (out_dir / "diagram.json").write_bytes(export(diagram, "json"))
         if "csv" in formats:
             (out_dir / "diagram.csv").write_bytes(export(diagram, "csv"))
         if "svg" in formats:
-            svg = render_svg(diagram, _svg_projection(cfg, diagram.problem))
-            (out_dir / "diagram.svg").write_text(svg)
+            (out_dir / "diagram.svg").write_text(render_svg(diagram, projection))
         meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "tool_version": __version__}
         (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     except OSError as exc:
@@ -817,22 +733,19 @@ def cmd_diagram(cfg: dict, out_dir: Path | None) -> int:
     problem, spec = _config_problem_spec(cfg)
     window = _config_window(cfg)
     settings = _config_settings(cfg)
-    try:
-        diagram = build_diagram(
-            problem, spec, window, settings,
-            scan_n=_config_int(cfg, "grid_n", 2000),
-            trivial_samples=_config_int(cfg, "trivial_samples", 400),
-            deep=bool(cfg.get("deep", False)),
-        )
-    except (TraceAbort, CorrectorFailure, DomainExit, SingularSystemError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    outputs = _config_outputs(cfg, problem) if out_dir is not None else None
+    diagram = build_diagram(
+        problem, spec, window, settings,
+        scan_n=_config_int(cfg, "grid_n", 2000, minimum=2),
+        trivial_samples=_config_int(cfg, "trivial_samples", 400, minimum=0),
+        deep=bool(cfg.get("deep", False)),
+    )
     print(f"{len(diagram.branches)} branches, {len(diagram.events)} events")
     for ev in diagram.events:
         print(f"event[{ev.id}] {ev.kind} at {ev.parameter:.8g} "
               f"(kernel dim {ev.kernel_dim}, branch {ev.source_branch})")
     if out_dir is not None:
-        _write_outputs(diagram, out_dir, cfg)
+        _write_outputs(diagram, out_dir, *outputs)
     return EXIT_OK
 
 

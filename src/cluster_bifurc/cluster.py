@@ -1,0 +1,336 @@
+"""One constrained-cluster core for both particle arrays.
+
+Both problems minimize the pair energy E(e) = sum phi(e_i) over the edge
+lengths e under one scalar constraint g(e) = s p^2: the squared triangle
+area (s = 1, p = A) or the Cayley-Menger determinant 288 V^2 (s = 288,
+p = V).  The unknowns are x = (lambda, e_1..e_n), the first-order conditions
+form the KKT residual (g - s p^2, grad E + lambda grad g), and the Jacobian
+is the bordered symmetric matrix [[0, grad g^t], [grad g, hess E + lambda
+hess g]].  On the fully symmetric branch every edge equals the trivial edge
+a(p), and the critical eigenvalues there are the margins
+
+    sigma_k(p) = phi''(a) + k phi'(a) / a,
+
+one per coefficient k of the geometry's margins table; their zeros are the
+candidate primary bifurcations.
+
+A `Geometry` carries only what differs between the problems; everything
+else here is written once.  `triangle.TRIANGLE` and
+`tetrahedron.TETRAHEDRON` are the two instances.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .linalg import householder_complement, sym_eigen
+from .potentials import PotentialSpec, derivatives
+
+__all__ = [
+    "Margin",
+    "Geometry",
+    "BoundaryRoot",
+    "StabilityInterval",
+    "Classification",
+    "DegenerateConstraintError",
+    "scan_boundary_roots",
+    "residual",
+    "jacobian",
+    "energy",
+    "trivial_point",
+    "margin",
+    "stability_boundaries",
+    "stable_intervals",
+    "classify_point",
+    "ClusterProblem",
+]
+
+
+class DegenerateConstraintError(RuntimeError):
+    """The constraint gradient vanished; no tangent space to classify in."""
+
+
+@dataclass(frozen=True)
+class Margin:
+    """One row of a margins table.
+
+    `kernel` spans the critical eigenspace of the Jacobian on the symmetric
+    branch (multiplier slot first); `reductions` build the isotropy
+    reductions that branch switching goes through at a zero of the margin.
+    """
+
+    kernel: tuple[tuple[float, ...], ...]
+    reductions: tuple[Callable, ...]
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """What one cluster problem adds to the common KKT formulation.
+
+    Edge arguments are sequences of `n_edges` floats.  `trivial_multiplier`
+    maps (a, phi'(a)) to the multiplier of the symmetric state;
+    `realizable` decides whether positive edges bound a nondegenerate
+    simplex; `group` returns the edge permutation group lifted to fix the
+    multiplier; `margins` maps each coefficient k to its table row.
+    """
+
+    name: str
+    param_name: str
+    n_edges: int
+    constraint: Callable
+    grad: Callable
+    hess: Callable
+    target_scale: float
+    trivial_edge: Callable
+    trivial_multiplier: Callable
+    realizable: Callable
+    shape: Callable
+    group: Callable
+    margins: dict[int, Margin]
+
+
+@dataclass(frozen=True)
+class BoundaryRoot:
+    """A zero of a stability margin along the trivial branch."""
+
+    parameter: float
+    slope: float
+    transversal: bool
+    margin_coefficient: int
+    kernel_dim: int
+
+
+@dataclass(frozen=True)
+class StabilityInterval:
+    """A maximal parameter interval where the symmetric state is a minimizer.
+
+    Endpoints may be the scan window's edges when the stable set extends
+    beyond it; `lo_is_boundary` / `hi_is_boundary` record whether the
+    endpoint is an actual margin zero rather than a window cut.
+    """
+
+    lo: float
+    hi: float
+    lo_is_boundary: bool
+    hi_is_boundary: bool
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError("stability interval requires lo < hi")
+
+
+@dataclass(frozen=True)
+class Classification:
+    stability: str  # "stable" | "unstable" | "marginal"
+    shape: str
+    tangent_eigenvalues: tuple[float, ...]
+
+
+def _unpack(geometry: Geometry, state, positive: bool = False) -> tuple[float, list[float]]:
+    """(lambda, [e_1, ..., e_n]) as Python floats from a state record or vector."""
+    if hasattr(state, "as_array"):
+        state = state.as_array()
+    x = np.asarray(state, dtype=float)
+    n = geometry.n_edges
+    if x.shape != (n + 1,):
+        raise ValueError(f"{geometry.name} state must have {n + 1} components (lambda, {n} edges)")
+    lam, *e = x.tolist()
+    if positive and min(e) <= 0:
+        raise ValueError("edge lengths must be positive")
+    return lam, e
+
+
+def _hessian(geometry: Geometry, spec: PotentialSpec, lam: float, e: list[float]) -> np.ndarray:
+    """Hessian of the Lagrangian in the edges: hess E + lambda hess g."""
+    return np.diag([derivatives(spec, v)[2] for v in e]) + lam * geometry.hess(e)
+
+
+def residual(geometry: Geometry, spec: PotentialSpec, state, param: float) -> np.ndarray:
+    """KKT residual (g - s p^2, grad E + lambda grad g); zero exactly at critical points."""
+    lam, e = _unpack(geometry, state, positive=True)
+    r = np.empty(len(e) + 1)
+    r[0] = geometry.constraint(e) - geometry.target_scale * param * param
+    r[1:] = [derivatives(spec, v)[1] for v in e]
+    r[1:] += lam * geometry.grad(e)
+    return r
+
+
+def jacobian(geometry: Geometry, spec: PotentialSpec, state) -> np.ndarray:
+    """Bordered symmetric Jacobian [[0, grad g^t], [grad g, hess E + lambda hess g]]."""
+    lam, e = _unpack(geometry, state, positive=True)
+    g = geometry.grad(e)
+    J = np.zeros((len(e) + 1, len(e) + 1))
+    J[0, 1:] = g
+    J[1:, 0] = g
+    J[1:, 1:] = _hessian(geometry, spec, lam, e)
+    return J
+
+
+def energy(geometry: Geometry, spec: PotentialSpec, state) -> float:
+    _, e = _unpack(geometry, state)
+    return sum(derivatives(spec, v)[0] for v in e)
+
+
+def _trivial_edge(geometry: Geometry, param: float) -> float:
+    if not param > 0:
+        raise ValueError(f"{geometry.param_name} must be positive, got {param}")
+    return geometry.trivial_edge(param)
+
+
+def trivial_point(geometry: Geometry, spec: PotentialSpec, param: float) -> tuple[float, float]:
+    """(lambda, a) of the fully symmetric critical point at the given parameter."""
+    a = _trivial_edge(geometry, param)
+    return geometry.trivial_multiplier(a, derivatives(spec, a)[1]), a
+
+
+def margin(geometry: Geometry, spec: PotentialSpec, param: float, k: int) -> float:
+    """sigma_k = phi''(a) + k phi'(a)/a at the trivial edge a of the given parameter."""
+    a = _trivial_edge(geometry, param)
+    _, d1, d2 = derivatives(spec, a)
+    return d2 + k * d1 / a
+
+
+def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
+                        margin_coefficient: int, kernel_dim: int) -> list[BoundaryRoot]:
+    """Bracket sign changes of fn on a log grid and refine them by bisection.
+
+    Roots are refined to relative parameter accuracy 1e-12; the crossing
+    slope is estimated by a central difference and roots with |slope| below
+    1e-8 are flagged non-transversal.
+    """
+    if not (0 < lo < hi):
+        raise ValueError("scan interval must satisfy 0 < lo < hi")
+    if grid_n < 2:
+        raise ValueError("grid must have at least 2 points")
+    grid = np.geomspace(lo, hi, grid_n)
+    vals = [fn(float(p)) for p in grid]
+    roots: list[BoundaryRoot] = []
+    for i in range(1, grid_n):
+        va, vb = vals[i - 1], vals[i]
+        if va == 0.0:
+            root = float(grid[i - 1])
+        elif va * vb < 0.0:
+            a, b = float(grid[i - 1]), float(grid[i])
+            fa = va
+            while (b - a) > 1e-12 * a:
+                m = 0.5 * (a + b)
+                fm = fn(m)
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            root = 0.5 * (a + b)
+        else:
+            continue
+        step = 1e-6 * max(root, 1.0)
+        slope = (fn(root + step) - fn(root - step)) / (2.0 * step)
+        roots.append(BoundaryRoot(root, float(slope), abs(slope) >= 1e-8,
+                                  margin_coefficient, kernel_dim))
+    return roots
+
+
+def stability_boundaries(geometry: Geometry, spec: PotentialSpec, interval: tuple[float, float],
+                         grid_n: int = 2000) -> list[BoundaryRoot]:
+    """Zeros of every margin on the interval, labeled by coefficient and sorted by parameter.
+
+    Each root's kernel dimension is the number of kernel vectors in its
+    margins-table row.
+    """
+    lo, hi = interval
+    roots: list[BoundaryRoot] = []
+    for k, row in geometry.margins.items():
+        roots += scan_boundary_roots(lambda p, k=k: margin(geometry, spec, p, k), lo, hi, grid_n,
+                                     margin_coefficient=k, kernel_dim=len(row.kernel))
+    return sorted(roots, key=lambda r: r.parameter)
+
+
+def stable_intervals(geometry: Geometry, spec: PotentialSpec, interval: tuple[float, float],
+                     grid_n: int = 2000) -> list[StabilityInterval]:
+    """Maximal sub-intervals of the window where the symmetric state is stable.
+
+    Cut the window at the margin zeros and keep the pieces on which every
+    margin is positive (sampled at the midpoint).
+    """
+    lo, hi = interval
+    cuts = [lo] + [r.parameter for r in stability_boundaries(geometry, spec, interval, grid_n)] + [hi]
+    out: list[StabilityInterval] = []
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a > 1e-14 * max(1.0, abs(b)) and all(
+                margin(geometry, spec, 0.5 * (a + b), k) > 0.0 for k in geometry.margins):
+            out.append(StabilityInterval(a, b, lo_is_boundary=a != lo, hi_is_boundary=b != hi))
+    return out
+
+
+def classify_point(geometry: Geometry, spec: PotentialSpec, state, param: float) -> Classification:
+    """Stability and shape of a computed solution.
+
+    Projects the constrained Hessian onto an orthonormal basis of the
+    constraint tangent space (the trailing columns of the Householder
+    factorization of grad g) and inspects the projected eigenvalues: stable
+    when all exceed 1e-8 times the Hessian scale, marginal when any
+    eigenvalue sits within that band of zero.
+    """
+    lam, e = _unpack(geometry, state)
+    g = geometry.grad(e)
+    if np.max(np.abs(g)) == 0.0:
+        raise DegenerateConstraintError("constraint gradient vanished at this state")
+    basis = householder_complement(g)
+    H = _hessian(geometry, spec, lam, e)
+    M = basis.T @ H @ basis
+    M = 0.5 * (M + M.T)  # exact congruence symmetry, lost only to round-off
+    w, _ = sym_eigen(M)
+    # the tolerance keeps the full Hessian scale: at a bifurcation point the
+    # projected matrix itself is ~0 and cannot calibrate its own zero band
+    tol = 1e-8 * float(max(np.max(np.abs(M)), np.max(np.abs(H))))
+    if np.all(w > tol):
+        stability = "stable"
+    elif np.any(np.abs(w) <= tol):
+        stability = "marginal"
+    else:
+        stability = "unstable"
+    return Classification(stability, geometry.shape(e), tuple(float(v) for v in w))
+
+
+class ClusterProblem:
+    """Continuation-facing wrapper of one geometry's KKT system for one potential."""
+
+    def __init__(self, geometry: Geometry, spec: PotentialSpec):
+        self.geometry = geometry
+        self.spec = spec
+        self.dim = geometry.n_edges + 1
+        self.param_name = geometry.param_name
+
+    def residual(self, x, p: float) -> np.ndarray:
+        return residual(self.geometry, self.spec, x, p)
+
+    def jacobian(self, x, p: float) -> np.ndarray:
+        return jacobian(self.geometry, self.spec, x)
+
+    def parameter_derivative(self, x, p: float) -> np.ndarray:
+        out = np.zeros(self.dim)
+        out[0] = -2.0 * self.geometry.target_scale * p
+        return out
+
+    def in_domain(self, x) -> bool:
+        return bool(np.all(np.asarray(x)[1:] > 0.0))
+
+    def feasible(self, x) -> bool:
+        x = np.asarray(x, dtype=float)
+        return self.in_domain(x) and self.geometry.realizable(x[1:].tolist())
+
+    def classify(self, x, p: float) -> tuple[str, str]:
+        cls = classify_point(self.geometry, self.spec, x, p)
+        return cls.stability, cls.shape
+
+    def energy(self, x) -> float:
+        return energy(self.geometry, self.spec, x)
+
+    def trivial_state(self, p: float) -> np.ndarray:
+        lam, a = trivial_point(self.geometry, self.spec, p)
+        return np.array([lam] + [a] * self.geometry.n_edges)
+
+    def shape_of(self, x) -> str:
+        return self.geometry.shape(np.asarray(x, dtype=float)[1:].tolist())

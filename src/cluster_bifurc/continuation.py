@@ -1,7 +1,7 @@
 """Pseudo-arclength predictor-corrector continuation with event handling.
 
-A `system` is any object with the small interface the two cluster problems
-implement (see triangle.TriangleProblem / tetrahedron.TetraProblem):
+A `system` is any object with the small interface that
+`cluster.ClusterProblem` implements for both cluster problems:
 
     dim                       number of unknowns (multiplier + edges)
     residual(x, p)            KKT residual, length dim
@@ -52,6 +52,7 @@ __all__ = [
     "dedup_events",
     "branch_switch",
     "concatenate_branches",
+    "classified_point",
     "metric_weights",
     "is_isolated",
 ]
@@ -114,7 +115,6 @@ class BifurcationEvent:
 @dataclass(frozen=True)
 class BranchSwitchData:
     v: tuple[float, ...]
-    v_star: tuple[float, ...]
     A0_coef: float
     B0_coef: float
     m: float
@@ -164,12 +164,15 @@ class TransversalityError(RuntimeError):
         self.slope_estimate = slope_estimate
 
 
-def _classified_point(system, x: np.ndarray, p: float, sign: int, arclength: float = 0.0) -> BranchPoint:
+def classified_point(system, x: np.ndarray, p: float, sign: int | None = None) -> BranchPoint:
+    """A solution point with its labels; `sign` defaults to the unbordered Jacobian's det sign."""
+    if sign is None:
+        sign = det_sign(system.jacobian(x, p))
     stability, shape = system.classify(x, p)
     return BranchPoint(
         state=tuple(float(v) for v in x),
         parameter=float(p),
-        arclength=float(arclength),
+        arclength=0.0,
         stability=stability,
         shape=shape,
         det_sign=int(sign),
@@ -222,7 +225,7 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
                 sign = det_sign(system.jacobian(x, p))
             else:
                 sign = det_sign(_bordered_matrix(system, x, p, row))
-            return _classified_point(system, x, p, sign), it
+            return classified_point(system, x, p, sign), it
         if it == settings.newton_max_iters:
             break
         try:
@@ -677,7 +680,6 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
 
     data = BranchSwitchData(
         v=tuple(float(t) for t in v),
-        v_star=tuple(float(t) for t in v),
         A0_coef=a0,
         B0_coef=b0,
         m=m,
@@ -690,7 +692,7 @@ def _verified_seed(system, x: np.ndarray, p: float, settings: ContinuationSettin
     full = float(np.max(np.abs(system.residual(x, p))))
     if full > 10.0 * settings.newton_tol:
         raise CorrectorFailure(f"reduced-space seed fails full-system verification (|F|={full:.3e})", full)
-    return _classified_point(system, x, p, det_sign(system.jacobian(x, p)))
+    return classified_point(system, x, p)
 
 
 def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:

@@ -26,6 +26,7 @@ __all__ = [
     "export",
     "load_diagram",
     "render_svg",
+    "check_projection",
     "STABLE_COLOR",
     "UNSTABLE_COLOR",
 ]
@@ -224,29 +225,35 @@ class Abc3d:
         return Abc3d(azimuth_deg=-45.0, tilt_deg=math.degrees(math.atan(math.sqrt(2.0))))
 
 
+def check_projection(problem: str, projection) -> None:
+    """Raise ValueError unless `projection` can draw diagrams of `problem`."""
+    if isinstance(projection, ParamVsComponent):
+        if projection.name not in _COMPONENTS[problem]:
+            raise ValueError(f"unknown component {projection.name!r} for {problem}")
+    elif isinstance(projection, Abc3d):
+        if problem != "triangle":
+            raise ValueError("abc_3d projection applies to triangle diagrams")
+    else:
+        raise ValueError(f"unknown projection {projection!r}")
+
+
 def _project_points(diagram: Diagram, projection) -> list[list[tuple[float, float]]]:
     """Per-branch lists of plot coordinates."""
+    check_projection(diagram.problem, projection)
     if isinstance(projection, ParamVsComponent):
-        components = _COMPONENTS[diagram.problem]
-        if projection.name not in components:
-            raise ValueError(f"unknown component {projection.name!r} for {diagram.problem}")
-        idx = components.index(projection.name)
+        idx = _COMPONENTS[diagram.problem].index(projection.name)
         return [[(pt.parameter, pt.state[idx]) for pt in br.points] for br in diagram.branches]
-    if isinstance(projection, Abc3d):
-        if diagram.problem != "triangle":
-            raise ValueError("abc_3d projection applies to triangle diagrams")
-        az = math.radians(projection.azimuth_deg)
-        tl = math.radians(projection.tilt_deg)
-        ca, sa = math.cos(az), math.sin(az)
-        ct, st = math.cos(tl), math.sin(tl)
+    az = math.radians(projection.azimuth_deg)
+    tl = math.radians(projection.tilt_deg)
+    ca, sa = math.cos(az), math.sin(az)
+    ct, st = math.cos(tl), math.sin(tl)
 
-        def proj(state):
-            x, y, z = state[1], state[2], state[3]
-            xr, yr = ca * x - sa * y, sa * x + ca * y
-            return (ct * xr - st * z, yr)
+    def proj(state):
+        x, y, z = state[1], state[2], state[3]
+        xr, yr = ca * x - sa * y, sa * x + ca * y
+        return (ct * xr - st * z, yr)
 
-        return [[proj(pt.state) for pt in br.points] for br in diagram.branches]
-    raise ValueError(f"unknown projection {projection!r}")
+    return [[proj(pt.state) for pt in br.points] for br in diagram.branches]
 
 
 def _event_coords(diagram: Diagram, projection) -> list[tuple[float, float]]:

@@ -10,11 +10,10 @@ The triangle system is equivariant under the six permutations of the edges
 
 All group elements act on the KKT unknowns (lambda, edges...) with the
 multiplier coordinate held fixed.  Given a kernel vector of the linearized
-system, `isotropy` extracts the subgroup fixing it, `fixed_projection` builds
-the projector onto the corresponding fixed-point subspace (exactly, in
-rational arithmetic), and `reduced_system` restricts the equations to that
-subspace, where the critical eigenvalue is simple and branch switching is
-well posed.
+system, `isotropy` extracts the subgroup fixing it and `fixed_projection`
+builds the projector onto the corresponding fixed-point subspace (exactly,
+in rational arithmetic), where the critical eigenvalue is simple and branch
+switching is well posed.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "isotropy",
     "fixed_projection",
     "fixed_projection_exact",
-    "reduced_system",
     "orbit",
     "triangle_isosceles_reduction",
     "tetra_opposite_pair_reduction",
@@ -191,26 +189,6 @@ def fixed_projection(subgroup: PermGroup) -> np.ndarray:
     """Group-average projector onto the fixed-point subspace, as floats."""
     exact = fixed_projection_exact(subgroup)
     return np.array([[float(x) for x in row] for row in exact])
-
-
-def reduced_system(projection: np.ndarray, residual, jacobian):
-    """Restrict (residual, jacobian) callables to a fixed-point subspace.
-
-    Returns (reduced_residual, reduced_jacobian); maps are composed with the
-    projector, so zeros of the reduced residual found inside the subspace are
-    zeros of the full system.
-    """
-    P = np.asarray(projection, dtype=float)
-    if np.max(np.abs(P @ P - P)) > 1e-12:
-        raise ValueError("projection must be idempotent")
-
-    def reduced_residual(x, param):
-        return P @ residual(x, param)
-
-    def reduced_jacobian(x, param):
-        return P @ jacobian(x, param) @ P
-
-    return reduced_residual, reduced_jacobian
 
 
 @dataclass(frozen=True)

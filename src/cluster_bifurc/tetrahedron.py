@@ -26,22 +26,45 @@ linearization there carries two families of critical eigenvalues,
     sigma_7(a_V) = phi'' + 7 phi'/a_V   (multiplicity two),
 
 whose zeros are the candidate bifurcation volumes.
+
+This module supplies the tetrahedron's `Geometry`, `TETRAHEDRON`; the KKT
+residual, Jacobian, classification and margin scan are the shared ones in
+`cluster`, bound to `TETRAHEDRON` under their tetrahedron names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .linalg import det, householder_complement, sym_eigen
+from .cluster import (
+    ClusterProblem,
+    Geometry,
+    Margin,
+    classify_point,
+    energy,
+    jacobian,
+    margin,
+    residual,
+    stability_boundaries,
+    trivial_point,
+)
+from .linalg import det
 from .potentials import PotentialSpec, derivatives
-from .triangle import BoundaryRoot, Classification, DegenerateConstraintError, scan_boundary_roots
+from .symmetry import (
+    tetra_apex_reduction,
+    tetra_equal_pair_reduction,
+    tetra_group,
+    tetra_opposite_pair_reduction,
+)
 
 __all__ = [
     "TetState",
     "TrivialSpectrum4",
+    "TETRAHEDRON",
     "cayley_menger",
     "is_tetrahedron",
     "grad_g4",
@@ -77,15 +100,6 @@ class TetState:
     def from_array(x) -> "TetState":
         x = np.asarray(x, dtype=float)
         return TetState(float(x[0]), tuple(float(v) for v in x[1:7]))
-
-
-def _state_vector(state) -> np.ndarray:
-    if isinstance(state, TetState):
-        return state.as_array()
-    x = np.asarray(state, dtype=float)
-    if x.shape != (7,):
-        raise ValueError("tetrahedron state must have 7 components (lambda, 6 edges)")
-    return x
 
 
 def _edges(edges) -> np.ndarray:
@@ -170,54 +184,15 @@ def hess_g4(edges) -> np.ndarray:
     return np.triu(H) + np.triu(H, 1).T
 
 
-def tetra_energy(spec: PotentialSpec, state) -> float:
-    x = _state_vector(state)
-    return sum(derivatives(spec, float(r))[0] for r in x[1:])
-
-
-def residual4(spec: PotentialSpec, state, volume: float) -> np.ndarray:
-    """KKT residual (g - 288 V^2, grad E + lambda grad g)."""
-    x = _state_vector(state)
-    lam, e = x[0], x[1:]
-    if min(e) <= 0:
-        raise ValueError("edge lengths must be positive")
-    r = np.empty(7)
-    r[0] = cayley_menger(e) - 288.0 * volume * volume
-    r[1:] = np.array([derivatives(spec, float(v))[1] for v in e]) + lam * grad_g4(e)
-    return r
-
-
-def jacobian4(spec: PotentialSpec, state) -> np.ndarray:
-    """Bordered symmetric Jacobian [[0, grad g^t], [grad g, hess E + lambda hess g]]."""
-    x = _state_vector(state)
-    lam, e = x[0], x[1:]
-    if min(e) <= 0:
-        raise ValueError("edge lengths must be positive")
-    g = grad_g4(e)
-    H = np.diag([derivatives(spec, float(v))[2] for v in e]) + lam * hess_g4(e)
-    J = np.zeros((7, 7))
-    J[0, 1:] = g
-    J[1:, 0] = g
-    J[1:, 1:] = H
-    return J
-
-
 def trivial4(spec: PotentialSpec, volume: float) -> TetState:
     """The regular-tetrahedron critical point at the given volume."""
-    if not volume > 0:
-        raise ValueError(f"volume must be positive, got {volume}")
-    a = (6.0 * math.sqrt(2.0) * volume) ** (1.0 / 3.0)
-    lam = -derivatives(spec, a)[1] / (4.0 * a ** 5)
+    lam, a = trivial_point(TETRAHEDRON, spec, volume)
     return TetState(lam, (a,) * 6)
 
 
 def mu_tetra(spec: PotentialSpec, volume: float) -> tuple[float, float]:
     """The two critical eigenvalues (sigma_3, sigma_7) on the trivial branch."""
-    if not volume > 0:
-        raise ValueError(f"volume must be positive, got {volume}")
-    a = (6.0 * math.sqrt(2.0) * volume) ** (1.0 / 3.0)
-    _, d1, d2 = derivatives(spec, a)
-    return d2 + 3.0 * d1 / a, d2 + 7.0 * d1 / a
+    return margin(TETRAHEDRON, spec, volume, 3), margin(TETRAHEDRON, spec, volume, 7)
 
 
 # Restriction onto the constraint tangent space {sum(y) = 0} used by the
@@ -259,21 +234,6 @@ def trivial_spectrum4(spec: PotentialSpec, volume: float) -> TrivialSpectrum4:
     pair = (0.5 * (7.0 * alpha - 6.0 * beta - disc), 0.5 * (7.0 * alpha - 6.0 * beta + disc))
     eigs = tuple(sorted((alpha, alpha, alpha - 2.0 * beta) + pair))
     return TrivialSpectrum4(alpha, beta, alpha, alpha - 2.0 * beta, eigs)
-
-
-def stability_boundaries4(spec: PotentialSpec, interval: tuple[float, float],
-                          grid_n: int = 2000) -> list[BoundaryRoot]:
-    """Zeros of both critical eigenvalues on the interval, labeled by margin.
-
-    sigma_3 roots carry kernel dimension 3, sigma_7 roots dimension 2; the
-    merged list is sorted by volume.
-    """
-    lo, hi = interval
-    roots = scan_boundary_roots(lambda V: mu_tetra(spec, V)[0], lo, hi, grid_n,
-                                margin_coefficient=3, kernel_dim=3)
-    roots += scan_boundary_roots(lambda V: mu_tetra(spec, V)[1], lo, hi, grid_n,
-                                 margin_coefficient=7, kernel_dim=2)
-    return sorted(roots, key=lambda r: r.parameter)
 
 
 # Edge-index patterns of the named shape families, one entry per group image.
@@ -323,67 +283,40 @@ def shape_of_edges(edges, tol: float = 1e-6) -> str:
     return "other"
 
 
-def classify_point4(spec: PotentialSpec, state, volume: float) -> Classification:
-    """Stability over the 5-dimensional constraint tangent space, plus shape family."""
-    x = _state_vector(state)
-    lam, e = x[0], x[1:]
-    g = grad_g4(e)
-    if np.max(np.abs(g)) == 0.0:
-        raise DegenerateConstraintError("constraint gradient vanished at this state")
-    basis = householder_complement(g)
-    H = np.diag([derivatives(spec, float(v))[2] for v in e]) + lam * hess_g4(e)
-    M = basis.T @ H @ basis
-    M = 0.5 * (M + M.T)  # exact congruence symmetry, lost only to round-off
-    w, _ = sym_eigen(M)
-    # the tolerance keeps the full Hessian scale: at a bifurcation point the
-    # projected matrix itself is ~0 and cannot calibrate its own zero band
-    tol = 1e-8 * float(max(np.max(np.abs(M)), np.max(np.abs(H))))
-    if np.all(w > tol):
-        stability = "stable"
-    elif np.any(np.abs(w) <= tol):
-        stability = "marginal"
-    else:
-        stability = "unstable"
-    return Classification(stability, shape_of_edges(e), tuple(float(v) for v in w))
+
+TETRAHEDRON = Geometry(
+    name="tetrahedron",
+    param_name="volume",
+    n_edges=6,
+    constraint=cayley_menger,
+    grad=grad_g4,
+    hess=hess_g4,
+    target_scale=288.0,
+    trivial_edge=lambda volume: (6.0 * math.sqrt(2.0) * volume) ** (1.0 / 3.0),
+    trivial_multiplier=lambda a, d1: -d1 / (4.0 * a ** 5),
+    realizable=is_tetrahedron,
+    shape=shape_of_edges,
+    group=tetra_group,
+    margins={
+        3: Margin(kernel=((0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+                          (0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0),
+                          (0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0)),
+                  reductions=(tetra_opposite_pair_reduction, tetra_apex_reduction)),
+        7: Margin(kernel=((0.0, -1.0, 1.0, 0.0, -1.0, 1.0, 0.0),
+                          (0.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0)),
+                  reductions=(tetra_equal_pair_reduction,)),
+    },
+)
+
+residual4 = partial(residual, TETRAHEDRON)
+jacobian4 = partial(jacobian, TETRAHEDRON)
+classify_point4 = partial(classify_point, TETRAHEDRON)
+stability_boundaries4 = partial(stability_boundaries, TETRAHEDRON)
+tetra_energy = partial(energy, TETRAHEDRON)
 
 
-class TetraProblem:
+class TetraProblem(ClusterProblem):
     """Continuation-facing wrapper of the tetrahedron KKT system for one potential."""
 
-    dim = 7
-    param_name = "volume"
-    problem = "tetrahedron"
-
     def __init__(self, spec: PotentialSpec):
-        self.spec = spec
-
-    def residual(self, x, volume: float) -> np.ndarray:
-        return residual4(self.spec, x, volume)
-
-    def jacobian(self, x, volume: float) -> np.ndarray:
-        return jacobian4(self.spec, x)
-
-    def parameter_derivative(self, x, volume: float) -> np.ndarray:
-        out = np.zeros(7)
-        out[0] = -576.0 * volume
-        return out
-
-    def in_domain(self, x) -> bool:
-        return bool(np.all(np.asarray(x)[1:] > 0.0))
-
-    def feasible(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return self.in_domain(x) and is_tetrahedron(x[1:])
-
-    def classify(self, x, volume: float) -> tuple[str, str]:
-        cls = classify_point4(self.spec, x, volume)
-        return cls.stability, cls.shape
-
-    def energy(self, x) -> float:
-        return tetra_energy(self.spec, x)
-
-    def trivial_state(self, volume: float) -> np.ndarray:
-        return trivial4(self.spec, volume).as_array()
-
-    def shape_of(self, x) -> str:
-        return shape_of_edges(np.asarray(x, dtype=float)[1:])
+        super().__init__(TETRAHEDRON, spec)

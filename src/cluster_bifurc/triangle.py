@@ -17,25 +17,42 @@ and the linearization there has the double eigenvalue
     mu(A) = phi''(a_A) + (3/a_A) phi'(a_A)
 
 whose zeros are the only candidate bifurcation points off that branch.
+
+This module supplies the triangle's `Geometry`, `TRIANGLE`; the KKT
+residual, Jacobian, classification and margin scan are the shared ones in
+`cluster`, bound to `TRIANGLE` under their triangle names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .linalg import householder_complement, sym_eigen
+from .cluster import (
+    ClusterProblem,
+    DegenerateConstraintError,
+    Geometry,
+    Margin,
+    StabilityInterval,
+    classify_point,
+    energy,
+    jacobian,
+    margin,
+    residual,
+    stability_boundaries,
+    stable_intervals,
+    trivial_point,
+)
 from .potentials import PotentialSpec, derivatives
+from .symmetry import triangle_group, triangle_isosceles_reduction
 
 __all__ = [
     "TriState",
     "TrivialSpectrum3",
-    "BoundaryRoot",
-    "StabilityInterval",
-    "Classification",
-    "DegenerateConstraintError",
+    "TRIANGLE",
     "heron",
     "grad_heron",
     "hess_heron",
@@ -50,10 +67,6 @@ __all__ = [
     "triangle_energy",
     "TriangleProblem",
 ]
-
-
-class DegenerateConstraintError(RuntimeError):
-    """The constraint gradient vanished; no tangent space to classify in."""
 
 
 @dataclass(frozen=True)
@@ -74,18 +87,6 @@ class TriState:
     def from_array(x) -> "TriState":
         lam, a, b, c = (float(v) for v in x)
         return TriState(lam, a, b, c)
-
-    def edges(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
-
-
-def _state_vector(state) -> np.ndarray:
-    if isinstance(state, TriState):
-        return state.as_array()
-    x = np.asarray(state, dtype=float)
-    if x.shape != (4,):
-        raise ValueError("triangle state must have 4 components (lambda, a, b, c)")
-    return x
 
 
 def heron(a: float, b: float, c: float) -> float:
@@ -112,46 +113,52 @@ def hess_heron(a: float, b: float, c: float) -> np.ndarray:
     ]) / 4.0
 
 
-def triangle_energy(spec: PotentialSpec, state) -> float:
-    x = _state_vector(state)
-    return sum(derivatives(spec, float(r))[0] for r in x[1:])
+def _shape3(edges, tol: float = 1e-6) -> str:
+    a, b, c = edges
+
+    def eq(x, y):
+        return abs(x - y) <= tol * max(abs(x), abs(y))
+
+    ab, ac, bc = eq(a, b), eq(a, c), eq(b, c)
+    if ab and ac and bc:
+        return "equilateral"
+    if ab:
+        return "isosceles(a=b)"
+    if ac:
+        return "isosceles(a=c)"
+    if bc:
+        return "isosceles(b=c)"
+    return "scalene"
 
 
-def residual3(spec: PotentialSpec, state, area: float) -> np.ndarray:
-    """KKT residual (g - A^2, grad E + lambda grad g); zero exactly at critical points."""
-    x = _state_vector(state)
-    lam, a, b, c = x
-    if min(a, b, c) <= 0:
-        raise ValueError("edge lengths must be positive")
-    g = grad_heron(a, b, c)
-    r = np.empty(4)
-    r[0] = heron(a, b, c) - area * area
-    for i, e in enumerate((a, b, c)):
-        r[1 + i] = derivatives(spec, e)[1] + lam * g[i]
-    return r
+TRIANGLE = Geometry(
+    name="triangle",
+    param_name="area",
+    n_edges=3,
+    constraint=lambda e: heron(*e),
+    grad=lambda e: grad_heron(*e),
+    hess=lambda e: hess_heron(*e),
+    target_scale=1.0,
+    trivial_edge=lambda area: 2.0 * math.sqrt(area) / 3.0 ** 0.25,
+    trivial_multiplier=lambda a, d1: -4.0 * d1 / a ** 3,
+    realizable=lambda e: heron(*e) > 0.0,
+    shape=_shape3,
+    group=triangle_group,
+    margins={3: Margin(kernel=((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0)),
+                       reductions=(triangle_isosceles_reduction,))},
+)
 
-
-def jacobian3(spec: PotentialSpec, state) -> np.ndarray:
-    """Bordered symmetric Jacobian [[0, grad g^t], [grad g, hess E + lambda hess g]]."""
-    x = _state_vector(state)
-    lam, a, b, c = x
-    if min(a, b, c) <= 0:
-        raise ValueError("edge lengths must be positive")
-    g = grad_heron(a, b, c)
-    H = np.diag([derivatives(spec, e)[2] for e in (a, b, c)]) + lam * hess_heron(a, b, c)
-    J = np.zeros((4, 4))
-    J[0, 1:] = g
-    J[1:, 0] = g
-    J[1:, 1:] = H
-    return J
+residual3 = partial(residual, TRIANGLE)
+jacobian3 = partial(jacobian, TRIANGLE)
+classify_point3 = partial(classify_point, TRIANGLE)
+stability_boundaries3 = partial(stability_boundaries, TRIANGLE)
+stable_intervals3 = partial(stable_intervals, TRIANGLE)
+triangle_energy = partial(energy, TRIANGLE)
 
 
 def trivial3(spec: PotentialSpec, area: float) -> TriState:
     """The equilateral critical point at the given area."""
-    if not area > 0:
-        raise ValueError(f"area must be positive, got {area}")
-    a = 2.0 * math.sqrt(area) / 3.0 ** 0.25
-    lam = -4.0 * derivatives(spec, a)[1] / a ** 3
+    lam, a = trivial_point(TRIANGLE, spec, area)
     return TriState(lam, a, a, a)
 
 
@@ -180,196 +187,11 @@ def trivial_spectrum3(spec: PotentialSpec, area: float) -> TrivialSpectrum3:
 
 def mu3(spec: PotentialSpec, area: float) -> float:
     """The double eigenvalue mu(A) = phi''(a_A) + 3 phi'(a_A)/a_A on the trivial branch."""
-    if not area > 0:
-        raise ValueError(f"area must be positive, got {area}")
-    a = 2.0 * math.sqrt(area) / 3.0 ** 0.25
-    _, d1, d2 = derivatives(spec, a)
-    return d2 + 3.0 * d1 / a
+    return margin(TRIANGLE, spec, area, 3)
 
 
-@dataclass(frozen=True)
-class BoundaryRoot:
-    """A zero of a stability margin along the trivial branch."""
-
-    parameter: float
-    slope: float
-    transversal: bool
-    margin_coefficient: int
-    kernel_dim: int
-
-
-@dataclass(frozen=True)
-class StabilityInterval:
-    """A maximal parameter interval where the symmetric state is a minimizer.
-
-    Endpoints may be the scan window's edges when the stable set extends
-    beyond it; `lo_is_boundary` / `hi_is_boundary` record whether the
-    endpoint is an actual margin zero rather than a window cut.
-    """
-
-    lo: float
-    hi: float
-    lo_is_boundary: bool
-    hi_is_boundary: bool
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("stability interval requires lo < hi")
-
-
-def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
-                        margin_coefficient: int, kernel_dim: int) -> list[BoundaryRoot]:
-    """Bracket sign changes of fn on a log grid and refine them by bisection.
-
-    Roots are refined to relative parameter accuracy 1e-12; the crossing
-    slope is estimated by a central difference and roots with |slope| below
-    1e-8 are flagged non-transversal.
-    """
-    if not (0 < lo < hi):
-        raise ValueError("scan interval must satisfy 0 < lo < hi")
-    if grid_n < 2:
-        raise ValueError("grid must have at least 2 points")
-    grid = np.geomspace(lo, hi, grid_n)
-    vals = [fn(float(p)) for p in grid]
-    roots: list[BoundaryRoot] = []
-    for i in range(1, grid_n):
-        va, vb = vals[i - 1], vals[i]
-        if va == 0.0:
-            root = float(grid[i - 1])
-        elif va * vb < 0.0:
-            a, b = float(grid[i - 1]), float(grid[i])
-            fa = va
-            while (b - a) > 1e-12 * a:
-                m = 0.5 * (a + b)
-                fm = fn(m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            root = 0.5 * (a + b)
-        else:
-            continue
-        step = 1e-6 * max(root, 1.0)
-        slope = (fn(root + step) - fn(root - step)) / (2.0 * step)
-        roots.append(BoundaryRoot(root, float(slope), abs(slope) >= 1e-8,
-                                  margin_coefficient, kernel_dim))
-    return roots
-
-
-def stability_boundaries3(spec: PotentialSpec, interval: tuple[float, float],
-                          grid_n: int = 2000) -> list[BoundaryRoot]:
-    """All zeros of mu(A) on the interval: the candidate primary bifurcation areas."""
-    lo, hi = interval
-    return scan_boundary_roots(lambda A: mu3(spec, A), lo, hi, grid_n,
-                               margin_coefficient=3, kernel_dim=2)
-
-
-def stable_intervals3(spec: PotentialSpec, interval: tuple[float, float],
-                      grid_n: int = 2000) -> list[StabilityInterval]:
-    """Maximal sub-intervals of the window where the equilateral state is stable.
-
-    Cut the window at the zeros of mu(A) and keep the pieces on which mu is
-    positive (sampled at the midpoint).
-    """
-    lo, hi = interval
-    cuts = [lo] + [r.parameter for r in stability_boundaries3(spec, interval, grid_n)] + [hi]
-    out: list[StabilityInterval] = []
-    for a, b in zip(cuts, cuts[1:]):
-        if b - a > 1e-14 * max(1.0, abs(b)) and mu3(spec, 0.5 * (a + b)) > 0.0:
-            out.append(StabilityInterval(a, b, lo_is_boundary=a != lo, hi_is_boundary=b != hi))
-    return out
-
-
-@dataclass(frozen=True)
-class Classification:
-    stability: str  # "stable" | "unstable" | "marginal"
-    shape: str
-    tangent_eigenvalues: tuple[float, ...]
-
-
-def _shape3(a: float, b: float, c: float, tol: float = 1e-6) -> str:
-    def eq(x, y):
-        return abs(x - y) <= tol * max(abs(x), abs(y))
-
-    ab, ac, bc = eq(a, b), eq(a, c), eq(b, c)
-    if ab and ac and bc:
-        return "equilateral"
-    if ab:
-        return "isosceles(a=b)"
-    if ac:
-        return "isosceles(a=c)"
-    if bc:
-        return "isosceles(b=c)"
-    return "scalene"
-
-
-def classify_point3(spec: PotentialSpec, state, area: float) -> Classification:
-    """Stability and shape of a computed solution.
-
-    Projects the constrained Hessian onto an orthonormal basis of the
-    constraint tangent space (the trailing columns of the Householder
-    factorization of grad g) and inspects the two projected eigenvalues:
-    stable when both exceed 1e-8 times the projected norm, marginal when any
-    eigenvalue sits within that band of zero.
-    """
-    x = _state_vector(state)
-    lam, a, b, c = x
-    g = grad_heron(a, b, c)
-    if np.max(np.abs(g)) == 0.0:
-        raise DegenerateConstraintError("constraint gradient vanished at this state")
-    basis = householder_complement(g)
-    H = np.diag([derivatives(spec, e)[2] for e in (a, b, c)]) + lam * hess_heron(a, b, c)
-    M = basis.T @ H @ basis
-    M = 0.5 * (M + M.T)  # exact congruence symmetry, lost only to round-off
-    w, _ = sym_eigen(M)
-    # the tolerance keeps the full Hessian scale: at a bifurcation point the
-    # projected matrix itself is ~0 and cannot calibrate its own zero band
-    tol = 1e-8 * float(max(np.max(np.abs(M)), np.max(np.abs(H))))
-    if np.all(w > tol):
-        stability = "stable"
-    elif np.any(np.abs(w) <= tol):
-        stability = "marginal"
-    else:
-        stability = "unstable"
-    return Classification(stability, _shape3(a, b, c), tuple(float(v) for v in w))
-
-
-class TriangleProblem:
+class TriangleProblem(ClusterProblem):
     """Continuation-facing wrapper of the triangle KKT system for one potential."""
 
-    dim = 4
-    param_name = "area"
-    problem = "triangle"
-
     def __init__(self, spec: PotentialSpec):
-        self.spec = spec
-
-    def residual(self, x, area: float) -> np.ndarray:
-        return residual3(self.spec, x, area)
-
-    def jacobian(self, x, area: float) -> np.ndarray:
-        return jacobian3(self.spec, x)
-
-    def parameter_derivative(self, x, area: float) -> np.ndarray:
-        return np.array([-2.0 * area, 0.0, 0.0, 0.0])
-
-    def in_domain(self, x) -> bool:
-        return bool(np.all(np.asarray(x)[1:] > 0.0))
-
-    def feasible(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return self.in_domain(x) and heron(x[1], x[2], x[3]) > 0.0
-
-    def classify(self, x, area: float) -> tuple[str, str]:
-        cls = classify_point3(self.spec, x, area)
-        return cls.stability, cls.shape
-
-    def energy(self, x) -> float:
-        return triangle_energy(self.spec, x)
-
-    def trivial_state(self, area: float) -> np.ndarray:
-        return trivial3(self.spec, area).as_array()
-
-    def shape_of(self, x) -> str:
-        x = np.asarray(x, dtype=float)
-        return _shape3(x[1], x[2], x[3])
+        super().__init__(TRIANGLE, spec)

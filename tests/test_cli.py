@@ -71,6 +71,27 @@ def test_set_overrides(tmp_path, capsys):
     assert main(["stability", "--config", cfg, "--set", "windowhigh"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, sets", [
+    ("trace", ["trace.start=foo"]),
+    ("trace", ["trace.parameter=abc"]),
+    ("diagram", ["svg.projection=abc_3d", "svg.azimuth_deg=x"]),
+    ("trivial", ["values=[-1]"]),
+    ("stability", ["grid_n=1"]),
+    ("diagram", ["outputs=7"]),
+    ("diagram", ["svg.component=zz"]),
+    ("diagram", ["problem=tetrahedron", "svg.projection=abc_3d"]),
+])
+def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets):
+    cfg = write_config(tmp_path, LJ_STABILITY)
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out_dir)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_load_config_set_paths(tmp_path):
     cfg_path = write_config(tmp_path, {"a": {"b": 1}, "w": [1, 2]})
     cfg = load_config(cfg_path, ["a.b=3", "w.0=9", "name=run"])
