@@ -127,6 +127,7 @@ class _Entry:
     events: list[BifurcationEvent]
     parent_event_id: int
     label: str
+    reached: set[int]  # ids of known events its traces ended at
 
 
 def _identity_reduction(ev: BifurcationEvent, n: int) -> Reduction:
@@ -144,8 +145,8 @@ def _thread_count(n_jobs: int) -> int:
     return max(1, n_jobs)
 
 
-def _run_traces(system, jobs, settings, window):
-    """Trace every (seed, center) job; deterministic result order.
+def _run_traces(system, jobs, settings, window, targets):
+    """Trace every (seed, center) job, each ending at any of `targets`; deterministic result order.
 
     A seed whose trace aborts immediately (non-isolated solutions make every
     bordered corrector singular, e.g. the soft-spring solution sphere) is
@@ -155,7 +156,8 @@ def _run_traces(system, jobs, settings, window):
         seed, center_z = job
         hint = seed.z() - center_z
         try:
-            return trace_branch(system, seed, hint, settings, window, bifurcation_kind="secondary")
+            return trace_branch(system, seed, hint, settings, window, bifurcation_kind="secondary",
+                                targets=targets)
         except TraceAbort:
             return Branch(points=[replace(seed, arclength=0.0)]), []
 
@@ -166,7 +168,7 @@ def _run_traces(system, jobs, settings, window):
 
 
 def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings,
-                      window, trivial_curve) -> _Entry | None:
+                      window, trivial_curve, targets) -> _Entry | None:
     try:
         seeds, _ = branch_switch(system, ev, reduction, settings, trivial_curve=trivial_curve)
     except (TransversalityError, CorrectorFailure, DomainExit):
@@ -179,9 +181,10 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
         merged = concatenate_branches(Branch(points=[seeds[0]]), _junction_point(system, ev),
                                       Branch(points=list(seeds[1:])))
         merged.label = system.shape_of(np.asarray(seeds[0].state))
-        return _Entry(branch=merged, events=[], parent_event_id=ev.id, label=merged.label)
+        return _Entry(branch=merged, events=[], parent_event_id=ev.id, label=merged.label,
+                      reached=set())
     center_z = np.append(np.asarray(ev.state, dtype=float), ev.parameter)
-    results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window)
+    results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window, targets)
     halves = [r[0] for r in results]
     events = dedup_events([e for r in results for e in r[1]])
     if len(halves) == 2:
@@ -191,9 +194,9 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
     merged.label = system.shape_of(np.asarray(seeds[0].state))
     # events within the small seeding gap around the source bifurcation are echoes of it
     events = [e for e in events
-              if abs(e.parameter - ev.parameter) > 2e-3 * max(1.0, abs(ev.parameter))
-              or e.kind == "turning"]
-    return _Entry(branch=merged, events=events, parent_event_id=ev.id, label=merged.label)
+              if abs(e.parameter - ev.parameter) > 2e-3 * max(1.0, abs(ev.parameter))]
+    return _Entry(branch=merged, events=events, parent_event_id=ev.id, label=merged.label,
+                  reached={h.reached_event for h in halves} - {None})
 
 
 def build_diagram(problem: str, spec, window: tuple[float, float],
@@ -206,7 +209,11 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     isotropy reductions appropriate to its kernel, the switched branches are
     traced through the window (detecting secondary and turning events), and
     secondary bifurcations are switched once more (depth 2 unless `deep`).
-    Finally every nontrivial branch is expanded to its full symmetry orbit.
+    Every trace ends where it reaches a primary event or an event of a
+    branch traced before it, and a simple secondary event that some trace
+    reached is not switched again: the branches it would seed are images of
+    that trace.  Finally every nontrivial branch is expanded to its full
+    symmetry orbit.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo < hi):
@@ -240,14 +247,23 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     trivial = _trivial_branch(system, window, trivial_samples, [ev.parameter for ev in primary_events])
 
     entries: list[_Entry] = []
+    known = list(primary_events)  # the events a trace may end at
+    reached: set[int] = set()
     max_depth = 4 if deep else 2
     for depth in range(1, max_depth + 1):
-        frontier = [entry for ev, red, curve in jobs
-                    if (entry := _switch_and_trace(system, ev, red, settings, window, curve)) is not None]
-        for entry in frontier:
+        frontier = []
+        for ev, red, curve in jobs:
+            if ev.kernel_dim == 1 and ev.id in reached:
+                continue  # a trace already ran into this point; its branches are images of that one
+            entry = _switch_and_trace(system, ev, red, settings, window, curve, tuple(known))
+            if entry is None:
+                continue
             for i, e in enumerate(entry.events):
                 entry.events[i] = replace(e, id=event_counter)
                 event_counter += 1
+            known += entry.events
+            reached |= entry.reached
+            frontier.append(entry)
         entries.extend(frontier)
         if depth == max_depth:
             break

@@ -334,3 +334,12 @@ class ClusterProblem:
 
     def shape_of(self, x) -> str:
         return self.geometry.shape(np.asarray(x, dtype=float)[1:].tolist())
+
+    def group(self):
+        return self.geometry.group()
+
+    def isotropy_order(self, x) -> int:
+        """Number of group elements fixing the edges of x, to the shape namers' 1e-6 relative."""
+        x = np.asarray(x, dtype=float)
+        images = (P.apply(x) for P in self.group())  # the multiplier slot is fixed by every P
+        return sum(1 for y in images if np.all(np.abs(y - x) <= 1e-6 * np.maximum(np.abs(y), np.abs(x))))

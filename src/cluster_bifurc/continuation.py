@@ -11,6 +11,8 @@ A `system` is any object with the small interface that
     feasible(x)               converged states allowed here (realizability)
     classify(x, p)            (stability, shape) labels for a solution
     energy(x)                 total configuration energy
+    group()                   the permutation group the system is equivariant under
+    isotropy_order(x)         number of group elements that fix the edges of x
 
 Tracing uses Keller's bordered corrector in a relative-scale arclength
 metric: the predictor tangent is frozen as the extra (weighted) row during
@@ -19,16 +21,21 @@ Event detection compares two monitors between consecutive points: the
 inertia of the unbordered Jacobian, which changes exactly where an
 eigenvalue of any multiplicity crosses zero, and the sign of the tangent's
 parameter component, which flips at folds.  `detect_and_localize` refines
-whichever fired; `branch_switch` seeds the bifurcating branches through an
-isotropy reduction, either by the asymptotic slope -2*B0/A0 of the
-Lyapunov-Schmidt coefficients or, for pitchforks, by amplitude-pinned
-correction walked outward along the wing.
+whichever fired.  A trace ends where its branch meets one already known:
+when a step lands on a more symmetric branch (the isotropy order grows,
+i.e. the step jumped across a branch point into a larger fixed-point
+space) or when a localized event is a group image of a target event.
+`branch_switch` seeds the bifurcating branches through an isotropy
+reduction, either by the asymptotic slope -2*B0/A0 of the Lyapunov-Schmidt
+coefficients or, for pitchforks, by amplitude-pinned correction walked
+outward along the wing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -74,6 +81,20 @@ class ContinuationSettings:
     def __post_init__(self):
         if not (0 < self.h_min <= self.h0 <= self.h_max):
             raise ValueError("step sizes must satisfy 0 < h_min <= h0 <= h_max")
+        # a shrink of 1 never ends the retry at a window edge; the rest would
+        # leave a trace at its seed point without saying so
+        if not (0 < self.step_shrink < 1):
+            raise ValueError("step_shrink must satisfy 0 < step_shrink < 1")
+        if not self.step_growth >= 1:
+            raise ValueError("step_growth must be at least 1")
+        if not self.newton_tol > 0:
+            raise ValueError("newton_tol must be positive")
+        if not self.newton_max_iters >= 1:
+            raise ValueError("newton_max_iters must be at least 1")
+        if not self.max_points >= 2:
+            raise ValueError("max_points must be at least 2")
+        if not self.contraction_target >= 0:
+            raise ValueError("contraction_target must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -95,6 +116,7 @@ class Branch:
     id: int | None = None
     parent_event: int | None = None
     label: str = ""
+    reached_event: int | None = None  # id of the known event the trace ended at; not exported
 
     def parameters(self) -> np.ndarray:
         return np.array([pt.parameter for pt in self.points])
@@ -284,17 +306,42 @@ def _jacobian_inertia(system, x: np.ndarray, p: float) -> int:
     return int(np.sum(w < 0.0))
 
 
+def _is_image(group, ev: BifurcationEvent, target: BifurcationEvent) -> bool:
+    """True when `ev` is `target` up to the group action.
+
+    The parameter must agree within 1e-6 relative and the edges within 1e-3
+    relative of some image of the target: at a localized crossing the
+    parameter is good to 1e-10, but the branch amplitude goes like its square
+    root, and offsets of up to 7e-5 relative are seen in the edges.
+    """
+    if abs(ev.parameter - target.parameter) > 1e-6 * abs(target.parameter):
+        return False
+    edges = np.asarray(ev.state[1:])
+    tol = 1e-3 * float(np.max(np.abs(edges)))
+    return any(float(np.max(np.abs(P.apply(target.state)[1:] - edges))) <= tol for P in group)
+
+
 def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSettings,
                  window: tuple[float, float] = (0.0, math.inf),
-                 bifurcation_kind: str = "secondary") -> tuple[Branch, list[BifurcationEvent]]:
+                 bifurcation_kind: str = "secondary",
+                 targets: Sequence[BifurcationEvent] = ()) -> tuple[Branch, list[BifurcationEvent]]:
     """Trace one branch from a converged start point.
 
     `direction` seeds the tangent orientation (only its sign content
     matters).  The trace stops at max_points, on leaving the parameter
-    window, or when the corrector keeps failing/leaving the domain at the
-    minimum step.  Detected events are classified as `bifurcation_kind`
-    ("primary" when the caller is tracing the fully symmetric branch) or
-    "turning".
+    window, when the corrector keeps failing/leaving the domain at the
+    minimum step, or where the branch meets a known one:
+
+    * landing: a corrected point has a larger isotropy order than the start
+      point, i.e. the step jumped across a branch point onto a more
+      symmetric branch; the point is dropped;
+    * arrival: a localized event is a group image of one of `targets`; the
+      last point is replaced by the localized state, the event is not
+      reported, and its target's id is kept as the branch's
+      `reached_event`.
+
+    Other detected events are classified as `bifurcation_kind` ("primary"
+    when the caller is tracing the fully symmetric branch) or "turning".
     """
     x0 = np.array(start.state, dtype=float)
     p0 = float(start.parameter)
@@ -308,6 +355,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     tangents = [t]
     inertias = [_jacobian_inertia(system, x0, p0)]
     events: list[BifurcationEvent] = []
+    start_order = None
+    reached = None
     h = settings.h0
     s = 0.0
     while len(points) < settings.max_points:
@@ -330,6 +379,12 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 h = max(h * settings.step_shrink, settings.h_min)
                 continue
             break
+        # the shape label is already computed; the group is consulted only when it changes
+        if point.shape != start.shape:
+            if start_order is None:
+                start_order = system.isotropy_order(x0)
+            if system.isotropy_order(z_new[:-1]) > start_order:
+                break
         w_new = metric_weights(z_new)
         t_new = branch_tangent(system, z_new[:-1], z_new[-1], t, w_new)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))
@@ -344,11 +399,19 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 monitors=(inertias[-2], inertias[-1],
                           float(tangents[-2][-1]), float(tangents[-1][-1])))
             if ev is not None:
+                reached = next((tg for tg in targets if _is_image(system.group(), ev, tg)), None)
+                if reached is not None:
+                    z_ev = np.append(ev.state, ev.parameter)
+                    arc = points[-2].arclength + float(np.sqrt((z_ev - z) @ (z_ev - z)))
+                    points[-1] = replace(classified_point(system, z_ev[:-1], ev.parameter),
+                                         arclength=arc)
+                    break
                 events.append(ev)
         z, t, w = z_new, t_new, w_new
         if its <= settings.contraction_target:
             h = min(h * settings.step_growth, settings.h_max)
-    return Branch(points=points), dedup_events(events)
+    return (Branch(points=points, reached_event=None if reached is None else reached.id),
+            dedup_events(events))
 
 
 def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:

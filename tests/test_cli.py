@@ -80,6 +80,12 @@ def test_set_overrides(tmp_path, capsys):
     ("diagram", ["outputs=7"]),
     ("diagram", ["svg.component=zz"]),
     ("diagram", ["problem=tetrahedron", "svg.projection=abc_3d"]),
+    ("diagram", ["continuation.step_shrink=1.0"]),
+    ("diagram", ["continuation.step_growth=0.5"]),
+    ("diagram", ["continuation.newton_tol=0"]),
+    ("diagram", ["continuation.newton_max_iters=0"]),
+    ("diagram", ["continuation.max_points=0"]),
+    ("diagram", ["continuation.contraction_target=-1"]),
 ])
 def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets):
     cfg = write_config(tmp_path, LJ_STABILITY)

@@ -5,13 +5,21 @@ with the row-at-a-time LU and the Jacobi eigensolver the package used before
 its kernels moved to scalar elimination and LAPACK `eigh`.  A kernel change
 that alters what counts as singular, or how an eigenvector is oriented,
 shows here as a missing, extra or shifted event.
+
+The two Lennard-Jones sets were recorded once traces ended at the branch
+points they reach.  The triangle at h_max=0.01 has the four events that
+the tracer gave before that change at h_max 0.05, 0.2 and 0.5; at 0.01 it
+used to add six echoes from switched branches that ran back onto known
+ones.  The tetrahedron used to report one more "secondary" at 0.186339,
+the primary point itself, reached again by a switched branch; it still
+has 26 branches.
 """
 
 import pytest
 
 from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.continuation import ContinuationSettings
-from cluster_bifurc.potentials import Buckingham, PolynomialSpring
+from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 
 GOLDEN = {
     "buckingham-triangle": (
@@ -24,6 +32,16 @@ GOLDEN = {
          ContinuationSettings(h_max=0.05, max_points=400)),
         [("primary", 2.028602), ("primary", 2.666667), ("secondary", 2.276626),
          ("turning", 2.108185), ("turning", 2.704803)],
+    ),
+    "lennard-jones-triangle-fine": (
+        ("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9), ContinuationSettings(h_max=0.01)),
+        [("primary", 0.587689), ("secondary", 0.625072), ("secondary", 0.667039),
+         ("turning", 0.585663)],
+    ),
+    "lennard-jones-tetrahedron": (
+        ("tetrahedron", LennardJones(1, 2, 12, 6), (0.05, 0.5), ContinuationSettings()),
+        [("primary", 0.186339), ("secondary", 0.200348), ("secondary", 0.276375),
+         ("turning", 0.184010)],
     ),
 }
 
