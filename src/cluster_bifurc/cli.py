@@ -117,10 +117,6 @@ def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
     return Branch(points=points, id=0, label="trivial")
 
 
-def _junction_point(system, ev: BifurcationEvent) -> BranchPoint:
-    return classified_point(system, np.asarray(ev.state, dtype=float), ev.parameter)
-
-
 @dataclass
 class _Entry:
     branch: Branch
@@ -175,20 +171,21 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
         return None
     if not seeds:
         return None
+    x_ev = np.asarray(ev.state, dtype=float)
     if not all(is_isolated(system, np.asarray(s.state), s.parameter) for s in seeds):
         # degenerate family: the switched solutions are not isolated, so a
         # branch trace is ill posed; report the verified seed points alone
-        merged = concatenate_branches(Branch(points=[seeds[0]]), _junction_point(system, ev),
+        merged = concatenate_branches(Branch(points=[seeds[0]]), classified_point(system, x_ev, ev.parameter),
                                       Branch(points=list(seeds[1:])))
         merged.label = system.shape_of(np.asarray(seeds[0].state))
         return _Entry(branch=merged, events=[], parent_event_id=ev.id, label=merged.label,
                       reached=set())
-    center_z = np.append(np.asarray(ev.state, dtype=float), ev.parameter)
+    center_z = np.append(x_ev, ev.parameter)
     results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window, targets)
     halves = [r[0] for r in results]
     events = dedup_events([e for r in results for e in r[1]])
     if len(halves) == 2:
-        merged = concatenate_branches(halves[0], _junction_point(system, ev), halves[1])
+        merged = concatenate_branches(halves[0], classified_point(system, x_ev, ev.parameter), halves[1])
     else:
         merged = halves[0]
     merged.label = system.shape_of(np.asarray(seeds[0].state))
@@ -501,6 +498,15 @@ def run_verification() -> list[tuple[str, bool, str]]:
 
     g_reg = cayley_menger(np.ones(6))
     checks.append(_check("cm-regular-value", abs(g_reg - 4.0) < 1e-12, f"g(1,..,1) = {g_reg!r}"))
+
+    # the Cayley-Menger cubic against the 5x5 determinant it expands
+    worst = 0.0
+    for _ in range(100):
+        a, b, c, A, B, C = u = (1.0 + 0.2 * rng.uniform(-1.0, 1.0, 6)) ** 2
+        M = [[0, a, b, c, 1], [a, 0, C, B, 1], [b, C, 0, A, 1], [c, B, A, 0, 1], [1, 1, 1, 1, 0]]
+        g = cayley_menger(np.sqrt(u))
+        worst = max(worst, abs(g - float(np.linalg.det(M))) / abs(g))
+    checks.append(_check("cm-cubic-vs-determinant", worst < 1e-12, f"max rel diff {worst:.2e}"))
     return checks
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "Classification",
     "DegenerateConstraintError",
     "scan_boundary_roots",
+    "evaluate",
     "residual",
     "jacobian",
     "energy",
@@ -128,6 +129,11 @@ class Classification:
     shape: str
     tangent_eigenvalues: tuple[float, ...]
 
+    @property
+    def index(self) -> int:
+        """Tangent-space (Morse) index: the number of negative tangent eigenvalues."""
+        return sum(1 for v in self.tangent_eigenvalues if v < 0.0)
+
 
 def _unpack(geometry: Geometry, state, positive: bool = False) -> tuple[float, list[float]]:
     """(lambda, [e_1, ..., e_n]) as Python floats from a state record or vector."""
@@ -143,30 +149,32 @@ def _unpack(geometry: Geometry, state, positive: bool = False) -> tuple[float, l
     return lam, e
 
 
-def _hessian(geometry: Geometry, spec: PotentialSpec, lam: float, e: list[float]) -> np.ndarray:
-    """Hessian of the Lagrangian in the edges: hess E + lambda hess g."""
-    return np.diag([derivatives(spec, v)[2] for v in e]) + lam * geometry.hess(e)
+def evaluate(geometry: Geometry, spec: PotentialSpec, state, param: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """KKT residual (g - s p^2, grad E + lambda grad g), zero exactly at critical
+    points, and Jacobian [[0, grad g^t], [grad g, hess E + lambda hess g]], in one pass."""
+    lam, e = _unpack(geometry, state, positive=True)
+    d = [derivatives(spec, v) for v in e]
+    g = geometry.grad(e)
+    n = len(e) + 1
+    F = np.empty(n)
+    F[0] = geometry.constraint(e) - geometry.target_scale * param * param
+    F[1:] = [di[1] for di in d]
+    F[1:] += lam * g
+    J = np.zeros((n, n))
+    J[0, 1:] = J[1:, 0] = g
+    J[1:, 1:] = np.diag([di[2] for di in d]) + lam * geometry.hess(e)
+    return F, J
 
 
 def residual(geometry: Geometry, spec: PotentialSpec, state, param: float) -> np.ndarray:
-    """KKT residual (g - s p^2, grad E + lambda grad g); zero exactly at critical points."""
-    lam, e = _unpack(geometry, state, positive=True)
-    r = np.empty(len(e) + 1)
-    r[0] = geometry.constraint(e) - geometry.target_scale * param * param
-    r[1:] = [derivatives(spec, v)[1] for v in e]
-    r[1:] += lam * geometry.grad(e)
-    return r
+    """The residual of `evaluate`."""
+    return evaluate(geometry, spec, state, param)[0]
 
 
 def jacobian(geometry: Geometry, spec: PotentialSpec, state) -> np.ndarray:
-    """Bordered symmetric Jacobian [[0, grad g^t], [grad g, hess E + lambda hess g]]."""
-    lam, e = _unpack(geometry, state, positive=True)
-    g = geometry.grad(e)
-    J = np.zeros((len(e) + 1, len(e) + 1))
-    J[0, 1:] = g
-    J[1:, 0] = g
-    J[1:, 1:] = _hessian(geometry, spec, lam, e)
-    return J
+    """The Jacobian of `evaluate`, which does not depend on the parameter."""
+    return evaluate(geometry, spec, state, 0.0)[1]
 
 
 def energy(geometry: Geometry, spec: PotentialSpec, state) -> float:
@@ -264,21 +272,24 @@ def stable_intervals(geometry: Geometry, spec: PotentialSpec, interval: tuple[fl
     return out
 
 
-def classify_point(geometry: Geometry, spec: PotentialSpec, state, param: float) -> Classification:
+def classify_point(geometry: Geometry, spec: PotentialSpec, state, param: float,
+                   J: np.ndarray | None = None) -> Classification:
     """Stability and shape of a computed solution.
 
-    Projects the constrained Hessian onto an orthonormal basis of the
-    constraint tangent space (the trailing columns of the Householder
-    factorization of grad g) and inspects the projected eigenvalues: stable
-    when all exceed 1e-8 times the Hessian scale, marginal when any
-    eigenvalue sits within that band of zero.
+    Projects the constrained Hessian H = J[1:, 1:] onto an orthonormal basis
+    Z of the constraint tangent space (the trailing columns of the
+    Householder factorization of grad g = J[0, 1:]; `J` is the state's
+    Jacobian, built here if not given) and inspects the eigenvalues of
+    Z^t H Z: stable when all exceed 1e-8 times the Hessian scale, marginal
+    when any eigenvalue sits within that band of zero.
     """
-    lam, e = _unpack(geometry, state)
-    g = geometry.grad(e)
+    _, e = _unpack(geometry, state)
+    if J is None:
+        J = jacobian(geometry, spec, state)
+    g, H = J[0, 1:], J[1:, 1:]
     if np.max(np.abs(g)) == 0.0:
         raise DegenerateConstraintError("constraint gradient vanished at this state")
     basis = householder_complement(g)
-    H = _hessian(geometry, spec, lam, e)
     M = basis.T @ H @ basis
     M = 0.5 * (M + M.T)  # exact congruence symmetry, lost only to round-off
     w, _ = sym_eigen(M)
@@ -303,6 +314,9 @@ class ClusterProblem:
         self.dim = geometry.n_edges + 1
         self.param_name = geometry.param_name
 
+    def evaluate(self, x, p: float) -> tuple[np.ndarray, np.ndarray]:
+        return evaluate(self.geometry, self.spec, x, p)
+
     def residual(self, x, p: float) -> np.ndarray:
         return residual(self.geometry, self.spec, x, p)
 
@@ -321,9 +335,8 @@ class ClusterProblem:
         x = np.asarray(x, dtype=float)
         return self.in_domain(x) and self.geometry.realizable(x[1:].tolist())
 
-    def classify(self, x, p: float) -> tuple[str, str]:
-        cls = classify_point(self.geometry, self.spec, x, p)
-        return cls.stability, cls.shape
+    def classify(self, x, p: float, J: np.ndarray | None = None) -> Classification:
+        return classify_point(self.geometry, self.spec, x, p, J)
 
     def energy(self, x) -> float:
         return energy(self.geometry, self.spec, x)

@@ -4,12 +4,13 @@ A `system` is any object with the small interface that
 `cluster.ClusterProblem` implements for both cluster problems:
 
     dim                       number of unknowns (multiplier + edges)
+    evaluate(x, p)            (residual, jacobian) from one pass
     residual(x, p)            KKT residual, length dim
     jacobian(x, p)            symmetric bordered Jacobian, dim x dim
     parameter_derivative(x, p) d(residual)/dp
     in_domain(x)              iterates allowed here (edge positivity)
     feasible(x)               converged states allowed here (realizability)
-    classify(x, p)            (stability, shape) labels for a solution
+    classify(x, p, J=None)    `cluster.Classification` of a solution (J: its Jacobian)
     energy(x)                 total configuration energy
     group()                   the permutation group the system is equivariant under
     isotropy_order(x)         number of group elements that fix the edges of x
@@ -17,14 +18,20 @@ A `system` is any object with the small interface that
 Tracing uses Keller's bordered corrector in a relative-scale arclength
 metric: the predictor tangent is frozen as the extra (weighted) row during
 correction, and the sign of that bordered determinant is recorded per point.
-Event detection compares two monitors between consecutive points: the
-inertia of the unbordered Jacobian, which changes exactly where an
-eigenvalue of any multiplicity crosses zero, and the sign of the tangent's
-parameter component, which flips at folds.  `detect_and_localize` refines
-whichever fired.  A trace ends where its branch meets one already known:
-when a step lands on a more symmetric branch (the isotropy order grows,
-i.e. the step jumped across a branch point into a larger fixed-point
-space) or when a localized event is a group image of a target event.
+Each Newton iterate evaluates the residual and Jacobian in one pass; an
+accepted point reuses its last Jacobian for that sign, the tangent and the
+classification.  Event detection compares two monitors between consecutive
+points: the tangent-space (Morse) index, the number of negative eigenvalues
+of the Lagrangian's Hessian restricted to the constraint tangent space,
+Z^t H Z, which classification computes anyway, and the sign of the
+tangent's parameter component, which flips at folds.  Since In(J) =
+In(Z^t H Z) + (1, 1, 0) where grad g != 0 (Gould 1985, Math. Programming
+32), the index changes exactly where an eigenvalue of J of any multiplicity
+crosses zero.  `detect_and_localize` refines whichever fired.  A trace ends
+where its branch meets one already known: when a step lands on a more
+symmetric branch (the isotropy order grows, i.e. the step jumped across a
+branch point into a larger fixed-point space) or when a localized event is
+a group image of a target event.
 `branch_switch` seeds the bifurcating branches through an isotropy
 reduction, either by the asymptotic slope -2*B0/A0 of the Lyapunov-Schmidt
 coefficients or, for pitchforks, by amplitude-pinned correction walked
@@ -48,6 +55,7 @@ __all__ = [
     "BifurcationEvent",
     "BranchSwitchData",
     "PseudoArclength",
+    "Correction",
     "CorrectorFailure",
     "DomainExit",
     "TraceAbort",
@@ -105,6 +113,8 @@ class BranchPoint:
     stability: str
     shape: str
     det_sign: int
+    # tangent-space (Morse) index, the tracer's monitor; not exported or compared
+    index: int | None = field(default=None, compare=False, repr=False)
 
     def z(self) -> np.ndarray:
         return np.array(self.state + (self.parameter,), dtype=float)
@@ -186,38 +196,53 @@ class TransversalityError(RuntimeError):
         self.slope_estimate = slope_estimate
 
 
-def classified_point(system, x: np.ndarray, p: float, sign: int | None = None) -> BranchPoint:
-    """A solution point with its labels; `sign` defaults to the unbordered Jacobian's det sign."""
+def classified_point(system, x: np.ndarray, p: float, sign: int | None = None,
+                     J: np.ndarray | None = None) -> BranchPoint:
+    """A solution point with its labels and index, from its Jacobian `J` (built
+    here when not given); `sign` defaults to the unbordered Jacobian's det sign."""
+    if J is None:
+        J = system.jacobian(x, p)
     if sign is None:
-        sign = det_sign(system.jacobian(x, p))
-    stability, shape = system.classify(x, p)
+        sign = det_sign(J)
+    cls = system.classify(x, p, J)
     return BranchPoint(
         state=tuple(float(v) for v in x),
         parameter=float(p),
         arclength=0.0,
-        stability=stability,
-        shape=shape,
+        stability=cls.stability,
+        shape=cls.shape,
         det_sign=int(sign),
+        index=cls.index,
     )
 
 
-def _bordered_matrix(system, x: np.ndarray, p: float, row: np.ndarray) -> np.ndarray:
+class Correction(tuple):
+    """`(point, iterations)` from `newton_correct`, with the converged iterate's `jacobian`."""
+
+    def __new__(cls, point: BranchPoint, iterations: int, jacobian: np.ndarray):
+        self = super().__new__(cls, (point, iterations))
+        self.jacobian = jacobian
+        return self
+
+
+def _bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np.ndarray) -> np.ndarray:
     n = system.dim
     M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = system.jacobian(x, p)
+    M[:n, :n] = J
     M[:n, n] = system.parameter_derivative(x, p)
     M[n, :] = row
     return M
 
 
 def newton_correct(system, state, parameter: float, settings: ContinuationSettings,
-                   constraint: PseudoArclength | None = None) -> tuple[BranchPoint, int]:
+                   constraint: PseudoArclength | None = None) -> Correction:
     """Correct a guess onto the solution set; returns (point, iterations used).
 
     With `constraint=None` the parameter stays fixed and Newton runs on the
     square KKT system; with a PseudoArclength constraint both the state and
     the parameter move, bordered by the frozen tangent row.  Convergence is
-    declared when the residual infinity norm drops below newton_tol.  Raises
+    declared when the residual infinity norm drops below newton_tol, and the
+    result carries the Jacobian of that last iterate.  Raises
     CorrectorFailure on stagnation and DomainExit when an iterate (or the
     converged point) leaves the feasible region.
     """
@@ -234,7 +259,7 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
     for it in range(settings.newton_max_iters + 1):
         if not system.in_domain(x):
             raise DomainExit(f"iterate left the domain at {system.param_name}={p:.6g}")
-        F = system.residual(x, p)
+        F, J = system.evaluate(x, p)
         if not np.all(np.isfinite(F)):
             raise CorrectorFailure("non-finite residual", math.inf, it)
         res_norm = float(np.max(np.abs(F)))
@@ -243,23 +268,20 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         if res_norm < settings.newton_tol and on_constraint:
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
-            if constraint is None:
-                sign = det_sign(system.jacobian(x, p))
-            else:
-                sign = det_sign(_bordered_matrix(system, x, p, row))
-            return classified_point(system, x, p, sign), it
+            M = J if constraint is None else _bordered_matrix(system, J, x, p, row)
+            return Correction(classified_point(system, x, p, det_sign(M), J), it, J)
         if it == settings.newton_max_iters:
             break
         try:
             if constraint is None:
-                step, _ = solve(system.jacobian(x, p), -F)
+                step, _ = solve(J, -F)
                 x = x + step
             else:
                 z = np.append(x, p)
                 rhs = np.empty(n + 1)
                 rhs[:n] = -F
                 rhs[n] = -(row @ (z - z_prev) - constraint.h)
-                step, _ = solve(_bordered_matrix(system, x, p, row), rhs)
+                step, _ = solve(_bordered_matrix(system, J, x, p, row), rhs)
                 x = x + step[:n]
                 p = p + step[n]
         except SingularSystemError as exc:
@@ -270,40 +292,30 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
 
 
 def branch_tangent(system, x: np.ndarray, p: float, t_prev: np.ndarray,
-                   weights: np.ndarray | None = None) -> np.ndarray:
+                   weights: np.ndarray | None = None, J: np.ndarray | None = None) -> np.ndarray:
     """Unit tangent of the solution curve, oriented along t_prev.
 
     Solves [J, F_p; w*t_prev] t = e_{n+1} and normalizes in the weighted
     metric: the construction keeps <t_prev, t>_w positive, so consecutive
-    tangents never flip orientation spuriously.
+    tangents never flip orientation spuriously.  `J`: the point's Jacobian, if known.
     """
     n = system.dim
     w = np.ones(n + 1) if weights is None else weights
+    if J is None:
+        J = system.jacobian(x, p)
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    M = _bordered_matrix(system, x, p, w * t_prev)
+    M = _bordered_matrix(system, J, x, p, w * t_prev)
     try:
         t, _ = solve(M, rhs)
     except SingularSystemError:
         # reference direction happened to be orthogonal to the curve; nudge it
         bumped = w * t_prev + 1e-8 * np.ones(n + 1)
         try:
-            t, _ = solve(_bordered_matrix(system, x, p, bumped), rhs)
+            t, _ = solve(_bordered_matrix(system, J, x, p, bumped), rhs)
         except SingularSystemError:
             t = np.asarray(t_prev, dtype=float).copy()  # singular point: keep the caller's direction
     return t / np.sqrt((w * t) @ t)
-
-
-def _jacobian_inertia(system, x: np.ndarray, p: float) -> int:
-    """Number of negative eigenvalues of the (unbordered) Jacobian.
-
-    Along a regular branch arc the spectrum stays away from zero, so this
-    integer is constant; it changes exactly where an eigenvalue crosses,
-    whatever the multiplicity, which no determinant sign can guarantee (a
-    double crossing leaves every determinant sign unchanged).
-    """
-    w, _ = sym_eigen(system.jacobian(x, p))
-    return int(np.sum(w < 0.0))
 
 
 def _is_image(group, ev: BifurcationEvent, target: BifurcationEvent) -> bool:
@@ -349,11 +361,11 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     d = d / np.sqrt(d @ d)
     z = np.append(x0, p0)
     w = metric_weights(z)
-    t = branch_tangent(system, x0, p0, d, w)
-    sign0 = det_sign(_bordered_matrix(system, x0, p0, w * t))
-    points = [replace(start, det_sign=sign0, arclength=0.0)]
+    J = system.jacobian(x0, p0)
+    t = branch_tangent(system, x0, p0, d, w, J)
+    sign0 = det_sign(_bordered_matrix(system, J, x0, p0, w * t))
+    points = [replace(start, det_sign=sign0, arclength=0.0, index=system.classify(x0, p0, J).index)]
     tangents = [t]
-    inertias = [_jacobian_inertia(system, x0, p0)]
     events: list[BifurcationEvent] = []
     start_order = None
     reached = None
@@ -362,7 +374,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     while len(points) < settings.max_points:
         z_pred = z + h * t
         try:
-            point, its = newton_correct(
+            corrected = newton_correct(
                 system, z_pred[:-1], z_pred[-1], settings,
                 PseudoArclength(tuple(z[:-1]), float(z[-1]), tuple(t), h, tuple(w)))
         except (CorrectorFailure, DomainExit) as err:
@@ -372,6 +384,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             if len(points) == 1 and isinstance(err, CorrectorFailure):
                 raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
             break
+        point, its = corrected
         z_new = point.z()
         if not (window[0] <= z_new[-1] <= window[1]):
             # shrink toward the window edge instead of losing a whole step
@@ -386,17 +399,16 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             if system.isotropy_order(z_new[:-1]) > start_order:
                 break
         w_new = metric_weights(z_new)
-        t_new = branch_tangent(system, z_new[:-1], z_new[-1], t, w_new)
+        t_new = branch_tangent(system, z_new[:-1], z_new[-1], t, w_new, corrected.jacobian)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))
         point = replace(point, arclength=s)
         points.append(point)
         tangents.append(t_new)
-        inertias.append(_jacobian_inertia(system, z_new[:-1], z_new[-1]))
         if settings.detection and len(points) >= 2:
             ev = detect_and_localize(
                 system, points[-2], points[-1], settings,
                 bifurcation_kind=bifurcation_kind,
-                monitors=(inertias[-2], inertias[-1],
+                monitors=(points[-2].index, points[-1].index,
                           float(tangents[-2][-1]), float(tangents[-1][-1])))
             if ev is not None:
                 reached = next((tg for tg in targets if _is_image(system.group(), ev, tg)), None)
@@ -425,25 +437,25 @@ def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
     return kept
 
 
-def _correct_on_hyperplane(system, q: np.ndarray, d: np.ndarray,
-                           settings: ContinuationSettings) -> np.ndarray | None:
-    """Newton onto the branch restricted to the hyperplane through q normal to d."""
+def _correct_on_hyperplane(system, q: np.ndarray, d: np.ndarray, settings: ContinuationSettings
+                           ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Newton onto the branch on the hyperplane through q normal to d: (z, its Jacobian) or None."""
     n = system.dim
     z = q.copy()
     for _ in range(40):
         x, p = z[:n], z[n]
         if not system.in_domain(x):
             return None
-        F = system.residual(x, p)
+        F, J = system.evaluate(x, p)
         if not np.all(np.isfinite(F)):
             return None
         if np.max(np.abs(F)) < settings.newton_tol:
-            return z
+            return z, J
         rhs = np.empty(n + 1)
         rhs[:n] = -F
         rhs[n] = -(d @ (z - q))
         try:
-            step, _ = solve(_bordered_matrix(system, x, p, d), rhs)
+            step, _ = solve(_bordered_matrix(system, J, x, p, d), rhs)
         except SingularSystemError:
             return None
         z = z + step
@@ -456,20 +468,22 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
                         ) -> BifurcationEvent | None:
     """Examine one traced segment for a bifurcation or turning point.
 
-    Two monitors are compared between the endpoints: the inertia of the
-    Jacobian (its count of negative eigenvalues, which changes exactly where
-    an eigenvalue of any multiplicity crosses zero, including the double and
+    Two monitors are compared between the endpoints: the tangent-space
+    (Morse) index, the number of negative eigenvalues of Z^t H Z that the
+    classification computes, and the sign of the tangent's parameter
+    component.  By In(J) = In(Z^t H Z) + (1, 1, 0) (Gould 1985, Math.
+    Programming 32) the index changes exactly where an eigenvalue of the
+    Jacobian of any multiplicity crosses zero, including the double and
     triple crossings on the fully symmetric branch that leave every
-    determinant sign unchanged) and the sign of the tangent's parameter
-    component.  A tangent flip classifies the segment as a fold and the fold
-    is localized by a secant iteration on the tangent component, falling
-    back to bisection whenever a secant step leaves the bracket; an inertia
-    change without a tangent flip is a bifurcation crossing, localized by
-    bisection on the inertia predicate.  Every probe corrects back onto the
-    branch on the hyperplane orthogonal to the segment chord, so folds pose
-    no difficulty.  Localization targets relative parameter accuracy 1e-10;
-    if a probe correction fails the event is reported from the best point
-    found, flagged `refined=False`.
+    determinant sign unchanged.  A tangent flip classifies the segment as a
+    fold and the fold is localized by a secant iteration on the tangent
+    component, falling back to bisection whenever a secant step leaves the
+    bracket; an index change without a tangent flip is a bifurcation
+    crossing, localized by bisection on the same index.  Every probe
+    corrects back onto the branch on the hyperplane orthogonal to the
+    segment chord, so folds pose no difficulty.  Localization targets
+    relative parameter accuracy 1e-10; if a probe correction fails the event
+    is reported from the best point found, flagged `refined=False`.
     """
     za, zb = a.z(), b.z()
     chord = zb - za
@@ -480,8 +494,7 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     if monitors is not None:
         neg_a, neg_b, tp_a, tp_b = monitors
     else:
-        neg_a = _jacobian_inertia(system, za[:-1], za[-1])
-        neg_b = _jacobian_inertia(system, zb[:-1], zb[-1])
+        neg_a, neg_b = (system.classify(z[:-1], z[-1]).index for z in (za, zb))
         ta = branch_tangent(system, za[:-1], za[-1], d)
         tb = branch_tangent(system, zb[:-1], zb[-1], ta)
         tp_a, tp_b = float(ta[-1]), float(tb[-1])
@@ -492,7 +505,7 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
         return None
     kind = "turning" if fold_flip else bifurcation_kind
 
-    def corrected(theta: float) -> np.ndarray | None:
+    def corrected(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
         return _correct_on_hyperplane(system, za + theta * chord, d, settings)
 
     def corrected_near(lo: float, hi: float, theta: float):
@@ -507,9 +520,9 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
             cand = theta + frac * span
             if not (lo < cand < hi) and frac != 0.0:
                 continue
-            z = corrected(cand)
-            if z is not None:
-                return cand, z
+            got = corrected(cand)
+            if got is not None:
+                return cand, got
         return theta, None
 
     p_tol = 1e-10 * max(1.0, abs(a.parameter), abs(b.parameter))
@@ -517,12 +530,12 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     def tight(lo: float, hi: float) -> bool:
         return (hi - lo) * abs(chord[-1]) < p_tol and (hi - lo) * chord_len < 1e-9 * max(1.0, chord_len)
 
-    z_best, refined = None, True
+    best, refined = None, True
     lo, hi = 0.0, 1.0
     if kind == "turning":
         # the chord keeps a consistent tangent orientation across the fold
-        def value(z):
-            return float(branch_tangent(system, z[:-1], z[-1], d)[-1])
+        def value(z, J=None):
+            return float(branch_tangent(system, z[:-1], z[-1], d, J=J)[-1])
 
         f_lo, f_hi = value(za), value(zb)
         theta_prev, f_prev = lo, f_lo
@@ -535,12 +548,12 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
                 theta = theta_cur - f_cur * (theta_cur - theta_prev) / (f_cur - f_prev)
             if theta is None or not (lo < theta < hi):
                 theta = 0.5 * (lo + hi)
-            theta, z_mid = corrected_near(lo, hi, theta)
-            if z_mid is None:
+            theta, mid = corrected_near(lo, hi, theta)
+            if mid is None:
                 refined = False
                 break
-            f_mid = value(z_mid)
-            z_best = z_mid
+            f_mid = value(*mid)
+            best = mid
             theta_prev, f_prev = theta_cur, f_cur
             theta_cur, f_cur = theta, f_mid
             if f_lo * f_mid <= 0.0:
@@ -551,25 +564,28 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
         for _ in range(80):
             if tight(lo, hi):
                 break
-            theta, z_mid = corrected_near(lo, hi, 0.5 * (lo + hi))
-            if z_mid is None:
+            theta, mid = corrected_near(lo, hi, 0.5 * (lo + hi))
+            if mid is None:
                 refined = False
                 break
-            z_best = z_mid
-            if _jacobian_inertia(system, z_mid[:-1], z_mid[-1]) == neg_a:
+            best = mid
+            z_mid, J_mid = mid
+            if system.classify(z_mid[:-1], z_mid[-1], J_mid).index == neg_a:
                 lo = theta
             else:
                 hi = theta
 
-    if z_best is None:
-        z_best = corrected(0.5 * (lo + hi))
-        if z_best is None:
+    if best is None:
+        best = corrected(0.5 * (lo + hi))
+        if best is None:
             # bracket lost entirely: report the midpoint at reduced precision
-            z_best = za + 0.5 * chord
+            z_mid = za + 0.5 * chord
+            best = z_mid, system.jacobian(z_mid[:-1], z_mid[-1])
             refined = False
 
+    z_best, J_best = best
     x_ev, p_ev = z_best[:-1], z_best[-1]
-    w, V = sym_eigen(system.jacobian(x_ev, p_ev))
+    w, V = sym_eigen(J_best)
     scale = float(np.max(np.abs(w)))
     near = np.abs(w) < max(1e-6 * scale, 1e-300)
     kernel = tuple(tuple(float(v) for v in V[:, i]) for i in range(len(w)) if near[i])
@@ -587,53 +603,32 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     )
 
 
-def _reduced_fixed_parameter_correct(system, basis: np.ndarray, x_guess: np.ndarray,
-                                     p: float, settings: ContinuationSettings) -> np.ndarray | None:
-    Z = basis
-    y = Z.T @ x_guess
-    for _ in range(60):
-        x = Z @ y
-        if not system.in_domain(x):
-            return None
-        F = Z.T @ system.residual(x, p)
-        if np.max(np.abs(F)) < settings.newton_tol:
-            return x
-        try:
-            step, _ = solve(Z.T @ system.jacobian(x, p) @ Z, -F)
-        except SingularSystemError:
-            return None
-        y = y + step
-    return None
-
-
-def _reduced_pinned_correct(system, basis: np.ndarray, v: np.ndarray, x_ref: np.ndarray,
-                            x_guess: np.ndarray, p_guess: float, delta: float,
-                            settings: ContinuationSettings) -> tuple[np.ndarray, float] | None:
-    """Newton with the amplitude <v, x - x_ref> pinned to delta, parameter free."""
-    Z = basis
+def _reduced_correct(system, Z: np.ndarray, x_guess: np.ndarray, p: float,
+                     settings: ContinuationSettings, pin=None) -> tuple[np.ndarray, float] | None:
+    """Newton in the reduced space x = Z y at fixed parameter or, when `pin` is
+    (v, x_ref, delta), with the parameter free and <v, x - x_ref> pinned to delta."""
     k = Z.shape[1]
     y = Z.T @ x_guess
-    p = p_guess
-    vZ = Z.T @ v
     for _ in range(60):
         x = Z @ y
         if not system.in_domain(x):
             return None
-        F = Z.T @ system.residual(x, p)
-        pin = v @ (x - x_ref) - delta
-        if max(float(np.max(np.abs(F))), abs(pin)) < settings.newton_tol:
+        F, J = system.evaluate(x, p)
+        F, M = Z.T @ F, Z.T @ J @ Z
+        if pin is not None:
+            v, x_ref, delta = pin
+            F = np.append(F, v @ (x - x_ref) - delta)
+            M = np.vstack([np.column_stack([M, Z.T @ system.parameter_derivative(x, p)]),
+                           np.append(Z.T @ v, 0.0)])
+        if np.max(np.abs(F)) < settings.newton_tol:
             return x, p
-        M = np.zeros((k + 1, k + 1))
-        M[:k, :k] = Z.T @ system.jacobian(x, p) @ Z
-        M[:k, k] = Z.T @ system.parameter_derivative(x, p)
-        M[k, :k] = vZ
-        rhs = -np.append(F, pin)
         try:
-            step, _ = solve(M, rhs)
+            step, _ = solve(M, -F)
         except SingularSystemError:
             return None
         y = y + step[:k]
-        p = p + step[k]
+        if pin is not None:
+            p = p + step[k]
     return None
 
 
@@ -663,7 +658,7 @@ def _ramped_pitchfork_seed(system, Z: np.ndarray, v: np.ndarray, x0: np.ndarray,
     bifurcation; the walk stops at the first amplitude whose full Jacobian is
     comfortably regular, returning the last good wing point.
     """
-    got = _reduced_pinned_correct(system, Z, v, x0, x0 + delta * v, p0, delta, settings)
+    got = _reduced_correct(system, Z, x0 + delta * v, p0, settings, (v, x0, delta))
     if got is None:
         return None
     x, p = got
@@ -672,7 +667,7 @@ def _ramped_pitchfork_seed(system, Z: np.ndarray, v: np.ndarray, x0: np.ndarray,
         if is_isolated(system, x, p):
             break
         amp *= 2.0
-        nxt = _reduced_pinned_correct(system, Z, v, x0, x + 0.5 * amp * v, p, amp, settings)
+        nxt = _reduced_correct(system, Z, x + 0.5 * amp * v, p, settings, (v, x0, amp))
         if nxt is None:
             break
         x, p = nxt
@@ -729,10 +724,10 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
         for eps in (epsilon, -epsilon):
             p_seed = p0 + eps
             guess = trivial_curve(p_seed) + eps * m * v
-            x = _reduced_fixed_parameter_correct(system, Z, guess, p_seed, settings)
-            if x is None:
+            got = _reduced_correct(system, Z, guess, p_seed, settings)
+            if got is None:
                 continue
-            seeds.append(_verified_seed(system, x, p_seed, settings))
+            seeds.append(_verified_seed(system, got[0], p_seed, settings))
     else:
         for delta in (pitchfork_delta, -pitchfork_delta):
             got = _ramped_pitchfork_seed(system, Z, v, x0, p0, delta, settings)

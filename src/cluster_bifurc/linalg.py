@@ -18,8 +18,6 @@ bit-identical.  numpy remains the only runtime dependency.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "lu_solve",
     "solve",
     "det_sign",
-    "det",
     "householder_complement",
     "orthonormal_columns",
 ]
@@ -153,15 +150,6 @@ def det_sign(M) -> int:
     except SingularSystemError:
         return 0
     return _sign(rows, parity)
-
-
-def det(M) -> float:
-    """Determinant from the pivoted factorization; 0.0 for a singular matrix."""
-    try:
-        rows, _, parity = _factor(M)
-    except SingularSystemError:
-        return 0.0
-    return float(parity) * math.prod(row[k] for k, row in enumerate(rows))
 
 
 def householder_complement(g) -> np.ndarray:

@@ -12,11 +12,17 @@ the Cayley-Menger determinant
             | 1    1    1    1    0 |
 
 and the face inequalities A < B + C, B < A + C, C < A + B hold; g equals
-288 V^2 at volume V.  The determinant itself is evaluated by direct pivoted
-elimination, while the constraint gradient is the expanded degree-5
-polynomial whose six components are written out in `grad_g4` (the Hessian is
-its hand differential); the two evaluation routes cross-check each other in
-the finite-difference tests.
+288 V^2 at volume V.  Expanded, the determinant is a cubic in the squared
+edges u = e^2,
+
+    g = 2 [ sum over opposite pairs (i, I) of u_i u_I (S - 2 u_i - 2 u_I)
+            - sum over faces of u u u ],
+
+with S the sum of all six u; it is 4 at unit edges.  The constraint, its
+gradient `grad_g4` and Hessian `hess_g4` are this polynomial and its hand
+derivatives, evaluated on Python floats; the tests and `cluster-bifurc
+verify` check the cubic against the determinant and the derivatives
+against finite differences.
 
 The regular tetrahedron a_V^3 = 6 sqrt(2) V with multiplier
 lambda_V = -phi'(a_V) / (4 a_V^5) solves the KKT system for every V, and the
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import permutations
 
 import numpy as np
 
@@ -52,7 +59,6 @@ from .cluster import (
     stability_boundaries,
     trivial_point,
 )
-from .linalg import det
 from .potentials import PotentialSpec, derivatives
 from .symmetry import (
     tetra_apex_reduction,
@@ -102,24 +108,25 @@ class TetState:
         return TetState(float(x[0]), tuple(float(v) for v in x[1:7]))
 
 
-def _edges(edges) -> np.ndarray:
+# Edge i is opposite edge _OPPOSITE[i]; each face is a triple of edges.
+_OPPOSITE = (3, 4, 5, 0, 1, 2)
+_FACES = ((0, 1, 5), (0, 2, 4), (1, 2, 3), (3, 4, 5))
+_THIRD = {(i, j): k for face in _FACES for i, j, k in permutations(face)}
+
+
+def _edges(edges) -> list[float]:
     e = np.asarray(edges, dtype=float)
     if e.shape != (6,):
         raise ValueError("expected 6 edge lengths")
-    return e
+    return e.tolist()
 
 
 def cayley_menger(edges) -> float:
-    """The 5x5 determinant above; 288 V^2 for a realizable tetrahedron."""
-    a, b, c, A, B, C = _edges(edges)
-    M = np.array([
-        [0.0, a * a, b * b, c * c, 1.0],
-        [a * a, 0.0, C * C, B * B, 1.0],
-        [b * b, C * C, 0.0, A * A, 1.0],
-        [c * c, B * B, A * A, 0.0, 1.0],
-        [1.0, 1.0, 1.0, 1.0, 0.0],
-    ])
-    return det(M)
+    """The 5x5 determinant above as the cubic in squared edges; 288 V^2 for a realizable tetrahedron."""
+    u = [v * v for v in _edges(edges)]
+    s = sum(u)
+    pairs = sum(u[i] * u[i + 3] * (s - 2.0 * u[i] - 2.0 * u[i + 3]) for i in range(3))
+    return 2.0 * (pairs - sum(u[i] * u[j] * u[k] for i, j, k in _FACES))
 
 
 def is_tetrahedron(edges) -> bool:
@@ -133,55 +140,46 @@ def is_tetrahedron(edges) -> bool:
     return cayley_menger(e) > 0.0
 
 
+def _half_grad_u(u: list[float]) -> list[float]:
+    """Half the gradient of the cubic in the squared edges u."""
+    a2, b2, c2, A2, B2, C2 = u
+    return [
+        A2 * (b2 + c2 + B2 + C2 - 2 * a2 - A2) + (b2 - c2) * (B2 - C2),
+        B2 * (a2 + c2 + A2 + C2 - 2 * b2 - B2) + (a2 - c2) * (A2 - C2),
+        C2 * (a2 + b2 + A2 + B2 - 2 * c2 - C2) + (a2 - b2) * (A2 - B2),
+        a2 * (b2 + c2 + B2 + C2 - 2 * A2 - a2) - (b2 - C2) * (c2 - B2),
+        b2 * (a2 + c2 + A2 + C2 - 2 * B2 - b2) - (a2 - C2) * (c2 - A2),
+        c2 * (a2 + b2 + A2 + B2 - 2 * C2 - c2) - (a2 - B2) * (b2 - A2),
+    ]
+
+
 def grad_g4(edges) -> np.ndarray:
     """Gradient of the Cayley-Menger polynomial, all six components expanded."""
-    a, b, c, A, B, C = _edges(edges)
-    a2, b2, c2 = a * a, b * b, c * c
-    A2, B2, C2 = A * A, B * B, C * C
-    return 4.0 * np.array([
-        a * (A2 * (b2 + c2 + B2 + C2 - 2 * a2 - A2) + (b2 - c2) * (B2 - C2)),
-        b * (B2 * (a2 + c2 + A2 + C2 - 2 * b2 - B2) + (a2 - c2) * (A2 - C2)),
-        c * (C2 * (a2 + b2 + A2 + B2 - 2 * c2 - C2) + (a2 - b2) * (A2 - B2)),
-        A * (a2 * (b2 + c2 + B2 + C2 - 2 * A2 - a2) - (b2 - C2) * (c2 - B2)),
-        B * (b2 * (a2 + c2 + A2 + C2 - 2 * B2 - b2) - (a2 - C2) * (c2 - A2)),
-        C * (c2 * (a2 + b2 + A2 + B2 - 2 * C2 - c2) - (a2 - B2) * (b2 - A2)),
-    ])
+    e = _edges(edges)
+    return 4.0 * np.array([v * q for v, q in zip(e, _half_grad_u([v * v for v in e]))])
 
 
 def hess_g4(edges) -> np.ndarray:
-    """Hessian of the Cayley-Menger polynomial, hand-differentiated.
+    """Hessian of the Cayley-Menger polynomial g = G(u), hand-differentiated.
 
-    Writing g as a cubic G(u) in the squared edges u_i = e_i^2, the chain
-    rule gives H_ij = 4 e_i e_j G_ij + 2 delta_ij G_i, with the G derivatives
-    read off the gradient components; symmetric by construction.
+    H_ij = 4 e_i e_j G_ij + 2 delta_ij G_i, where G_ii = -4 u_I, G_iI = 2 (S -
+    3 u_i - 3 u_I) for the edge I opposite i, and G_ij = 2 (u_I + u_J - u_k)
+    for two edges of a face with third edge k; exactly symmetric.
     """
     e = _edges(edges)
-    u = e * e
-    Gu = np.empty(6)
-    Guu = np.zeros((6, 6))
-    for i in range(3):
-        j, k = [t for t in range(3) if t != i]
-        J, K, O = j + 3, k + 3, i + 3
-        s = u[j] + u[k] + u[J] + u[K] - 2 * u[i] - u[O]
-        Gu[i] = 2.0 * (u[O] * s + (u[j] - u[k]) * (u[J] - u[K]))
-        Guu[i, i] = -4.0 * u[O]
-        Guu[i, j] = 2.0 * (u[O] + (u[J] - u[K]))
-        Guu[i, k] = 2.0 * (u[O] - (u[J] - u[K]))
-        Guu[i, O] = 2.0 * (u[j] + u[k] + u[J] + u[K] - 2 * u[i] - 2 * u[O])
-        Guu[i, J] = 2.0 * (u[O] + (u[j] - u[k]))
-        Guu[i, K] = 2.0 * (u[O] - (u[j] - u[k]))
-        s_opp = u[j] + u[k] + u[J] + u[K] - 2 * u[O] - u[i]
-        Gu[O] = 2.0 * (u[i] * s_opp - (u[j] - u[K]) * (u[k] - u[J]))
-        Guu[O, O] = -4.0 * u[i]
-        Guu[O, i] = Guu[i, O]
-        Guu[O, j] = 2.0 * (u[i] - (u[k] - u[J]))
-        Guu[O, k] = 2.0 * (u[i] - (u[j] - u[K]))
-        Guu[O, J] = 2.0 * (u[i] + (u[j] - u[K]))
-        Guu[O, K] = 2.0 * (u[i] + (u[k] - u[J]))
-    H = 4.0 * np.outer(e, e) * Guu + 2.0 * np.diag(Gu)
-    # mirror the upper triangle: entries are algebraically symmetric but the
-    # two evaluation orders can differ in the last bit
-    return np.triu(H) + np.triu(H, 1).T
+    u = [v * v for v in e]
+    s = sum(u)
+    H = [[0.0] * 6 for _ in range(6)]
+    for i, gi in enumerate(_half_grad_u(u)):
+        I = _OPPOSITE[i]
+        H[i][i] = -16.0 * u[i] * u[I] + 4.0 * gi
+        for j in range(i + 1, 6):
+            if j == I:
+                gij = 2.0 * (s - 3.0 * (u[i] + u[I]))
+            else:
+                gij = 2.0 * (u[I] + u[_OPPOSITE[j]] - u[_THIRD[i, j]])
+            H[i][j] = H[j][i] = 4.0 * e[i] * e[j] * gij
+    return np.array(H)
 
 
 def trivial4(spec: PotentialSpec, volume: float) -> TetState:
@@ -257,7 +255,7 @@ _OPPOSITE_PAIR_PATTERNS = [
 ]
 
 
-def _blocks_equal(e: np.ndarray, pattern, tol: float) -> bool:
+def _blocks_equal(e: list[float], pattern, tol: float) -> bool:
     for block in pattern:
         vals = [e[i] for i in block]
         hi, lo = max(vals), min(vals)

@@ -270,10 +270,14 @@ def test_core_is_bit_identical_to_the_per_geometry_copies(name):
             assert _identical(new_jac(spec, x), ref_jac(spec, x))
             assert _identical(problem.residual(x, p), ref_res(spec, x, p))
             assert _identical(problem.jacobian(x, p), ref_jac(spec, x))
+            F, J = problem.evaluate(x, p)
+            assert _identical(F, ref_res(spec, x, p)) and _identical(J, ref_jac(spec, x))
             got, want = new_cls(spec, x, p), ref_cls(spec, x, p)
             assert got == want
             assert _identical(got.tangent_eigenvalues, want.tangent_eigenvalues)
-            assert problem.classify(x, p) == (want.stability, want.shape)
+            from_J = problem.classify(x, p, J)
+            assert from_J == want
+            assert _identical(from_J.tangent_eigenvalues, want.tangent_eigenvalues)
             assert problem.feasible(x) == case["feasible"](x)
             assert _identical(problem.parameter_derivative(x, p), case["dp"](x, p))
             assert _identical(problem.trivial_state(p), case["trivial"](spec, p))
@@ -294,3 +298,41 @@ def test_stability_boundaries_match_the_per_geometry_copies(name):
             found += len(got)
     assert found > 0
 
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bordered_inertia_is_tangent_inertia_plus_one(name):
+    """In(J) = In(Z^t H Z) + (1, 1, 0) wherever grad g != 0 (Gould 1985).
+
+    The tracer's event monitor is the negative count of Z^t H Z; this is why
+    it changes exactly where an eigenvalue of J crosses zero.  Checked on
+    random non-degenerate states, and on the trivial states at the
+    Lennard-Jones margin zeros, where both matrices have a multiple zero.
+    """
+    case = CASES[name]
+    rng = np.random.default_rng(13)
+    spec = SPECS[0]
+    problem = case["problem"](spec)
+
+    def spectra(x):
+        J = problem.jacobian(x, 0.0)
+        return sym_eigen(J)[0], np.array(problem.classify(x, 0.0, J).tangent_eigenvalues), J
+
+    checked = 0
+    for x in _states(rng, case["n_edges"], 200):
+        w_J, w_T, J = spectra(x)
+        if min(np.min(np.abs(w_J)), np.min(np.abs(w_T))) < 1e-10 * np.max(np.abs(J)):
+            continue  # the sign of a round-off sized eigenvalue means nothing
+        assert np.sum(w_J < 0) == np.sum(w_T < 0) + 1
+        assert np.sum(w_J > 0) == np.sum(w_T > 0) + 1
+        checked += 1
+    assert checked >= 180
+
+    roots = case["boundaries"][0](spec, case["windows"][0], 400)
+    assert roots
+    for root in roots:
+        w_J, w_T, J = spectra(case["trivial"](spec, root.parameter))
+        tol = 1e-8 * np.max(np.abs(J[1:, 1:]))
+        assert np.sum(np.abs(w_J) <= tol) == np.sum(np.abs(w_T) <= tol) == root.kernel_dim
+        assert np.sum(w_J < -tol) == np.sum(w_T < -tol) + 1
+        assert np.sum(w_J > tol) == np.sum(w_T > tol) + 1

@@ -1,8 +1,12 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cluster_bifurc import cluster, continuation
+from cluster_bifurc.cluster import ClusterProblem
 from cluster_bifurc.continuation import (
     BifurcationEvent,
     ContinuationSettings,
@@ -17,9 +21,10 @@ from cluster_bifurc.continuation import (
     newton_correct,
     trace_branch,
 )
+from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import triangle_isosceles_reduction
-from cluster_bifurc.triangle import TriangleProblem, stability_boundaries3
+from cluster_bifurc.triangle import TRIANGLE, TriangleProblem, stability_boundaries3
 
 LJ = LennardJones(1, 2, 12, 6)
 A0 = math.sqrt(3.0) / 4.0 * 2.5 ** (1.0 / 3.0)
@@ -162,6 +167,53 @@ def test_trace_hooke_emits_no_events():
     assert events == []
     assert branch.points[-1].parameter > 99.0
     assert all(pt.stability == "stable" for pt in branch.points)
+
+
+def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
+    # the quiet Hooke trace above: every Newton iterate assembles one Hessian
+    # and every converged correction takes one eigen-decomposition, plus one
+    # of each at the start point
+    counts = Counter()
+
+    def hess(e):
+        counts["hess"] += 1
+        return TRIANGLE.hess(e)
+
+    def eig(M):
+        counts["eig"] += 1
+        return sym_eigen(M)
+
+    def correct(*args, **kwargs):
+        out = newton_correct(*args, **kwargs)
+        counts["corrections"] += 1
+        counts["iterates"] += out[1] + 1
+        return out
+
+    system = ClusterProblem(replace(TRIANGLE, hess=hess), PolynomialSpring(1, 0))
+    settings = ContinuationSettings(h_max=0.5)
+    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
+    counts.clear()
+    monkeypatch.setattr(cluster, "sym_eigen", eig)
+    monkeypatch.setattr(continuation, "sym_eigen", eig)
+    monkeypatch.setattr(continuation, "newton_correct", correct)
+    hint = np.zeros(5)
+    hint[-1] = 1.0
+    branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
+    assert events == [] and branch.points[-1].parameter > 99.0
+    assert counts["corrections"] >= len(branch.points) - 1 > 30
+    assert counts["hess"] <= counts["iterates"] + 1
+    assert counts["eig"] <= counts["corrections"] + 1
+
+
+def test_index_monitor_jumps_by_two_across_the_double_crossing():
+    # two eigenvalues cross together at the primary A0; every determinant
+    # sign stays, the tangent-space index moves by 2
+    system = lj_system()
+    settings = ContinuationSettings()
+    below, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01, settings)
+    above, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01, settings)
+    assert below.det_sign == above.det_sign
+    assert abs(below.index - above.index) == 2
 
 
 def test_detect_no_event_on_quiet_segment():

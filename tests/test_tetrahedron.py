@@ -71,6 +71,56 @@ def test_cayley_menger_matches_embedding():
         assert cayley_menger(e) == pytest.approx(288.0 * vol * vol, rel=1e-8)
 
 
+def test_cayley_menger_cubic_matches_the_determinant():
+    # the constraint is the expanded cubic; the 5x5 determinant it expands is built here
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        e = 1.0 + 0.25 * rng.uniform(-1.0, 1.0, 6)
+        a, b, c, A, B, C = e * e
+        M = np.array([[0, a, b, c, 1], [a, 0, C, B, 1], [b, C, 0, A, 1], [c, B, A, 0, 1],
+                      [1, 1, 1, 1, 0]])
+        ref = np.linalg.det(M)
+        assert abs(cayley_menger(e) - ref) <= 1e-12 * abs(ref)
+
+
+def _ref_hess_g4(e):
+    """The numpy-array form of the Cayley-Menger Hessian that `hess_g4` replaced."""
+    u = e * e
+    Gu = np.empty(6)
+    Guu = np.zeros((6, 6))
+    for i in range(3):
+        j, k = [t for t in range(3) if t != i]
+        J, K, O = j + 3, k + 3, i + 3
+        s = u[j] + u[k] + u[J] + u[K] - 2 * u[i] - u[O]
+        Gu[i] = 2.0 * (u[O] * s + (u[j] - u[k]) * (u[J] - u[K]))
+        Guu[i, i] = -4.0 * u[O]
+        Guu[i, j] = 2.0 * (u[O] + (u[J] - u[K]))
+        Guu[i, k] = 2.0 * (u[O] - (u[J] - u[K]))
+        Guu[i, O] = 2.0 * (u[j] + u[k] + u[J] + u[K] - 2 * u[i] - 2 * u[O])
+        Guu[i, J] = 2.0 * (u[O] + (u[j] - u[k]))
+        Guu[i, K] = 2.0 * (u[O] - (u[j] - u[k]))
+        s_opp = u[j] + u[k] + u[J] + u[K] - 2 * u[O] - u[i]
+        Gu[O] = 2.0 * (u[i] * s_opp - (u[j] - u[K]) * (u[k] - u[J]))
+        Guu[O, O] = -4.0 * u[i]
+        Guu[O, i] = Guu[i, O]
+        Guu[O, j] = 2.0 * (u[i] - (u[k] - u[J]))
+        Guu[O, k] = 2.0 * (u[i] - (u[j] - u[K]))
+        Guu[O, J] = 2.0 * (u[i] + (u[j] - u[K]))
+        Guu[O, K] = 2.0 * (u[i] + (u[k] - u[J]))
+    H = 4.0 * np.outer(e, e) * Guu + 2.0 * np.diag(Gu)
+    return np.triu(H) + np.triu(H, 1).T
+
+
+def test_hessian_matches_the_array_form():
+    # same polynomial, other evaluation order: agreement to a few ulps of max|H|
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        e = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, 6)
+        H, ref = hess_g4(e), _ref_hess_g4(e)
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_cayley_menger_unrealizable_is_negative():
     e = np.array([1.0, 1, 1, 1, 1, 2.0])
     assert embed_volume(e) is None

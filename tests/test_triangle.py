@@ -273,5 +273,5 @@ def test_problem_wrapper():
     assert sys_.in_domain(x) and sys_.feasible(x)
     assert not sys_.in_domain([0.0, -1.0, 1.0, 1.0])
     assert not sys_.feasible([0.0, 1.0, 1.0, 2.5])  # violates the triangle inequality
-    stability, shape = sys_.classify(x, 0.5)
-    assert (stability, shape) == ("stable", "equilateral")
+    cls = sys_.classify(x, 0.5)
+    assert (cls.stability, cls.shape) == ("stable", "equilateral")
