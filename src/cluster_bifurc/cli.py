@@ -67,6 +67,8 @@ from .symmetry import (
     Perm,
     PermGroup,
     Reduction,
+    crossing_functionals,
+    fixed_projection,
     fixed_projection_exact,
     orbit,
     tetra_apex_reduction,
@@ -124,10 +126,6 @@ class _Entry:
     parent_event_id: int
     label: str
     reached: set[int]  # ids of known events its traces ended at
-
-
-def _identity_reduction(ev: BifurcationEvent, n: int) -> Reduction:
-    return Reduction(PermGroup((Perm.identity(n),)), tuple(ev.kernel[0]))
 
 
 def _thread_count(n_jobs: int) -> int:
@@ -207,10 +205,11 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     traced through the window (detecting secondary and turning events), and
     secondary bifurcations are switched once more (depth 2 unless `deep`).
     Every trace ends where it reaches a primary event or an event of a
-    branch traced before it, and a simple secondary event that some trace
-    reached is not switched again: the branches it would seed are images of
-    that trace.  Finally every nontrivial branch is expanded to its full
-    symmetry orbit.
+    branch traced before it, or where it crosses into a larger fixed-point
+    space at a bifurcation it localizes itself; a simple secondary event
+    that some trace reached is not switched again: the branches it would
+    seed are images of that trace.  Finally every nontrivial branch is
+    expanded to its full symmetry orbit.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo < hi):
@@ -255,8 +254,11 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
             entry = _switch_and_trace(system, ev, red, settings, window, curve, tuple(known))
             if entry is None:
                 continue
+            ends = {entry.branch.points[0].state, entry.branch.points[-1].state}
             for i, e in enumerate(entry.events):
                 entry.events[i] = replace(e, id=event_counter)
+                if e.state in ends:
+                    reached.add(event_counter)  # a trace ended at this crossing it localized
                 event_counter += 1
             known += entry.events
             reached |= entry.reached
@@ -265,7 +267,8 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         if depth == max_depth:
             break
         # secondary bifurcations are switched on their own, with no symmetric curve
-        jobs = [(ev, _identity_reduction(ev, system.dim), None) for entry in frontier
+        identity = PermGroup((Perm.identity(system.dim),))
+        jobs = [(ev, Reduction(identity, tuple(ev.kernel[0])), None) for entry in frontier
                 for ev in entry.events if ev.kind == "secondary" and ev.kernel_dim >= 1]
 
     branches: list[Branch] = [trivial]
@@ -451,49 +454,17 @@ def run_verification() -> list[tuple[str, bool, str]]:
                     worst = max(worst, float(np.max(np.abs(J @ v - mu * v))) / scale)
     checks.append(_check("trivial-eigenvectors", worst < 1e-12, f"max rel dev {worst:.2e}"))
 
-    # projections match their reference matrices entry for entry
-    ok = True
-    F = Fraction
-    tri = fixed_projection_exact(triangle_isosceles_reduction().subgroup)
-    ok &= tri == (
-        (F(1), F(0), F(0), F(0)),
-        (F(0), F(1), F(0), F(0)),
-        (F(0), F(0), F(1, 2), F(1, 2)),
-        (F(0), F(0), F(1, 2), F(1, 2)),
-    )
-    pair = fixed_projection_exact(tetra_opposite_pair_reduction().subgroup)
-    q = F(1, 4)
-    ok &= pair == (
-        (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
-        (F(0), q, q, F(0), q, q, F(0)),
-        (F(0), q, q, F(0), q, q, F(0)),
-        (F(0), F(0), F(0), F(1), F(0), F(0), F(0)),
-        (F(0), q, q, F(0), q, q, F(0)),
-        (F(0), q, q, F(0), q, q, F(0)),
-        (F(0), F(0), F(0), F(0), F(0), F(0), F(1)),
-    )
-    apex = fixed_projection_exact(tetra_apex_reduction().subgroup)
-    t = F(1, 3)
-    ok &= apex == (
-        (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
-        (F(0), t, t, t, F(0), F(0), F(0)),
-        (F(0), t, t, t, F(0), F(0), F(0)),
-        (F(0), t, t, t, F(0), F(0), F(0)),
-        (F(0), F(0), F(0), F(0), t, t, t),
-        (F(0), F(0), F(0), F(0), t, t, t),
-        (F(0), F(0), F(0), F(0), t, t, t),
-    )
-    eqp = fixed_projection_exact(tetra_equal_pair_reduction().subgroup)
-    hh = F(1, 2)
-    ok &= eqp == (
-        (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
-        (F(0), hh, F(0), F(0), hh, F(0), F(0)),
-        (F(0), F(0), q, q, F(0), q, q),
-        (F(0), F(0), q, q, F(0), q, q),
-        (F(0), hh, F(0), F(0), hh, F(0), F(0)),
-        (F(0), F(0), q, q, F(0), q, q),
-        (F(0), F(0), q, q, F(0), q, q),
-    )
+    # projections match their reference matrices entry for entry: the
+    # average 1/|B| over each block B of coordinates the subgroup permutes
+    def block_average(n, blocks):
+        return tuple(tuple(next((Fraction(1, len(B)) for B in blocks if i in B and j in B), Fraction(0))
+                           for j in range(n)) for i in range(n))
+
+    ok = all(fixed_projection_exact(make().subgroup) == block_average(n, blocks) for make, n, blocks in (
+        (triangle_isosceles_reduction, 4, ((0,), (1,), (2, 3))),
+        (tetra_opposite_pair_reduction, 7, ((0,), (1, 2, 4, 5), (3,), (6,))),
+        (tetra_apex_reduction, 7, ((0,), (1, 2, 3), (4, 5, 6))),
+        (tetra_equal_pair_reduction, 7, ((0,), (1, 4), (2, 3, 5, 6)))))
     checks.append(_check("fixed-projections", ok, "exact rational comparison"))
 
     g_reg = cayley_menger(np.ones(6))
@@ -507,6 +478,20 @@ def run_verification() -> list[tuple[str, bool, str]]:
         g = cayley_menger(np.sqrt(u))
         worst = max(worst, abs(g - float(np.linalg.det(M))) / abs(g))
     checks.append(_check("cm-cubic-vs-determinant", worst < 1e-12, f"max rel diff {worst:.2e}"))
+
+    # the crossing monitor's functionals for the trivial isotropy and each
+    # switching reduction: P(S) = P(S'_k) + u_k u_k^t, u_k a unit vector
+    worst, counts = 0.0, []
+    for geometry in (TRIANGLE, TETRAHEDRON):
+        group = geometry.group()
+        for sub in [PermGroup((Perm.identity(group.n),))] + [
+                make().subgroup for row in geometry.margins.values() for make in row.reductions]:
+            normals, projections = crossing_functionals(group, sub.elements)
+            counts.append(len(normals))
+            for u, Q in zip(normals, projections):
+                worst = max(worst, float(np.max(np.abs(Q + np.outer(u, u) - fixed_projection(sub)))))
+    checks.append(_check("crossing-functionals", worst < 1e-15 and counts == [3, 1, 0, 1, 1, 1],
+                         f"counts {counts}, max dev {worst:.1e}"))
     return checks
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .linalg import householder_complement, sym_eigen
 from .potentials import PotentialSpec, derivatives
+from .symmetry import crossing_functionals, stabilizer
 
 __all__ = [
     "Margin",
@@ -353,6 +354,8 @@ class ClusterProblem:
 
     def isotropy_order(self, x) -> int:
         """Number of group elements fixing the edges of x, to the shape namers' 1e-6 relative."""
-        x = np.asarray(x, dtype=float)
-        images = (P.apply(x) for P in self.group())  # the multiplier slot is fixed by every P
-        return sum(1 for y in images if np.all(np.abs(y - x) <= 1e-6 * np.maximum(np.abs(y), np.abs(x))))
+        return len(stabilizer(self.group(), x))  # the multiplier slot is fixed by every element
+
+    def crossing_functionals(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """`symmetry.crossing_functionals` of the isotropy subgroup of x."""
+        return crossing_functionals(self.group(), stabilizer(self.group(), x))

@@ -14,6 +14,8 @@ A `system` is any object with the small interface that
     energy(x)                 total configuration energy
     group()                   the permutation group the system is equivariant under
     isotropy_order(x)         number of group elements that fix the edges of x
+    shape_of(x)               shape label of the edges of x
+    crossing_functionals(x)   `symmetry.crossing_functionals` of the isotropy of x
 
 Tracing uses Keller's bordered corrector in a relative-scale arclength
 metric: the predictor tangent is frozen as the extra (weighted) row during
@@ -27,11 +29,14 @@ Z^t H Z, which classification computes anyway, and the sign of the
 tangent's parameter component, which flips at folds.  Since In(J) =
 In(Z^t H Z) + (1, 1, 0) where grad g != 0 (Gould 1985, Math. Programming
 32), the index changes exactly where an eigenvalue of J of any multiplicity
-crosses zero.  `detect_and_localize` refines whichever fired.  A trace ends
-where its branch meets one already known: when a step lands on a more
-symmetric branch (the isotropy order grows, i.e. the step jumped across a
-branch point into a larger fixed-point space) or when a localized event is
-a group image of a target event.
+crosses zero.  `detect_and_localize` refines whichever fired.
+
+A trace ends where it meets a more symmetric branch, inside a larger
+fixed-point space Fix(S') (Golubitsky, Stewart & Schaeffer, ch. XIII); where
+Fix(S') has codimension 1 the crossing monitor is the signed distance u.x
+from it, a symmetry-adapted test function as in Dellnitz & Werner (1989,
+J. Comput. Appl. Math. 26), and landing on a point of larger isotropy order
+is the fallback elsewhere.
 `branch_switch` seeds the bifurcating branches through an isotropy
 reduction, either by the asymptotic slope -2*B0/A0 of the Lyapunov-Schmidt
 coefficients or, for pitchforks, by amplitude-pinned correction walked
@@ -42,11 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import SingularSystemError, det_sign, solve, sym_eigen
+from .linalg import SingularSystemError, det_sign, orthonormal_columns, solve, sym_eigen
 
 __all__ = [
     "ContinuationSettings",
@@ -216,13 +222,27 @@ def classified_point(system, x: np.ndarray, p: float, sign: int | None = None,
     )
 
 
-class Correction(tuple):
-    """`(point, iterations)` from `newton_correct`, with the converged iterate's `jacobian`."""
+@dataclass(eq=False)
+class Correction:
+    """A converged corrector iterate, unpacking as `(point, iterations)`; the
+    labeled `point` is built on first use, so a rejected correction costs no
+    determinant sign and no eigen-decomposition."""
 
-    def __new__(cls, point: BranchPoint, iterations: int, jacobian: np.ndarray):
-        self = super().__new__(cls, (point, iterations))
-        self.jacobian = jacobian
-        return self
+    system: object
+    state: np.ndarray
+    parameter: float
+    iterations: int
+    jacobian: np.ndarray
+    border: np.ndarray | None = None  # the arclength row of the bordered determinant
+
+    @cached_property
+    def point(self) -> BranchPoint:
+        J, x, p = self.jacobian, self.state, self.parameter
+        M = J if self.border is None else _bordered_matrix(self.system, J, x, p, self.border)
+        return classified_point(self.system, x, p, det_sign(M), J)
+
+    def __getitem__(self, i: int):
+        return self.iterations if i in (1, -1) else (self.point, self.iterations)[i]
 
 
 def _bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np.ndarray) -> np.ndarray:
@@ -241,10 +261,10 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
     With `constraint=None` the parameter stays fixed and Newton runs on the
     square KKT system; with a PseudoArclength constraint both the state and
     the parameter move, bordered by the frozen tangent row.  Convergence is
-    declared when the residual infinity norm drops below newton_tol, and the
-    result carries the Jacobian of that last iterate.  Raises
-    CorrectorFailure on stagnation and DomainExit when an iterate (or the
-    converged point) leaves the feasible region.
+    declared when the residual infinity norm drops below newton_tol; the
+    `Correction` carries that iterate's Jacobian and labels the point only
+    when asked.  Raises CorrectorFailure on stagnation and DomainExit when
+    an iterate (or the converged point) leaves the feasible region.
     """
     n = system.dim
     x = np.array(state, dtype=float)
@@ -268,8 +288,7 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         if res_norm < settings.newton_tol and on_constraint:
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
-            M = J if constraint is None else _bordered_matrix(system, J, x, p, row)
-            return Correction(classified_point(system, x, p, det_sign(M), J), it, J)
+            return Correction(system, x, p, it, J, None if constraint is None else row)
         if it == settings.newton_max_iters:
             break
         try:
@@ -318,21 +337,6 @@ def branch_tangent(system, x: np.ndarray, p: float, t_prev: np.ndarray,
     return t / np.sqrt((w * t) @ t)
 
 
-def _is_image(group, ev: BifurcationEvent, target: BifurcationEvent) -> bool:
-    """True when `ev` is `target` up to the group action.
-
-    The parameter must agree within 1e-6 relative and the edges within 1e-3
-    relative of some image of the target: at a localized crossing the
-    parameter is good to 1e-10, but the branch amplitude goes like its square
-    root, and offsets of up to 7e-5 relative are seen in the edges.
-    """
-    if abs(ev.parameter - target.parameter) > 1e-6 * abs(target.parameter):
-        return False
-    edges = np.asarray(ev.state[1:])
-    tol = 1e-3 * float(np.max(np.abs(edges)))
-    return any(float(np.max(np.abs(P.apply(target.state)[1:] - edges))) <= tol for P in group)
-
-
 def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSettings,
                  window: tuple[float, float] = (0.0, math.inf),
                  bifurcation_kind: str = "secondary",
@@ -342,18 +346,21 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     `direction` seeds the tangent orientation (only its sign content
     matters).  The trace stops at max_points, on leaving the parameter
     window, when the corrector keeps failing/leaving the domain at the
-    minimum step, or where the branch meets a known one:
+    minimum step, or where the branch meets a more symmetric one:
 
-    * landing: a corrected point has a larger isotropy order than the start
-      point, i.e. the step jumped across a branch point onto a more
-      symmetric branch; the point is dropped;
-    * arrival: a localized event is a group image of one of `targets`; the
-      last point is replaced by the localized state, the event is not
-      reported, and its target's id is kept as the branch's
-      `reached_event`.
+    * crossing: the monitor u.x (`system.crossing_functionals`) of a Fix(S')
+      of codimension 1 in the start point's Fix(S) changes sign over a step
+      or ends it within the shape namers' 1e-6 relative of zero; the trace
+      ends exactly on a group image of one of `targets` in Fix(S') within
+      that step, kept as the branch's `reached_event`, or else on the
+      bifurcation of the symmetric branch there, reported as an event;
+    * landing, the fallback where the larger fixed space has codimension
+      above 1: a corrected point has a larger isotropy order than the start
+      point; the point is dropped.
 
-    Other detected events are classified as `bifurcation_kind` ("primary"
-    when the caller is tracing the fully symmetric branch) or "turning".
+    Corrections that the window or these rules reject are not labeled.
+    Detected events are classified as `bifurcation_kind` ("primary" when
+    the caller is tracing the fully symmetric branch) or "turning".
     """
     x0 = np.array(start.state, dtype=float)
     p0 = float(start.parameter)
@@ -367,6 +374,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     points = [replace(start, det_sign=sign0, arclength=0.0, index=system.classify(x0, p0, J).index)]
     tangents = [t]
     events: list[BifurcationEvent] = []
+    normals, projections = system.crossing_functionals(x0)
+    phi = normals @ x0
     start_order = None
     reached = None
     h = settings.h0
@@ -384,25 +393,35 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             if len(points) == 1 and isinstance(err, CorrectorFailure):
                 raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
             break
-        point, its = corrected
-        z_new = point.z()
+        x_new = corrected.state
+        z_new = np.append(x_new, corrected.parameter)
         if not (window[0] <= z_new[-1] <= window[1]):
             # shrink toward the window edge instead of losing a whole step
             if h > settings.h_min:
                 h = max(h * settings.step_shrink, settings.h_min)
                 continue
             break
-        # the shape label is already computed; the group is consulted only when it changes
-        if point.shape != start.shape:
+        phi_new = normals @ x_new
+        crossed = np.flatnonzero((phi * phi_new < 0.0)
+                                 | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
+        if crossed.size:
+            z_end, reached, ev = _crossing_end(system, normals, projections, crossed, z, z_new,
+                                               targets, settings, bifurcation_kind)
+            if z_end is not None:
+                points.append(replace(classified_point(system, z_end[:-1], z_end[-1]),
+                                      arclength=s + float(np.sqrt((z_end - z) @ (z_end - z)))))
+                events += [ev] if ev is not None else []
+            break
+        # the shape label is cheap; the group is consulted only when it changes
+        if system.shape_of(x_new) != start.shape:
             if start_order is None:
                 start_order = system.isotropy_order(x0)
-            if system.isotropy_order(z_new[:-1]) > start_order:
+            if system.isotropy_order(x_new) > start_order:
                 break
         w_new = metric_weights(z_new)
-        t_new = branch_tangent(system, z_new[:-1], z_new[-1], t, w_new, corrected.jacobian)
+        t_new = branch_tangent(system, x_new, z_new[-1], t, w_new, corrected.jacobian)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))
-        point = replace(point, arclength=s)
-        points.append(point)
+        points.append(replace(corrected.point, arclength=s))
         tangents.append(t_new)
         if settings.detection and len(points) >= 2:
             ev = detect_and_localize(
@@ -411,19 +430,57 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 monitors=(points[-2].index, points[-1].index,
                           float(tangents[-2][-1]), float(tangents[-1][-1])))
             if ev is not None:
-                reached = next((tg for tg in targets if _is_image(system.group(), ev, tg)), None)
-                if reached is not None:
-                    z_ev = np.append(ev.state, ev.parameter)
-                    arc = points[-2].arclength + float(np.sqrt((z_ev - z) @ (z_ev - z)))
-                    points[-1] = replace(classified_point(system, z_ev[:-1], ev.parameter),
-                                         arclength=arc)
-                    break
                 events.append(ev)
-        z, t, w = z_new, t_new, w_new
-        if its <= settings.contraction_target:
+        z, t, w, phi = z_new, t_new, w_new, phi_new
+        if corrected.iterations <= settings.contraction_target:
             h = min(h * settings.step_growth, settings.h_max)
     return (Branch(points=points, reached_event=None if reached is None else reached.id),
             dedup_events(events))
+
+
+def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.ndarray,
+                  targets: Sequence[BifurcationEvent], settings: ContinuationSettings, kind: str):
+    """(end point, reached target, new event) of a step z_a -> z_b across Fix(S'_k), k in `ks`.
+
+    It ends on a target's group image in a crossed Fix(S'_k) within one
+    step length of the step's midpoint (at a pitchfork both ends of the step
+    lie on one side of it), or else where mu = u^t J u (J u = mu u on the
+    symmetric branch) vanishes, found by a secant iteration in the
+    parameter with each probe corrected within Fix(S'_k): near a pitchfork
+    the chord is nearly normal to Fix(S'_k), and hyperplane corrections
+    along it converge onto the symmetric branch away from the crossing.
+    """
+    w = metric_weights(z_a)
+    reach = float((w * (z_b - z_a)) @ (z_b - z_a))
+    z_mid = 0.5 * (z_a + z_b)
+    for tg, P in ((tg, P) for tg in targets for P in system.group()):
+        z_img = np.append(P.apply(tg.state), tg.parameter)
+        x = z_img[:-1]
+        if float((w * (z_img - z_mid)) @ (z_img - z_mid)) <= reach and any(
+                np.max(np.abs(projections[k] @ x - x)) <= 1e-6 * np.max(np.abs(x[1:])) for k in ks):
+            return z_img, tg, None
+    u, Q = normals[ks[0]], projections[ks[0]]
+    Z = orthonormal_columns(Q)
+
+    def probe(p: float, guess: np.ndarray):
+        got = _reduced_correct(system, Z, guess, p, settings)
+        if got is None:
+            return None
+        J = system.jacobian(got[0], p)
+        return got[0], float(u @ J @ u), J
+
+    p0, scale = float(z_a[-1]), max(1.0, abs(z_a[-1]))
+    p1 = float(z_b[-1]) if abs(z_b[-1] - p0) > 1e-8 * scale else p0 + 1e-6 * scale
+    a, b = probe(p0, Q @ z_a[:-1]), probe(p1, Q @ z_b[:-1])
+    for _ in range(40):
+        if a is None or b is None or a[1] == b[1]:
+            break
+        p0, p1 = p1, p1 - b[1] * (p1 - p0) / (b[1] - a[1])
+        a, b = b, probe(p1, b[0])
+        if b is not None and abs(p1 - p0) <= 1e-10 * scale:  # `detect_and_localize`'s accuracy
+            ev = _event_at(kind, b[0], p1, b[2], refined=True)
+            return (None, None, None) if ev is None else (np.append(ev.state, p1), None, ev)
+    return None, None, None
 
 
 def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
@@ -584,8 +641,14 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
             refined = False
 
     z_best, J_best = best
-    x_ev, p_ev = z_best[:-1], z_best[-1]
-    w, V = sym_eigen(J_best)
+    return _event_at(kind, z_best[:-1], z_best[-1], J_best, refined)
+
+
+def _event_at(kind: str, x: np.ndarray, p: float, J: np.ndarray, refined: bool
+              ) -> BifurcationEvent | None:
+    """The event at a localized point with Jacobian J: its kernel is the
+    eigenvectors whose eigenvalues are below 1e-6 of the spectral scale."""
+    w, V = sym_eigen(J)
     scale = float(np.max(np.abs(w)))
     near = np.abs(w) < max(1e-6 * scale, 1e-300)
     kernel = tuple(tuple(float(v) for v in V[:, i]) for i in range(len(w)) if near[i])
@@ -595,10 +658,10 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
         return None
     return BifurcationEvent(
         kind=kind,
-        parameter=float(p_ev),
+        parameter=float(p),
         kernel_dim=len(kernel),
         kernel=kernel,
-        state=tuple(float(v) for v in x_ev),
+        state=tuple(float(v) for v in x),
         refined=refined,
     )
 

@@ -51,12 +51,6 @@ class Diagram:
     events: list[BifurcationEvent] = field(default_factory=list)
     version: str = __version__
 
-    def branch_by_id(self, branch_id: int) -> Branch:
-        for br in self.branches:
-            if br.id == branch_id:
-                return br
-        raise KeyError(f"no branch with id {branch_id}")
-
     def validate(self) -> None:
         ids = {br.id for br in self.branches}
         for ev in self.events:

@@ -14,17 +14,23 @@ system, `isotropy` extracts the subgroup fixing it and `fixed_projection`
 builds the projector onto the corresponding fixed-point subspace (exactly,
 in rational arithmetic), where the critical eigenvalue is simple and branch
 switching is well posed.
+
+A branch of isotropy S can meet a more symmetric branch only inside a
+Fix(S') of a larger S'; `crossing_functionals` gives the signed distances
+from those of codimension 1, once per isotropy type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import threading
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .continuation import Branch, BranchPoint
+from .continuation import Branch
 from .linalg import orthonormal_columns
 
 __all__ = [
@@ -34,6 +40,8 @@ __all__ = [
     "triangle_group",
     "tetra_group",
     "isotropy",
+    "stabilizer",
+    "crossing_functionals",
     "fixed_projection",
     "fixed_projection_exact",
     "orbit",
@@ -121,12 +129,13 @@ class PermGroup:
         return self.elements[0].n
 
 
-def _closure(generators: set[Perm]) -> tuple[Perm, ...]:
-    group = set(generators)
-    frontier = set(generators)
+def _closure(generators) -> tuple[Perm, ...]:
+    """The group the permutations generate, sorted by sources."""
+    gens = list(generators)
+    group = {Perm.identity(gens[0].n)}
+    frontier = group
     while frontier:
-        new = {p @ q for p in frontier for q in group} | {p @ q for p in group for q in frontier}
-        frontier = new - group
+        frontier = {p @ g for p in frontier for g in gens} - group
         group |= frontier
     return tuple(sorted(group, key=lambda p: p.sources))
 
@@ -172,11 +181,18 @@ def isotropy(group: PermGroup, v) -> PermGroup:
     return PermGroup(fixed)
 
 
-def fixed_projection_exact(subgroup: PermGroup) -> tuple[tuple[Fraction, ...], ...]:
-    """Group average (1/|H|) sum(P) with exact rational entries."""
+def stabilizer(group: PermGroup, x) -> tuple[Perm, ...]:
+    """Elements fixing x componentwise to 1e-6 relative, the shape namers' tolerance."""
+    x = np.asarray(x, dtype=float)
+    images = ((P, P.apply(x)) for P in group)
+    return tuple(P for P, y in images if np.all(np.abs(y - x) <= 1e-6 * np.maximum(np.abs(y), np.abs(x))))
+
+
+def fixed_projection_exact(subgroup) -> tuple[tuple[Fraction, ...], ...]:
+    """Group average (1/|H|) sum(P) with exact rational entries (of a group or its elements)."""
     if len(subgroup) == 0:
         raise ValueError("cannot average an empty subgroup")
-    n = subgroup.n
+    n = next(iter(subgroup)).n
     counts = [[0] * n for _ in range(n)]
     for p in subgroup:
         for i, j in enumerate(p.sources):
@@ -189,6 +205,54 @@ def fixed_projection(subgroup: PermGroup) -> np.ndarray:
     """Group-average projector onto the fixed-point subspace, as floats."""
     exact = fixed_projection_exact(subgroup)
     return np.array([[float(x) for x in row] for row in exact])
+
+
+_crossings_lock = threading.Lock()
+
+
+def crossing_functionals(group: PermGroup, subgroup: tuple[Perm, ...]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, projections) of the Fix(S'_k) of codimension 1 in Fix(S), S = `subgroup`.
+
+    Row k of the normals is the unit vector u_k spanning Fix(S) minus
+    Fix(S'_k), the signed distance from it; `projections[k]` projects onto
+    Fix(S'_k).  Built once per pair and process (threads wait for the
+    first), the arrays are shared and read-only.
+    """
+    with _crossings_lock:
+        return _cached_crossings(group, tuple(subgroup))
+
+
+@lru_cache(maxsize=None)
+def _cached_crossings(group: PermGroup, subgroup: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray]:
+    return _build_crossings(group, subgroup)
+
+
+def _build_crossings(group: PermGroup, subgroup: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # every S' > S contains some g outside S, so the largest fixed spaces
+    # inside Fix(S) are the Fix(<S, g>), one per coset gS; keep those of
+    # codimension 1, once each
+    n = group.n
+    P = fixed_projection_exact(subgroup)
+    seen = set(subgroup)
+    fixed, normals, projections = [], [], []
+    for g in group:
+        if g in seen:
+            continue
+        seen.update(g @ s for s in subgroup)
+        Q = fixed_projection_exact(_closure(subgroup + (g,)))
+        # P - Q projects onto Fix(S) minus Fix(S'); its trace is the codimension
+        D = [[p - q for p, q in zip(row_p, row_q)] for row_p, row_q in zip(P, Q)]
+        if Q in fixed or sum(D[i][i] for i in range(n)) != 1:
+            continue
+        fixed.append(Q)
+        j = max(range(n), key=lambda i: D[i][i])  # rank 1: D = u u^t, so u = D e_j / sqrt(D_jj)
+        normals.append([float(D[i][j]) / math.sqrt(D[j][j]) for i in range(n)])
+        projections.append([[float(v) for v in row] for row in Q])
+    out = np.array(normals).reshape(-1, n), np.array(projections).reshape(-1, n, n)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,10 +274,6 @@ class Reduction:
     def basis(self) -> np.ndarray:
         """Orthonormal columns spanning the fixed-point subspace."""
         return orthonormal_columns(self.projection)
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
 
     def kernel_unit(self) -> np.ndarray:
         v = np.asarray(self.kernel_vector, dtype=float)
@@ -260,31 +320,14 @@ def orbit(group: PermGroup, branch: Branch, tol: float = 1e-9) -> list[Branch]:
     images: list[Branch] = []
     image_states: list[list[np.ndarray]] = []
 
-    def seen(states: list[np.ndarray]) -> bool:
-        for other in image_states:
-            if len(other) != len(states):
-                continue
-            if all(np.max(np.abs(a - b)) < tol for a, b in zip(states, other)):
-                return True
-            if all(np.max(np.abs(a - b)) < tol for a, b in zip(states, reversed(other))):
-                return True
-        return False
+    def same(states: list[np.ndarray], other: list[np.ndarray]) -> bool:
+        return len(other) == len(states) and all(np.max(np.abs(a - b)) < tol for a, b in zip(states, other))
 
     for p in group:
         mapped = [p.apply(s) for s in base_states]
-        if seen(mapped):
+        if any(same(mapped, other) or same(mapped, other[::-1]) for other in image_states):
             continue
-        pts = [
-            BranchPoint(
-                state=tuple(float(x) for x in s),
-                parameter=pt.parameter,
-                arclength=pt.arclength,
-                stability=pt.stability,
-                shape=pt.shape,
-                det_sign=pt.det_sign,
-            )
-            for s, pt in zip(mapped, branch.points)
-        ]
-        images.append(Branch(points=pts))
+        images.append(Branch(points=[replace(pt, state=tuple(float(x) for x in s))
+                                     for s, pt in zip(mapped, branch.points)]))
         image_states.append(mapped)
     return images

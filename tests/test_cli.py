@@ -180,3 +180,31 @@ def test_threads_env_cap(tmp_path, monkeypatch):
     with pytest.raises(ConfigError):
         build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.55, 0.62),
                       ContinuationSettings(h_max=0.02, max_points=120), trivial_samples=40)
+
+
+def test_a_crossing_a_trace_localized_is_not_switched_again(monkeypatch):
+    # with no known events to end at, the scalene traces localize the
+    # secondary points they run into themselves; those are not switched
+    # again even when deeper levels are, as their branches are images of
+    # the traces that found them
+    from cluster_bifurc import cli
+
+    trace, switch = cli.trace_branch, cli._switch_and_trace
+    switched = []
+
+    def trace_without_targets(*args, **kwargs):
+        return trace(*args, **{**kwargs, "targets": ()})
+
+    def recording_switch(system, ev, *args):
+        switched.append(ev.id)
+        return switch(system, ev, *args)
+
+    monkeypatch.setattr(cli, "trace_branch", trace_without_targets)
+    monkeypatch.setattr(cli, "_switch_and_trace", recording_switch)
+    diagram = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9),
+                            ContinuationSettings(h_max=0.05), deep=True)
+    found = [ev for ev in diagram.events if ev.kind == "secondary" and ev.source_branch != 1]
+    assert sorted(round(ev.parameter, 6) for ev in found) == [0.625072, 0.667039]
+    assert not {ev.id for ev in found} & set(switched)
+    ends = {pt.state for b in diagram.branches[1:] for pt in (b.points[0], b.points[-1])}
+    assert all(ev.state in ends for ev in found)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cluster_bifurc import cluster, continuation
+from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.cluster import ClusterProblem
 from cluster_bifurc.continuation import (
     BifurcationEvent,
@@ -21,9 +22,9 @@ from cluster_bifurc.continuation import (
     newton_correct,
     trace_branch,
 )
-from cluster_bifurc.linalg import sym_eigen
+from cluster_bifurc.linalg import det_sign, sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
-from cluster_bifurc.symmetry import triangle_isosceles_reduction
+from cluster_bifurc.symmetry import Perm, PermGroup, Reduction, triangle_isosceles_reduction
 from cluster_bifurc.triangle import TRIANGLE, TriangleProblem, stability_boundaries3
 
 LJ = LennardJones(1, 2, 12, 6)
@@ -203,6 +204,87 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     assert counts["corrections"] >= len(branch.points) - 1 > 30
     assert counts["hess"] <= counts["iterates"] + 1
     assert counts["eig"] <= counts["corrections"] + 1
+
+
+def test_trace_labels_only_the_points_it_keeps(monkeypatch):
+    # the same quiet Hooke trace: corrections past the A = 100 edge are
+    # rejected before their determinant sign and eigen-decomposition
+    counts = Counter()
+
+    def eig(M):
+        counts["eig"] += 1
+        return sym_eigen(M)
+
+    def sign(M):
+        counts["det_sign"] += 1
+        return det_sign(M)
+
+    def correct(*args, **kwargs):
+        counts["corrections"] += 1
+        return newton_correct(*args, **kwargs)
+
+    system = TriangleProblem(PolynomialSpring(1, 0))
+    settings = ContinuationSettings(h_max=0.5)
+    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
+    monkeypatch.setattr(cluster, "sym_eigen", eig)
+    monkeypatch.setattr(continuation, "det_sign", sign)
+    monkeypatch.setattr(continuation, "newton_correct", correct)
+    corrected = newton_correct(system, system.trivial_state(0.2), 0.2, settings)
+    assert corrected[1] == corrected.iterations and counts["eig"] == 0
+    assert corrected[0] is corrected.point and counts["eig"] == counts["det_sign"] == 1
+    counts.clear()
+    hint = np.zeros(5)
+    hint[-1] = 1.0
+    branch, _ = trace_branch(system, start, hint, settings, (0.1, 100.0))
+    assert counts["corrections"] > len(branch.points) + 10
+    # one of each at the start point and at every point kept after it
+    assert counts["eig"] == counts["det_sign"] == len(branch.points)
+
+
+def _lennard_jones_secondaries():
+    """The Lennard-Jones triangle system and its two secondary events at h_max = 0.2."""
+    diagram = build_diagram("triangle", LJ, (0.3, 0.9), ContinuationSettings(h_max=0.2))
+    low, high = sorted((ev for ev in diagram.events if ev.kind == "secondary"),
+                       key=lambda ev: ev.parameter)
+    return lj_system(), low, high
+
+
+def _scalene_seeds(system, ev, settings):
+    reduction = Reduction(PermGroup((Perm.identity(4),)), ev.kernel[0])
+    seeds, _ = branch_switch(system, ev, reduction, settings)
+    return [(seed, seed.z() - np.append(ev.state, ev.parameter)) for seed in seeds]
+
+
+def test_crossing_ends_the_trace_exactly_on_the_image_of_a_target():
+    system, low, high = _lennard_jones_secondaries()
+    settings = ContinuationSettings(h_max=0.2)
+    for seed, hint in _scalene_seeds(system, low, settings):
+        branch, events = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=(low, high))
+        assert events == [] and branch.reached_event == high.id
+        end = branch.points[-1]
+        assert end.parameter == high.parameter
+        assert any(np.array_equal(end.state, P.apply(high.state)) for P in system.group())
+        assert all(pt.shape == "scalene" for pt in branch.points[:-1])
+
+
+def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
+    # with nothing known to end at, the scalene trace from the lower secondary
+    # finds the upper one as the point where u^t J u vanishes on the isosceles branch
+    system, low, high = _lennard_jones_secondaries()
+    settings = ContinuationSettings(h_max=0.05)
+    for seed, hint in _scalene_seeds(system, low, settings):
+        branch, events = trace_branch(system, seed, hint, settings, (0.3, 0.9))
+        assert len(events) == 1 and branch.reached_event is None
+        ev = events[0]
+        assert ev.kind == "secondary" and ev.kernel_dim == 1 and ev.refined
+        assert ev.parameter == pytest.approx(high.parameter, rel=1e-9)
+        assert branch.points[-1].state == ev.state and branch.points[-1].shape.startswith("isosceles")
+        x = np.asarray(ev.state)
+        assert np.max(np.abs(system.residual(x, ev.parameter))) < settings.newton_tol
+        # the kernel is the direction e_i - e_j across the isosceles line
+        kernel = np.asarray(ev.kernel[0])
+        assert kernel[0] == pytest.approx(0.0, abs=1e-6)
+        assert sorted(np.round(np.abs(kernel[1:]) * math.sqrt(2.0), 6)) == [0.0, 1.0, 1.0]
 
 
 def test_index_monitor_jumps_by_two_across_the_double_crossing():

@@ -11,8 +11,11 @@ points they reach.  The triangle at h_max=0.01 has the four events that
 the tracer gave before that change at h_max 0.05, 0.2 and 0.5; at 0.01 it
 used to add six echoes from switched branches that ran back onto known
 ones.  The tetrahedron used to report one more "secondary" at 0.186339,
-the primary point itself, reached again by a switched branch; it still
-has 26 branches.
+the primary point itself, reached again by a switched branch.  Since
+switched traces end where they cross into a larger fixed-point space, the
+branch switched at 0.200348 ends on an image of the 0.276375 point, which
+is then not switched again; the six branches that switch gave were arcs of
+the same bridge.
 """
 
 import pytest
@@ -53,3 +56,11 @@ def test_golden_event_set(name):
     assert [kind for kind, _ in events] == [kind for kind, _ in expected]
     for (_, got), (_, want) in zip(events, expected):
         assert abs(got - want) < 1e-6
+
+
+def test_lennard_jones_tetrahedron_bridge_is_traced_once():
+    args, _ = GOLDEN["lennard-jones-tetrahedron"]
+    diagram = build_diagram(*args)
+    secondary = {round(ev.parameter, 6): ev.id for ev in diagram.events if ev.kind == "secondary"}
+    parents = {b.parent_event for b in diagram.branches}
+    assert secondary[0.200348] in parents and secondary[0.276375] not in parents

@@ -74,3 +74,37 @@ def test_no_two_branches_coincide(name, h_max):
             tol = 1e-6 * np.maximum(1.0, np.abs(a))
             assert not np.all(np.abs(a - b) <= tol)
             assert not np.all(np.abs(a - b[::-1]) <= tol)
+
+
+LENNARD_JONES_STEPS = [h for name, h in ALL if name == "lennard-jones"]
+
+
+@pytest.mark.parametrize("h_max", LENNARD_JONES_STEPS)
+def test_switched_half_branches_end_at_an_event_image_or_the_window_edge(h_max):
+    # the tracer halves its step toward a window edge down to h_min; a trace
+    # that meets a more symmetric branch ends on a group image of its event
+    diagram = _diagram("lennard-jones", h_max)
+    system = make_system("triangle", CASES["lennard-jones"][1])
+    lo, hi = CASES["lennard-jones"][2]
+    h_min = ContinuationSettings().h_min
+    images = [np.append(P.apply(ev.state), ev.parameter) for ev in diagram.events for P in system.group()]
+    for branch in diagram.branches:
+        if branch.parent_event is None:
+            continue
+        for end in (branch.points[0], branch.points[-1]):
+            z = end.z()
+            at_edge = any(abs(z[-1] - edge) <= h_min * max(1.0, edge) for edge in (lo, hi))
+            at_event = any(np.max(np.abs(z - img)) <= 1e-8 * np.max(np.abs(img)) for img in images)
+            assert at_edge or at_event, (branch.id, end.parameter)
+
+
+@pytest.mark.parametrize("h_max", LENNARD_JONES_STEPS)
+def test_the_scalene_bridge_is_traced_once(h_max):
+    # the traces from the 0.625072 secondary reach an image of the 0.667039
+    # one, so that point is not switched again
+    diagram = _diagram("lennard-jones", h_max)
+    secondary = {round(ev.parameter, 6): ev.id for ev in diagram.events if ev.kind == "secondary"}
+    assert sorted(secondary) == [0.625072, 0.667039]
+    scalene = {b.parent_event for b in diagram.branches if b.label == "scalene"}
+    assert scalene == {secondary[0.625072]}
+    assert len(diagram.branches) == 7

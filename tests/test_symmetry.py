@@ -1,13 +1,18 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cluster_bifurc.continuation import Branch, BranchPoint
+from cluster_bifurc import symmetry
+from cluster_bifurc.cli import build_diagram
+from cluster_bifurc.continuation import Branch, BranchPoint, ContinuationSettings
 from cluster_bifurc.potentials import LennardJones
 from cluster_bifurc.symmetry import (
     Perm,
     PermGroup,
+    crossing_functionals,
+    fixed_projection,
     fixed_projection_exact,
     isotropy,
     orbit,
@@ -243,3 +248,65 @@ def test_equivariance_full_group_both_systems():
         F4 = residual4(LJ, x4, 0.2)
         for P in tetra_group():
             assert np.max(np.abs(residual4(LJ, P.apply(x4), 0.2) - P.apply(F4))) < 1e-12
+
+
+def test_scalene_triangle_crosses_the_three_isosceles_lines():
+    normals, projections = crossing_functionals(triangle_group(), (Perm.identity(4),))
+    expected = []
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        u = np.zeros(4)
+        u[i], u[j] = 1.0, -1.0
+        expected.append(u / np.sqrt(2.0))
+    assert len(normals) == 3
+    for u in normals:
+        assert sum(np.allclose(u, e, rtol=0, atol=1e-15) or np.allclose(u, -e, rtol=0, atol=1e-15)
+                   for e in expected) == 1
+    # each projection is onto the isosceles line the normal measures the distance to
+    for u, Q in zip(normals, projections):
+        assert np.allclose(Q, np.eye(4) - np.outer(u, u), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("make", [triangle_isosceles_reduction, tetra_opposite_pair_reduction,
+                                  tetra_apex_reduction, tetra_equal_pair_reduction])
+def test_crossing_normals_are_unit_vectors_of_fix_s_orthogonal_to_fix_s_prime(make):
+    reduction = make()
+    group = triangle_group() if reduction.subgroup.n == 4 else tetra_group()
+    normals, projections = crossing_functionals(group, reduction.subgroup.elements)
+    assert len(normals) == 1  # each of these branches has one more symmetric neighbour
+    P = fixed_projection(reduction.subgroup)
+    for u, Q in zip(normals, projections):
+        assert abs(u @ u - 1.0) < 1e-15
+        assert np.max(np.abs(P @ u - u)) < 1e-15  # in Fix(S)
+        assert np.max(np.abs(Q @ u)) < 1e-15  # orthogonal to Fix(S')
+        assert round(float(np.trace(P) - np.trace(Q))) == 1  # Fix(S') has codimension 1
+        # S' is larger than S: its fixed space lies inside Fix(S)
+        assert np.max(np.abs(P @ Q - Q)) < 1e-15
+
+
+def test_crossing_normals_are_read_only():
+    for array in crossing_functionals(triangle_group(), (Perm.identity(4),)):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
+def test_crossing_functionals_are_built_once_per_isotropy_type(monkeypatch):
+    built = Counter()
+    build = symmetry._build_crossings
+
+    def counting(group, subgroup):
+        built[group.n, subgroup] += 1
+        return build(group, subgroup)
+
+    monkeypatch.setattr(symmetry, "_build_crossings", counting)
+    symmetry._cached_crossings.cache_clear()
+    try:
+        # every switched branch starts a trace, two at a time on the thread pool
+        for _ in range(2):
+            build_diagram("triangle", LJ, (0.3, 0.9), ContinuationSettings(h_max=0.2))
+            build_diagram("tetrahedron", LJ, (0.05, 0.5), ContinuationSettings())
+    finally:
+        symmetry._cached_crossings.cache_clear()
+    triangle_types = {subgroup for n, subgroup in built if n == 4}
+    assert triangle_types == {(Perm.identity(4),), triangle_isosceles_reduction().subgroup.elements}
+    assert len(built) > len(triangle_types)
+    assert set(built.values()) == {1}
