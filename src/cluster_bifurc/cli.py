@@ -30,6 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .cluster import ClusterProblem, Geometry, jacobian, margin, residual, stability_boundaries
@@ -51,7 +52,7 @@ from .continuation import (
     trace_branch,
 )
 from .diagram import Abc3d, Diagram, ParamVsComponent, check_projection, export, render_svg
-from .linalg import SingularSystemError, sym_eigen
+from .linalg import sym_eigen
 from .potentials import (
     Buckingham,
     ConfigError,
@@ -801,7 +802,7 @@ def main(argv: list[str] | None = None) -> int:
         key = f" (field: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceAbort, CorrectorFailure, DomainExit, SingularSystemError) as exc:
+    except (TraceAbort, CorrectorFailure, DomainExit, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

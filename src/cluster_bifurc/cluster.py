@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import householder_complement, sym_eigen
 from .potentials import PotentialSpec, derivatives
-from .symmetry import crossing_functionals, stabilizer
+from .symmetry import fixed_space, stabilizer
 
 __all__ = [
     "Margin",
@@ -356,6 +356,6 @@ class ClusterProblem:
         """Number of group elements fixing the edges of x, to the shape namers' 1e-6 relative."""
         return len(stabilizer(self.group(), x))  # the multiplier slot is fixed by every element
 
-    def crossing_functionals(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """`symmetry.crossing_functionals` of the isotropy subgroup of x."""
-        return crossing_functionals(self.group(), stabilizer(self.group(), x))
+    def fixed_space(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`symmetry.fixed_space` of the isotropy subgroup of x."""
+        return fixed_space(self.group(), stabilizer(self.group(), x))

@@ -15,18 +15,25 @@ A `system` is any object with the small interface that
     group()                   the permutation group the system is equivariant under
     isotropy_order(x)         number of group elements that fix the edges of x
     shape_of(x)               shape label of the edges of x
-    crossing_functionals(x)   `symmetry.crossing_functionals` of the isotropy of x
+    fixed_space(x)            `symmetry.fixed_space` of the isotropy of x
 
-Tracing uses Keller's bordered corrector in a relative-scale arclength
-metric: the predictor tangent is frozen as the extra (weighted) row during
-correction, and the sign of that bordered determinant is recorded per point.
-Each Newton iterate evaluates the residual and Jacobian in one pass; an
-accepted point reuses its last Jacobian for that sign, the tangent and the
-classification.  Event detection compares two monitors between consecutive
-points: the tangent-space (Morse) index, the number of negative eigenvalues
-of the Lagrangian's Hessian restricted to the constraint tangent space,
-Z^t H Z, which classification computes anyway, and the sign of the
-tangent's parameter component, which flips at folds.  Since In(J) =
+There is one corrector, Keller's bordered Newton iteration, in a
+relative-scale arclength metric: the predictor tangent is frozen as the
+extra (weighted) row during correction.  Event localization uses the same
+corrector with a zero step along the segment chord, which keeps each probe
+on the hyperplane through it normal to the chord.  A branch of isotropy S
+lies in the fixed-point space Fix(S), and the corrector projects every
+iterate onto it with the exact group-average projector of the start point's
+stabilizer, so a trace keeps its symmetry by construction, whatever the
+linear solver rounds.  Each Newton iterate evaluates the residual and
+Jacobian in one pass; an accepted point reuses its last Jacobian for the
+tangent and the classification.
+
+Event detection compares two monitors between consecutive points: the
+tangent-space (Morse) index, the number of negative eigenvalues of the
+Lagrangian's Hessian restricted to the constraint tangent space, Z^t H Z,
+which classification computes anyway, and the sign of the tangent's
+parameter component, which flips at folds.  Since In(J) =
 In(Z^t H Z) + (1, 1, 0) where grad g != 0 (Gould 1985, Math. Programming
 32), the index changes exactly where an eigenvalue of J of any multiplicity
 crosses zero.  `detect_and_localize` refines whichever fired.
@@ -51,8 +58,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from .linalg import SingularSystemError, det_sign, orthonormal_columns, solve, sym_eigen
+from .linalg import orthonormal_columns, solve, sym_eigen
 
 __all__ = [
     "ContinuationSettings",
@@ -118,9 +126,7 @@ class BranchPoint:
     arclength: float
     stability: str
     shape: str
-    det_sign: int
-    # tangent-space (Morse) index, the tracer's monitor; not exported or compared
-    index: int | None = field(default=None, compare=False, repr=False)
+    index: int  # tangent-space (Morse) index: the number of negative eigenvalues of Z^t H Z
 
     def z(self) -> np.ndarray:
         return np.array(self.state + (self.parameter,), dtype=float)
@@ -202,22 +208,15 @@ class TransversalityError(RuntimeError):
         self.slope_estimate = slope_estimate
 
 
-def classified_point(system, x: np.ndarray, p: float, sign: int | None = None,
-                     J: np.ndarray | None = None) -> BranchPoint:
-    """A solution point with its labels and index, from its Jacobian `J` (built
-    here when not given); `sign` defaults to the unbordered Jacobian's det sign."""
-    if J is None:
-        J = system.jacobian(x, p)
-    if sign is None:
-        sign = det_sign(J)
-    cls = system.classify(x, p, J)
+def classified_point(system, x: np.ndarray, p: float, J: np.ndarray | None = None) -> BranchPoint:
+    """A solution point with its labels and index, from its Jacobian `J` (built here when not given)."""
+    cls = system.classify(x, p, system.jacobian(x, p) if J is None else J)
     return BranchPoint(
         state=tuple(float(v) for v in x),
         parameter=float(p),
         arclength=0.0,
         stability=cls.stability,
         shape=cls.shape,
-        det_sign=int(sign),
         index=cls.index,
     )
 
@@ -226,20 +225,17 @@ def classified_point(system, x: np.ndarray, p: float, sign: int | None = None,
 class Correction:
     """A converged corrector iterate, unpacking as `(point, iterations)`; the
     labeled `point` is built on first use, so a rejected correction costs no
-    determinant sign and no eigen-decomposition."""
+    eigen-decomposition."""
 
     system: object
     state: np.ndarray
     parameter: float
     iterations: int
     jacobian: np.ndarray
-    border: np.ndarray | None = None  # the arclength row of the bordered determinant
 
     @cached_property
     def point(self) -> BranchPoint:
-        J, x, p = self.jacobian, self.state, self.parameter
-        M = J if self.border is None else _bordered_matrix(self.system, J, x, p, self.border)
-        return classified_point(self.system, x, p, det_sign(M), J)
+        return classified_point(self.system, self.state, self.parameter, self.jacobian)
 
     def __getitem__(self, i: int):
         return self.iterations if i in (1, -1) else (self.point, self.iterations)[i]
@@ -255,55 +251,57 @@ def _bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np.nda
 
 
 def newton_correct(system, state, parameter: float, settings: ContinuationSettings,
-                   constraint: PseudoArclength | None = None) -> Correction:
+                   constraint: PseudoArclength | None = None,
+                   projection: np.ndarray | None = None) -> Correction:
     """Correct a guess onto the solution set; returns (point, iterations used).
 
     With `constraint=None` the parameter stays fixed and Newton runs on the
     square KKT system; with a PseudoArclength constraint both the state and
-    the parameter move, bordered by the frozen tangent row.  Convergence is
-    declared when the residual infinity norm drops below newton_tol; the
-    `Correction` carries that iterate's Jacobian and labels the point only
-    when asked.  Raises CorrectorFailure on stagnation and DomainExit when
-    an iterate (or the converged point) leaves the feasible region.
+    the parameter move, bordered by the frozen tangent row (a zero step with
+    the tangent a unit normal and no weights keeps them on a hyperplane).
+    `projection`, the projector onto a fixed-point space Fix(S), is applied
+    to every iterate, so the converged state lies in Fix(S) exactly.
+    Convergence is declared when the residual infinity norm drops below
+    newton_tol and the constraint holds; the `Correction` carries that
+    iterate's Jacobian and labels the point only when asked.  Raises
+    CorrectorFailure on stagnation or a singular corrector matrix and
+    DomainExit when an iterate (or the converged point) leaves the feasible
+    region.
     """
     n = system.dim
     x = np.array(state, dtype=float)
     p = float(parameter)
+    h = 0.0
     if constraint is not None:
         z_prev = np.array(constraint.prev_state + (constraint.prev_parameter,), dtype=float)
-        t = np.asarray(constraint.tangent, dtype=float)
-        w = (np.asarray(constraint.weights, dtype=float) if constraint.weights is not None
-             else np.ones(n + 1))
-        row = w * t
+        row = np.asarray(constraint.tangent, dtype=float)
+        if constraint.weights is not None:
+            row = np.asarray(constraint.weights, dtype=float) * row
+        h = constraint.h
     res_norm = math.inf
     for it in range(settings.newton_max_iters + 1):
+        if projection is not None:
+            x = projection @ x
         if not system.in_domain(x):
             raise DomainExit(f"iterate left the domain at {system.param_name}={p:.6g}")
         F, J = system.evaluate(x, p)
         if not np.all(np.isfinite(F)):
             raise CorrectorFailure("non-finite residual", math.inf, it)
         res_norm = float(np.max(np.abs(F)))
-        on_constraint = constraint is None or abs(
-            row @ (np.append(x, p) - z_prev) - constraint.h) < 1e-10 * max(1.0, abs(constraint.h))
-        if res_norm < settings.newton_tol and on_constraint:
+        gap = 0.0 if constraint is None else row @ (np.append(x, p) - z_prev) - h
+        if res_norm < settings.newton_tol and abs(gap) < 1e-10 * max(1.0, abs(h)):
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
-            return Correction(system, x, p, it, J, None if constraint is None else row)
+            return Correction(system, x, p, it, J)
         if it == settings.newton_max_iters:
             break
         try:
             if constraint is None:
-                step, _ = solve(J, -F)
-                x = x + step
+                x = x + solve(J, -F)
             else:
-                z = np.append(x, p)
-                rhs = np.empty(n + 1)
-                rhs[:n] = -F
-                rhs[n] = -(row @ (z - z_prev) - constraint.h)
-                step, _ = solve(_bordered_matrix(system, J, x, p, row), rhs)
-                x = x + step[:n]
-                p = p + step[n]
-        except SingularSystemError as exc:
+                step = solve(_bordered_matrix(system, J, x, p, row), np.append(-F, -gap))
+                x, p = x + step[:n], p + step[n]
+        except LinAlgError as exc:
             raise CorrectorFailure(f"singular corrector matrix ({exc})", res_norm, it) from exc
     raise CorrectorFailure(
         f"no convergence in {settings.newton_max_iters} iterations (|F|={res_norm:.3e})",
@@ -326,13 +324,13 @@ def branch_tangent(system, x: np.ndarray, p: float, t_prev: np.ndarray,
     rhs[n] = 1.0
     M = _bordered_matrix(system, J, x, p, w * t_prev)
     try:
-        t, _ = solve(M, rhs)
-    except SingularSystemError:
+        t = solve(M, rhs)
+    except LinAlgError:
         # reference direction happened to be orthogonal to the curve; nudge it
         bumped = w * t_prev + 1e-8 * np.ones(n + 1)
         try:
-            t, _ = solve(_bordered_matrix(system, J, x, p, bumped), rhs)
-        except SingularSystemError:
+            t = solve(_bordered_matrix(system, J, x, p, bumped), rhs)
+        except LinAlgError:
             t = np.asarray(t_prev, dtype=float).copy()  # singular point: keep the caller's direction
     return t / np.sqrt((w * t) @ t)
 
@@ -358,7 +356,9 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
       above 1: a corrected point has a larger isotropy order than the start
       point; the point is dropped.
 
-    Corrections that the window or these rules reject are not labeled.
+    Every correction and localization probe is projected onto Fix(S), S the
+    start point's stabilizer.  Corrections that the window or these rules
+    reject are not labeled.
     Detected events are classified as `bifurcation_kind` ("primary" when
     the caller is tracing the fully symmetric branch) or "turning".
     """
@@ -368,13 +368,11 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     d = d / np.sqrt(d @ d)
     z = np.append(x0, p0)
     w = metric_weights(z)
-    J = system.jacobian(x0, p0)
-    t = branch_tangent(system, x0, p0, d, w, J)
-    sign0 = det_sign(_bordered_matrix(system, J, x0, p0, w * t))
-    points = [replace(start, det_sign=sign0, arclength=0.0, index=system.classify(x0, p0, J).index)]
+    t = branch_tangent(system, x0, p0, d, w)
+    points = [replace(start, arclength=0.0)]
     tangents = [t]
     events: list[BifurcationEvent] = []
-    normals, projections = system.crossing_functionals(x0)
+    fix, normals, projections = system.fixed_space(x0)
     phi = normals @ x0
     start_order = None
     reached = None
@@ -385,7 +383,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         try:
             corrected = newton_correct(
                 system, z_pred[:-1], z_pred[-1], settings,
-                PseudoArclength(tuple(z[:-1]), float(z[-1]), tuple(t), h, tuple(w)))
+                PseudoArclength(tuple(z[:-1]), float(z[-1]), tuple(t), h, tuple(w)), fix)
         except (CorrectorFailure, DomainExit) as err:
             if h > settings.h_min:
                 h = max(h * settings.step_shrink, settings.h_min)
@@ -428,7 +426,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 system, points[-2], points[-1], settings,
                 bifurcation_kind=bifurcation_kind,
                 monitors=(points[-2].index, points[-1].index,
-                          float(tangents[-2][-1]), float(tangents[-1][-1])))
+                          float(tangents[-2][-1]), float(tangents[-1][-1])),
+                projection=fix)
             if ev is not None:
                 events.append(ev)
         z, t, w, phi = z_new, t_new, w_new, phi_new
@@ -494,35 +493,10 @@ def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
     return kept
 
 
-def _correct_on_hyperplane(system, q: np.ndarray, d: np.ndarray, settings: ContinuationSettings
-                           ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Newton onto the branch on the hyperplane through q normal to d: (z, its Jacobian) or None."""
-    n = system.dim
-    z = q.copy()
-    for _ in range(40):
-        x, p = z[:n], z[n]
-        if not system.in_domain(x):
-            return None
-        F, J = system.evaluate(x, p)
-        if not np.all(np.isfinite(F)):
-            return None
-        if np.max(np.abs(F)) < settings.newton_tol:
-            return z, J
-        rhs = np.empty(n + 1)
-        rhs[:n] = -F
-        rhs[n] = -(d @ (z - q))
-        try:
-            step, _ = solve(_bordered_matrix(system, J, x, p, d), rhs)
-        except SingularSystemError:
-            return None
-        z = z + step
-    return None
-
-
 def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: ContinuationSettings,
                         bifurcation_kind: str = "secondary",
-                        monitors: tuple[int, int, float, float] | None = None
-                        ) -> BifurcationEvent | None:
+                        monitors: tuple[int, int, float, float] | None = None,
+                        projection: np.ndarray | None = None) -> BifurcationEvent | None:
     """Examine one traced segment for a bifurcation or turning point.
 
     Two monitors are compared between the endpoints: the tangent-space
@@ -538,7 +512,9 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     bracket; an index change without a tangent flip is a bifurcation
     crossing, localized by bisection on the same index.  Every probe
     corrects back onto the branch on the hyperplane orthogonal to the
-    segment chord, so folds pose no difficulty.  Localization targets
+    segment chord, so folds pose no difficulty; `newton_correct` does this
+    with a zero arclength step along the chord, projecting onto the
+    branch's fixed-point space with `projection`.  Localization targets
     relative parameter accuracy 1e-10; if a probe correction fails the event
     is reported from the best point found, flagged `refined=False`.
     """
@@ -563,7 +539,13 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     kind = "turning" if fold_flip else bifurcation_kind
 
     def corrected(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
-        return _correct_on_hyperplane(system, za + theta * chord, d, settings)
+        q = za + theta * chord
+        try:
+            got = newton_correct(system, q[:-1], q[-1], settings,
+                                 PseudoArclength(tuple(q[:-1]), float(q[-1]), tuple(d), 0.0), projection)
+        except (CorrectorFailure, DomainExit):
+            return None
+        return np.append(got.state, got.parameter), got.jacobian
 
     def corrected_near(lo: float, hi: float, theta: float):
         """Probe theta, falling back to offsets inside (lo, hi).
@@ -686,8 +668,8 @@ def _reduced_correct(system, Z: np.ndarray, x_guess: np.ndarray, p: float,
         if np.max(np.abs(F)) < settings.newton_tol:
             return x, p
         try:
-            step, _ = solve(M, -F)
-        except SingularSystemError:
+            step = solve(M, -F)
+        except LinAlgError:
             return None
         y = y + step[:k]
         if pin is not None:

@@ -69,7 +69,7 @@ def _point_obj(pt: BranchPoint) -> dict:
         "s": pt.arclength,
         "stability": pt.stability,
         "shape": pt.shape,
-        "det_sign": pt.det_sign,
+        "index": pt.index,
     }
 
 
@@ -80,7 +80,7 @@ def _point_from(obj: dict) -> BranchPoint:
         arclength=obj["s"],
         stability=obj["stability"],
         shape=obj["shape"],
-        det_sign=obj["det_sign"],
+        index=obj["index"],
     )
 
 
@@ -144,6 +144,9 @@ def diagram_to_json(diagram: Diagram) -> str:
 
 def diagram_from_json(text: str) -> Diagram:
     obj = json.loads(text)
+    if any("index" not in pt for b in obj["branches"] for pt in b["points"]):
+        raise ValueError(f"diagram version {obj.get('version')!r} stores no Morse index per point; "
+                         f"version {__version__} reads only diagrams that do")
     settings = ContinuationSettings(**obj["settings"])
     branches = [
         Branch(
@@ -258,7 +261,7 @@ def _event_coords(diagram: Diagram, projection) -> list[tuple[float, float]]:
         settings=diagram.settings,
         branches=[Branch(points=[
             BranchPoint(state=ev.state, parameter=ev.parameter, arclength=0.0,
-                        stability="marginal", shape="", det_sign=1)
+                        stability="marginal", shape="", index=0)
             for ev in diagram.events
         ])],
     )

@@ -15,9 +15,10 @@ builds the projector onto the corresponding fixed-point subspace (exactly,
 in rational arithmetic), where the critical eigenvalue is simple and branch
 switching is well posed.
 
-A branch of isotropy S can meet a more symmetric branch only inside a
-Fix(S') of a larger S'; `crossing_functionals` gives the signed distances
-from those of codimension 1, once per isotropy type.
+A branch of isotropy S lies in Fix(S) and can meet a more symmetric branch
+only inside a Fix(S') of a larger S'; `fixed_space` gives the projector
+onto Fix(S) and the signed distances from the Fix(S') of codimension 1,
+once per isotropy type.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "isotropy",
     "stabilizer",
     "crossing_functionals",
+    "fixed_space",
     "fixed_projection",
     "fixed_projection_exact",
     "orbit",
@@ -201,13 +203,27 @@ def fixed_projection_exact(subgroup) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(c, h) for c in row) for row in counts)
 
 
-def fixed_projection(subgroup: PermGroup) -> np.ndarray:
-    """Group-average projector onto the fixed-point subspace, as floats."""
+def fixed_projection(subgroup) -> np.ndarray:
+    """Group-average projector onto the fixed-point subspace, as floats (of a group or its elements)."""
     exact = fixed_projection_exact(subgroup)
     return np.array([[float(x) for x in row] for row in exact])
 
 
 _crossings_lock = threading.Lock()
+
+
+def fixed_space(group: PermGroup, subgroup: tuple[Perm, ...]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, normals, projections) of S = `subgroup`: the group-average projector
+    onto Fix(S) and the `crossing_functionals` of Fix(S).
+
+    P has the exact block averages as entries (1/|B| over each block B of
+    coordinates that S permutes), so P @ x has bitwise equal entries within
+    each block.  Built once per pair and process (threads wait for the
+    first), the arrays are shared and read-only.
+    """
+    with _crossings_lock:
+        return _cached_crossings(group, tuple(subgroup))
 
 
 def crossing_functionals(group: PermGroup, subgroup: tuple[Perm, ...]
@@ -216,19 +232,19 @@ def crossing_functionals(group: PermGroup, subgroup: tuple[Perm, ...]
 
     Row k of the normals is the unit vector u_k spanning Fix(S) minus
     Fix(S'_k), the signed distance from it; `projections[k]` projects onto
-    Fix(S'_k).  Built once per pair and process (threads wait for the
-    first), the arrays are shared and read-only.
+    Fix(S'_k).  Shared and read-only, as in `fixed_space`.
     """
-    with _crossings_lock:
-        return _cached_crossings(group, tuple(subgroup))
+    return fixed_space(group, subgroup)[1:]
 
 
 @lru_cache(maxsize=None)
-def _cached_crossings(group: PermGroup, subgroup: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _cached_crossings(group: PermGroup, subgroup: tuple[Perm, ...]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _build_crossings(group, subgroup)
 
 
-def _build_crossings(group: PermGroup, subgroup: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _build_crossings(group: PermGroup, subgroup: tuple[Perm, ...]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # every S' > S contains some g outside S, so the largest fixed spaces
     # inside Fix(S) are the Fix(<S, g>), one per coset gS; keep those of
     # codimension 1, once each
@@ -249,7 +265,8 @@ def _build_crossings(group: PermGroup, subgroup: tuple[Perm, ...]) -> tuple[np.n
         j = max(range(n), key=lambda i: D[i][i])  # rank 1: D = u u^t, so u = D e_j / sqrt(D_jj)
         normals.append([float(D[i][j]) / math.sqrt(D[j][j]) for i in range(n)])
         projections.append([[float(v) for v in row] for row in Q])
-    out = np.array(normals).reshape(-1, n), np.array(projections).reshape(-1, n, n)
+    out = (fixed_projection(subgroup), np.array(normals).reshape(-1, n),
+           np.array(projections).reshape(-1, n, n))
     for a in out:
         a.flags.writeable = False
     return out

@@ -2,8 +2,17 @@ import json
 import math
 
 import pytest
+from numpy.linalg import LinAlgError
 
-from cluster_bifurc.cli import EXIT_CONFIG, EXIT_OK, build_diagram, load_config, main, run_verification
+from cluster_bifurc.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    build_diagram,
+    load_config,
+    main,
+    run_verification,
+)
 from cluster_bifurc.diagram import load_diagram
 from cluster_bifurc.potentials import ConfigError, LennardJones
 from cluster_bifurc.continuation import ContinuationSettings
@@ -208,3 +217,15 @@ def test_a_crossing_a_trace_localized_is_not_switched_again(monkeypatch):
     assert not {ev.id for ev in found} & set(switched)
     ends = {pt.state for b in diagram.branches[1:] for pt in (b.points[0], b.points[-1])}
     assert all(ev.state in ends for ev in found)
+
+
+def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):
+    from cluster_bifurc import cli
+
+    def singular(*args, **kwargs):
+        raise LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "build_diagram", singular)
+    cfg = write_config(tmp_path, {**LJ_STABILITY, "window": [0.3, 0.9]})
+    assert main(["diagram", "--config", cfg]) == EXIT_NUMERICAL
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err

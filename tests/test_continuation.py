@@ -22,7 +22,7 @@ from cluster_bifurc.continuation import (
     newton_correct,
     trace_branch,
 )
-from cluster_bifurc.linalg import det_sign, sym_eigen
+from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import Perm, PermGroup, Reduction, triangle_isosceles_reduction
 from cluster_bifurc.triangle import TRIANGLE, TriangleProblem, stability_boundaries3
@@ -76,6 +76,26 @@ def test_newton_correct_domain_error():
     system = lj_system()
     with pytest.raises(DomainExit):
         newton_correct(system, [0.0, -1.0, 1.0, 1.0], 0.5, ContinuationSettings())
+
+
+class FlatTriangle(TriangleProblem):
+    """The Lennard-Jones triangle with every Jacobian replaced by zeros."""
+
+    def evaluate(self, x, p):
+        F, J = super().evaluate(x, p)
+        return F, np.zeros_like(J)
+
+
+def test_singular_corrector_matrix_is_a_corrector_failure():
+    system = FlatTriangle(LJ)
+    settings = ContinuationSettings()
+    x = system.trivial_state(0.4)
+    x[1] += 1e-3
+    with pytest.raises(CorrectorFailure, match="singular corrector matrix"):
+        newton_correct(system, x, 0.4, settings)
+    with pytest.raises(CorrectorFailure, match="singular corrector matrix"):
+        newton_correct(system, x, 0.4, settings,
+                       PseudoArclength(tuple(x), 0.4, tuple(np.eye(5)[1]), 0.0))
 
 
 def test_newton_correct_failure_on_hopeless_guess():
@@ -208,16 +228,12 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
 
 def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     # the same quiet Hooke trace: corrections past the A = 100 edge are
-    # rejected before their determinant sign and eigen-decomposition
+    # rejected before their eigen-decomposition
     counts = Counter()
 
     def eig(M):
         counts["eig"] += 1
         return sym_eigen(M)
-
-    def sign(M):
-        counts["det_sign"] += 1
-        return det_sign(M)
 
     def correct(*args, **kwargs):
         counts["corrections"] += 1
@@ -227,18 +243,17 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
     monkeypatch.setattr(cluster, "sym_eigen", eig)
-    monkeypatch.setattr(continuation, "det_sign", sign)
     monkeypatch.setattr(continuation, "newton_correct", correct)
     corrected = newton_correct(system, system.trivial_state(0.2), 0.2, settings)
     assert corrected[1] == corrected.iterations and counts["eig"] == 0
-    assert corrected[0] is corrected.point and counts["eig"] == counts["det_sign"] == 1
+    assert corrected[0] is corrected.point and counts["eig"] == 1
     counts.clear()
     hint = np.zeros(5)
     hint[-1] = 1.0
     branch, _ = trace_branch(system, start, hint, settings, (0.1, 100.0))
     assert counts["corrections"] > len(branch.points) + 10
-    # one of each at the start point and at every point kept after it
-    assert counts["eig"] == counts["det_sign"] == len(branch.points)
+    # one at every point kept after the start point, which comes labeled
+    assert counts["eig"] == len(branch.points) - 1
 
 
 def _lennard_jones_secondaries():
@@ -288,13 +303,12 @@ def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
 
 
 def test_index_monitor_jumps_by_two_across_the_double_crossing():
-    # two eigenvalues cross together at the primary A0; every determinant
-    # sign stays, the tangent-space index moves by 2
+    # two eigenvalues cross together at the primary A0, which leaves the
+    # determinant sign as it was; the tangent-space index moves by 2
     system = lj_system()
     settings = ContinuationSettings()
     below, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01, settings)
     above, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01, settings)
-    assert below.det_sign == above.det_sign
     assert abs(below.index - above.index) == 2
 
 

@@ -1,4 +1,6 @@
+import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,24 +18,25 @@ from cluster_bifurc.diagram import (
 )
 
 
-def point(state, p, s, stability="stable", shape="equilateral", det=1):
+def point(state, p, s, stability="stable", shape="equilateral", index=0):
     return BranchPoint(state=tuple(state), parameter=p, arclength=s,
-                       stability=stability, shape=shape, det_sign=det)
+                       stability=stability, shape=shape, index=index)
 
 
 def small_diagram():
     pts = [
         point((-1.0, 1.0, 1.0, 1.0), 0.40, 0.0),
         point((-1.1, 1.05, 1.05, 1.05), 0.45, 0.1),
-        point((-1.2, 1.10, 1.10, 1.10), 0.50, 0.2, stability="unstable"),
-        point((-1.3, 1.15, 1.15, 1.15), 0.55, 0.3, stability="unstable"),
+        point((-1.2, 1.10, 1.10, 1.10), 0.50, 0.2, stability="unstable", index=2),
+        point((-1.3, 1.15, 1.15, 1.15), 0.55, 0.3, stability="unstable", index=2),
     ]
     ev = BifurcationEvent(kind="primary", parameter=0.45, kernel_dim=2,
                           kernel=((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0)),
                           state=(-1.1, 1.05, 1.05, 1.05), source_branch=0, refined=True, id=0)
     iso = Branch(points=[
         point((-1.1, 1.2, 1.0, 1.0), 0.45, 0.0, shape="isosceles(b=c)"),
-        point((-1.15, 1.25, 0.98, 0.98), 0.47, 0.1, shape="isosceles(b=c)", stability="unstable"),
+        point((-1.15, 1.25, 0.98, 0.98), 0.47, 0.1, shape="isosceles(b=c)", stability="unstable",
+              index=1),
     ], id=1, parent_event=0, label="isosceles(b=c)")
     return Diagram(
         problem="triangle",
@@ -56,7 +59,7 @@ def random_diagram(seed):
             s += float(rng.uniform(0.01, 0.2))
             pts.append(point(tuple(rng.uniform(0.5, 2.0, 4)), float(rng.uniform(0.2, 2.0)), s,
                              stability=("stable", "unstable", "marginal")[rng.integers(0, 3)],
-                             shape="scalene", det=int(rng.choice([-1, 1]))))
+                             shape="scalene", index=int(rng.integers(0, 3))))
         branches.append(Branch(points=pts, id=bid, label=f"b{bid}"))
     return Diagram(problem="triangle", potential={"family": "spring", "params": {"k": 1.0, "beta": 0.0}},
                    window=(0.1, 2.5), settings=ContinuationSettings(h0=5e-3), branches=branches,
@@ -74,6 +77,27 @@ def test_json_round_trip_randomized():
     for seed in range(12):
         d = random_diagram(seed)
         assert load_diagram(export(d, "json")) == d
+
+
+def test_morse_index_is_exported_and_compared():
+    d = small_diagram()
+    obj = json.loads(export(d, "json"))
+    assert [pt["index"] for pt in obj["branches"][0]["points"]] == [0, 0, 2, 2]
+    other = small_diagram()
+    pt = other.branches[1].points[1]
+    other.branches[1].points[1] = replace(pt, index=pt.index + 1)
+    assert load_diagram(export(other, "json")) != d
+
+
+def test_load_rejects_a_file_without_the_index_and_names_its_version():
+    obj = json.loads(export(small_diagram(), "json"))
+    obj["version"] = "0.1.0"
+    for br in obj["branches"]:
+        for pt in br["points"]:
+            pt["det_sign"] = 1
+            del pt["index"]
+    with pytest.raises(ValueError, match="0.1.0"):
+        load_diagram(json.dumps(obj))
 
 
 def test_export_deterministic_bytes():

@@ -1,10 +1,11 @@
 """Golden event sets: whole diagram builds whose events must not move.
 
-Each list is the sorted (kind, parameter) event set of the build, recorded
-with the row-at-a-time LU and the Jacobi eigensolver the package used before
-its kernels moved to scalar elimination and LAPACK `eigh`.  A kernel change
-that alters what counts as singular, or how an eigenvector is oriented,
-shows here as a missing, extra or shifted event.
+Each list is the sorted (kind, parameter) event set of the build, first
+recorded with a row-at-a-time pivoted LU and a Jacobi eigensolver.  The
+kernels are now `numpy.linalg.solve` and LAPACK `eigh`, and every traced
+branch is projected onto its fixed-point space, so no event depends on how
+a solver rounds.  A change that alters what counts as singular, or how an
+eigenvector is oriented, shows here as a missing, extra or shifted event.
 
 The two Lennard-Jones sets were recorded once traces ended at the branch
 points they reach.  The triangle at h_max=0.01 has the four events that
@@ -15,7 +16,8 @@ the primary point itself, reached again by a switched branch.  Since
 switched traces end where they cross into a larger fixed-point space, the
 branch switched at 0.200348 ends on an image of the 0.276375 point, which
 is then not switched again; the six branches that switch gave were arcs of
-the same bridge.
+the same bridge.  The tetrahedron diagram has 14 branches at every h_max
+(`test_hmax_invariance.py`).
 """
 
 import pytest

@@ -204,7 +204,7 @@ def test_reduced_jacobian_simple_eigenvalues_tetra():
 def _branch_from_states(states):
     return Branch(points=[
         BranchPoint(state=tuple(s), parameter=0.5, arclength=float(i),
-                    stability="stable", shape="", det_sign=1)
+                    stability="stable", shape="", index=0)
         for i, s in enumerate(states)
     ])
 
