@@ -19,6 +19,7 @@ byte-identical JSON/CSV; timestamps only appear in the run_meta.json sidecar.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -52,7 +53,7 @@ from .continuation import (
     trace_branch,
 )
 from .diagram import Abc3d, Diagram, ParamVsComponent, check_projection, export, render_svg
-from .linalg import sym_eigen
+from .linalg import squared_norms, sym_eigen
 from .potentials import (
     Buckingham,
     ConfigError,
@@ -106,17 +107,16 @@ def make_system(problem: str, spec) -> ClusterProblem:
 
 
 def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
+    """The symmetric branch at `samples` even steps over the window and at `extra_params`,
+    classified in one stacked pass."""
     params = sorted(set(np.linspace(window[0], window[1], samples).tolist()) | set(extra_params))
-    points: list[BranchPoint] = []
-    s = 0.0
-    prev = None
-    for p in params:
-        pt = classified_point(system, system.trivial_state(p), p)
-        if prev is not None:
-            dz = pt.z() - prev.z()
-            s += float(np.sqrt(dz @ dz))
-        points.append(replace(pt, arclength=s))
-        prev = pt
+    states = np.array([system.trivial_state(p) for p in params]).reshape(-1, system.dim)
+    jacobians = [system.evaluate(x, p)[1] for x, p in zip(states, params)]
+    dz = np.diff(np.column_stack([states, params]), axis=0)
+    steps = np.sqrt(squared_norms(dz))
+    arclengths = itertools.accumulate(steps.tolist(), initial=0.0)
+    points = [BranchPoint(tuple(x), p, s, c.stability, c.shape, c.index) for x, p, s, c in
+              zip(states.tolist(), params, arclengths, system.classify_stack(states, jacobians))]
     return Branch(points=points, id=0, label="trivial")
 
 
@@ -210,7 +210,9 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     space at a bifurcation it localizes itself; a simple secondary event
     that some trace reached is not switched again: the branches it would
     seed are images of that trace.  Finally every nontrivial branch is
-    expanded to its full symmetry orbit.
+    expanded to its full symmetry orbit: each image a column permutation of
+    the branch's stacked states, its points' shape labels set as they are
+    built.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo < hi):
@@ -277,13 +279,12 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     next_branch_id = 1
     group = geometry.group()
     for entry in entries:
-        images = orbit(group, entry.branch)
+        images = orbit(group, entry.branch, geometry.shape)
         rep_id = next_branch_id
         for image in images:
             image.id = next_branch_id
             image.parent_event = entry.parent_event_id
             image.label = entry.label
-            image.points = [replace(pt, shape=system.shape_of(np.asarray(pt.state))) for pt in image.points]
             branches.append(image)
             next_branch_id += 1
         events.extend(replace(e, source_branch=rep_id) for e in entry.events)

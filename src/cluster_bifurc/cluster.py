@@ -47,6 +47,7 @@ __all__ = [
     "stability_boundaries",
     "stable_intervals",
     "classify_point",
+    "classify_stack",
     "ClusterProblem",
 ]
 
@@ -273,37 +274,68 @@ def stable_intervals(geometry: Geometry, spec: PotentialSpec, interval: tuple[fl
     return out
 
 
+def _tangent_matrix(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Z^t H Z, zero band) of a Jacobian J, or of each one in a stack.
+
+    H = J[1:, 1:] is the constrained Hessian and Z the orthonormal basis of
+    the constraint tangent space: the trailing columns of the Householder
+    factorization of grad g = J[0, 1:].  The band is 1e-8 times the larger
+    scale of Z^t H Z and H; at a bifurcation point the projected matrix
+    itself is ~0 and cannot calibrate its own zero band.
+    """
+    g, H = J[..., 0, 1:], J[..., 1:, 1:]
+    if not np.abs(g).max(axis=-1).all():
+        raise DegenerateConstraintError("constraint gradient vanished at this state")
+    basis = householder_complement(g)
+    M = basis.swapaxes(-1, -2) @ H @ basis
+    M = 0.5 * (M + M.swapaxes(-1, -2))  # exact congruence symmetry, lost only to round-off
+    tol = 1e-8 * np.maximum(np.abs(M).max(axis=(-2, -1)), np.abs(H).max(axis=(-2, -1)))
+    return M, tol
+
+
+def _classification(geometry: Geometry, edges, w: list[float], tol: float) -> Classification:
+    """The labels of tangent eigenvalues `w`: stable when all exceed `tol`,
+    marginal when any lies within `tol` of zero, unstable otherwise."""
+    if all(v > tol for v in w):
+        stability = "stable"
+    elif any(abs(v) <= tol for v in w):
+        stability = "marginal"
+    else:
+        stability = "unstable"
+    return Classification(stability, geometry.shape(edges), tuple(w))
+
+
 def classify_point(geometry: Geometry, spec: PotentialSpec, state, param: float,
                    J: np.ndarray | None = None) -> Classification:
     """Stability and shape of a computed solution.
 
-    Projects the constrained Hessian H = J[1:, 1:] onto an orthonormal basis
-    Z of the constraint tangent space (the trailing columns of the
-    Householder factorization of grad g = J[0, 1:]; `J` is the state's
-    Jacobian, built here if not given) and inspects the eigenvalues of
-    Z^t H Z: stable when all exceed 1e-8 times the Hessian scale, marginal
-    when any eigenvalue sits within that band of zero.
+    Inspects the eigenvalues (`sym_eigen`) of the constrained Hessian
+    projected onto the constraint tangent space, Z^t H Z, against a zero
+    band of 1e-8 times the Hessian scale (see `_tangent_matrix`).  `J` is
+    the state's Jacobian, built here if not given.
     """
     _, e = _unpack(geometry, state)
     if J is None:
         J = jacobian(geometry, spec, state)
-    g, H = J[0, 1:], J[1:, 1:]
-    if np.max(np.abs(g)) == 0.0:
-        raise DegenerateConstraintError("constraint gradient vanished at this state")
-    basis = householder_complement(g)
-    M = basis.T @ H @ basis
-    M = 0.5 * (M + M.T)  # exact congruence symmetry, lost only to round-off
+    M, tol = _tangent_matrix(J)
     w, _ = sym_eigen(M)
-    # the tolerance keeps the full Hessian scale: at a bifurcation point the
-    # projected matrix itself is ~0 and cannot calibrate its own zero band
-    tol = 1e-8 * float(max(np.max(np.abs(M)), np.max(np.abs(H))))
-    if np.all(w > tol):
-        stability = "stable"
-    elif np.any(np.abs(w) <= tol):
-        stability = "marginal"
-    else:
-        stability = "unstable"
-    return Classification(stability, geometry.shape(e), tuple(float(v) for v in w))
+    return _classification(geometry, e, w.tolist(), float(tol))
+
+
+def classify_stack(geometry: Geometry, states, jacobians) -> list[Classification]:
+    """`classify_point` of many solutions in one pass: states (N, n+1) with
+    their Jacobians (N, n+1, n+1).
+
+    Builds every Z^t H Z at once and takes their eigenvalues in one stacked
+    `numpy.linalg.eigh`; the eigenvalues, and so the labels, are bit for bit
+    those of `classify_point`.
+    """
+    dim = geometry.n_edges + 1
+    states = np.asarray(states, dtype=float).reshape(-1, dim)
+    M, tol = _tangent_matrix(np.asarray(jacobians, dtype=float).reshape(len(states), dim, dim))
+    w = np.linalg.eigh(M)[0]
+    return [_classification(geometry, x[1:], wi, t)
+            for x, wi, t in zip(states.tolist(), w.tolist(), tol.tolist())]
 
 
 class ClusterProblem:
@@ -338,6 +370,9 @@ class ClusterProblem:
 
     def classify(self, x, p: float, J: np.ndarray | None = None) -> Classification:
         return classify_point(self.geometry, self.spec, x, p, J)
+
+    def classify_stack(self, states, jacobians) -> list[Classification]:
+        return classify_stack(self.geometry, states, jacobians)
 
     def energy(self, x) -> float:
         return energy(self.geometry, self.spec, x)

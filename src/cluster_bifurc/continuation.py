@@ -792,10 +792,11 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
 
 
 def _verified_seed(system, x: np.ndarray, p: float, settings: ContinuationSettings) -> BranchPoint:
-    full = float(np.max(np.abs(system.residual(x, p))))
+    F, J = system.evaluate(x, p)
+    full = float(np.max(np.abs(F)))
     if full > 10.0 * settings.newton_tol:
         raise CorrectorFailure(f"reduced-space seed fails full-system verification (|F|={full:.3e})", full)
-    return classified_point(system, x, p)
+    return classified_point(system, x, p, J)
 
 
 def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:

@@ -24,6 +24,7 @@ __all__ = [
     "solve",
     "det_sign",
     "householder_complement",
+    "squared_norms",
     "orthonormal_columns",
 ]
 
@@ -56,20 +57,32 @@ def det_sign(M) -> int:
     return int(np.linalg.slogdet(M)[0])
 
 
+def squared_norms(v) -> np.ndarray:
+    """v @ v of a vector, or of each vector in a stack (..., n), shape (...).
+
+    Summed through matmul, which sums each row as the 1-d product `v @ v`
+    does, so every entry is bit for bit that vector's own `v @ v`.
+    """
+    v = np.asarray(v, dtype=float)
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def householder_complement(g) -> np.ndarray:
     """Orthonormal basis (columns) of the complement of a nonzero vector g.
 
     Taken as the trailing n-1 columns of the Householder reflector sending g
-    to a multiple of e1; deterministic, no randomized null spaces.
+    to a multiple of e1; deterministic, no randomized null spaces.  A stack
+    of vectors, shape (..., n), gives the stack of bases, shape
+    (..., n, n-1), each bit for bit the basis of its own vector.
     """
     g = np.asarray(g, dtype=float)
-    nrm = np.sqrt(g @ g)
-    if nrm == 0.0:
+    nrm = np.sqrt(squared_norms(g))[..., None]
+    if not nrm.all():
         raise ValueError("cannot build a complement basis for the zero vector")
     v = g.copy()
-    v[0] += nrm if g[0] >= 0 else -nrm
-    H = np.eye(g.size) - 2.0 * np.outer(v, v) / (v @ v)
-    return H[:, 1:]
+    v[..., :1] += np.where(g[..., :1] >= 0, nrm, -nrm)
+    H = np.eye(g.shape[-1]) - 2.0 * (v[..., :, None] * v[..., None, :]) / squared_norms(v)[..., None, None]
+    return H[..., 1:]
 
 
 def orthonormal_columns(P, tol: float = 1e-10) -> np.ndarray:

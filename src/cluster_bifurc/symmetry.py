@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .continuation import Branch
+from .continuation import Branch, BranchPoint
 from .linalg import orthonormal_columns
 
 __all__ = [
@@ -323,28 +324,29 @@ def tetra_equal_pair_reduction() -> Reduction:
     return Reduction(isotropy(tetra_group(), EQUAL_PAIR_KERNEL_VECTOR), EQUAL_PAIR_KERNEL_VECTOR)
 
 
-def orbit(group: PermGroup, branch: Branch, tol: float = 1e-9) -> list[Branch]:
+def orbit(group: PermGroup, branch: Branch, shape: Callable[[list[float]], str],
+          tol: float = 1e-9) -> list[Branch]:
     """All distinct images of a branch under the group.
 
-    Two images are considered equal when their point states agree within
-    `tol` componentwise, in either traversal order (a symmetry may reverse
-    the parametrization of a branch that passes through a symmetric point).
-    Stability flags are copied unchanged since conjugate states share
-    spectra; shape labels are recomputed by the caller's classifier when the
-    branch carries one.
+    The branch's states are stacked once, and each group element's image is
+    a column permutation of that array.  Two images are considered equal
+    when their point states agree within `tol` componentwise, in either
+    traversal order (a symmetry may reverse the parametrization of a branch
+    that passes through a symmetric point).  Parameter, arclength,
+    stability and index are copied unchanged, since conjugate states share
+    spectra.  Each image point's shape label is `shape` of its edges
+    (state[1:]), set as the point is built: labels name particular edges
+    (e.g. 'isosceles(b=c)'), so the source branch's own cannot be copied.
     """
-    base_states = [np.asarray(pt.state, dtype=float) for pt in branch.points]
-    images: list[Branch] = []
-    image_states: list[list[np.ndarray]] = []
-
-    def same(states: list[np.ndarray], other: list[np.ndarray]) -> bool:
-        return len(other) == len(states) and all(np.max(np.abs(a - b)) < tol for a, b in zip(states, other))
-
-    for p in group:
-        mapped = [p.apply(s) for s in base_states]
-        if any(same(mapped, other) or same(mapped, other[::-1]) for other in image_states):
-            continue
-        images.append(Branch(points=[replace(pt, state=tuple(float(x) for x in s))
-                                     for s, pt in zip(mapped, branch.points)]))
-        image_states.append(mapped)
-    return images
+    points = branch.points
+    states = np.array([pt.state for pt in points], dtype=float).reshape(len(points), group.n)
+    mapped = np.stack([states[:, list(p.sources)] for p in group])
+    kept: list[int] = []
+    for i, image in enumerate(mapped):
+        others = mapped[kept]
+        if not (np.any(np.all(np.abs(image - others) < tol, axis=(1, 2)))
+                or np.any(np.all(np.abs(image[::-1] - others) < tol, axis=(1, 2)))):
+            kept.append(i)
+    return [Branch(points=[BranchPoint(tuple(x), pt.parameter, pt.arclength, pt.stability, shape(x[1:]), pt.index)
+                           for x, pt in zip(mapped[i].tolist(), points)])
+            for i in kept]

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
@@ -8,14 +9,17 @@ from cluster_bifurc.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _trivial_branch,
     build_diagram,
     load_config,
     main,
+    make_system,
     run_verification,
 )
+from cluster_bifurc.cluster import stability_boundaries
 from cluster_bifurc.diagram import load_diagram
-from cluster_bifurc.potentials import ConfigError, LennardJones
-from cluster_bifurc.continuation import ContinuationSettings
+from cluster_bifurc.potentials import Buckingham, ConfigError, LennardJones, PolynomialSpring
+from cluster_bifurc.continuation import ContinuationSettings, classified_point
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -229,3 +233,46 @@ def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, {**LJ_STABILITY, "window": [0.3, 0.9]})
     assert main(["diagram", "--config", cfg]) == EXIT_NUMERICAL
     assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, spec, window", [
+    ("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9)),
+    ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0)),
+    ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0)),
+    ("tetrahedron", LennardJones(1, 2, 12, 6), (0.05, 0.5)),
+], ids=["lennard-jones-triangle", "buckingham-triangle", "soft-spring-tetrahedron",
+        "lennard-jones-tetrahedron"])
+def test_stacked_trivial_branch_labels_equal_the_per_point_ones(problem, spec, window):
+    system = make_system(problem, spec)
+    events = [r.parameter for r in stability_boundaries(system.geometry, spec, window)]
+    assert events
+    branch = _trivial_branch(system, window, 400, events)
+    assert len(branch.points) == 400 + len(events)
+    s = 0.0
+    for i, pt in enumerate(branch.points):
+        want = classified_point(system, system.trivial_state(pt.parameter), pt.parameter)
+        assert (pt.state, pt.parameter) == (want.state, want.parameter)
+        assert (pt.stability, pt.shape, pt.index) == (want.stability, want.shape, want.index)
+        if i:
+            dz = pt.z() - branch.points[i - 1].z()
+            s += float(np.sqrt(dz @ dz))
+        assert pt.arclength == s
+    # every primary event is a marginal point (a sample may sit close enough to one to be marginal too)
+    marginal = {pt.parameter for pt in branch.points if pt.stability == "marginal"}
+    assert set(events) <= marginal
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_a_trivial_branch_of_zero_or_one_samples(samples):
+    # the Hooke triangle has no margin zero, so the samples are all the branch has
+    spec = PolynomialSpring(1, 0)
+    diagram = build_diagram("triangle", spec, (0.5, 2.0), trivial_samples=samples)
+    assert (len(diagram.branches), len(diagram.events)) == (1, 0)
+    points = diagram.branches[0].points
+    assert len(points) == samples
+    system = make_system("triangle", spec)
+    for pt in points:
+        assert pt == classified_point(system, system.trivial_state(0.5), 0.5)
+    # one extra parameter alone makes a branch of one point
+    assert _trivial_branch(system, (0.5, 2.0), 0, [0.7]).points == [
+        classified_point(system, system.trivial_state(0.7), 0.7)]

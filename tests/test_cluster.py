@@ -336,3 +336,20 @@ def test_bordered_inertia_is_tangent_inertia_plus_one(name):
         assert np.sum(np.abs(w_J) <= tol) == np.sum(np.abs(w_T) <= tol) == root.kernel_dim
         assert np.sum(w_J < -tol) == np.sum(w_T < -tol) + 1
         assert np.sum(w_J > tol) == np.sum(w_T > tol) + 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stacked_classification_is_bit_identical_to_the_per_point_one(name):
+    case = CASES[name]
+    rng = np.random.default_rng(17)
+    for spec in SPECS:
+        problem = case["problem"](spec)
+        states = np.array(list(_states(rng, case["n_edges"], 60)))
+        params = rng.uniform(*case["params"], len(states))
+        jacobians = np.array([problem.evaluate(x, p)[1] for x, p in zip(states, params)])
+        got = problem.classify_stack(states, jacobians)
+        want = [case["classify"][1](spec, x, p) for x, p in zip(states, params)]
+        assert got == want
+        assert all(_identical(a.tangent_eigenvalues, b.tangent_eigenvalues) for a, b in zip(got, want))
+        assert problem.classify_stack(states[:1], jacobians[:1]) == want[:1]
+        assert problem.classify_stack(states[:0], jacobians[:0]) == []

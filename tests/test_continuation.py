@@ -376,6 +376,32 @@ def test_branch_switch_buckingham_second_root():
         assert pt.shape.startswith("isosceles")
 
 
+def test_a_seed_is_verified_and_labeled_from_one_evaluation(monkeypatch):
+    system = lj_system()
+    settings = ContinuationSettings()
+    seeds, _ = branch_switch(system, make_primary_event(system, A0), triangle_isosceles_reduction(), settings,
+                             trivial_curve=system.trivial_state)
+    x, p = np.asarray(seeds[0].state), seeds[0].parameter
+    want = continuation.classified_point(system, x, p)
+    counts = Counter()
+
+    def counting(name):
+        method = getattr(system, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("evaluate", "residual", "jacobian"):
+        monkeypatch.setattr(system, name, counting(name))
+    # the Jacobian does not depend on the parameter, so the labels are those of a fresh one
+    assert continuation._verified_seed(system, x, p, settings) == want == seeds[0]
+    assert counts == {"evaluate": 1}
+    with pytest.raises(CorrectorFailure):
+        continuation._verified_seed(system, x, p + 1e-3, settings)
+
+
 def test_dedup_events():
     ev = BifurcationEvent("secondary", 0.5, 1, ((0.0,),), (0.0,))
     close = BifurcationEvent("secondary", 0.5 + 1e-12, 1, ((0.0,),), (0.0,))

@@ -8,6 +8,7 @@ from cluster_bifurc.linalg import (
     householder_complement,
     orthonormal_columns,
     solve,
+    squared_norms,
     sym_eigen,
 )
 
@@ -166,6 +167,31 @@ def test_householder_complement_orthogonality():
         assert np.max(np.abs(B.T @ B - np.eye(n - 1))) < 1e-12
     with pytest.raises(ValueError):
         householder_complement(np.zeros(3))
+
+
+def _reflector_complement(g):
+    """The Householder complement of one vector, written with the 1-d products."""
+    nrm = np.sqrt(g @ g)
+    v = g.copy()
+    v[0] += nrm if g[0] >= 0 else -nrm
+    return (np.eye(g.size) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+
+
+def test_squared_norms_and_complements_are_bit_identical_to_the_vector_formulas():
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 6, 7):
+        G = rng.normal(size=(50, n)) * rng.uniform(1e-3, 1e3, size=(50, 1))
+        G[::7, 0] = 0.0  # the sign rule's tie
+        assert [float(d) for d in squared_norms(G)] == [float(g @ g) for g in G]
+        stacked = householder_complement(G)
+        assert stacked.shape == (50, n, n - 1)
+        for g, B in zip(G, stacked):
+            want = _reflector_complement(g)
+            assert np.array_equal(B, want) and np.array_equal(householder_complement(g), want)
+        assert squared_norms(G[:0]).shape == (0,) and householder_complement(G[:0]).shape == (0, n, n - 1)
+        G[3] = 0.0
+        with pytest.raises(ValueError):
+            householder_complement(G)
 
 
 def test_orthonormal_columns_of_projector():

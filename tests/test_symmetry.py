@@ -1,13 +1,14 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cluster_bifurc import symmetry
-from cluster_bifurc.cli import build_diagram
+from cluster_bifurc import cli, symmetry
+from cluster_bifurc.cli import GEOMETRIES, build_diagram
 from cluster_bifurc.continuation import Branch, BranchPoint, ContinuationSettings
-from cluster_bifurc.potentials import LennardJones
+from cluster_bifurc.potentials import LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import (
     Perm,
     PermGroup,
@@ -209,29 +210,34 @@ def _branch_from_states(states):
     ])
 
 
+def _shape(group):
+    """The shape namer of the geometry whose edges `group` permutes."""
+    return GEOMETRIES["triangle" if group.n == 4 else "tetrahedron"].shape
+
+
 def test_orbit_counts_triangle():
     # an isosceles arc (b = c) maps to exactly three distinct branches
     states = [(-(1.0 + 0.1 * k), 1.0 + 0.1 * k, 0.9, 0.9) for k in range(4)]
-    images = orbit(triangle_group(), _branch_from_states(states))
+    images = orbit(triangle_group(), _branch_from_states(states), _shape(triangle_group()))
     assert len(images) == 3
 
 
 def test_orbit_counts_tetra_families():
     pair = [(-1.0, 1.0, 1.0, 0.8 + 0.02 * k, 1.0, 1.0, 1.3 - 0.02 * k) for k in range(4)]
-    assert len(orbit(tetra_group(), _branch_from_states(pair))) == 6  # one wing only
+    assert len(orbit(tetra_group(), _branch_from_states(pair), _shape(tetra_group()))) == 6  # one wing only
     # a full pitchfork branch through the symmetric point maps to 3: the
     # reversing symmetry folds the two wings onto each other
     sym = [(-1.0, 1.0, 1.0, 1.0 + 0.02 * k, 1.0, 1.0, 1.0 - 0.02 * k) for k in range(-3, 4)]
-    assert len(orbit(tetra_group(), _branch_from_states(sym))) == 3
+    assert len(orbit(tetra_group(), _branch_from_states(sym), _shape(tetra_group()))) == 3
     apex = [(-1.0, 1.1, 1.1, 1.1, 0.9 + 0.01 * k, 0.9 + 0.01 * k, 0.9 + 0.01 * k) for k in range(4)]
-    assert len(orbit(tetra_group(), _branch_from_states(apex))) == 4
+    assert len(orbit(tetra_group(), _branch_from_states(apex), _shape(tetra_group()))) == 4
     eqp = [(-1.0, 1.2 + 0.01 * k, 0.9, 0.9, 1.2 + 0.01 * k, 0.9, 0.9) for k in range(4)]
-    assert len(orbit(tetra_group(), _branch_from_states(eqp))) == 3
+    assert len(orbit(tetra_group(), _branch_from_states(eqp), _shape(tetra_group()))) == 3
 
 
 def test_orbit_copies_stability_and_parameter():
     states = [(-1.0, 1.2, 0.9, 0.9)]
-    images = orbit(triangle_group(), _branch_from_states(states))
+    images = orbit(triangle_group(), _branch_from_states(states), _shape(triangle_group()))
     for img in images:
         assert img.points[0].stability == "stable"
         assert img.points[0].parameter == 0.5
@@ -310,3 +316,74 @@ def test_crossing_functionals_are_built_once_per_isotropy_type(monkeypatch):
     assert triangle_types == {(Perm.identity(4),), triangle_isosceles_reduction().subgroup.elements}
     assert len(built) > len(triangle_types)
     assert set(built.values()) == {1}
+
+
+def _reference_orbit(group, branch, tol=1e-9):
+    """`orbit` as a loop over group elements and points, kept as the reference."""
+    base_states = [np.asarray(pt.state, dtype=float) for pt in branch.points]
+    images, image_states = [], []
+
+    def same(states, other):
+        return len(other) == len(states) and all(np.max(np.abs(a - b)) < tol for a, b in zip(states, other))
+
+    for p in group:
+        mapped = [p.apply(s) for s in base_states]
+        if any(same(mapped, other) or same(mapped, other[::-1]) for other in image_states):
+            continue
+        images.append(Branch(points=[replace(pt, state=tuple(float(x) for x in s))
+                                     for s, pt in zip(mapped, branch.points)]))
+        image_states.append(mapped)
+    return images
+
+
+def _relabeled(images, shape):
+    return [Branch(points=[replace(pt, shape=shape(list(pt.state[1:]))) for pt in image.points])
+            for image in images]
+
+
+def _switched_branches(monkeypatch, problem, spec, window, settings):
+    """The branches `build_diagram` expands to orbits, with the group it uses."""
+    calls = []
+
+    def recording(group, branch, *args, **kwargs):
+        calls.append((group, branch))
+        return orbit(group, branch, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "orbit", recording)
+    build_diagram(problem, spec, window, settings)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("problem, spec, window, settings", [
+    ("triangle", LJ, (0.3, 0.9), ContinuationSettings(h_max=0.2)),
+    ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0), ContinuationSettings(h_max=0.05, max_points=400)),
+], ids=["lennard-jones-triangle", "soft-spring-tetrahedron"])
+def test_orbit_matches_the_per_element_reference_on_switched_branches(monkeypatch, problem, spec, window,
+                                                                      settings):
+    shape = GEOMETRIES[problem].shape
+    calls = _switched_branches(monkeypatch, problem, spec, window, settings)
+    assert len(calls) >= 2
+    self_reversed = 0
+    for group, branch in calls:
+        want = _reference_orbit(group, branch)
+        assert orbit(group, branch, shape) == _relabeled(want, shape)
+        # some element maps the branch onto its own reversal, so its orbit is smaller
+        states = np.array([pt.state for pt in branch.points])
+        self_reversed += len(states) > 1 and any(
+            np.all(np.abs(states[::-1][:, list(p.sources)] - states) < 1e-9) for p in group)
+    assert self_reversed >= 1
+
+
+@pytest.mark.parametrize("group", [triangle_group(), tetra_group()], ids=["triangle", "tetrahedron"])
+def test_orbit_of_a_short_branch_matches_the_reference(group):
+    shape = _shape(group)
+    empty = Branch(points=[])
+    assert orbit(group, empty, shape) == _reference_orbit(group, empty) == [Branch(points=[])]
+    n_edges = group.n - 1
+    for edges in ([1.0] * n_edges, [1.0 + 0.1 * i for i in range(n_edges)]):
+        one = _branch_from_states([(-1.0, *edges)])
+        want = _reference_orbit(group, one)
+        assert orbit(group, one, shape) == _relabeled(want, shape)
+        assert len(want) == len({img.points[0].state for img in want})
+    assert len(orbit(group, _branch_from_states([(-1.0, *[1.0] * n_edges)]), shape)) == 1
