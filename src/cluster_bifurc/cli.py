@@ -754,6 +754,9 @@ def cmd_diagram(cfg: dict, out_dir: Path | None) -> int:
         print(f"event[{ev.id}] {ev.kind} at {ev.parameter:.8g} "
               f"(kernel dim {ev.kernel_dim}, branch {ev.source_branch})")
     if out_dir is not None:
+        if "svg" in outputs[0] and not any(br.points for br in diagram.branches):
+            raise ConfigError("the diagram has no points to draw in diagram.svg; set trivial_samples "
+                              "to at least 1 or leave 'svg' out of outputs", key="trivial_samples")
         _write_outputs(diagram, out_dir, *outputs)
     return EXIT_OK
 

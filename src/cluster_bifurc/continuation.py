@@ -27,16 +27,18 @@ iterate onto it with the exact group-average projector of the start point's
 stabilizer, so a trace keeps its symmetry by construction, whatever the
 linear solver rounds.  Each Newton iterate evaluates the residual and
 Jacobian in one pass; an accepted point reuses its last Jacobian for the
-tangent and the classification.
+tangent, and keeps it until the trace ends, when all of the trace's points
+are classified in one stacked pass (`classify_stack`).
 
-Event detection compares two monitors between consecutive points: the
-tangent-space (Morse) index, the number of negative eigenvalues of the
-Lagrangian's Hessian restricted to the constraint tangent space, Z^t H Z,
-which classification computes anyway, and the sign of the tangent's
-parameter component, which flips at folds.  Since In(J) =
-In(Z^t H Z) + (1, 1, 0) where grad g != 0 (Gould 1985, Math. Programming
-32), the index changes exactly where an eigenvalue of J of any multiplicity
-crosses zero.  `detect_and_localize` refines whichever fired.
+Event detection then compares two monitors between neighbouring points, as
+arrays over the whole trace: the tangent-space (Morse) index, the number of
+negative eigenvalues of the Lagrangian's Hessian restricted to the
+constraint tangent space, Z^t H Z, which classification computes anyway,
+and the sign of the tangent's parameter component, which flips at folds.
+Since In(J) = In(Z^t H Z) + (1, 1, 0) where grad g != 0 (Gould 1985, Math.
+Programming 32), the index changes exactly where an eigenvalue of J of any
+multiplicity crosses zero.  `detect_and_localize` refines whichever fired,
+on the segments where one did.
 
 A trace ends where it meets a more symmetric branch, inside a larger
 fixed-point space Fix(S') (Golubitsky, Stewart & Schaeffer, ch. XIII); where
@@ -357,8 +359,12 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
       point; the point is dropped.
 
     Every correction and localization probe is projected onto Fix(S), S the
-    start point's stabilizer.  Corrections that the window or these rules
-    reject are not labeled.
+    start point's stabilizer.  The loop keeps each accepted point's state,
+    parameter, arclength, Jacobian and tangent slope; after it, the points
+    are labeled in one `classify_stack` call (corrections that the window
+    or these rules reject are never labeled), and `detect_and_localize`
+    runs on each segment whose index or tangent-sign monitor changed.  The
+    crossing end point is labeled on its own and its event comes last.
     Detected events are classified as `bifurcation_kind` ("primary" when
     the caller is tracing the fully symmetric branch) or "turning".
     """
@@ -369,16 +375,16 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     z = np.append(x0, p0)
     w = metric_weights(z)
     t = branch_tangent(system, x0, p0, d, w)
-    points = [replace(start, arclength=0.0)]
-    tangents = [t]
-    events: list[BifurcationEvent] = []
+    # the accepted corrections after the start point, labeled after the loop
+    states, params, arclengths, jacobians = [], [], [], []
+    slopes = [float(t[-1])]  # the tangents' parameter components
     fix, normals, projections = system.fixed_space(x0)
     phi = normals @ x0
     start_order = None
-    reached = None
+    reached = end = end_point = None
     h = settings.h0
     s = 0.0
-    while len(points) < settings.max_points:
+    while 1 + len(states) < settings.max_points:
         z_pred = z + h * t
         try:
             corrected = newton_correct(
@@ -388,7 +394,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             if h > settings.h_min:
                 h = max(h * settings.step_shrink, settings.h_min)
                 continue
-            if len(points) == 1 and isinstance(err, CorrectorFailure):
+            if not states and isinstance(err, CorrectorFailure):
                 raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
             break
         x_new = corrected.state
@@ -403,12 +409,11 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         crossed = np.flatnonzero((phi * phi_new < 0.0)
                                  | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
         if crossed.size:
-            z_end, reached, ev = _crossing_end(system, normals, projections, crossed, z, z_new,
-                                               targets, settings, bifurcation_kind)
+            z_end, reached, end = _crossing_end(system, normals, projections, crossed, z, z_new,
+                                                targets, settings, bifurcation_kind)
             if z_end is not None:
-                points.append(replace(classified_point(system, z_end[:-1], z_end[-1]),
-                                      arclength=s + float(np.sqrt((z_end - z) @ (z_end - z)))))
-                events += [ev] if ev is not None else []
+                end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
+                                    arclength=s + float(np.sqrt((z_end - z) @ (z_end - z))))
             break
         # the shape label is cheap; the group is consulted only when it changes
         if system.shape_of(x_new) != start.shape:
@@ -419,20 +424,30 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         w_new = metric_weights(z_new)
         t_new = branch_tangent(system, x_new, z_new[-1], t, w_new, corrected.jacobian)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))
-        points.append(replace(corrected.point, arclength=s))
-        tangents.append(t_new)
-        if settings.detection and len(points) >= 2:
-            ev = detect_and_localize(
-                system, points[-2], points[-1], settings,
-                bifurcation_kind=bifurcation_kind,
-                monitors=(points[-2].index, points[-1].index,
-                          float(tangents[-2][-1]), float(tangents[-1][-1])),
-                projection=fix)
-            if ev is not None:
-                events.append(ev)
+        states.append(x_new)
+        params.append(float(corrected.parameter))
+        arclengths.append(s)
+        jacobians.append(corrected.jacobian)
+        slopes.append(float(t_new[-1]))
         z, t, w, phi = z_new, t_new, w_new, phi_new
         if corrected.iterations <= settings.contraction_target:
             h = min(h * settings.step_growth, settings.h_max)
+
+    points = [replace(start, arclength=0.0)] + [
+        BranchPoint(tuple(x), p, sk, c.stability, c.shape, c.index) for x, p, sk, c in
+        zip(np.array(states).tolist(), params, arclengths, system.classify_stack(states, jacobians))]
+    events: list[BifurcationEvent] = []
+    if settings.detection:
+        index, tp = np.array([pt.index for pt in points]), np.array(slopes)
+        for i in np.flatnonzero((index[:-1] != index[1:]) | (tp[:-1] * tp[1:] < 0.0)).tolist():
+            ev = detect_and_localize(system, points[i], points[i + 1], settings,
+                                     bifurcation_kind=bifurcation_kind,
+                                     monitors=(index[i], index[i + 1], slopes[i], slopes[i + 1]),
+                                     projection=fix)
+            if ev is not None:
+                events.append(ev)
+    events += [end] if end is not None else []
+    points += [end_point] if end_point is not None else []
     return (Branch(points=points, reached_event=None if reached is None else reached.id),
             dedup_events(events))
 

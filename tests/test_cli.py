@@ -160,6 +160,19 @@ def test_diagram_subcommand_and_determinism(tmp_path):
     assert any(ev.kind == "primary" for ev in d.events)
 
 
+def test_a_diagram_without_points_and_with_svg_exits_2_before_writing(tmp_path, capsys):
+    # the Hooke triangle has no margin zero on (0.5, 2), so without samples nothing is drawn
+    cfg = write_config(tmp_path, {"problem": "triangle",
+                                  "potential": {"family": "spring", "params": {"k": 1, "beta": 0}},
+                                  "window": [0.5, 2.0], "trivial_samples": 0})
+    out_dir = tmp_path / "out"
+    assert main(["diagram", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert "(field: trivial_samples)" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(["diagram", "--config", cfg, "--out", str(out_dir), "--set", 'outputs=["json"]']) == EXIT_OK
+    assert sorted(f.name for f in out_dir.iterdir()) == ["diagram.json", "run_meta.json"]
+
+
 def test_build_diagram_rejects_bad_window():
     with pytest.raises(ConfigError):
         build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.9, 0.3), ContinuationSettings())

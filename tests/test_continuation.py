@@ -7,7 +7,7 @@ import pytest
 
 from cluster_bifurc import cluster, continuation
 from cluster_bifurc.cli import build_diagram
-from cluster_bifurc.cluster import ClusterProblem
+from cluster_bifurc.cluster import ClusterProblem, classify_stack
 from cluster_bifurc.continuation import (
     BifurcationEvent,
     ContinuationSettings,
@@ -192,8 +192,8 @@ def test_trace_hooke_emits_no_events():
 
 def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     # the quiet Hooke trace above: every Newton iterate assembles one Hessian
-    # and every converged correction takes one eigen-decomposition, plus one
-    # of each at the start point
+    # and every converged correction takes at most one eigen-decomposition,
+    # plus one of each at the start point
     counts = Counter()
 
     def hess(e):
@@ -228,12 +228,17 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
 
 def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     # the same quiet Hooke trace: corrections past the A = 100 edge are
-    # rejected before their eigen-decomposition
+    # rejected unlabeled, and the kept ones are labeled in one stacked pass
     counts = Counter()
+    rows = []
 
     def eig(M):
         counts["eig"] += 1
         return sym_eigen(M)
+
+    def stack(geometry, states, jacobians):
+        rows.append(len(states))
+        return classify_stack(geometry, states, jacobians)
 
     def correct(*args, **kwargs):
         counts["corrections"] += 1
@@ -248,12 +253,34 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     assert corrected[1] == corrected.iterations and counts["eig"] == 0
     assert corrected[0] is corrected.point and counts["eig"] == 1
     counts.clear()
+    monkeypatch.setattr(continuation, "sym_eigen", eig)
+    monkeypatch.setattr(cluster, "classify_stack", stack)
     hint = np.zeros(5)
     hint[-1] = 1.0
     branch, _ = trace_branch(system, start, hint, settings, (0.1, 100.0))
     assert counts["corrections"] > len(branch.points) + 10
-    # one at every point kept after the start point, which comes labeled
-    assert counts["eig"] == len(branch.points) - 1
+    # one row for every point kept after the start point, which comes labeled
+    assert rows == [len(branch.points) - 1] and counts["eig"] == 0
+
+
+def test_stacked_trace_labels_equal_the_per_point_ones():
+    # both halves of the Lennard-Jones isosceles branch, through its fold and
+    # its two secondary points, where the index changes between 0 and 1
+    system = lj_system()
+    settings = ContinuationSettings(h_max=0.2)
+    ev = make_primary_event(system, A0)
+    seeds, _ = branch_switch(system, ev, triangle_isosceles_reduction(), settings,
+                             trivial_curve=system.trivial_state)
+    center = np.append(ev.state, ev.parameter)
+    kinds, indices = [], set()
+    for seed in seeds:
+        branch, events = trace_branch(system, seed, seed.z() - center, settings, (0.3, 0.9))
+        kinds += [e.kind for e in events]
+        for pt in branch.points:
+            want = continuation.classified_point(system, np.array(pt.state), pt.parameter)
+            assert (pt.stability, pt.shape, pt.index) == (want.stability, want.shape, want.index)
+            indices.add(pt.index)
+    assert sorted(kinds) == ["secondary", "secondary", "turning"] and indices == {0, 1}
 
 
 def _lennard_jones_secondaries():
