@@ -215,8 +215,8 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     built.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not (0 < lo < hi):
-        raise ConfigError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]", key="window")
+    if any(isinstance(v, bool) for v in window) or not (0 < lo < hi < math.inf):
+        raise ConfigError(f"window must satisfy 0 < lo < hi, both finite, got {list(window)!r}", key="window")
     window = (lo, hi)
     settings = settings or ContinuationSettings()
     system = make_system(problem, spec)
@@ -364,24 +364,24 @@ def run_verification() -> list[tuple[str, bool, str]]:
 
     # constraint derivatives against central differences
     for geometry, prefix, draw_edges, _, _ in cases:
-        g_fn, grad, hess = geometry.constraint, geometry.grad, geometry.hess
         worst = 0.0
         count = 0
         while count < 100:
             e = draw_edges()
-            if g_fn(e) <= 1e-3:
+            g0, g, H = geometry.terms(e)
+            if g0 <= 1e-3:
                 continue
             count += 1
-            g = grad(e)
-            H = hess(e)
+            H = np.array(H)
             for i in range(geometry.n_edges):
                 h = 1e-6 * e[i]
                 ep, em = e.copy(), e.copy()
                 ep[i] += h
                 em[i] -= h
-                fd_g = (g_fn(ep) - g_fn(em)) / (2 * h)
+                (gp, grad_p, _), (gm, grad_m, _) = geometry.terms(ep), geometry.terms(em)
+                fd_g = (gp - gm) / (2 * h)
                 worst = max(worst, abs(fd_g - g[i]) / max(1.0, abs(g[i])))
-                fd_h = (grad(ep) - grad(em)) / (2 * h)
+                fd_h = (np.array(grad_p) - np.array(grad_m)) / (2 * h)
                 worst = max(worst, float(np.max(np.abs(fd_h - H[:, i]) / np.maximum(1.0, np.abs(H[:, i])))))
         checks.append(_check(f"{prefix}-constraint-fd", worst < 1e-6, f"max rel err {worst:.2e}"))
 
@@ -578,8 +578,9 @@ def _config_problem_spec(cfg: dict):
 def _config_window(cfg: dict) -> tuple[float, float]:
     window = _require(cfg, "window")
     if (not isinstance(window, (list, tuple)) or len(window) != 2
-            or not all(isinstance(v, (int, float)) for v in window)):
-        raise ConfigError("window must be [lo, hi]", key="window")
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                       for v in window)):
+        raise ConfigError("window must be [lo, hi] with finite numbers", key="window")
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo < hi):
         raise ConfigError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]", key="window")

@@ -15,8 +15,10 @@ one per coefficient k of the geometry's margins table; their zeros are the
 candidate primary bifurcations.
 
 A `Geometry` carries only what differs between the problems; everything
-else here is written once.  `triangle.TRIANGLE` and
-`tetrahedron.TETRAHEDRON` are the two instances.
+else here is written once, the constraint too: one kernel per geometry,
+`terms(e) -> (g, grad g, hess g)` in one pass on Python floats, from which
+`evaluate` assembles F and J as lists with one `numpy.array` call each.
+`triangle.TRIANGLE` and `tetrahedron.TETRAHEDRON` are the two instances.
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ class Margin:
 class Geometry:
     """What one cluster problem adds to the common KKT formulation.
 
-    Edge arguments are sequences of `n_edges` floats.  `trivial_multiplier`
+    Edge arguments are sequences of `n_edges` floats.  `terms`, the
+    constraint kernel, maps unvalidated edges to (g, grad g, hess g) as a
+    float, a list and a list of rows.  `trivial_multiplier`
     maps (a, phi'(a)) to the multiplier of the symmetric state;
     `realizable` decides whether positive edges bound a nondegenerate
     simplex; `group` returns the edge permutation group lifted to fix the
@@ -83,9 +87,7 @@ class Geometry:
     name: str
     param_name: str
     n_edges: int
-    constraint: Callable
-    grad: Callable
-    hess: Callable
+    terms: Callable
     target_scale: float
     trivial_edge: Callable
     trivial_multiplier: Callable
@@ -157,16 +159,15 @@ def evaluate(geometry: Geometry, spec: PotentialSpec, state, param: float
     points, and Jacobian [[0, grad g^t], [grad g, hess E + lambda hess g]], in one pass."""
     lam, e = _unpack(geometry, state, positive=True)
     d = [derivatives(spec, v) for v in e]
-    g = geometry.grad(e)
-    n = len(e) + 1
-    F = np.empty(n)
-    F[0] = geometry.constraint(e) - geometry.target_scale * param * param
-    F[1:] = [di[1] for di in d]
-    F[1:] += lam * g
-    J = np.zeros((n, n))
-    J[0, 1:] = J[1:, 0] = g
-    J[1:, 1:] = np.diag([di[2] for di in d]) + lam * geometry.hess(e)
-    return F, J
+    g, grad, hess = geometry.terms(e)
+    F = [g - geometry.target_scale * param * param] + [di[1] + lam * gi for di, gi in zip(d, grad)]
+    J = [0.0, *grad]  # row by row, flat
+    for i, (di, gi, row) in enumerate(zip(d, grad, hess)):
+        # off the diagonal 0.0 + lam * h, as diag + lam * H gives, signed zeros included
+        block = [0.0 + lam * h for h in row]
+        block[i] = di[2] + lam * row[i]
+        J += [gi, *block]
+    return np.array(F), np.array(J).reshape(len(F), len(F))
 
 
 def residual(geometry: Geometry, spec: PotentialSpec, state, param: float) -> np.ndarray:
@@ -362,7 +363,7 @@ class ClusterProblem:
         return out
 
     def in_domain(self, x) -> bool:
-        return bool(np.all(np.asarray(x)[1:] > 0.0))
+        return bool((np.asarray(x)[1:] > 0.0).all())
 
     def feasible(self, x) -> bool:
         x = np.asarray(x, dtype=float)

@@ -26,7 +26,8 @@ lies in the fixed-point space Fix(S), and the corrector projects every
 iterate onto it with the exact group-average projector of the start point's
 stabilizer, so a trace keeps its symmetry by construction, whatever the
 linear solver rounds.  Each Newton iterate evaluates the residual and
-Jacobian in one pass; an accepted point reuses its last Jacobian for the
+Jacobian in one pass and refills the correction's one bordered matrix and
+right-hand side in place; an accepted point reuses its last Jacobian for the
 tangent, and keeps it until the trace ends, when all of the trace's points
 are classified in one stacked pass (`classify_stack`).
 
@@ -103,22 +104,26 @@ class ContinuationSettings:
     max_points: int = 5000
 
     def __post_init__(self):
-        if not (0 < self.h_min <= self.h0 <= self.h_max):
-            raise ValueError("step sizes must satisfy 0 < h_min <= h0 <= h_max")
+        # every bound is finite (an infinite step or tolerance passes a plain
+        # comparison) and every count an int (a float one stops range() mid-build)
+        if not (0 < self.h_min <= self.h0 <= self.h_max < math.inf):
+            raise ValueError("step sizes must satisfy 0 < h_min <= h0 <= h_max < inf")
         # a shrink of 1 never ends the retry at a window edge; the rest would
         # leave a trace at its seed point without saying so
         if not (0 < self.step_shrink < 1):
             raise ValueError("step_shrink must satisfy 0 < step_shrink < 1")
-        if not self.step_growth >= 1:
-            raise ValueError("step_growth must be at least 1")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
-        if not self.newton_max_iters >= 1:
-            raise ValueError("newton_max_iters must be at least 1")
-        if not self.max_points >= 2:
-            raise ValueError("max_points must be at least 2")
-        if not self.contraction_target >= 0:
-            raise ValueError("contraction_target must be non-negative")
+        if not 1 <= self.step_growth < math.inf:
+            raise ValueError("step_growth must be finite and at least 1")
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
+        if type(self.newton_max_iters) is not int or not self.newton_max_iters >= 1:
+            raise ValueError("newton_max_iters must be an integer of at least 1")
+        if type(self.max_points) is not int or not self.max_points >= 2:
+            raise ValueError("max_points must be an integer of at least 2")
+        if type(self.contraction_target) is not int or not self.contraction_target >= 0:
+            raise ValueError("contraction_target must be a non-negative integer")
+        if type(self.detection) is not bool:  # a string such as "no" would turn detection on
+            raise ValueError(f"detection must be true or false, got {self.detection!r}")
 
 
 @dataclass(frozen=True)
@@ -243,15 +248,6 @@ class Correction:
         return self.iterations if i in (1, -1) else (self.point, self.iterations)[i]
 
 
-def _bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np.ndarray) -> np.ndarray:
-    n = system.dim
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = J
-    M[:n, n] = system.parameter_derivative(x, p)
-    M[n, :] = row
-    return M
-
-
 def newton_correct(system, state, parameter: float, settings: ContinuationSettings,
                    constraint: PseudoArclength | None = None,
                    projection: np.ndarray | None = None) -> Correction:
@@ -261,14 +257,16 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
     square KKT system; with a PseudoArclength constraint both the state and
     the parameter move, bordered by the frozen tangent row (a zero step with
     the tangent a unit normal and no weights keeps them on a hyperplane).
-    `projection`, the projector onto a fixed-point space Fix(S), is applied
-    to every iterate, so the converged state lies in Fix(S) exactly.
-    Convergence is declared when the residual infinity norm drops below
-    newton_tol and the constraint holds; the `Correction` carries that
-    iterate's Jacobian and labels the point only when asked.  Raises
-    CorrectorFailure on stagnation or a singular corrector matrix and
-    DomainExit when an iterate (or the converged point) leaves the feasible
-    region.
+    The bordered matrix [[J, F_p], [row]], its right-hand side and the (x, p)
+    buffer of the gap are allocated once per correction and refilled in
+    place on every iterate.  `projection`, the projector onto a fixed-point
+    space Fix(S), is applied to every iterate, so the converged state lies
+    in Fix(S) exactly.  Convergence is declared when the residual infinity
+    norm drops below newton_tol and the constraint holds; the `Correction`
+    carries that iterate's Jacobian and labels the point only when asked.
+    Raises CorrectorFailure on a non-finite residual, stagnation or a
+    singular corrector matrix and DomainExit when an iterate (or the
+    converged point) leaves the feasible region.
     """
     n = system.dim
     x = np.array(state, dtype=float)
@@ -279,6 +277,8 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         row = np.asarray(constraint.tangent, dtype=float)
         if constraint.weights is not None:
             row = np.asarray(constraint.weights, dtype=float) * row
+        M, rhs, z = np.empty((n + 1, n + 1)), np.empty(n + 1), np.empty(n + 1)
+        M[n] = row
         h = constraint.h
     res_norm = math.inf
     for it in range(settings.newton_max_iters + 1):
@@ -287,10 +287,13 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         if not system.in_domain(x):
             raise DomainExit(f"iterate left the domain at {system.param_name}={p:.6g}")
         F, J = system.evaluate(x, p)
-        if not np.all(np.isfinite(F)):
+        res_norm = float(np.abs(F).max())  # NaN when F holds one: max propagates it
+        if not math.isfinite(res_norm):
             raise CorrectorFailure("non-finite residual", math.inf, it)
-        res_norm = float(np.max(np.abs(F)))
-        gap = 0.0 if constraint is None else row @ (np.append(x, p) - z_prev) - h
+        gap = 0.0
+        if constraint is not None:
+            z[:n], z[n] = x, p
+            gap = row @ (z - z_prev) - h
         if res_norm < settings.newton_tol and abs(gap) < 1e-10 * max(1.0, abs(h)):
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
@@ -301,7 +304,9 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
             if constraint is None:
                 x = x + solve(J, -F)
             else:
-                step = solve(_bordered_matrix(system, J, x, p, row), np.append(-F, -gap))
+                M[:n, :n], M[:n, n] = J, system.parameter_derivative(x, p)
+                rhs[:n], rhs[n] = -F, -gap
+                step = solve(M, rhs)
                 x, p = x + step[:n], p + step[n]
         except LinAlgError as exc:
             raise CorrectorFailure(f"singular corrector matrix ({exc})", res_norm, it) from exc
@@ -324,14 +329,15 @@ def branch_tangent(system, x: np.ndarray, p: float, t_prev: np.ndarray,
         J = system.jacobian(x, p)
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    M = _bordered_matrix(system, J, x, p, w * t_prev)
+    M = np.empty((n + 1, n + 1))
+    M[:n, :n], M[:n, n], M[n] = J, system.parameter_derivative(x, p), w * t_prev
     try:
         t = solve(M, rhs)
     except LinAlgError:
         # reference direction happened to be orthogonal to the curve; nudge it
-        bumped = w * t_prev + 1e-8 * np.ones(n + 1)
+        M[n] = w * t_prev + 1e-8 * np.ones(n + 1)
         try:
-            t = solve(_bordered_matrix(system, J, x, p, bumped), rhs)
+            t = solve(M, rhs)
         except LinAlgError:
             t = np.asarray(t_prev, dtype=float).copy()  # singular point: keep the caller's direction
     return t / np.sqrt((w * t) @ t)

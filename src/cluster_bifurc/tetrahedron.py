@@ -18,11 +18,12 @@ edges u = e^2,
     g = 2 [ sum over opposite pairs (i, I) of u_i u_I (S - 2 u_i - 2 u_I)
             - sum over faces of u u u ],
 
-with S the sum of all six u; it is 4 at unit edges.  The constraint, its
-gradient `grad_g4` and Hessian `hess_g4` are this polynomial and its hand
-derivatives, evaluated on Python floats; the tests and `cluster-bifurc
-verify` check the cubic against the determinant and the derivatives
-against finite differences.
+with S the sum of all six u; it is 4 at unit edges.  The constraint
+kernel `cayley_menger_terms` gives this polynomial, its gradient and its
+Hessian (hand derivatives) in one pass on Python floats; `grad_g4` and
+`hess_g4` are array views of it.  The tests and `cluster-bifurc verify`
+check the cubic against the determinant and the derivatives against finite
+differences.
 
 The regular tetrahedron a_V^3 = 6 sqrt(2) V with multiplier
 lambda_V = -phi'(a_V) / (4 a_V^5) solves the KKT system for every V, and the
@@ -72,6 +73,7 @@ __all__ = [
     "TrivialSpectrum4",
     "TETRAHEDRON",
     "cayley_menger",
+    "cayley_menger_terms",
     "is_tetrahedron",
     "grad_g4",
     "hess_g4",
@@ -111,7 +113,9 @@ class TetState:
 # Edge i is opposite edge _OPPOSITE[i]; each face is a triple of edges.
 _OPPOSITE = (3, 4, 5, 0, 1, 2)
 _FACES = ((0, 1, 5), (0, 2, 4), (1, 2, 3), (3, 4, 5))
-_THIRD = {(i, j): k for face in _FACES for i, j, k in permutations(face)}
+# (i, j, the edges opposite them, the third edge k of their face) for each pair i < j on a face
+_FACE_PAIRS = tuple((i, j, _OPPOSITE[i], _OPPOSITE[j], k)
+                    for face in _FACES for i, j, k in permutations(face) if i < j)
 
 
 def _edges(edges) -> list[float]:
@@ -121,12 +125,16 @@ def _edges(edges) -> list[float]:
     return e.tolist()
 
 
+def _cubic(u: list[float], s: float) -> float:
+    """The Cayley-Menger cubic above at squared edges u, with s = sum(u)."""
+    pairs = sum(u[i] * u[i + 3] * (s - 2.0 * u[i] - 2.0 * u[i + 3]) for i in range(3))
+    return 2.0 * (pairs - sum(u[i] * u[j] * u[k] for i, j, k in _FACES))
+
+
 def cayley_menger(edges) -> float:
     """The 5x5 determinant above as the cubic in squared edges; 288 V^2 for a realizable tetrahedron."""
     u = [v * v for v in _edges(edges)]
-    s = sum(u)
-    pairs = sum(u[i] * u[i + 3] * (s - 2.0 * u[i] - 2.0 * u[i + 3]) for i in range(3))
-    return 2.0 * (pairs - sum(u[i] * u[j] * u[k] for i, j, k in _FACES))
+    return _cubic(u, sum(u))
 
 
 def is_tetrahedron(edges) -> bool:
@@ -153,33 +161,37 @@ def _half_grad_u(u: list[float]) -> list[float]:
     ]
 
 
-def grad_g4(edges) -> np.ndarray:
-    """Gradient of the Cayley-Menger polynomial, all six components expanded."""
-    e = _edges(edges)
-    return 4.0 * np.array([v * q for v, q in zip(e, _half_grad_u([v * v for v in e]))])
+def cayley_menger_terms(e) -> tuple[float, list[float], list[list[float]]]:
+    """(g, grad g, hess g) of the Cayley-Menger cubic at six edges e, in one pass.
 
-
-def hess_g4(edges) -> np.ndarray:
-    """Hessian of the Cayley-Menger polynomial g = G(u), hand-differentiated.
-
+    The tetrahedron's constraint kernel, on the floats of e with no
+    validation (`cluster.evaluate` checks the edges first).  With g = G(u)
+    and u = e^2, grad g = 4 e_i G_i / 2 and, hand-differentiated,
     H_ij = 4 e_i e_j G_ij + 2 delta_ij G_i, where G_ii = -4 u_I, G_iI = 2 (S -
     3 u_i - 3 u_I) for the edge I opposite i, and G_ij = 2 (u_I + u_J - u_k)
     for two edges of a face with third edge k; exactly symmetric.
     """
-    e = _edges(edges)
     u = [v * v for v in e]
     s = sum(u)
+    half = _half_grad_u(u)
     H = [[0.0] * 6 for _ in range(6)]
-    for i, gi in enumerate(_half_grad_u(u)):
-        I = _OPPOSITE[i]
-        H[i][i] = -16.0 * u[i] * u[I] + 4.0 * gi
-        for j in range(i + 1, 6):
-            if j == I:
-                gij = 2.0 * (s - 3.0 * (u[i] + u[I]))
-            else:
-                gij = 2.0 * (u[I] + u[_OPPOSITE[j]] - u[_THIRD[i, j]])
-            H[i][j] = H[j][i] = 4.0 * e[i] * e[j] * gij
-    return np.array(H)
+    for i, gi in enumerate(half):
+        H[i][i] = -16.0 * u[i] * u[_OPPOSITE[i]] + 4.0 * gi
+    for i in range(3):
+        H[i][i + 3] = H[i + 3][i] = 4.0 * e[i] * e[i + 3] * (2.0 * (s - 3.0 * (u[i] + u[i + 3])))
+    for i, j, I, J, k in _FACE_PAIRS:
+        H[i][j] = H[j][i] = 4.0 * e[i] * e[j] * (2.0 * (u[I] + u[J] - u[k]))
+    return _cubic(u, s), [4.0 * (v * q) for v, q in zip(e, half)], H
+
+
+def grad_g4(edges) -> np.ndarray:
+    """Gradient of the Cayley-Menger polynomial, all six components expanded."""
+    return np.array(cayley_menger_terms(_edges(edges))[1])
+
+
+def hess_g4(edges) -> np.ndarray:
+    """Hessian of the Cayley-Menger polynomial g = G(u) (see `cayley_menger_terms`)."""
+    return np.array(cayley_menger_terms(_edges(edges))[2])
 
 
 def trivial4(spec: PotentialSpec, volume: float) -> TetState:
@@ -286,9 +298,7 @@ TETRAHEDRON = Geometry(
     name="tetrahedron",
     param_name="volume",
     n_edges=6,
-    constraint=cayley_menger,
-    grad=grad_g4,
-    hess=hess_g4,
+    terms=cayley_menger_terms,
     target_scale=288.0,
     trivial_edge=lambda volume: (6.0 * math.sqrt(2.0) * volume) ** (1.0 / 3.0),
     trivial_multiplier=lambda a, d1: -d1 / (4.0 * a ** 5),

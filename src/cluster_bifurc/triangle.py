@@ -6,8 +6,9 @@ area in the expanded quartic form
 
     g = (a^2 b^2 + a^2 c^2 + b^2 c^2)/8 - (a^4 + b^4 + c^4)/16,
 
-whose gradient and Hessian are the exact polynomials differentiated below
-(the factored semi-perimeter product serves as a test oracle only).  For any
+whose value, gradient and Hessian the constraint kernel `heron_terms` gives
+in one pass (the factored semi-perimeter product serves as a test oracle
+only).  For any
 area the system has the equilateral solution
 
     a_A = 2 sqrt(A) / 3^(1/4),   lambda_A = -4 phi'(a_A) / a_A^3,
@@ -54,6 +55,7 @@ __all__ = [
     "TrivialSpectrum3",
     "TRIANGLE",
     "heron",
+    "heron_terms",
     "grad_heron",
     "hess_heron",
     "residual3",
@@ -97,20 +99,30 @@ def heron(a: float, b: float, c: float) -> float:
         - (a ** 4 + b ** 4 + c ** 4) / 16.0
 
 
+def heron_terms(e) -> tuple[float, list[float], list[list[float]]]:
+    """(g, grad g, hess g) of the squared area at edges e = (a, b, c), in one pass.
+
+    The triangle's constraint kernel: the value is `heron`'s expression and
+    the derivatives are the hand-differentiated quartic, on the floats of e,
+    with no validation (`cluster.evaluate` checks the edges first).
+    """
+    a, b, c = e
+    a2, b2, c2 = a * a, b * b, c * c
+    g = (a * a * b * b + a * a * c * c + b * b * c * c) / 8.0 - (a ** 4 + b ** 4 + c ** 4) / 16.0
+    grad = [a * (b2 + c2 - a2) / 4.0, b * (a2 + c2 - b2) / 4.0, c * (a2 + b2 - c2) / 4.0]
+    ab, ac, bc = 2 * a * b / 4.0, 2 * a * c / 4.0, 2 * b * c / 4.0
+    hess = [[(b2 + c2 - 3 * a * a) / 4.0, ab, ac],
+            [ab, (a2 + c2 - 3 * b * b) / 4.0, bc],
+            [ac, bc, (a2 + b2 - 3 * c * c) / 4.0]]
+    return g, grad, hess
+
+
 def grad_heron(a: float, b: float, c: float) -> np.ndarray:
-    return np.array([
-        a * (b * b + c * c - a * a),
-        b * (a * a + c * c - b * b),
-        c * (a * a + b * b - c * c),
-    ]) / 4.0
+    return np.array(heron_terms((a, b, c))[1])
 
 
 def hess_heron(a: float, b: float, c: float) -> np.ndarray:
-    return np.array([
-        [b * b + c * c - 3 * a * a, 2 * a * b, 2 * a * c],
-        [2 * a * b, a * a + c * c - 3 * b * b, 2 * b * c],
-        [2 * a * c, 2 * b * c, a * a + b * b - 3 * c * c],
-    ]) / 4.0
+    return np.array(heron_terms((a, b, c))[2])
 
 
 def _shape3(edges, tol: float = 1e-6) -> str:
@@ -135,9 +147,7 @@ TRIANGLE = Geometry(
     name="triangle",
     param_name="area",
     n_edges=3,
-    constraint=lambda e: heron(*e),
-    grad=lambda e: grad_heron(*e),
-    hess=lambda e: hess_heron(*e),
+    terms=heron_terms,
     target_scale=1.0,
     trivial_edge=lambda area: 2.0 * math.sqrt(area) / 3.0 ** 0.25,
     trivial_multiplier=lambda a, d1: -4.0 * d1 / a ** 3,

@@ -99,6 +99,20 @@ def test_set_overrides(tmp_path, capsys):
     ("diagram", ["continuation.newton_max_iters=0"]),
     ("diagram", ["continuation.max_points=0"]),
     ("diagram", ["continuation.contraction_target=-1"]),
+    ("diagram", ["continuation.newton_max_iters=2.5"]),
+    ("diagram", ["continuation.newton_max_iters=true"]),
+    ("diagram", ["continuation.max_points=2.5"]),
+    ("diagram", ["continuation.contraction_target=2.5"]),
+    ("diagram", ["continuation.detection=no"]),
+    ("diagram", ["continuation.detection=1"]),
+    ("diagram", ["continuation.h_max=Infinity"]),
+    ("diagram", ["continuation.h0=NaN"]),
+    ("diagram", ["continuation.newton_tol=Infinity"]),
+    ("diagram", ["continuation.step_growth=Infinity"]),
+    ("diagram", ["window.1=Infinity"]),
+    ("stability", ["window.1=Infinity"]),
+    ("trace", ["window.1=Infinity"]),
+    ("diagram", ["window.0=true"]),
 ])
 def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets):
     cfg = write_config(tmp_path, LJ_STABILITY)
@@ -109,6 +123,17 @@ def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["diagram", "stability"])
+def test_an_infinite_window_edge_is_a_window_error(tmp_path, capsys, command):
+    # Python's json reads Infinity; the build must not start on such a window
+    cfg = write_config(tmp_path, LJ_STABILITY)
+    assert main([command, "--config", cfg, "--set", "window.1=Infinity"]) == EXIT_CONFIG
+    assert "(field: window)" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as info:
+        build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, math.inf))
+    assert info.value.key == "window"
 
 
 def test_load_config_set_paths(tmp_path):

@@ -2,11 +2,14 @@
 
 The `_ref_*` functions below are the triangle and tetrahedron KKT functions
 as they stood before the merge into `cluster.py`, kept verbatim (only
-renamed) as references.  Every array must match bit for bit, so that the
+renamed) as references, and the constraint functions (value, gradient,
+Hessian, one function each) as they stood before the one-pass constraint
+kernels replaced them.  Every array must match bit for bit, so that the
 exported diagrams stay byte-identical.
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,18 +24,19 @@ from cluster_bifurc.potentials import (
     derivatives,
 )
 from cluster_bifurc.tetrahedron import (
+    TETRAHEDRON,
     TetraProblem,
     cayley_menger,
     classify_point4,
     grad_g4,
     hess_g4,
-    is_tetrahedron,
     jacobian4,
     residual4,
     shape_of_edges,
     stability_boundaries4,
 )
 from cluster_bifurc.triangle import (
+    TRIANGLE,
     TriangleProblem,
     classify_point3,
     grad_heron,
@@ -50,6 +54,108 @@ SPECS = [
     NormalizedBuckingham(1.0, 1.0, 14.3863, 5.6518),
     PolynomialSpring(1, -0.1),
 ]
+
+
+# ---------------------------------------------------------------------------
+# references: the constraint functions before the one-pass kernels
+
+
+def _ref_heron(a: float, b: float, c: float) -> float:
+    """Squared triangle area; positive exactly for nondegenerate triangles."""
+    if min(a, b, c) <= 0:
+        raise ValueError("edge lengths must be positive")
+    return (a * a * b * b + a * a * c * c + b * b * c * c) / 8.0 \
+        - (a ** 4 + b ** 4 + c ** 4) / 16.0
+
+
+def _ref_grad_heron(a: float, b: float, c: float) -> np.ndarray:
+    return np.array([
+        a * (b * b + c * c - a * a),
+        b * (a * a + c * c - b * b),
+        c * (a * a + b * b - c * c),
+    ]) / 4.0
+
+
+def _ref_hess_heron(a: float, b: float, c: float) -> np.ndarray:
+    return np.array([
+        [b * b + c * c - 3 * a * a, 2 * a * b, 2 * a * c],
+        [2 * a * b, a * a + c * c - 3 * b * b, 2 * b * c],
+        [2 * a * c, 2 * b * c, a * a + b * b - 3 * c * c],
+    ]) / 4.0
+
+
+# Edge i is opposite edge _OPPOSITE[i]; each face is a triple of edges.
+_OPPOSITE = (3, 4, 5, 0, 1, 2)
+_FACES = ((0, 1, 5), (0, 2, 4), (1, 2, 3), (3, 4, 5))
+_THIRD = {(i, j): k for face in _FACES for i, j, k in permutations(face)}
+
+
+def _ref_edges(edges) -> list[float]:
+    e = np.asarray(edges, dtype=float)
+    if e.shape != (6,):
+        raise ValueError("expected 6 edge lengths")
+    return e.tolist()
+
+
+def _ref_cayley_menger(edges) -> float:
+    """The 5x5 determinant above as the cubic in squared edges; 288 V^2 for a realizable tetrahedron."""
+    u = [v * v for v in _ref_edges(edges)]
+    s = sum(u)
+    pairs = sum(u[i] * u[i + 3] * (s - 2.0 * u[i] - 2.0 * u[i + 3]) for i in range(3))
+    return 2.0 * (pairs - sum(u[i] * u[j] * u[k] for i, j, k in _FACES))
+
+
+def _ref_is_tetrahedron(edges) -> bool:
+    """True iff the edges realize a nondegenerate tetrahedron."""
+    e = _ref_edges(edges)
+    if min(e) <= 0:
+        raise ValueError("edge lengths must be positive")
+    A, B, C = e[3], e[4], e[5]
+    if not (A < B + C and B < A + C and C < A + B):
+        return False
+    return _ref_cayley_menger(e) > 0.0
+
+
+def _ref_half_grad_u(u: list[float]) -> list[float]:
+    """Half the gradient of the cubic in the squared edges u."""
+    a2, b2, c2, A2, B2, C2 = u
+    return [
+        A2 * (b2 + c2 + B2 + C2 - 2 * a2 - A2) + (b2 - c2) * (B2 - C2),
+        B2 * (a2 + c2 + A2 + C2 - 2 * b2 - B2) + (a2 - c2) * (A2 - C2),
+        C2 * (a2 + b2 + A2 + B2 - 2 * c2 - C2) + (a2 - b2) * (A2 - B2),
+        a2 * (b2 + c2 + B2 + C2 - 2 * A2 - a2) - (b2 - C2) * (c2 - B2),
+        b2 * (a2 + c2 + A2 + C2 - 2 * B2 - b2) - (a2 - C2) * (c2 - A2),
+        c2 * (a2 + b2 + A2 + B2 - 2 * C2 - c2) - (a2 - B2) * (b2 - A2),
+    ]
+
+
+def _ref_grad_g4(edges) -> np.ndarray:
+    """Gradient of the Cayley-Menger polynomial, all six components expanded."""
+    e = _ref_edges(edges)
+    return 4.0 * np.array([v * q for v, q in zip(e, _ref_half_grad_u([v * v for v in e]))])
+
+
+def _ref_hess_g4(edges) -> np.ndarray:
+    """Hessian of the Cayley-Menger polynomial g = G(u), hand-differentiated.
+
+    H_ij = 4 e_i e_j G_ij + 2 delta_ij G_i, where G_ii = -4 u_I, G_iI = 2 (S -
+    3 u_i - 3 u_I) for the edge I opposite i, and G_ij = 2 (u_I + u_J - u_k)
+    for two edges of a face with third edge k; exactly symmetric.
+    """
+    e = _ref_edges(edges)
+    u = [v * v for v in e]
+    s = sum(u)
+    H = [[0.0] * 6 for _ in range(6)]
+    for i, gi in enumerate(_ref_half_grad_u(u)):
+        I = _OPPOSITE[i]
+        H[i][i] = -16.0 * u[i] * u[I] + 4.0 * gi
+        for j in range(i + 1, 6):
+            if j == I:
+                gij = 2.0 * (s - 3.0 * (u[i] + u[I]))
+            else:
+                gij = 2.0 * (u[I] + u[_OPPOSITE[j]] - u[_THIRD[i, j]])
+            H[i][j] = H[j][i] = 4.0 * e[i] * e[j] * gij
+    return np.array(H)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +183,9 @@ def _ref_residual3(spec, x, area):
     lam, a, b, c = x
     if min(a, b, c) <= 0:
         raise ValueError("edge lengths must be positive")
-    g = grad_heron(a, b, c)
+    g = _ref_grad_heron(a, b, c)
     r = np.empty(4)
-    r[0] = heron(a, b, c) - area * area
+    r[0] = _ref_heron(a, b, c) - area * area
     for i, e in enumerate((a, b, c)):
         r[1 + i] = derivatives(spec, e)[1] + lam * g[i]
     return r
@@ -90,8 +196,8 @@ def _ref_jacobian3(spec, x):
     lam, a, b, c = x
     if min(a, b, c) <= 0:
         raise ValueError("edge lengths must be positive")
-    g = grad_heron(a, b, c)
-    H = np.diag([derivatives(spec, e)[2] for e in (a, b, c)]) + lam * hess_heron(a, b, c)
+    g = _ref_grad_heron(a, b, c)
+    H = np.diag([derivatives(spec, e)[2] for e in (a, b, c)]) + lam * _ref_hess_heron(a, b, c)
     J = np.zeros((4, 4))
     J[0, 1:] = g
     J[1:, 0] = g
@@ -102,9 +208,9 @@ def _ref_jacobian3(spec, x):
 def _ref_classify_point3(spec, x, area):
     x = np.asarray(x, dtype=float)
     lam, a, b, c = x
-    g = grad_heron(a, b, c)
+    g = _ref_grad_heron(a, b, c)
     basis = householder_complement(g)
-    H = np.diag([derivatives(spec, e)[2] for e in (a, b, c)]) + lam * hess_heron(a, b, c)
+    H = np.diag([derivatives(spec, e)[2] for e in (a, b, c)]) + lam * _ref_hess_heron(a, b, c)
     M = basis.T @ H @ basis
     M = 0.5 * (M + M.T)
     w, _ = sym_eigen(M)
@@ -146,8 +252,8 @@ def _ref_residual4(spec, x, volume):
     if min(e) <= 0:
         raise ValueError("edge lengths must be positive")
     r = np.empty(7)
-    r[0] = cayley_menger(e) - 288.0 * volume * volume
-    r[1:] = np.array([derivatives(spec, float(v))[1] for v in e]) + lam * grad_g4(e)
+    r[0] = _ref_cayley_menger(e) - 288.0 * volume * volume
+    r[1:] = np.array([derivatives(spec, float(v))[1] for v in e]) + lam * _ref_grad_g4(e)
     return r
 
 
@@ -156,8 +262,8 @@ def _ref_jacobian4(spec, x):
     lam, e = x[0], x[1:]
     if min(e) <= 0:
         raise ValueError("edge lengths must be positive")
-    g = grad_g4(e)
-    H = np.diag([derivatives(spec, float(v))[2] for v in e]) + lam * hess_g4(e)
+    g = _ref_grad_g4(e)
+    H = np.diag([derivatives(spec, float(v))[2] for v in e]) + lam * _ref_hess_g4(e)
     J = np.zeros((7, 7))
     J[0, 1:] = g
     J[1:, 0] = g
@@ -168,9 +274,9 @@ def _ref_jacobian4(spec, x):
 def _ref_classify_point4(spec, x, volume):
     x = np.asarray(x, dtype=float)
     lam, e = x[0], x[1:]
-    g = grad_g4(e)
+    g = _ref_grad_g4(e)
     basis = householder_complement(g)
-    H = np.diag([derivatives(spec, float(v))[2] for v in e]) + lam * hess_g4(e)
+    H = np.diag([derivatives(spec, float(v))[2] for v in e]) + lam * _ref_hess_g4(e)
     M = basis.T @ H @ basis
     M = 0.5 * (M + M.T)
     w, _ = sym_eigen(M)
@@ -218,7 +324,7 @@ CASES = {
         n_edges=3,
         params=(0.2, 2.0),
         windows=[(0.1, 10.0), (0.1, 1000.0)],
-        feasible=lambda x: bool(np.all(x[1:] > 0)) and heron(x[1], x[2], x[3]) > 0.0,
+        feasible=lambda x: bool(np.all(x[1:] > 0)) and _ref_heron(x[1], x[2], x[3]) > 0.0,
         dp=lambda x, p: np.array([-2.0 * p, 0.0, 0.0, 0.0]),
     ),
     "tetrahedron": dict(
@@ -231,7 +337,7 @@ CASES = {
         n_edges=6,
         params=(0.05, 0.5),
         windows=[(0.05, 5.0), (0.1, 1000.0)],
-        feasible=lambda x: bool(np.all(x[1:] > 0)) and is_tetrahedron(x[1:]),
+        feasible=lambda x: bool(np.all(x[1:] > 0)) and _ref_is_tetrahedron(x[1:]),
         dp=lambda x, p: np.concatenate([[-576.0 * p], np.zeros(6)]),
     ),
 }
@@ -353,3 +459,68 @@ def test_stacked_classification_is_bit_identical_to_the_per_point_one(name):
         assert all(_identical(a.tangent_eigenvalues, b.tangent_eigenvalues) for a, b in zip(got, want))
         assert problem.classify_stack(states[:1], jacobians[:1]) == want[:1]
         assert problem.classify_stack(states[:0], jacobians[:0]) == []
+
+
+# ---------------------------------------------------------------------------
+# the one-pass constraint kernels and `evaluate` against the per-function forms
+
+REF_CONSTRAINTS = {
+    "triangle": (TRIANGLE, lambda e: _ref_heron(*e), lambda e: _ref_grad_heron(*e),
+                 lambda e: _ref_hess_heron(*e)),
+    "tetrahedron": (TETRAHEDRON, _ref_cayley_menger, _ref_grad_g4, _ref_hess_g4),
+}
+
+
+def _ref_evaluate(name, spec, state, param):
+    """`cluster.evaluate` as it stood before the constraint kernels, on the reference functions."""
+    geometry, constraint, grad, hess = REF_CONSTRAINTS[name]
+    lam, *e = np.asarray(state, dtype=float).tolist()
+    d = [derivatives(spec, v) for v in e]
+    g = grad(e)
+    n = len(e) + 1
+    F = np.empty(n)
+    F[0] = constraint(e) - geometry.target_scale * param * param
+    F[1:] = [di[1] for di in d]
+    F[1:] += lam * g
+    J = np.zeros((n, n))
+    J[0, 1:] = J[1:, 0] = g
+    J[1:, 1:] = np.diag([di[2] for di in d]) + lam * hess(e)
+    return F, J
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_constraint_kernel_is_bit_identical_to_the_per_function_forms(name):
+    geometry, constraint, grad, hess = REF_CONSTRAINTS[name]
+    rng = np.random.default_rng(19)
+    views = {"triangle": (lambda e: heron(*e), lambda e: grad_heron(*e), lambda e: hess_heron(*e)),
+             "tetrahedron": (cayley_menger, grad_g4, hess_g4)}[name]
+    for x in _states(rng, geometry.n_edges, 200):
+        e = x[1:].tolist()
+        g, g_grad, g_hess = geometry.terms(e)
+        assert isinstance(g, float) and _identical(g, constraint(e))
+        assert _identical(np.array(g_grad), grad(e)) and _identical(np.array(g_hess), hess(e))
+        for view, ref in zip(views, (constraint, grad, hess)):
+            assert _identical(view(e), ref(e))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_evaluate_is_bit_identical_to_the_pre_kernel_assembly(name):
+    case = CASES[name]
+    rng = np.random.default_rng(23)
+    for spec in SPECS:
+        problem = case["problem"](spec)
+        for i, x in enumerate(_states(rng, case["n_edges"], 80)):
+            if i % 3 == 0:
+                x[0] = -0.0 if i % 2 else 0.0  # the multiplier's zero, both signs
+            p = float(rng.uniform(*case["params"]))
+            (F, J), (ref_F, ref_J) = problem.evaluate(x, p), _ref_evaluate(name, spec, x, p)
+            assert _identical(F, ref_F) and _identical(J, ref_J)
+            assert np.array_equal(np.signbit(F), np.signbit(ref_F))
+            assert np.array_equal(np.signbit(J), np.signbit(ref_J))
+    # the regular tetrahedron's Hessian is 0.0 between opposite edges, so a
+    # negative multiplier makes lam * h = -0.0 there; the entry must be +0.0
+    if name == "tetrahedron":
+        x = np.array([-1.0] + [1.0] * 6)
+        J = TetraProblem(SPECS[0]).evaluate(x, 0.3)[1]
+        assert J[1, 4] == 0.0 and not np.signbit(J[1, 4])
+        assert _identical(J, _ref_evaluate(name, SPECS[0], x, 0.3)[1])

@@ -19,6 +19,7 @@ from cluster_bifurc.continuation import (
     concatenate_branches,
     dedup_events,
     detect_and_localize,
+    metric_weights,
     newton_correct,
     trace_branch,
 )
@@ -120,6 +121,188 @@ def test_arclength_constraint_holds():
     assert abs((w * t) @ (z1 - z0) - h) < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# references: the corrector and tangent as they stood before the in-place
+# bordered step, kept verbatim except that the corrector returns a tuple
+
+
+def _ref_bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np.ndarray) -> np.ndarray:
+    n = system.dim
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = J
+    M[:n, n] = system.parameter_derivative(x, p)
+    M[n, :] = row
+    return M
+
+
+def _ref_newton_correct(system, state, parameter, settings, constraint=None, projection=None):
+    n = system.dim
+    x = np.array(state, dtype=float)
+    p = float(parameter)
+    h = 0.0
+    if constraint is not None:
+        z_prev = np.array(constraint.prev_state + (constraint.prev_parameter,), dtype=float)
+        row = np.asarray(constraint.tangent, dtype=float)
+        if constraint.weights is not None:
+            row = np.asarray(constraint.weights, dtype=float) * row
+        h = constraint.h
+    res_norm = math.inf
+    for it in range(settings.newton_max_iters + 1):
+        if projection is not None:
+            x = projection @ x
+        if not system.in_domain(x):
+            raise DomainExit(f"iterate left the domain at {system.param_name}={p:.6g}")
+        F, J = system.evaluate(x, p)
+        if not np.all(np.isfinite(F)):
+            raise CorrectorFailure("non-finite residual", math.inf, it)
+        res_norm = float(np.max(np.abs(F)))
+        gap = 0.0 if constraint is None else row @ (np.append(x, p) - z_prev) - h
+        if res_norm < settings.newton_tol and abs(gap) < 1e-10 * max(1.0, abs(h)):
+            if not system.feasible(x):
+                raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
+            return x, p, it, J
+        if it == settings.newton_max_iters:
+            break
+        try:
+            if constraint is None:
+                x = x + np.linalg.solve(J, -F)
+            else:
+                step = np.linalg.solve(_ref_bordered_matrix(system, J, x, p, row), np.append(-F, -gap))
+                x, p = x + step[:n], p + step[n]
+        except np.linalg.LinAlgError as exc:
+            raise CorrectorFailure(f"singular corrector matrix ({exc})", res_norm, it) from exc
+    raise CorrectorFailure(
+        f"no convergence in {settings.newton_max_iters} iterations (|F|={res_norm:.3e})",
+        res_norm, settings.newton_max_iters)
+
+
+def _ref_branch_tangent(system, x, p, t_prev, weights=None, J=None):
+    n = system.dim
+    w = np.ones(n + 1) if weights is None else weights
+    if J is None:
+        J = system.jacobian(x, p)
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    M = _ref_bordered_matrix(system, J, x, p, w * t_prev)
+    try:
+        t = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        # reference direction happened to be orthogonal to the curve; nudge it
+        bumped = w * t_prev + 1e-8 * np.ones(n + 1)
+        try:
+            t = np.linalg.solve(_ref_bordered_matrix(system, J, x, p, bumped), rhs)
+        except np.linalg.LinAlgError:
+            t = np.asarray(t_prev, dtype=float).copy()  # singular point: keep the caller's direction
+    return t / np.sqrt((w * t) @ t)
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or (exception type, message, residual norm, iterations) when it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (CorrectorFailure, DomainExit) as exc:
+        return (type(exc), str(exc), getattr(exc, "residual_norm", None), getattr(exc, "iterations", None))
+
+
+def _assert_same_correction(args, kwargs):
+    got = _outcome(newton_correct, *args, **kwargs)
+    want = _outcome(_ref_newton_correct, *args, **kwargs)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return want[0]
+    x, p, it, J = want
+    assert _bits(got.state) == _bits(x) and _bits(got.parameter) == _bits(p)
+    assert got.iterations == got[1] == it
+    assert got.jacobian.shape == J.shape and _bits(got.jacobian) == _bits(J)
+    return None
+
+
+@pytest.mark.parametrize("problem, spec, window, settings", [
+    ("triangle", LJ, (0.3, 0.9), ContinuationSettings(h_max=0.2)),
+    ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0), ContinuationSettings(h_max=0.2)),
+    ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0), ContinuationSettings(h_max=0.05, max_points=60)),
+])
+def test_corrector_and_tangent_are_bit_identical_to_the_allocating_ones(monkeypatch, problem, spec,
+                                                                         window, settings):
+    # every corrector and tangent call of a whole build, replayed through the
+    # references: the same iterate, parameter, iteration count and Jacobian,
+    # or the same exception with the same message, norm and count
+    corrections, tangents = [], []
+
+    def correct(*args, **kwargs):
+        corrections.append((args, kwargs))
+        return newton_correct(*args, **kwargs)
+
+    def tangent(*args, **kwargs):
+        tangents.append((args, kwargs))
+        return branch_tangent(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct", correct)
+    monkeypatch.setattr(continuation, "branch_tangent", tangent)
+    build_diagram(problem, spec, window, settings)
+    monkeypatch.undo()
+    kinds = Counter()
+    for args, kwargs in corrections:
+        failure = _assert_same_correction(args, kwargs)
+        bordered = (args[4] if len(args) > 4 else kwargs.get("constraint")) is not None
+        kinds[failure or ("bordered" if bordered else "square")] += 1
+    for args, kwargs in tangents:
+        assert _bits(branch_tangent(*args, **kwargs)) == _bits(_ref_branch_tangent(*args, **kwargs))
+    assert kinds["bordered"] > 50 and len(tangents) > 50
+    if problem == "triangle" and spec != LJ:
+        assert kinds[CorrectorFailure] > 0  # the Buckingham build's corrections that stall
+
+
+class _Infeasible(TriangleProblem):
+    """The Lennard-Jones triangle on which no converged point is feasible."""
+
+    def feasible(self, x):
+        return False
+
+
+def test_each_corrector_failure_matches_the_allocating_corrector():
+    system = lj_system()
+    settings = ContinuationSettings()
+    x0 = system.trivial_state(0.5)
+    z0 = np.append(x0, 0.5)
+    w = metric_weights(z0)
+    t = branch_tangent(system, x0, 0.5, np.array([0, 0, 0, 0, 1.0]), w)
+    arclength = PseudoArclength(tuple(x0), 0.5, tuple(t), 1e-2, tuple(w))
+    fix = system.fixed_space(x0)[0]
+    guess = z0 + 1e-2 * t
+    off = x0.copy()
+    off[1] += 1e-3
+    nan_state = x0.copy()
+    nan_state[0] = math.nan
+    variants = ({}, {"constraint": arclength}, {"constraint": arclength, "projection": fix})
+    cases = [
+        # the projection spreads the NaN multiplier into the edges, which leave the domain
+        (lj_system(), nan_state, variants[:2], CorrectorFailure, "non-finite residual"),
+        (lj_system(), nan_state, variants[2:], DomainExit, "iterate left the domain"),
+        (lj_system(), np.array([0.0, -1.0, 0.5, -1.0]), variants, DomainExit, "iterate left the domain"),
+        (_Infeasible(LJ), x0, variants, DomainExit, "converged point is infeasible"),
+        (FlatTriangle(LJ), off, variants, CorrectorFailure, "singular corrector matrix"),
+    ]
+    for system_i, state, kwargs_list, kind, message in cases:
+        for kwargs in kwargs_list:
+            assert _assert_same_correction((system_i, state, 0.5, settings), kwargs) is kind
+            with pytest.raises(kind, match=message):
+                newton_correct(system_i, state, 0.5, settings, **kwargs)
+    stalled = ContinuationSettings(newton_max_iters=1)
+    for args in ((system, off, 0.5, stalled), (system, guess[:-1], guess[-1], stalled, arclength),
+                 (system, guess[:-1], guess[-1], stalled, arclength, fix)):
+        assert _assert_same_correction(args, {}) is CorrectorFailure
+        with pytest.raises(CorrectorFailure, match="no convergence in 1 iterations"):
+            newton_correct(*args)
+    for args in ((system, off, 0.5, settings), (system, guess[:-1], guess[-1], settings, arclength),
+                 (system, guess[:-1], guess[-1], settings, arclength, fix)):
+        assert _assert_same_correction(args, {}) is None
+
+
 def test_tangent_orientation_is_stable():
     system = lj_system()
     x0 = system.trivial_state(0.5)
@@ -191,14 +374,14 @@ def test_trace_hooke_emits_no_events():
 
 
 def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
-    # the quiet Hooke trace above: every Newton iterate assembles one Hessian
-    # and every converged correction takes at most one eigen-decomposition,
-    # plus one of each at the start point
+    # the quiet Hooke trace above: every Newton iterate runs the constraint
+    # kernel once and every converged correction takes at most one
+    # eigen-decomposition, plus one of each at the start point
     counts = Counter()
 
-    def hess(e):
-        counts["hess"] += 1
-        return TRIANGLE.hess(e)
+    def terms(e):
+        counts["terms"] += 1
+        return TRIANGLE.terms(e)
 
     def eig(M):
         counts["eig"] += 1
@@ -210,7 +393,7 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
         counts["iterates"] += out[1] + 1
         return out
 
-    system = ClusterProblem(replace(TRIANGLE, hess=hess), PolynomialSpring(1, 0))
+    system = ClusterProblem(replace(TRIANGLE, terms=terms), PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
     counts.clear()
@@ -222,7 +405,7 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
     assert events == [] and branch.points[-1].parameter > 99.0
     assert counts["corrections"] >= len(branch.points) - 1 > 30
-    assert counts["hess"] <= counts["iterates"] + 1
+    assert counts["corrections"] <= counts["terms"] <= counts["iterates"] + 1
     assert counts["eig"] <= counts["corrections"] + 1
 
 
