@@ -145,7 +145,7 @@ def _run_traces(system, jobs, settings, window, targets):
 
     A seed whose trace aborts immediately (non-isolated solutions make every
     bordered corrector singular, e.g. the soft-spring solution sphere) is
-    kept as a single verified point rather than dropped.
+    kept as a single converged point rather than dropped.
     """
     def one(job):
         seed, center_z = job
@@ -173,7 +173,7 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
     x_ev = np.asarray(ev.state, dtype=float)
     if not all(is_isolated(system, np.asarray(s.state), s.parameter) for s in seeds):
         # degenerate family: the switched solutions are not isolated, so a
-        # branch trace is ill posed; report the verified seed points alone
+        # branch trace is ill posed; report the converged seed points alone
         merged = concatenate_branches(Branch(points=[seeds[0]]), classified_point(system, x_ev, ev.parameter),
                                       Branch(points=list(seeds[1:])))
         merged.label = system.shape_of(np.asarray(seeds[0].state))
@@ -744,11 +744,14 @@ def cmd_diagram(cfg: dict, out_dir: Path | None) -> int:
     window = _config_window(cfg)
     settings = _config_settings(cfg)
     outputs = _config_outputs(cfg, problem) if out_dir is not None else None
+    deep = cfg.get("deep", False)
+    if type(deep) is not bool:  # a string such as "no" would switch to depth 4
+        raise ConfigError(f"deep must be true or false, got {deep!r}", key="deep")
     diagram = build_diagram(
         problem, spec, window, settings,
         scan_n=_config_int(cfg, "grid_n", 2000, minimum=2),
         trivial_samples=_config_int(cfg, "trivial_samples", 400, minimum=0),
-        deep=bool(cfg.get("deep", False)),
+        deep=deep,
     )
     print(f"{len(diagram.branches)} branches, {len(diagram.events)} events")
     for ev in diagram.events:

@@ -21,7 +21,9 @@ There is one corrector, Keller's bordered Newton iteration, in a
 relative-scale arclength metric: the predictor tangent is frozen as the
 extra (weighted) row during correction.  Event localization uses the same
 corrector with a zero step along the segment chord, which keeps each probe
-on the hyperplane through it normal to the chord.  A branch of isotropy S
+on the hyperplane through it normal to the chord; branch-switch seeds and
+crossing-end probes use it at fixed parameter or with the extra row
+pinning an amplitude.  A branch of isotropy S
 lies in the fixed-point space Fix(S), and the corrector projects every
 iterate onto it with the exact group-average projector of the start point's
 stabilizer, so a trace keeps its symmetry by construction, whatever the
@@ -47,10 +49,11 @@ Fix(S') has codimension 1 the crossing monitor is the signed distance u.x
 from it, a symmetry-adapted test function as in Dellnitz & Werner (1989,
 J. Comput. Appl. Math. 26), and landing on a point of larger isotropy order
 is the fallback elsewhere.
-`branch_switch` seeds the bifurcating branches through an isotropy
-reduction, either by the asymptotic slope -2*B0/A0 of the Lyapunov-Schmidt
-coefficients or, for pitchforks, by amplitude-pinned correction walked
-outward along the wing.
+`branch_switch` seeds the bifurcating branches in the fixed-point space
+of the kernel's isotropy subgroup, either by the asymptotic slope -2*B0/A0
+of the Lyapunov-Schmidt coefficients or, for pitchforks, by
+amplitude-pinned correction walked outward along the wing; every seed is
+corrected on the full residual and projected onto that space.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .linalg import orthonormal_columns, solve, sym_eigen
+from .linalg import solve, sym_eigen
 
 __all__ = [
     "ContinuationSettings",
@@ -106,6 +109,9 @@ class ContinuationSettings:
     def __post_init__(self):
         # every bound is finite (an infinite step or tolerance passes a plain
         # comparison) and every count an int (a float one stops range() mid-build)
+        for name in ("h0", "h_min", "h_max", "newton_tol", "step_growth", "step_shrink"):
+            if isinstance(getattr(self, name), bool):  # True passes every bound as 1
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0 < self.h_min <= self.h0 <= self.h_max < math.inf):
             raise ValueError("step sizes must satisfy 0 < h_min <= h0 <= h_max < inf")
         # a shrink of 1 never ends the retry at a window edge; the rest would
@@ -480,14 +486,13 @@ def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.nda
                 np.max(np.abs(projections[k] @ x - x)) <= 1e-6 * np.max(np.abs(x[1:])) for k in ks):
             return z_img, tg, None
     u, Q = normals[ks[0]], projections[ks[0]]
-    Z = orthonormal_columns(Q)
 
     def probe(p: float, guess: np.ndarray):
-        got = _reduced_correct(system, Z, guess, p, settings)
-        if got is None:
+        try:
+            got = newton_correct(system, guess, p, settings, projection=Q)
+        except (CorrectorFailure, DomainExit):
             return None
-        J = system.jacobian(got[0], p)
-        return got[0], float(u @ J @ u), J
+        return got.state, float(u @ got.jacobian @ u), got.jacobian
 
     p0, scale = float(z_a[-1]), max(1.0, abs(z_a[-1]))
     p1 = float(z_b[-1]) if abs(z_b[-1] - p0) > 1e-8 * scale else p0 + 1e-6 * scale
@@ -669,35 +674,6 @@ def _event_at(kind: str, x: np.ndarray, p: float, J: np.ndarray, refined: bool
     )
 
 
-def _reduced_correct(system, Z: np.ndarray, x_guess: np.ndarray, p: float,
-                     settings: ContinuationSettings, pin=None) -> tuple[np.ndarray, float] | None:
-    """Newton in the reduced space x = Z y at fixed parameter or, when `pin` is
-    (v, x_ref, delta), with the parameter free and <v, x - x_ref> pinned to delta."""
-    k = Z.shape[1]
-    y = Z.T @ x_guess
-    for _ in range(60):
-        x = Z @ y
-        if not system.in_domain(x):
-            return None
-        F, J = system.evaluate(x, p)
-        F, M = Z.T @ F, Z.T @ J @ Z
-        if pin is not None:
-            v, x_ref, delta = pin
-            F = np.append(F, v @ (x - x_ref) - delta)
-            M = np.vstack([np.column_stack([M, Z.T @ system.parameter_derivative(x, p)]),
-                           np.append(Z.T @ v, 0.0)])
-        if np.max(np.abs(F)) < settings.newton_tol:
-            return x, p
-        try:
-            step = solve(M, -F)
-        except LinAlgError:
-            return None
-        y = y + step[:k]
-        if pin is not None:
-            p = p + step[k]
-    return None
-
-
 def is_isolated(system, x: np.ndarray, p: float) -> bool:
     """True once no Jacobian eigenvalue is trapped near zero.
 
@@ -714,30 +690,35 @@ def is_isolated(system, x: np.ndarray, p: float) -> bool:
     return scale > 0 and float(np.min(np.abs(w))) > 1e-7 * scale
 
 
-def _ramped_pitchfork_seed(system, Z: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float,
-                           delta: float, settings: ContinuationSettings
-                           ) -> tuple[np.ndarray, float] | None:
+def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float,
+                           delta: float, settings: ContinuationSettings) -> Correction | None:
     """Walk out along a pitchfork wing by doubling the pinned amplitude.
 
-    Each step stays in the reduced subspace, where the kernel is simple and
-    the amplitude-pinned Newton is well posed arbitrarily close to the
-    bifurcation; the walk stops at the first amplitude whose full Jacobian is
-    comfortably regular, returning the last good wing point.
+    Each step is a `newton_correct` in Fix(S), projected with `P`, with the
+    parameter free and the amplitude v.(x - x0) pinned by the constraint
+    row (v, 0); inside Fix(S) the kernel is simple and the pinned Newton is
+    well posed arbitrarily close to the bifurcation.  The walk stops at the
+    first amplitude whose full Jacobian is comfortably regular, returning
+    the last good wing point.
     """
-    got = _reduced_correct(system, Z, x0 + delta * v, p0, settings, (v, x0, delta))
-    if got is None:
+    def pinned(guess: np.ndarray, p: float, amp: float) -> Correction:
+        return newton_correct(system, guess, p, settings,
+                              PseudoArclength(tuple(x0), p0, tuple(v) + (0.0,), amp), P)
+
+    try:
+        got = pinned(x0 + delta * v, p0, delta)
+    except (CorrectorFailure, DomainExit):
         return None
-    x, p = got
     amp = delta
     for _ in range(16):
-        if is_isolated(system, x, p):
+        if is_isolated(system, got.state, got.parameter):
             break
         amp *= 2.0
-        nxt = _reduced_correct(system, Z, x + 0.5 * amp * v, p, settings, (v, x0, amp))
-        if nxt is None:
+        try:
+            got = pinned(got.state + 0.5 * amp * v, got.parameter, amp)
+        except (CorrectorFailure, DomainExit):
             break
-        x, p = nxt
-    return x, p
+    return got
 
 
 def branch_switch(system, event: BifurcationEvent, reduction, settings: ContinuationSettings,
@@ -745,13 +726,14 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
                   fd_step: float = 1e-4) -> tuple[list[BranchPoint], BranchSwitchData]:
     """Seed the branch emanating from a bifurcation event.
 
-    In the isotropy-reduced problem the critical eigenvalue is simple with
-    unit kernel vector v (== the left null vector, the reduced Jacobian being
-    symmetric).  The quadratic coefficient is the second directional
-    difference of the reduced residual along v; the parameter coefficient
-    differentiates the reduced Jacobian along the known symmetric branch
-    `trivial_curve`.  Their ratio gives the branch slope m = -2*B0/A0 and two
-    seeds at parameter offsets +-epsilon, corrected at fixed parameter.
+    In Fix(S), S the reduction's isotropy subgroup, the critical eigenvalue
+    is simple with unit kernel vector v (== the left null vector, the
+    Jacobian being symmetric).  The quadratic coefficient is the second
+    directional difference of the projected residual P F along v; the
+    parameter coefficient differentiates the projected Jacobian P J P along
+    the known symmetric branch `trivial_curve`.  Their ratio gives the
+    branch slope m = -2*B0/A0 and two seeds at parameter offsets +-epsilon,
+    corrected at fixed parameter.
 
     Degenerate (pitchfork) events, |A0| below 1e-8, and events without a
     `trivial_curve` are seeded by perturbing the critical state along v with
@@ -759,11 +741,12 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
     amplitude is then doubled along the wing until the Jacobian spectrum
     clears zero, so the returned seeds are traceable.
 
-    Every converged seed is re-verified against the full residual before
-    being returned.
+    Every seed is a `newton_correct` projected onto Fix(S) with the
+    reduction's projector, so it converges on the full residual, lies in
+    Fix(S) exactly and is labeled from the corrector's last Jacobian; a
+    seed whose correction fails is left out.
     """
     P = reduction.projection
-    Z = reduction.basis
     v = reduction.kernel_unit()
     x0 = np.array(event.state, dtype=float)
     p0 = float(event.parameter)
@@ -790,17 +773,15 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
         for eps in (epsilon, -epsilon):
             p_seed = p0 + eps
             guess = trivial_curve(p_seed) + eps * m * v
-            got = _reduced_correct(system, Z, guess, p_seed, settings)
-            if got is None:
-                continue
-            seeds.append(_verified_seed(system, got[0], p_seed, settings))
+            try:
+                seeds.append(newton_correct(system, guess, p_seed, settings, projection=P).point)
+            except (CorrectorFailure, DomainExit):
+                pass  # a seed that does not converge is left out
     else:
         for delta in (pitchfork_delta, -pitchfork_delta):
-            got = _ramped_pitchfork_seed(system, Z, v, x0, p0, delta, settings)
-            if got is None:
-                continue
-            x, p_seed = got
-            seeds.append(_verified_seed(system, x, p_seed, settings))
+            got = _ramped_pitchfork_seed(system, P, v, x0, p0, delta, settings)
+            if got is not None:
+                seeds.append(got.point)
 
     data = BranchSwitchData(
         v=tuple(float(t) for t in v),
@@ -810,14 +791,6 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
         epsilon=epsilon,
     )
     return seeds, data
-
-
-def _verified_seed(system, x: np.ndarray, p: float, settings: ContinuationSettings) -> BranchPoint:
-    F, J = system.evaluate(x, p)
-    full = float(np.max(np.abs(F)))
-    if full > 10.0 * settings.newton_tol:
-        raise CorrectorFailure(f"reduced-space seed fails full-system verification (|F|={full:.3e})", full)
-    return classified_point(system, x, p, J)
 
 
 def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:

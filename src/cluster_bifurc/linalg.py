@@ -3,9 +3,11 @@
 Linear systems are solved by `numpy.linalg.solve`, re-exported here as
 `solve`; an exactly singular matrix raises `numpy.linalg.LinAlgError`.  No
 decision of the package reads a pivot: whether a point is singular is
-judged from eigenvalues, relative to a scale, and each traced branch stays
-in its fixed-point space because the corrector projects onto it, not
-because the elimination happens to round symmetrically.
+judged from eigenvalues, relative to a scale, and each traced branch and
+switch seed stays in its fixed-point space because the corrector projects
+onto it, not because the elimination happens to round symmetrically.
+The constrained Hessian's tangent-space basis is a Householder complement
+(`householder_complement`), computed for one vector or a stack at once.
 
 The symmetric eigensolver is LAPACK's `eigh` (through numpy) with one sign
 convention fixed on top: every eigenvector's largest-magnitude entry is
@@ -25,7 +27,6 @@ __all__ = [
     "det_sign",
     "householder_complement",
     "squared_norms",
-    "orthonormal_columns",
 ]
 
 
@@ -83,19 +84,3 @@ def householder_complement(g) -> np.ndarray:
     v[..., :1] += np.where(g[..., :1] >= 0, nrm, -nrm)
     H = np.eye(g.shape[-1]) - 2.0 * (v[..., :, None] * v[..., None, :]) / squared_norms(v)[..., None, None]
     return H[..., 1:]
-
-
-def orthonormal_columns(P, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column space of P via ordered Gram-Schmidt."""
-    P = np.asarray(P, dtype=float)
-    basis: list[np.ndarray] = []
-    for j in range(P.shape[1]):
-        w = P[:, j].copy()
-        for q in basis:
-            w -= (q @ w) * q
-        for q in basis:  # second pass for orthogonality at round-off level
-            w -= (q @ w) * q
-        nw = np.sqrt(w @ w)
-        if nw > tol:
-            basis.append(w / nw)
-    return np.column_stack(basis) if basis else np.zeros((P.shape[0], 0))

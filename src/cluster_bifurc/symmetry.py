@@ -33,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from .continuation import Branch, BranchPoint
-from .linalg import orthonormal_columns
 
 __all__ = [
     "Perm",
@@ -287,11 +286,6 @@ class Reduction:
     @property
     def projection_exact(self):
         return fixed_projection_exact(self.subgroup)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the fixed-point subspace."""
-        return orthonormal_columns(self.projection)
 
     def kernel_unit(self) -> np.ndarray:
         v = np.asarray(self.kernel_vector, dtype=float)

@@ -113,6 +113,13 @@ def test_set_overrides(tmp_path, capsys):
     ("stability", ["window.1=Infinity"]),
     ("trace", ["window.1=Infinity"]),
     ("diagram", ["window.0=true"]),
+    ("diagram", ["deep=no"]),
+    ("diagram", ["continuation.h_max=true"]),
+    ("diagram", ["continuation.h0=true", "continuation.h_max=2"]),
+    ("diagram", ["continuation.h_min=true", "continuation.h0=1", "continuation.h_max=2"]),
+    ("diagram", ["continuation.newton_tol=true"]),
+    ("diagram", ["continuation.step_growth=true"]),
+    ("diagram", ["continuation.step_shrink=false"]),
 ])
 def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets):
     cfg = write_config(tmp_path, LJ_STABILITY)

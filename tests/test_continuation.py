@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cluster_bifurc import cluster, continuation
+from cluster_bifurc import cli, cluster, continuation
 from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.cluster import ClusterProblem, classify_stack
 from cluster_bifurc.continuation import (
@@ -54,6 +54,10 @@ def test_settings_validation():
         ContinuationSettings(h0=1.0, h_max=0.5)
     with pytest.raises(ValueError):
         ContinuationSettings(h_min=0.0)
+    # a bool passes every bound as 0 or 1
+    for name in ("h0", "h_min", "h_max", "newton_tol", "step_growth", "step_shrink"):
+        with pytest.raises(ValueError, match=name):
+            ContinuationSettings(**{"h_max": 2.0, "h0": 1.0, name: True})
 
 
 def test_newton_correct_trivial_is_instant():
@@ -586,30 +590,63 @@ def test_branch_switch_buckingham_second_root():
         assert pt.shape.startswith("isosceles")
 
 
-def test_a_seed_is_verified_and_labeled_from_one_evaluation(monkeypatch):
+def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
     system = lj_system()
-    settings = ContinuationSettings()
-    seeds, _ = branch_switch(system, make_primary_event(system, A0), triangle_isosceles_reduction(), settings,
-                             trivial_curve=system.trivial_state)
-    x, p = np.asarray(seeds[0].state), seeds[0].parameter
-    want = continuation.classified_point(system, x, p)
-    counts = Counter()
+    calls = Counter()
+    jacobian = system.jacobian
 
-    def counting(name):
-        method = getattr(system, name)
+    def counting(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
 
-        def wrapper(*args):
-            counts[name] += 1
-            return method(*args)
-        return wrapper
+    monkeypatch.setattr(system, "jacobian", counting)
+    seeds, _ = branch_switch(system, make_primary_event(system, A0), triangle_isosceles_reduction(),
+                             ContinuationSettings(), trivial_curve=system.trivial_state)
+    # the two differences of B0 along the symmetric branch; no seed builds its own Jacobian
+    assert len(seeds) == 2 and calls["jacobian"] == 2
+    for pt in seeds:
+        assert pt == continuation.classified_point(system, np.asarray(pt.state), pt.parameter)
 
-    for name in ("evaluate", "residual", "jacobian"):
-        monkeypatch.setattr(system, name, counting(name))
-    # the Jacobian does not depend on the parameter, so the labels are those of a fresh one
-    assert continuation._verified_seed(system, x, p, settings) == want == seeds[0]
-    assert counts == {"evaluate": 1}
-    with pytest.raises(CorrectorFailure):
-        continuation._verified_seed(system, x, p + 1e-3, settings)
+
+# (problem, potential, window, number of primary switches seeded by the pitchfork ramp)
+SWITCH_BUILDS = {
+    "lennard-jones-triangle": ("triangle", LJ, (0.3, 0.9), 0),
+    "buckingham-triangle": ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0), 0),
+    "soft-spring-tetrahedron": ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0), 1),
+    "lennard-jones-tetrahedron": ("tetrahedron", LJ, (0.05, 0.5), 1),
+}
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-10])
+@pytest.mark.parametrize("name", sorted(SWITCH_BUILDS))
+def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, rel):
+    problem, spec, window, pitchforks = SWITCH_BUILDS[name]
+    switches = []
+
+    # rel > 0: a solver off by up to rel, unequally across entries, so only the
+    # projection keeps equal edges equal
+    def perturbed(M, b):
+        x = np.linalg.solve(M, b)
+        return x * (1.0 + rel * np.linspace(-1.0, 1.0, len(x)))
+
+    def recording(system, event, reduction, settings, trivial_curve=None, **kwargs):
+        seeds, data = branch_switch(system, event, reduction, settings, trivial_curve=trivial_curve, **kwargs)
+        if trivial_curve is not None:  # a switch off the symmetric branch
+            switches.append((system, reduction, settings, seeds, data))
+        return seeds, data
+
+    monkeypatch.setattr(cli, "branch_switch", recording)
+    monkeypatch.setattr(continuation, "solve", perturbed)
+    build_diagram(problem, spec, window, ContinuationSettings(max_points=20))
+    assert switches
+    # transcritical seeds carry the slope m; the pitchfork ramp leaves it 0
+    assert sum(data.m == 0.0 for *_, data in switches) == pitchforks
+    for system, reduction, settings, seeds, _ in switches:
+        assert len(seeds) == 2
+        for pt in seeds:
+            x = np.asarray(pt.state)
+            assert all(np.array_equal(P.apply(x), x) for P in reduction.subgroup)
+            assert np.max(np.abs(system.residual(x, pt.parameter))) < settings.newton_tol
 
 
 def test_dedup_events():

@@ -6,7 +6,6 @@ from cluster_bifurc import continuation, linalg
 from cluster_bifurc.linalg import (
     det_sign,
     householder_complement,
-    orthonormal_columns,
     solve,
     squared_norms,
     sym_eigen,
@@ -193,10 +192,3 @@ def test_squared_norms_and_complements_are_bit_identical_to_the_vector_formulas(
         with pytest.raises(ValueError):
             householder_complement(G)
 
-
-def test_orthonormal_columns_of_projector():
-    P = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]])
-    Z = orthonormal_columns(P)
-    assert Z.shape == (4, 3)
-    assert np.max(np.abs(Z.T @ Z - np.eye(3))) < 1e-12
-    assert np.max(np.abs(P @ Z - Z)) < 1e-12

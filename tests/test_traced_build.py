@@ -1,12 +1,15 @@
-"""A Lennard-Jones triangle build under the benchmark's span tracer.
+"""Lennard-Jones triangle and soft-spring tetrahedron builds under the span tracer.
 
 `perfbench/tracing.py` rebinds the package's public functions to wrappers
 that read their arguments and results, so a traced build depends on the
-call shapes they expect (`newton_correct(...)[1]`, `trace_branch(...)[0]`,
-the matrix as the first argument of `linalg.solve`/`sym_eigen`, calls made
-through module globals).  This build takes the switch at a secondary
-bifurcation and ends its scalene traces on a crossing, which the Buckingham
-build of `perfbench/test_perfbench.py` does not reach.
+call shapes they expect (`newton_correct(...)[1]`, `branch_switch(...)[0]`,
+`trace_branch(...)[0]`, the matrix as the first argument of
+`linalg.solve`/`sym_eigen`, calls made through module globals).  The
+triangle build takes the switch at a secondary bifurcation and ends its
+scalene traces on a crossing, which the Buckingham build of
+`perfbench/test_perfbench.py` does not reach.  The tetrahedron build seeds
+its pitchfork wing and most of its switches with traced `newton_correct`
+calls nested in `branch_switch`.
 """
 
 import json
@@ -58,3 +61,24 @@ def test_a_traced_lennard_jones_build_reconciles_and_writes_the_untraced_bytes(t
     layers = tracing.layer_metrics(tracer.spans + tracer.roots, 1)
     assert layers["continuation.branch_switch.calls"] >= 2
     assert layers["continuation.detect_and_localize.events"] >= 1
+
+
+def test_a_traced_soft_spring_tetrahedron_build_reconciles_and_passes_its_checks(tmp_path, perfbench):
+    tracing, worker = perfbench
+    import workloads
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workloads.make_config("spring-tet", 0)))
+    tracer = tracing.Tracer()
+    traced = worker.run_build(str(config), tmp_path / "traced", tracer, 0)
+    assert traced["rc"] == 0 and traced["error"] is None
+    problems, _ = worker.reconcile(tracer, [traced])
+    assert problems == []
+    plain = worker.run_build(str(config), tmp_path / "plain", None, 1)
+    failures, _ = worker.judge("spring-tet", [traced, plain])
+    assert failures == []  # both pass the workload's checks, with identical bytes
+    layers = tracing.layer_metrics(tracer.spans + tracer.roots, 1)
+    assert layers["continuation.branch_switch.seeds"] == 2 * layers["continuation.branch_switch.calls"] >= 8
+    # every seed is a traced correction inside its switch's span
+    seeds = [sp for sp in tracer.spans if sp.layer == "continuation.newton_correct"
+             and sp.parent is not None and sp.parent.layer == "continuation.branch_switch"]
+    assert len(seeds) >= layers["continuation.branch_switch.seeds"]
