@@ -31,7 +31,11 @@ linear solver rounds.  Each Newton iterate evaluates the residual and
 Jacobian in one pass and refills the correction's one bordered matrix and
 right-hand side in place; an accepted point reuses its last Jacobian for the
 tangent, and keeps it until the trace ends, when all of the trace's points
-are classified in one stacked pass (`classify_stack`).
+are classified in one stacked pass (`classify_stack`).  A step that leaves
+the parameter window ends the trace on the edge it crossed: the edge is a
+special point p - edge = 0 of the solution curve (Allgower & Georg 1990,
+ch. 9), computed by one correction at that fixed parameter from the
+step's chord.
 
 Event detection then compares two monitors between neighbouring points, as
 arrays over the whole trace: the tangent-space (Morse) index, the number of
@@ -270,9 +274,10 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
     in Fix(S) exactly.  Convergence is declared when the residual infinity
     norm drops below newton_tol and the constraint holds; the `Correction`
     carries that iterate's Jacobian and labels the point only when asked.
-    Raises CorrectorFailure on a non-finite residual, stagnation or a
-    singular corrector matrix and DomainExit when an iterate (or the
-    converged point) leaves the feasible region.
+    Raises CorrectorFailure on a non-finite residual, a singular corrector
+    matrix or no convergence within newton_max_iters iterations, and
+    DomainExit when an iterate leaves the domain or the converged point is
+    infeasible.
     """
     n = system.dim
     x = np.array(state, dtype=float)
@@ -356,10 +361,17 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     """Trace one branch from a converged start point.
 
     `direction` seeds the tangent orientation (only its sign content
-    matters).  The trace stops at max_points, on leaving the parameter
-    window, when the corrector keeps failing/leaving the domain at the
+    matters).  The trace stops at max_points, on the parameter window's
+    edge, when the corrector keeps failing/leaving the domain at the
     minimum step, or where the branch meets a more symmetric one:
 
+    * window edge: a correction past the window is dropped unlabeled, and
+      one `newton_correct` at the crossed edge's parameter, from the state
+      interpolated along the step's chord, gives the trace's last point,
+      exactly on the edge; the point passes the crossing and landing rules
+      below like any other.  If that correction fails, or lies farther
+      from the last point than the dropped one in the arclength metric,
+      the step is shrunk and retried as after a corrector failure;
     * crossing: the monitor u.x (`system.crossing_functionals`) of a Fix(S')
       of codimension 1 in the start point's Fix(S) changes sign over a step
       or ends it within the shape namers' 1e-6 relative of zero; the trace
@@ -409,14 +421,17 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             if not states and isinstance(err, CorrectorFailure):
                 raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
             break
+        at_edge = not (window[0] <= corrected.parameter <= window[1])
+        if at_edge:
+            # the step left the window: end it on the edge it crossed instead
+            corrected = _edge_correction(system, z, corrected, window, w, settings, fix)
+            if corrected is None:
+                if h > settings.h_min:
+                    h = max(h * settings.step_shrink, settings.h_min)
+                    continue
+                break
         x_new = corrected.state
         z_new = np.append(x_new, corrected.parameter)
-        if not (window[0] <= z_new[-1] <= window[1]):
-            # shrink toward the window edge instead of losing a whole step
-            if h > settings.h_min:
-                h = max(h * settings.step_shrink, settings.h_min)
-                continue
-            break
         phi_new = normals @ x_new
         crossed = np.flatnonzero((phi * phi_new < 0.0)
                                  | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
@@ -442,6 +457,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         jacobians.append(corrected.jacobian)
         slopes.append(float(t_new[-1]))
         z, t, w, phi = z_new, t_new, w_new, phi_new
+        if at_edge:
+            break
         if corrected.iterations <= settings.contraction_target:
             h = min(h * settings.step_growth, settings.h_max)
 
@@ -462,6 +479,27 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     points += [end_point] if end_point is not None else []
     return (Branch(points=points, reached_event=None if reached is None else reached.id),
             dedup_events(events))
+
+
+def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[float, float],
+                     w: np.ndarray, settings: ContinuationSettings, fix: np.ndarray) -> Correction | None:
+    """The branch point on the window edge that the step z -> `over` crossed,
+    corrected at that fixed parameter in Fix(S) from the step's chord; None
+    when z is not strictly inside the window, when the correction raises, or
+    when it lies farther from z in the metric `w` than `over` (it converged
+    onto another part of the solution set)."""
+    if not window[0] < z[-1] < window[1]:
+        return None
+    p = over.parameter
+    edge = window[0] if p < window[0] else window[1]
+    z_over = np.append(over.state, p)
+    guess = z + (edge - z[-1]) / (p - z[-1]) * (z_over - z)
+    try:
+        got = newton_correct(system, guess[:-1], edge, settings, projection=fix)
+    except (CorrectorFailure, DomainExit):
+        return None
+    dz, dz_over = np.append(got.state, edge) - z, z_over - z
+    return got if (w * dz) @ dz <= (w * dz_over) @ dz_over else None
 
 
 def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.ndarray,

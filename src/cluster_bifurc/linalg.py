@@ -11,9 +11,11 @@ The constrained Hessian's tangent-space basis is a Householder complement
 
 The symmetric eigensolver is LAPACK's `eigh` (through numpy) with one sign
 convention fixed on top: every eigenvector's largest-magnitude entry is
-positive, the first such entry on a tie.  Bifurcation kernels are exported
-and orient the switched branches' seeds, so they must not depend on the
-sign LAPACK happens to choose.  numpy remains the only runtime dependency.
+positive, the first such entry on a tie, where entries within a relative
+1e-12 of the largest magnitude tie.  Bifurcation kernels are exported and
+orient the switched branches' seeds, so they must depend neither on the
+sign LAPACK happens to choose nor on the last bit of a kernel such as
+(0, 0, -1, 1)/sqrt(2).  numpy remains the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -42,14 +44,17 @@ def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w, V) with eigenvalues ascending and orthonormal eigenvectors in
     the columns of V, so that V @ diag(w) @ V.T reconstructs M.  Each column
-    of V has its largest-magnitude entry positive (the first one on a tie).
+    of V has its largest-magnitude entry positive (the first one on a tie,
+    entries within a relative 1e-12 of the largest tying).
     """
     A = _as_square(M)
     scale = np.abs(A).max()
     if scale > 0 and np.abs(A - A.T).max() > 1e-10 * scale:
         raise ValueError("sym_eigen requires a symmetric matrix")
     w, V = np.linalg.eigh(0.5 * (A + A.T))
-    V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])])
+    mag = np.abs(V)
+    lead = (mag >= (1.0 - 1e-12) * mag.max(axis=0)).argmax(axis=0)
+    V *= np.sign(V[lead, np.arange(V.shape[1])])
     return w, V
 
 

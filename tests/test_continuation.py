@@ -408,16 +408,17 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     hint[-1] = 1.0
     branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
     assert events == [] and branch.points[-1].parameter > 99.0
-    assert counts["corrections"] >= len(branch.points) - 1 > 30
+    assert counts["corrections"] >= len(branch.points) - 1 > 25
     assert counts["corrections"] <= counts["terms"] <= counts["iterates"] + 1
     assert counts["eig"] <= counts["corrections"] + 1
 
 
 def test_trace_labels_only_the_points_it_keeps(monkeypatch):
-    # the same quiet Hooke trace: corrections past the A = 100 edge are
-    # rejected unlabeled, and the kept ones are labeled in one stacked pass
+    # the same quiet Hooke trace: the one correction past the A = 100 edge is
+    # rejected unlabeled, a fixed-parameter correction puts the last point on
+    # the edge, and the kept points are labeled in one stacked pass
     counts = Counter()
-    rows = []
+    rows, calls = [], []
 
     def eig(M):
         counts["eig"] += 1
@@ -428,8 +429,9 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
         return classify_stack(geometry, states, jacobians)
 
     def correct(*args, **kwargs):
-        counts["corrections"] += 1
-        return newton_correct(*args, **kwargs)
+        out = newton_correct(*args, **kwargs)
+        calls.append((kwargs.get("constraint", args[4] if len(args) > 4 else None), out))
+        return out
 
     system = TriangleProblem(PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
@@ -445,9 +447,37 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     hint = np.zeros(5)
     hint[-1] = 1.0
     branch, _ = trace_branch(system, start, hint, settings, (0.1, 100.0))
-    assert counts["corrections"] > len(branch.points) + 10
+    past = [i for i, (_, c) in enumerate(calls) if c.parameter > 100.0]
+    assert len(past) == 1 and "point" not in vars(calls[past[0]][1])
+    assert calls[past[0] + 1][0] is None and calls[past[0] + 1][1].parameter == 100.0
+    assert past[0] + 2 == len(calls) and branch.points[-1].parameter == 100.0
     # one row for every point kept after the start point, which comes labeled
     assert rows == [len(branch.points) - 1] and counts["eig"] == 0
+
+
+@pytest.mark.parametrize("failures", [1, math.inf])
+def test_a_failed_edge_correction_falls_back_to_a_shorter_step(monkeypatch, failures):
+    # the fixed-parameter correction on the A = 100 edge raises once (or
+    # always): the trace shrinks its step, retries, and ends in the window
+    raised = Counter()
+
+    def correct(system, state, parameter, *args, **kwargs):
+        if parameter == 100.0 and raised["edge"] < failures:
+            raised["edge"] += 1
+            raise CorrectorFailure("refused at the edge")
+        return newton_correct(system, state, parameter, *args, **kwargs)
+
+    system = TriangleProblem(PolynomialSpring(1, 0))
+    settings = ContinuationSettings(h_max=0.5)
+    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
+    monkeypatch.setattr(continuation, "newton_correct", correct)
+    hint = np.zeros(5)
+    hint[-1] = 1.0
+    branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
+    end = branch.points[-1].parameter
+    assert events == [] and raised["edge"] >= 1 and 99.0 < end <= 100.0
+    assert (end == 100.0) == (failures == 1)
+    assert np.all(np.diff(branch.parameters()) > 0.0)
 
 
 def test_stacked_trace_labels_equal_the_per_point_ones():

@@ -6,8 +6,10 @@ range must give the same event multiset (kind, parameter to 1e-6) and the
 same branch count as the finest step; every switched branch keeps one
 isotropy type between its junction and its end points; and no branch is
 stored twice.  The Lennard-Jones tetrahedron has 14 branches at every
-`h_max`.  A solver whose every solution is off by a relative 1e-13 (or
-1e-10) leaves the branch counts and the events as they are.
+`h_max`.  Every switched branch of the Lennard-Jones triangle and of both
+tetrahedra ends exactly on a window edge or on a group image of an event.
+A solver whose every solution is off by a relative 1e-13 (or 1e-10) leaves
+the branch counts and the events as they are.
 """
 
 from functools import lru_cache
@@ -24,7 +26,9 @@ CASES = {
     "lennard-jones": ("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9)),
     "buckingham": ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0)),
     "lennard-jones-tetrahedron": ("tetrahedron", LennardJones(1, 2, 12, 6), (0.05, 0.5)),
+    "soft-spring-tetrahedron": ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0)),
 }
+SETTINGS = {"soft-spring-tetrahedron": {"max_points": 400}}
 LENNARD_JONES_EVENTS = [("primary", 0.587689), ("secondary", 0.625072), ("secondary", 0.667039),
                         ("turning", 0.585663)]
 FINEST = 0.01
@@ -39,7 +43,7 @@ BUCKINGHAM_COARSE = pytest.param(
 @lru_cache(maxsize=None)
 def _diagram(name: str, h_max: float):
     problem, spec, window = CASES[name]
-    return build_diagram(problem, spec, window, ContinuationSettings(h_max=h_max))
+    return build_diagram(problem, spec, window, ContinuationSettings(h_max=h_max, **SETTINGS.get(name, {})))
 
 
 def _events(diagram):
@@ -94,21 +98,22 @@ def test_no_two_branches_coincide(name, h_max):
 LENNARD_JONES_STEPS = [h for name, h in ALL if name == "lennard-jones"]
 
 
-@pytest.mark.parametrize("h_max", LENNARD_JONES_STEPS)
-def test_switched_half_branches_end_at_an_event_image_or_the_window_edge(h_max):
-    # the tracer halves its step toward a window edge down to h_min; a trace
+@pytest.mark.parametrize("name, h_max", [("lennard-jones", h) for h in LENNARD_JONES_STEPS] + [
+    ("soft-spring-tetrahedron", 0.2), ("soft-spring-tetrahedron", 0.05),
+    ("lennard-jones-tetrahedron", 0.5), ("lennard-jones-tetrahedron", 0.05)])
+def test_switched_half_branches_end_at_an_event_image_or_the_window_edge(name, h_max):
+    # a trace that leaves the window ends exactly on the edge it crossed; one
     # that meets a more symmetric branch ends on a group image of its event
-    diagram = _diagram("lennard-jones", h_max)
-    system = make_system("triangle", CASES["lennard-jones"][1])
-    lo, hi = CASES["lennard-jones"][2]
-    h_min = ContinuationSettings().h_min
+    diagram = _diagram(name, h_max)
+    problem, spec, (lo, hi) = CASES[name]
+    system = make_system(problem, spec)
     images = [np.append(P.apply(ev.state), ev.parameter) for ev in diagram.events for P in system.group()]
     for branch in diagram.branches:
         if branch.parent_event is None:
             continue
         for end in (branch.points[0], branch.points[-1]):
             z = end.z()
-            at_edge = any(abs(z[-1] - edge) <= h_min * max(1.0, edge) for edge in (lo, hi))
+            at_edge = z[-1] in (lo, hi)
             at_event = any(np.max(np.abs(z - img)) <= 1e-8 * np.max(np.abs(img)) for img in images)
             assert at_edge or at_event, (branch.id, end.parameter)
 

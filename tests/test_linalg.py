@@ -156,6 +156,24 @@ def test_eigen_matches_jacobi_reference_with_fixed_signs():
     assert V[0, 0] > 0.0 > V[1, 0] and V[0, 1] > 0.0 and V[1, 1] > 0.0
 
 
+def test_a_kernel_tie_does_not_depend_on_the_last_bit(monkeypatch):
+    # the kernel (0, 0, -1, 1)/sqrt(2) of a secondary point on an isosceles
+    # branch, exact and with either entry 1 ulp larger or smaller in
+    # magnitude, in either sign: all get the exact tie's orientation
+    exact = np.array([0.0, 0.0, -1.0, 1.0]) / np.sqrt(2.0)
+    kernels = [exact]
+    for i in (2, 3):
+        for toward in (0.0, np.copysign(np.inf, exact[i])):
+            v = exact.copy()
+            v[i] = np.nextafter(v[i], toward)
+            kernels.append(v)
+    oriented = []
+    for v in kernels + [-v for v in kernels]:
+        monkeypatch.setattr(np.linalg, "eigh", lambda M, v=v: (np.zeros(4), np.column_stack([v, np.eye(4)[:, :3]])))
+        oriented.append(sym_eigen(np.eye(4))[1][:, 0])
+    assert all(np.array_equal(np.sign(got), [0.0, 0.0, 1.0, -1.0]) for got in oriented)
+
+
 def test_householder_complement_orthogonality():
     rng = np.random.default_rng(7)
     for n in (3, 4, 6):
