@@ -77,18 +77,16 @@ from .tetrahedron import (  # noqa: E402
     trivial_spectrum4,
 )
 from .symmetry import (  # noqa: E402
+    FamilyTable,
     Perm,
     PermGroup,
     Reduction,
     fixed_projection,
     isotropy,
     orbit,
-    tetra_apex_reduction,
-    tetra_equal_pair_reduction,
+    stabilizer,
     tetra_group,
-    tetra_opposite_pair_reduction,
     triangle_group,
-    triangle_isosceles_reduction,
 )
 from .diagram import Abc3d, Diagram, ParamVsComponent, export, load_diagram, render_svg  # noqa: E402
 

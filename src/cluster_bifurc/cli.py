@@ -73,10 +73,6 @@ from .symmetry import (
     fixed_projection,
     fixed_projection_exact,
     orbit,
-    tetra_apex_reduction,
-    tetra_equal_pair_reduction,
-    tetra_opposite_pair_reduction,
-    triangle_isosceles_reduction,
 )
 from .tetrahedron import (
     RESTRICTION_COLUMNS,
@@ -171,14 +167,13 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
     if not seeds:
         return None
     x_ev = np.asarray(ev.state, dtype=float)
+    label = system.shape_of(np.asarray(seeds[0].state))
     if not all(is_isolated(system, np.asarray(s.state), s.parameter) for s in seeds):
         # degenerate family: the switched solutions are not isolated, so a
         # branch trace is ill posed; report the converged seed points alone
         merged = concatenate_branches(Branch(points=[seeds[0]]), classified_point(system, x_ev, ev.parameter),
                                       Branch(points=list(seeds[1:])))
-        merged.label = system.shape_of(np.asarray(seeds[0].state))
-        return _Entry(branch=merged, events=[], parent_event_id=ev.id, label=merged.label,
-                      reached=set())
+        return _Entry(branch=merged, events=[], parent_event_id=ev.id, label=label, reached=set())
     center_z = np.append(x_ev, ev.parameter)
     results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window, targets)
     halves = [r[0] for r in results]
@@ -187,11 +182,10 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
         merged = concatenate_branches(halves[0], classified_point(system, x_ev, ev.parameter), halves[1])
     else:
         merged = halves[0]
-    merged.label = system.shape_of(np.asarray(seeds[0].state))
     # events within the small seeding gap around the source bifurcation are echoes of it
     events = [e for e in events
               if abs(e.parameter - ev.parameter) > 2e-3 * max(1.0, abs(ev.parameter))]
-    return _Entry(branch=merged, events=events, parent_event_id=ev.id, label=merged.label,
+    return _Entry(branch=merged, events=events, parent_event_id=ev.id, label=label,
                   reached={h.reached_event for h in halves} - {None})
 
 
@@ -202,17 +196,17 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
 
     Primary bifurcation parameters come from the closed-form margin scan on
     the symmetric branch; each transversal root is switched through the
-    isotropy reductions appropriate to its kernel, the switched branches are
-    traced through the window (detecting secondary and turning events), and
-    secondary bifurcations are switched once more (depth 2 unless `deep`).
-    Every trace ends where it reaches a primary event or an event of a
+    reductions of the families its margins-table row names, the switched
+    branches are traced through the window (detecting secondary and turning
+    events), and secondary bifurcations are switched once more (depth 2
+    unless `deep`).  Every trace ends where it reaches a primary event or an event of a
     branch traced before it, or where it crosses into a larger fixed-point
     space at a bifurcation it localizes itself; a simple secondary event
     that some trace reached is not switched again: the branches it would
     seed are images of that trace.  Finally every nontrivial branch is
     expanded to its full symmetry orbit: each image a column permutation of
-    the branch's stacked states, its points' shape labels set as they are
-    built.
+    the branch's stacked states, the shapes of all images' points read from
+    the geometry's `FamilyTable` in one stacked call.
     """
     lo, hi = float(window[0]), float(window[1])
     if any(isinstance(v, bool) for v in window) or not (0 < lo < hi < math.inf):
@@ -241,7 +235,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         event_counter += 1
         primary_events.append(ev)
         if root.transversal:
-            jobs += [(ev, make(), system.trivial_state) for make in row.reductions]
+            jobs += [(ev, geometry.families.reduction(name), system.trivial_state) for name in row.reductions]
 
     trivial = _trivial_branch(system, window, trivial_samples, [ev.parameter for ev in primary_events])
 
@@ -277,9 +271,8 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     branches: list[Branch] = [trivial]
     events: list[BifurcationEvent] = list(primary_events)
     next_branch_id = 1
-    group = geometry.group()
     for entry in entries:
-        images = orbit(group, entry.branch, geometry.shape)
+        images = orbit(geometry.families, entry.branch)
         rep_id = next_branch_id
         for image in images:
             image.id = next_branch_id
@@ -393,7 +386,7 @@ def run_verification() -> list[tuple[str, bool, str]]:
             x = np.concatenate([[rng.uniform(-2, 2)], draw_edges()])
             p = float(rng.uniform(p_lo, p_hi))
             Fx = residual(geometry, spec, x, p)
-            for P in geometry.group():
+            for P in geometry.families.group():
                 diff = float(np.max(np.abs(residual(geometry, spec, P.apply(x), p) - P.apply(Fx))))
                 worst = max(worst, diff)
         checks.append(_check(f"{prefix}-equivariance", worst < 1e-12, f"max |F(Px)-PF(x)| {worst:.2e}"))
@@ -403,7 +396,7 @@ def run_verification() -> list[tuple[str, bool, str]]:
     for _ in range(100):
         e = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, 6)
         g0 = cayley_menger(e)
-        for P in TETRAHEDRON.group():
+        for P in TETRAHEDRON.families.group():
             ge = cayley_menger(P.apply(np.concatenate([[0.0], e]))[1:])
             worst = max(worst, abs(ge - g0) / max(1.0, abs(g0)))
     checks.append(_check("cm-invariance", worst < 1e-12, f"max rel diff {worst:.2e}"))
@@ -462,11 +455,12 @@ def run_verification() -> list[tuple[str, bool, str]]:
         return tuple(tuple(next((Fraction(1, len(B)) for B in blocks if i in B and j in B), Fraction(0))
                            for j in range(n)) for i in range(n))
 
-    ok = all(fixed_projection_exact(make().subgroup) == block_average(n, blocks) for make, n, blocks in (
-        (triangle_isosceles_reduction, 4, ((0,), (1,), (2, 3))),
-        (tetra_opposite_pair_reduction, 7, ((0,), (1, 2, 4, 5), (3,), (6,))),
-        (tetra_apex_reduction, 7, ((0,), (1, 2, 3), (4, 5, 6))),
-        (tetra_equal_pair_reduction, 7, ((0,), (1, 4), (2, 3, 5, 6)))))
+    ok = all(fixed_projection_exact(geometry.families.reduction(name).subgroup)
+             == block_average(geometry.n_edges + 1, blocks) for geometry, name, blocks in (
+        (TRIANGLE, "isosceles", ((0,), (1,), (2, 3))),
+        (TETRAHEDRON, "opposite-pair", ((0,), (1, 2, 4, 5), (3,), (6,))),
+        (TETRAHEDRON, "apex-base", ((0,), (1, 2, 3), (4, 5, 6))),
+        (TETRAHEDRON, "equal-pair", ((0,), (1, 4), (2, 3, 5, 6)))))
     checks.append(_check("fixed-projections", ok, "exact rational comparison"))
 
     g_reg = cayley_menger(np.ones(6))
@@ -482,12 +476,12 @@ def run_verification() -> list[tuple[str, bool, str]]:
     checks.append(_check("cm-cubic-vs-determinant", worst < 1e-12, f"max rel diff {worst:.2e}"))
 
     # the crossing monitor's functionals for the trivial isotropy and each
-    # switching reduction: P(S) = P(S'_k) + u_k u_k^t, u_k a unit vector
+    # named family: P(S) = P(S'_k) + u_k u_k^t, u_k a unit vector
     worst, counts = 0.0, []
     for geometry in (TRIANGLE, TETRAHEDRON):
-        group = geometry.group()
+        group = geometry.families.group()
         for sub in [PermGroup((Perm.identity(group.n),))] + [
-                make().subgroup for row in geometry.margins.values() for make in row.reductions]:
+                geometry.families.reduction(name).subgroup for name in geometry.families.families]:
             normals, projections = crossing_functionals(group, sub.elements)
             counts.append(len(normals))
             for u, Q in zip(normals, projections):
@@ -662,6 +656,9 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
         raise ConfigError("trace options must be an object", key="trace")
     p0 = _config_float(tr.get("parameter", 0.5 * (window[0] + window[1])), "trace.parameter",
                        positive=True)
+    if not window[0] <= p0 <= window[1]:
+        raise ConfigError(f"trace.parameter must lie in the window {list(window)!r}, got {p0!r}",
+                          key="trace.parameter")
     direction = _config_float(tr.get("direction", 1.0), "trace.direction")
     outputs = _config_outputs(cfg, problem) if out_dir is not None else None
     if tr.get("start", "trivial") == "trivial":

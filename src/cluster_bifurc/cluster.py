@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import householder_complement, sym_eigen
 from .potentials import PotentialSpec, derivatives
-from .symmetry import fixed_space, stabilizer
+from .symmetry import FamilyTable, fixed_space, stabilizer
 
 __all__ = [
     "Margin",
@@ -63,12 +63,13 @@ class Margin:
     """One row of a margins table.
 
     `kernel` spans the critical eigenspace of the Jacobian on the symmetric
-    branch (multiplier slot first); `reductions` build the isotropy
-    reductions that branch switching goes through at a zero of the margin.
+    branch (multiplier slot first); `reductions` name the families of the
+    geometry's `FamilyTable` whose reductions branch switching goes through
+    at a zero of the margin.
     """
 
     kernel: tuple[tuple[float, ...], ...]
-    reductions: tuple[Callable, ...]
+    reductions: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,9 @@ class Geometry:
     float, a list and a list of rows.  `trivial_multiplier`
     maps (a, phi'(a)) to the multiplier of the symmetric state;
     `realizable` decides whether positive edges bound a nondegenerate
-    simplex; `group` returns the edge permutation group lifted to fix the
-    multiplier; `margins` maps each coefficient k to its table row.
+    simplex; `families` holds the edge permutation group, lifted to fix the
+    multiplier, and the named shape families, one representative vector
+    each; `margins` maps each coefficient k to its table row.
     """
 
     name: str
@@ -92,8 +94,7 @@ class Geometry:
     trivial_edge: Callable
     trivial_multiplier: Callable
     realizable: Callable
-    shape: Callable
-    group: Callable
+    families: FamilyTable
     margins: dict[int, Margin]
 
 
@@ -294,7 +295,7 @@ def _tangent_matrix(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, tol
 
 
-def _classification(geometry: Geometry, edges, w: list[float], tol: float) -> Classification:
+def _classification(w: list[float], tol: float, shape: str) -> Classification:
     """The labels of tangent eigenvalues `w`: stable when all exceed `tol`,
     marginal when any lies within `tol` of zero, unstable otherwise."""
     if all(v > tol for v in w):
@@ -303,7 +304,7 @@ def _classification(geometry: Geometry, edges, w: list[float], tol: float) -> Cl
         stability = "marginal"
     else:
         stability = "unstable"
-    return Classification(stability, geometry.shape(edges), tuple(w))
+    return Classification(stability, shape, tuple(w))
 
 
 def classify_point(geometry: Geometry, spec: PotentialSpec, state, param: float,
@@ -315,12 +316,12 @@ def classify_point(geometry: Geometry, spec: PotentialSpec, state, param: float,
     band of 1e-8 times the Hessian scale (see `_tangent_matrix`).  `J` is
     the state's Jacobian, built here if not given.
     """
-    _, e = _unpack(geometry, state)
+    lam, e = _unpack(geometry, state)
     if J is None:
         J = jacobian(geometry, spec, state)
     M, tol = _tangent_matrix(J)
     w, _ = sym_eigen(M)
-    return _classification(geometry, e, w.tolist(), float(tol))
+    return _classification(w.tolist(), float(tol), geometry.families.shapes([lam, *e])[0])
 
 
 def classify_stack(geometry: Geometry, states, jacobians) -> list[Classification]:
@@ -328,15 +329,16 @@ def classify_stack(geometry: Geometry, states, jacobians) -> list[Classification
     their Jacobians (N, n+1, n+1).
 
     Builds every Z^t H Z at once and takes their eigenvalues in one stacked
-    `numpy.linalg.eigh`; the eigenvalues, and so the labels, are bit for bit
-    those of `classify_point`.
+    `numpy.linalg.eigh` and every shape in one `FamilyTable.shapes` call;
+    the eigenvalues, and so the labels, are bit for bit those of
+    `classify_point`.
     """
     dim = geometry.n_edges + 1
     states = np.asarray(states, dtype=float).reshape(-1, dim)
     M, tol = _tangent_matrix(np.asarray(jacobians, dtype=float).reshape(len(states), dim, dim))
     w = np.linalg.eigh(M)[0]
-    return [_classification(geometry, x[1:], wi, t)
-            for x, wi, t in zip(states.tolist(), w.tolist(), tol.tolist())]
+    return [_classification(wi, t, shape)
+            for wi, t, shape in zip(w.tolist(), tol.tolist(), geometry.families.shapes(states))]
 
 
 class ClusterProblem:
@@ -383,15 +385,16 @@ class ClusterProblem:
         return np.array([lam] + [a] * self.geometry.n_edges)
 
     def shape_of(self, x) -> str:
-        return self.geometry.shape(np.asarray(x, dtype=float)[1:].tolist())
+        return self.geometry.families.shapes(x)[0]
 
     def group(self):
-        return self.geometry.group()
+        return self.geometry.families.group()
 
     def isotropy_order(self, x) -> int:
-        """Number of group elements fixing the edges of x, to the shape namers' 1e-6 relative."""
-        return len(stabilizer(self.group(), x))  # the multiplier slot is fixed by every element
+        """Number of group elements fixing x, to the shapes' 1e-6 relative (`symmetry.stabilizer`)."""
+        return int(stabilizer(self.group(), x)[0]).bit_count()
 
     def fixed_space(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`symmetry.fixed_space` of the isotropy subgroup of x."""
-        return fixed_space(self.group(), stabilizer(self.group(), x))
+        group = self.group()
+        return fixed_space(group, group.members(int(stabilizer(group, x)[0])))

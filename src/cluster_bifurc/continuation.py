@@ -13,9 +13,9 @@ A `system` is any object with the small interface that
     classify(x, p, J=None)    `cluster.Classification` of a solution (J: its Jacobian)
     energy(x)                 total configuration energy
     group()                   the permutation group the system is equivariant under
-    isotropy_order(x)         number of group elements that fix the edges of x
-    shape_of(x)               shape label of the edges of x
-    fixed_space(x)            `symmetry.fixed_space` of the isotropy of x
+    isotropy_order(x)         number of group elements in the `symmetry.stabilizer` of x
+    shape_of(x)               shape label of x, from its geometry's `symmetry.FamilyTable`
+    fixed_space(x)            `symmetry.fixed_space` of the stabilizer of x
 
 There is one corrector, Keller's bordered Newton iteration, in a
 relative-scale arclength metric: the predictor tangent is frozen as the
@@ -372,15 +372,15 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
       below like any other.  If that correction fails, or lies farther
       from the last point than the dropped one in the arclength metric,
       the step is shrunk and retried as after a corrector failure;
-    * crossing: the monitor u.x (`system.crossing_functionals`) of a Fix(S')
+    * crossing: the monitor u.x (`symmetry.crossing_functionals`) of a Fix(S')
       of codimension 1 in the start point's Fix(S) changes sign over a step
-      or ends it within the shape namers' 1e-6 relative of zero; the trace
+      or ends it within the stabilizer's 1e-6 relative of zero; the trace
       ends exactly on a group image of one of `targets` in Fix(S') within
       that step, kept as the branch's `reached_event`, or else on the
       bifurcation of the symmetric branch there, reported as an event;
     * landing, the fallback where the larger fixed space has codimension
-      above 1: a corrected point has a larger isotropy order than the start
-      point; the point is dropped.
+      above 1: a corrected point has another shape label and a larger
+      isotropy order than the start point; the point is dropped.
 
     Every correction and localization probe is projected onto Fix(S), S the
     start point's stabilizer.  The loop keeps each accepted point's state,
@@ -404,7 +404,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     slopes = [float(t[-1])]  # the tangents' parameter components
     fix, normals, projections = system.fixed_space(x0)
     phi = normals @ x0
-    start_order = None
+    start_order = system.isotropy_order(x0)
     reached = end = end_point = None
     h = settings.h0
     s = 0.0
@@ -442,12 +442,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
                                     arclength=s + float(np.sqrt((z_end - z) @ (z_end - z))))
             break
-        # the shape label is cheap; the group is consulted only when it changes
-        if system.shape_of(x_new) != start.shape:
-            if start_order is None:
-                start_order = system.isotropy_order(x0)
-            if system.isotropy_order(x_new) > start_order:
-                break
+        if system.shape_of(x_new) != start.shape and system.isotropy_order(x_new) > start_order:
+            break  # landed on a more symmetric point
         w_new = metric_weights(z_new)
         t_new = branch_tangent(system, x_new, z_new[-1], t, w_new, corrected.jacobian)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))

@@ -15,6 +15,13 @@ builds the projector onto the corresponding fixed-point subspace (exactly,
 in rational arithmetic), where the critical eigenvalue is simple and branch
 switching is well posed.
 
+Each geometry names its shapes in one `FamilyTable`: the whole group, then
+the isotropy subgroups of a few representative vectors, most symmetric
+first.  `stabilizer` gives a stack of states their sets of fixing group
+elements as bitmasks, in one array comparison, and a state's shape is the
+first family one of whose conjugates that set contains; branch switching
+takes its reductions from the same table.
+
 A branch of isotropy S lies in Fix(S) and can meet a more symmetric branch
 only inside a Fix(S') of a larger S'; `fixed_space` gives the projector
 onto Fix(S) and the signed distances from the Fix(S') of codimension 1,
@@ -25,9 +32,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -38,6 +46,7 @@ __all__ = [
     "Perm",
     "PermGroup",
     "Reduction",
+    "FamilyTable",
     "triangle_group",
     "tetra_group",
     "isotropy",
@@ -47,14 +56,6 @@ __all__ = [
     "fixed_projection",
     "fixed_projection_exact",
     "orbit",
-    "triangle_isosceles_reduction",
-    "tetra_opposite_pair_reduction",
-    "tetra_apex_reduction",
-    "tetra_equal_pair_reduction",
-    "PAIR_KERNEL_VECTOR",
-    "APEX_KERNEL_VECTOR",
-    "EQUAL_PAIR_KERNEL_VECTOR",
-    "ISOSCELES_KERNEL_VECTOR",
 ]
 
 
@@ -130,6 +131,17 @@ class PermGroup:
     def n(self) -> int:
         return self.elements[0].n
 
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """The elements' `Perm.sources` as the rows of one read-only array."""
+        out = np.array([p.sources for p in self.elements])
+        out.flags.writeable = False
+        return out
+
+    def members(self, mask: int) -> tuple[Perm, ...]:
+        """The elements whose bits are set in `mask`, in group order."""
+        return tuple(p for i, p in enumerate(self.elements) if mask >> i & 1)
+
 
 def _closure(generators) -> tuple[Perm, ...]:
     """The group the permutations generate, sorted by sources."""
@@ -145,14 +157,7 @@ def _closure(generators) -> tuple[Perm, ...]:
 @lru_cache(maxsize=None)
 def triangle_group() -> PermGroup:
     """The six permutations of (a, b, c), lifted to fix lambda."""
-    perms = []
-    for p in _permutations3():
-        perms.append(Perm.from_edge_sources(p))
-    return PermGroup(tuple(sorted(perms, key=lambda q: q.sources)))
-
-
-def _permutations3():
-    return [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    return PermGroup(_closure(Perm.from_edge_sources(p) for p in permutations(range(3))))
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +169,8 @@ def tetra_group() -> PermGroup:
     closure is required to have exactly 24 elements, otherwise the generator
     conventions are inconsistent and we refuse to continue.
     """
-    gens = set()
-    for p in _permutations3():
-        gens.add(Perm.from_edge_sources((p[0], p[1], p[2], 3 + p[0], 3 + p[1], 3 + p[2])))
-    gens.add(Perm.from_edge_sources((2, 3, 4, 5, 0, 1)))
-    elements = _closure(gens)
+    gens = [Perm.from_edge_sources(p + tuple(3 + i for i in p)) for p in permutations(range(3))]
+    elements = _closure(gens + [Perm.from_edge_sources((2, 3, 4, 5, 0, 1))])
     if len(elements) != 24:
         raise RuntimeError(f"tetrahedron group closure produced {len(elements)} elements, expected 24")
     return PermGroup(elements)
@@ -183,11 +185,16 @@ def isotropy(group: PermGroup, v) -> PermGroup:
     return PermGroup(fixed)
 
 
-def stabilizer(group: PermGroup, x) -> tuple[Perm, ...]:
-    """Elements fixing x componentwise to 1e-6 relative, the shape namers' tolerance."""
-    x = np.asarray(x, dtype=float)
-    images = ((P, P.apply(x)) for P in group)
-    return tuple(P for P, y in images if np.all(np.abs(y - x) <= 1e-6 * np.maximum(np.abs(y), np.abs(x))))
+def stabilizer(group: PermGroup, states) -> np.ndarray:
+    """One bitmask per state of a stack (N, n): bit i is set where element i
+    fixes the state componentwise to 1e-6 relative, |Px - x| <= 1e-6 max(|Px|, |x|).
+
+    The set need not be a subgroup: the tolerance is not transitive.
+    """
+    x = np.asarray(states, dtype=float).reshape(-1, group.n)
+    y = x.take(group.sources, axis=1)
+    x = x[:, None, :]
+    return (abs(y - x) <= 1e-6 * np.maximum(abs(y), abs(x))).all(axis=2) @ (1 << np.arange(len(group)))
 
 
 def fixed_projection_exact(subgroup) -> tuple[tuple[Fraction, ...], ...]:
@@ -283,44 +290,68 @@ class Reduction:
     def projection(self) -> np.ndarray:
         return fixed_projection(self.subgroup)
 
-    @property
-    def projection_exact(self):
-        return fixed_projection_exact(self.subgroup)
-
     def kernel_unit(self) -> np.ndarray:
         v = np.asarray(self.kernel_vector, dtype=float)
         return v / np.sqrt(v @ v)
 
 
-ISOSCELES_KERNEL_VECTOR = (0.0, -2.0, 1.0, 1.0)
-PAIR_KERNEL_VECTOR = (0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0)
-APEX_KERNEL_VECTOR = (0.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
-EQUAL_PAIR_KERNEL_VECTOR = (0.0, -2.0, 1.0, 1.0, -2.0, 1.0, 1.0)
+@dataclass(frozen=True)
+class FamilyTable:
+    """A geometry's named shapes: `whole` for the states the whole group
+    fixes, then `families`, most symmetric first, and `other` for the rest.
+
+    Each family is a name and one representative vector (multiplier slot
+    first); its states are those fixed by the vector's isotropy subgroup or
+    by one of its conjugates.  A state's shape is the first of these with a
+    subgroup inside the state's `stabilizer`.  With `edge_names`, a family's
+    label names the edges its conjugate equates, as in 'isosceles(a=b)', and
+    the conjugates are tried in the order of their labels.  The subgroups
+    are built on first use; the shape of a stabilizer mask is memoized
+    (threads that meet a new mask together store the same label).
+    """
+
+    group: Callable[[], PermGroup]
+    whole: str
+    families: dict[str, tuple[float, ...]]
+    other: str
+    edge_names: str = ""
+    _memo: dict[int, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def reduction(self, name: str) -> Reduction:
+        """The isotropy subgroup and representative vector of the family called `name`."""
+        return Reduction(isotropy(self.group(), self.families[name]), self.families[name])
+
+    def shapes(self, states) -> list[str]:
+        """The shape of each state of a stack (N, n), or of one state."""
+        masks, memo = stabilizer(self.group(), states).tolist(), self._memo
+        for mask in set(masks) - memo.keys():
+            memo[mask] = next((label for sub, label in self._classes if sub & mask == sub), self.other)
+        return [memo[mask] for mask in masks]
+
+    @cached_property
+    def _classes(self) -> list[tuple[int, str]]:
+        """(subgroup mask, label) of the whole group and of each family's conjugates, in trial order."""
+        group = self.group()
+        bit = {p: 1 << i for i, p in enumerate(group)}
+        classes = [(sum(bit.values()), self.whole)]
+        for name, vector in self.families.items():
+            H = isotropy(group, vector).elements
+            conjugates = {frozenset(g @ h @ g.inverse() for h in H) for g in group}
+            classes += [(mask, label) for label, mask in
+                        sorted((self._label(name, C), sum(bit[p] for p in C)) for C in conjugates)]
+        return classes
+
+    def _label(self, name: str, subgroup) -> str:
+        if not self.edge_names:
+            return name
+        # the orbits of the subgroup on the edges, each a run of equal edges
+        orbits = {tuple(sorted({p.sources[i + 1] - 1 for p in subgroup})) for i in range(len(self.edge_names))}
+        equal = ",".join("=".join(self.edge_names[i] for i in orbit) for orbit in sorted(orbits) if len(orbit) > 1)
+        return f"{name}({equal})"
 
 
-def triangle_isosceles_reduction() -> Reduction:
-    """Fixed space (lambda, a, b, b): the isosceles triangles."""
-    return Reduction(isotropy(triangle_group(), ISOSCELES_KERNEL_VECTOR), ISOSCELES_KERNEL_VECTOR)
-
-
-def tetra_opposite_pair_reduction() -> Reduction:
-    """Fixed space (lambda, a, a, c, a, a, C): one opposite edge pair free."""
-    return Reduction(isotropy(tetra_group(), PAIR_KERNEL_VECTOR), PAIR_KERNEL_VECTOR)
-
-
-def tetra_apex_reduction() -> Reduction:
-    """Fixed space (lambda, a, a, a, A, A, A): apex edges versus base edges."""
-    return Reduction(isotropy(tetra_group(), APEX_KERNEL_VECTOR), APEX_KERNEL_VECTOR)
-
-
-def tetra_equal_pair_reduction() -> Reduction:
-    """Fixed space (lambda, a, b, b, a, b, b): one opposite pair moving together."""
-    return Reduction(isotropy(tetra_group(), EQUAL_PAIR_KERNEL_VECTOR), EQUAL_PAIR_KERNEL_VECTOR)
-
-
-def orbit(group: PermGroup, branch: Branch, shape: Callable[[list[float]], str],
-          tol: float = 1e-9) -> list[Branch]:
-    """All distinct images of a branch under the group.
+def orbit(families: FamilyTable, branch: Branch, tol: float = 1e-9) -> list[Branch]:
+    """All distinct images of a branch under the group of `families`.
 
     The branch's states are stacked once, and each group element's image is
     a column permutation of that array.  Two images are considered equal
@@ -328,19 +359,21 @@ def orbit(group: PermGroup, branch: Branch, shape: Callable[[list[float]], str],
     traversal order (a symmetry may reverse the parametrization of a branch
     that passes through a symmetric point).  Parameter, arclength,
     stability and index are copied unchanged, since conjugate states share
-    spectra.  Each image point's shape label is `shape` of its edges
-    (state[1:]), set as the point is built: labels name particular edges
-    (e.g. 'isosceles(b=c)'), so the source branch's own cannot be copied.
+    spectra.  The shapes of all kept images' points come from one
+    `FamilyTable.shapes` call: labels name particular edges (e.g.
+    'isosceles(b=c)'), so the source branch's own cannot be copied.
     """
+    group = families.group()
     points = branch.points
     states = np.array([pt.state for pt in points], dtype=float).reshape(len(points), group.n)
-    mapped = np.stack([states[:, list(p.sources)] for p in group])
+    mapped = states[:, group.sources].swapaxes(0, 1)
     kept: list[int] = []
     for i, image in enumerate(mapped):
         others = mapped[kept]
         if not (np.any(np.all(np.abs(image - others) < tol, axis=(1, 2)))
                 or np.any(np.all(np.abs(image[::-1] - others) < tol, axis=(1, 2)))):
             kept.append(i)
-    return [Branch(points=[BranchPoint(tuple(x), pt.parameter, pt.arclength, pt.stability, shape(x[1:]), pt.index)
+    shapes = iter(families.shapes(mapped[kept]))
+    return [Branch(points=[BranchPoint(tuple(x), pt.parameter, pt.arclength, pt.stability, next(shapes), pt.index)
                            for x, pt in zip(mapped[i].tolist(), points)])
             for i in kept]

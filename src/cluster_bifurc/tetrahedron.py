@@ -61,12 +61,7 @@ from .cluster import (
     trivial_point,
 )
 from .potentials import PotentialSpec, derivatives
-from .symmetry import (
-    tetra_apex_reduction,
-    tetra_equal_pair_reduction,
-    tetra_group,
-    tetra_opposite_pair_reduction,
-)
+from .symmetry import FamilyTable, tetra_group
 
 __all__ = [
     "TetState",
@@ -246,54 +241,6 @@ def trivial_spectrum4(spec: PotentialSpec, volume: float) -> TrivialSpectrum4:
     return TrivialSpectrum4(alpha, beta, alpha, alpha - 2.0 * beta, eigs)
 
 
-# Edge-index patterns of the named shape families, one entry per group image.
-# Each pattern is a tuple of index blocks that must be internally equal.
-_REGULAR = (frozenset(range(6)),)
-_EQUAL_PAIR_PATTERNS = [
-    (frozenset({0, 3}), frozenset({1, 2, 4, 5})),
-    (frozenset({1, 4}), frozenset({0, 2, 3, 5})),
-    (frozenset({2, 5}), frozenset({0, 1, 3, 4})),
-]
-_APEX_PATTERNS = [
-    (frozenset({0, 1, 2}), frozenset({3, 4, 5})),
-    (frozenset({0, 4, 5}), frozenset({1, 2, 3})),
-    (frozenset({1, 3, 5}), frozenset({0, 2, 4})),
-    (frozenset({2, 3, 4}), frozenset({0, 1, 5})),
-]
-_OPPOSITE_PAIR_PATTERNS = [
-    (frozenset({0, 1, 3, 4}),),
-    (frozenset({0, 2, 3, 5}),),
-    (frozenset({1, 2, 4, 5}),),
-]
-
-
-def _blocks_equal(e: list[float], pattern, tol: float) -> bool:
-    for block in pattern:
-        vals = [e[i] for i in block]
-        hi, lo = max(vals), min(vals)
-        if hi - lo > tol * hi:
-            return False
-    return True
-
-
-def shape_of_edges(edges, tol: float = 1e-6) -> str:
-    """Named shape family of an edge tuple, most symmetric family first."""
-    e = _edges(edges)
-    if _blocks_equal(e, _REGULAR, tol):
-        return "regular"
-    for pattern in _EQUAL_PAIR_PATTERNS:
-        if _blocks_equal(e, pattern, tol):
-            return "equal-pair"
-    for pattern in _APEX_PATTERNS:
-        if _blocks_equal(e, pattern, tol):
-            return "apex-base"
-    for pattern in _OPPOSITE_PAIR_PATTERNS:
-        if _blocks_equal(e, pattern, tol):
-            return "opposite-pair"
-    return "other"
-
-
-
 TETRAHEDRON = Geometry(
     name="tetrahedron",
     param_name="volume",
@@ -303,16 +250,19 @@ TETRAHEDRON = Geometry(
     trivial_edge=lambda volume: (6.0 * math.sqrt(2.0) * volume) ** (1.0 / 3.0),
     trivial_multiplier=lambda a, d1: -d1 / (4.0 * a ** 5),
     realizable=is_tetrahedron,
-    shape=shape_of_edges,
-    group=tetra_group,
+    families=FamilyTable(group=tetra_group, whole="regular", other="other", families={
+        "equal-pair": (0.0, -2.0, 1.0, 1.0, -2.0, 1.0, 1.0),  # fixed space (a, b, b, a, b, b)
+        "apex-base": (0.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0),  # (a, a, a, A, A, A)
+        "opposite-pair": (0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0),  # (a, a, c, a, a, C)
+    }),
     margins={
         3: Margin(kernel=((0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
                           (0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0),
                           (0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0)),
-                  reductions=(tetra_opposite_pair_reduction, tetra_apex_reduction)),
+                  reductions=("opposite-pair", "apex-base")),
         7: Margin(kernel=((0.0, -1.0, 1.0, 0.0, -1.0, 1.0, 0.0),
                           (0.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0)),
-                  reductions=(tetra_equal_pair_reduction,)),
+                  reductions=("equal-pair",)),
     },
 )
 

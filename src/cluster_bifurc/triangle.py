@@ -48,7 +48,7 @@ from .cluster import (
     trivial_point,
 )
 from .potentials import PotentialSpec, derivatives
-from .symmetry import triangle_group, triangle_isosceles_reduction
+from .symmetry import FamilyTable, triangle_group
 
 __all__ = [
     "TriState",
@@ -125,24 +125,6 @@ def hess_heron(a: float, b: float, c: float) -> np.ndarray:
     return np.array(heron_terms((a, b, c))[2])
 
 
-def _shape3(edges, tol: float = 1e-6) -> str:
-    a, b, c = edges
-
-    def eq(x, y):
-        return abs(x - y) <= tol * max(abs(x), abs(y))
-
-    ab, ac, bc = eq(a, b), eq(a, c), eq(b, c)
-    if ab and ac and bc:
-        return "equilateral"
-    if ab:
-        return "isosceles(a=b)"
-    if ac:
-        return "isosceles(a=c)"
-    if bc:
-        return "isosceles(b=c)"
-    return "scalene"
-
-
 TRIANGLE = Geometry(
     name="triangle",
     param_name="area",
@@ -152,10 +134,10 @@ TRIANGLE = Geometry(
     trivial_edge=lambda area: 2.0 * math.sqrt(area) / 3.0 ** 0.25,
     trivial_multiplier=lambda a, d1: -4.0 * d1 / a ** 3,
     realizable=lambda e: heron(*e) > 0.0,
-    shape=_shape3,
-    group=triangle_group,
+    families=FamilyTable(group=triangle_group, whole="equilateral", other="scalene", edge_names="abc",
+                         families={"isosceles": (0.0, -2.0, 1.0, 1.0)}),
     margins={3: Margin(kernel=((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0)),
-                       reductions=(triangle_isosceles_reduction,))},
+                       reductions=("isosceles",))},
 )
 
 residual3 = partial(residual, TRIANGLE)

@@ -120,6 +120,7 @@ def test_set_overrides(tmp_path, capsys):
     ("diagram", ["continuation.newton_tol=true"]),
     ("diagram", ["continuation.step_growth=true"]),
     ("diagram", ["continuation.step_shrink=false"]),
+    ("trace", ["trace.parameter=50"]),  # outside the window (0.1, 10)
 ])
 def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets):
     cfg = write_config(tmp_path, LJ_STABILITY)

@@ -2,10 +2,12 @@
 
 The `_ref_*` functions below are the triangle and tetrahedron KKT functions
 as they stood before the merge into `cluster.py`, kept verbatim (only
-renamed) as references, and the constraint functions (value, gradient,
+renamed) as references, the constraint functions (value, gradient,
 Hessian, one function each) as they stood before the one-pass constraint
-kernels replaced them.  Every array must match bit for bit, so that the
-exported diagrams stay byte-identical.
+kernels replaced them, and the two shape namers (pairwise tests and
+edge-pattern tables) as they stood before the family tables replaced them.
+Every array and label must match, so that the exported diagrams stay
+byte-identical.
 """
 
 import math
@@ -23,6 +25,7 @@ from cluster_bifurc.potentials import (
     PolynomialSpring,
     derivatives,
 )
+from cluster_bifurc.symmetry import stabilizer
 from cluster_bifurc.tetrahedron import (
     TETRAHEDRON,
     TetraProblem,
@@ -32,7 +35,6 @@ from cluster_bifurc.tetrahedron import (
     hess_g4,
     jacobian4,
     residual4,
-    shape_of_edges,
     stability_boundaries4,
 )
 from cluster_bifurc.triangle import (
@@ -178,6 +180,52 @@ def _ref_shape3(a, b, c, tol=1e-6):
     return "scalene"
 
 
+# Edge-index patterns of the named tetrahedron families, one entry per group
+# image; each pattern is a tuple of index blocks that must be internally equal.
+_REF_REGULAR = (frozenset(range(6)),)
+_REF_EQUAL_PAIR_PATTERNS = [
+    (frozenset({0, 3}), frozenset({1, 2, 4, 5})),
+    (frozenset({1, 4}), frozenset({0, 2, 3, 5})),
+    (frozenset({2, 5}), frozenset({0, 1, 3, 4})),
+]
+_REF_APEX_PATTERNS = [
+    (frozenset({0, 1, 2}), frozenset({3, 4, 5})),
+    (frozenset({0, 4, 5}), frozenset({1, 2, 3})),
+    (frozenset({1, 3, 5}), frozenset({0, 2, 4})),
+    (frozenset({2, 3, 4}), frozenset({0, 1, 5})),
+]
+_REF_OPPOSITE_PAIR_PATTERNS = [
+    (frozenset({0, 1, 3, 4}),),
+    (frozenset({0, 2, 3, 5}),),
+    (frozenset({1, 2, 4, 5}),),
+]
+
+
+def _ref_blocks_equal(e, pattern, tol):
+    for block in pattern:
+        vals = [e[i] for i in block]
+        hi, lo = max(vals), min(vals)
+        if hi - lo > tol * hi:
+            return False
+    return True
+
+
+def _ref_shape4(edges, tol=1e-6):
+    e = np.asarray(edges, dtype=float).tolist()
+    if _ref_blocks_equal(e, _REF_REGULAR, tol):
+        return "regular"
+    for pattern in _REF_EQUAL_PAIR_PATTERNS:
+        if _ref_blocks_equal(e, pattern, tol):
+            return "equal-pair"
+    for pattern in _REF_APEX_PATTERNS:
+        if _ref_blocks_equal(e, pattern, tol):
+            return "apex-base"
+    for pattern in _REF_OPPOSITE_PAIR_PATTERNS:
+        if _ref_blocks_equal(e, pattern, tol):
+            return "opposite-pair"
+    return "other"
+
+
 def _ref_residual3(spec, x, area):
     x = np.asarray(x, dtype=float)
     lam, a, b, c = x
@@ -287,7 +335,7 @@ def _ref_classify_point4(spec, x, volume):
         stability = "marginal"
     else:
         stability = "unstable"
-    return Classification(stability, shape_of_edges(e), tuple(float(v) for v in w))
+    return Classification(stability, _ref_shape4(e), tuple(float(v) for v in w))
 
 
 def _ref_mu_tetra(spec, volume):
@@ -524,3 +572,57 @@ def test_evaluate_is_bit_identical_to_the_pre_kernel_assembly(name):
         J = TetraProblem(SPECS[0]).evaluate(x, 0.3)[1]
         assert J[1, 4] == 0.0 and not np.signbit(J[1, 4])
         assert _identical(J, _ref_evaluate(name, SPECS[0], x, 0.3)[1])
+
+
+# ---------------------------------------------------------------------------
+# the family tables against the shape namers they replaced
+
+REF_SHAPES = {"triangle": (TRIANGLE, lambda e: _ref_shape3(*e)), "tetrahedron": (TETRAHEDRON, _ref_shape4)}
+
+
+def _near_families(rng, geometry, count):
+    """States near the whole group's, each family's and their group images'
+    fixed spaces: one random edge per level set of the representative
+    vector (the zero vector's for the whole group), moved by a group
+    element, each edge then scaled by 1 + d, |d| below or above 1e-6."""
+    table = geometry.families
+    n = geometry.n_edges
+    for v in [(0.0,) * (n + 1)] + list(table.families.values()):
+        for P in table.group():
+            for _ in range(count):
+                levels = {c: rng.uniform(0.6, 1.6) for c in set(v[1:])}
+                x = P.apply([rng.uniform(-3.0, 3.0)] + [levels[c] for c in v[1:]])
+                d = rng.choice([0.0, 0.3e-6, 0.45e-6, 0.8e-6, 2e-6], n) * rng.choice([-1.0, 1.0], n)
+                x[1:] *= 1.0 + d
+                yield x
+
+
+@pytest.mark.parametrize("name", sorted(REF_SHAPES))
+def test_family_table_names_every_state_as_the_pattern_namers_did(name):
+    geometry, ref = REF_SHAPES[name]
+    states = np.array(list(_near_families(np.random.default_rng(29), geometry, 12)))
+    want = [ref(x[1:]) for x in states]
+    assert geometry.families.shapes(states) == want
+    assert [geometry.families.shapes(x)[0] for x in states[::7]] == want[::7]
+    # both sides of the tolerance occur: every label is reached, "other" too
+    table = geometry.families
+    names = {table.whole, table.other} | set(table.families)
+    assert {label.split("(")[0] for label in want} == names
+
+
+def _no_subgroup(group, mask):
+    members = group.members(mask)
+    return any(p @ q not in members for p in members for q in members)
+
+
+@pytest.mark.parametrize("name, state, label", [
+    # a = b and b = c within 1e-6 relative, but not a = c
+    ("triangle", (-1.0, 1.0, 1.0 + 0.8e-6, 1.0 + 1.6e-6), "isosceles(a=b)"),
+    # a = b = A, c = B, each within 1e-6 of those, and C within 1e-6 of c = B only
+    ("tetrahedron", (-1.0, 1.0, 1.0, 1.0 + 0.8e-6, 1.0, 1.0 + 0.8e-6, 1.0 + 1.6e-6), "equal-pair"),
+])
+def test_a_stabilizer_that_is_no_subgroup_keeps_the_pattern_namers_label(name, state, label):
+    geometry, ref = REF_SHAPES[name]
+    group = geometry.families.group()
+    assert _no_subgroup(group, int(stabilizer(group, state)[0]))
+    assert geometry.families.shapes(state) == [ref(state[1:])] == [label]

@@ -25,7 +25,7 @@ from cluster_bifurc.continuation import (
 )
 from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
-from cluster_bifurc.symmetry import Perm, PermGroup, Reduction, triangle_isosceles_reduction
+from cluster_bifurc.symmetry import Perm, PermGroup, Reduction
 from cluster_bifurc.triangle import TRIANGLE, TriangleProblem, stability_boundaries3
 
 LJ = LennardJones(1, 2, 12, 6)
@@ -34,6 +34,10 @@ A0 = math.sqrt(3.0) / 4.0 * 2.5 ** (1.0 / 3.0)
 
 def lj_system():
     return TriangleProblem(LJ)
+
+
+def isosceles():
+    return TRIANGLE.families.reduction("isosceles")
 
 
 def make_primary_event(system, parameter):
@@ -486,7 +490,7 @@ def test_stacked_trace_labels_equal_the_per_point_ones():
     system = lj_system()
     settings = ContinuationSettings(h_max=0.2)
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, triangle_isosceles_reduction(), settings,
+    seeds, _ = branch_switch(system, ev, isosceles(), settings,
                              trivial_curve=system.trivial_state)
     center = np.append(ev.state, ev.parameter)
     kinds, indices = [], set()
@@ -581,7 +585,7 @@ def test_branch_switch_transcritical_isosceles():
     system = lj_system()
     settings = ContinuationSettings()
     ev = make_primary_event(system, A0)
-    seeds, data = branch_switch(system, ev, triangle_isosceles_reduction(), settings,
+    seeds, data = branch_switch(system, ev, isosceles(), settings,
                                 trivial_curve=system.trivial_state)
     assert len(seeds) == 2
     assert abs(data.A0_coef) > 1.0  # genuinely trans-critical
@@ -601,7 +605,7 @@ def test_branch_switch_seeds_straddle_the_parameter():
     system = lj_system()
     settings = ContinuationSettings()
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, triangle_isosceles_reduction(), settings,
+    seeds, _ = branch_switch(system, ev, isosceles(), settings,
                              trivial_curve=system.trivial_state)
     sides = {int(np.sign(pt.parameter - A0)) for pt in seeds}
     assert sides == {-1, 1}
@@ -613,7 +617,7 @@ def test_branch_switch_buckingham_second_root():
     settings = ContinuationSettings()
     roots = stability_boundaries3(spec, (1.0, 100.0))
     ev = make_primary_event(system, roots[1].parameter)
-    seeds, _ = branch_switch(system, ev, triangle_isosceles_reduction(), settings,
+    seeds, _ = branch_switch(system, ev, isosceles(), settings,
                              trivial_curve=system.trivial_state)
     assert len(seeds) == 2
     for pt in seeds:
@@ -630,7 +634,7 @@ def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
         return jacobian(*args)
 
     monkeypatch.setattr(system, "jacobian", counting)
-    seeds, _ = branch_switch(system, make_primary_event(system, A0), triangle_isosceles_reduction(),
+    seeds, _ = branch_switch(system, make_primary_event(system, A0), isosceles(),
                              ContinuationSettings(), trivial_curve=system.trivial_state)
     # the two differences of B0 along the symmetric branch; no seed builds its own Jacobian
     assert len(seeds) == 2 and calls["jacobian"] == 2

@@ -20,6 +20,8 @@ the same bridge.  The tetrahedron diagram has 14 branches at every h_max
 (`test_hmax_invariance.py`).
 """
 
+from collections import Counter
+
 import pytest
 
 from cluster_bifurc.cli import build_diagram
@@ -66,3 +68,18 @@ def test_lennard_jones_tetrahedron_bridge_is_traced_once():
     secondary = {round(ev.parameter, 6): ev.id for ev in diagram.events if ev.kind == "secondary"}
     parents = {b.parent_event for b in diagram.branches}
     assert secondary[0.200348] in parents and secondary[0.276375] not in parents
+
+
+# Points per shape label over every branch of two builds, orbit images included.
+CENSUS = {
+    "lennard-jones-triangle-fine": {"equilateral": 404, "isosceles(a=b)": 452, "isosceles(a=c)": 452,
+                                    "isosceles(b=c)": 452, "scalene": 336},
+    "soft-spring-tetrahedron": {"apex-base": 316, "equal-pair": 252, "opposite-pair": 498, "regular": 412},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_golden_shape_census(name):
+    args, _ = GOLDEN[name]
+    census = Counter(pt.shape for br in build_diagram(*args).branches for pt in br.points)
+    assert census == CENSUS[name]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cluster_bifurc import cli, symmetry
-from cluster_bifurc.cli import GEOMETRIES, build_diagram
+from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.continuation import Branch, BranchPoint, ContinuationSettings
 from cluster_bifurc.potentials import LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import (
@@ -17,18 +17,22 @@ from cluster_bifurc.symmetry import (
     fixed_projection_exact,
     isotropy,
     orbit,
-    tetra_apex_reduction,
-    tetra_equal_pair_reduction,
     tetra_group,
-    tetra_opposite_pair_reduction,
     triangle_group,
-    triangle_isosceles_reduction,
 )
-from cluster_bifurc.tetrahedron import cayley_menger, jacobian4, mu_tetra, residual4, trivial4
-from cluster_bifurc.triangle import jacobian3, mu3, residual3, trivial3
+from cluster_bifurc.tetrahedron import TETRAHEDRON, cayley_menger, jacobian4, mu_tetra, residual4, trivial4
+from cluster_bifurc.triangle import TRIANGLE, jacobian3, mu3, residual3, trivial3
 
 LJ = LennardJones(1, 2, 12, 6)
 F = Fraction
+ISOSCELES = (TRIANGLE, "isosceles")
+OPPOSITE_PAIR = (TETRAHEDRON, "opposite-pair")
+APEX = (TETRAHEDRON, "apex-base")
+EQUAL_PAIR = (TETRAHEDRON, "equal-pair")
+
+
+def reduction(geometry, name):
+    return geometry.families.reduction(name)
 
 
 def edge_perm(sources):
@@ -121,7 +125,7 @@ def test_tetra_isotropy_equal_pair_vector():
 
 
 def test_projection_triangle_printed_matrix():
-    exact = fixed_projection_exact(triangle_isosceles_reduction().subgroup)
+    exact = fixed_projection_exact(reduction(*ISOSCELES).subgroup)
     assert exact == (
         (F(1), F(0), F(0), F(0)),
         (F(0), F(1), F(0), F(0)),
@@ -132,7 +136,7 @@ def test_projection_triangle_printed_matrix():
 
 def test_projection_tetra_printed_matrices():
     q, t, h = F(1, 4), F(1, 3), F(1, 2)
-    pair = fixed_projection_exact(tetra_opposite_pair_reduction().subgroup)
+    pair = fixed_projection_exact(reduction(*OPPOSITE_PAIR).subgroup)
     assert pair == (
         (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
         (F(0), q, q, F(0), q, q, F(0)),
@@ -142,7 +146,7 @@ def test_projection_tetra_printed_matrices():
         (F(0), q, q, F(0), q, q, F(0)),
         (F(0), F(0), F(0), F(0), F(0), F(0), F(1)),
     )
-    apex = fixed_projection_exact(tetra_apex_reduction().subgroup)
+    apex = fixed_projection_exact(reduction(*APEX).subgroup)
     assert apex == (
         (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
         (F(0), t, t, t, F(0), F(0), F(0)),
@@ -152,7 +156,7 @@ def test_projection_tetra_printed_matrices():
         (F(0), F(0), F(0), F(0), t, t, t),
         (F(0), F(0), F(0), F(0), t, t, t),
     )
-    eqp = fixed_projection_exact(tetra_equal_pair_reduction().subgroup)
+    eqp = fixed_projection_exact(reduction(*EQUAL_PAIR).subgroup)
     assert eqp == (
         (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
         (F(0), h, F(0), F(0), h, F(0), F(0)),
@@ -165,9 +169,9 @@ def test_projection_tetra_printed_matrices():
 
 
 def test_projection_idempotent_symmetric_exact():
-    for red in (triangle_isosceles_reduction(), tetra_opposite_pair_reduction(),
-                tetra_apex_reduction(), tetra_equal_pair_reduction()):
-        P = red.projection_exact
+    for red in (reduction(*ISOSCELES), reduction(*OPPOSITE_PAIR),
+                reduction(*APEX), reduction(*EQUAL_PAIR)):
+        P = fixed_projection_exact(red.subgroup)
         n = len(P)
         for i in range(n):
             for j in range(n):
@@ -178,7 +182,7 @@ def test_projection_idempotent_symmetric_exact():
 
 
 def test_reduced_jacobian_simple_eigenvalue_triangle():
-    P = triangle_isosceles_reduction().projection
+    P = reduction(*ISOSCELES).projection
     for A in (0.4, 0.5877, 1.1):
         L = P @ jacobian3(LJ, trivial3(LJ, A).as_array()) @ P
         v = np.array([0.0, -2.0, 1.0, 1.0])
@@ -193,9 +197,9 @@ def test_reduced_jacobian_simple_eigenvalues_tetra():
     m1, m2 = mu_tetra(LJ, 0.4)
     scale = max(1.0, np.abs(jacobian4(LJ, x)).max())
     for red, vec, mu in (
-        (tetra_opposite_pair_reduction(), (0, 0, 0, -1.0, 0, 0, 1.0), m1),
-        (tetra_apex_reduction(), (0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0), m1),
-        (tetra_equal_pair_reduction(), (0, -2.0, 1.0, 1.0, -2.0, 1.0, 1.0), m2),
+        (reduction(*OPPOSITE_PAIR), (0, 0, 0, -1.0, 0, 0, 1.0), m1),
+        (reduction(*APEX), (0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0), m1),
+        (reduction(*EQUAL_PAIR), (0, -2.0, 1.0, 1.0, -2.0, 1.0, 1.0), m2),
     ):
         L = red.projection @ jacobian4(LJ, x) @ red.projection
         v = np.asarray(vec)
@@ -210,34 +214,29 @@ def _branch_from_states(states):
     ])
 
 
-def _shape(group):
-    """The shape namer of the geometry whose edges `group` permutes."""
-    return GEOMETRIES["triangle" if group.n == 4 else "tetrahedron"].shape
-
-
 def test_orbit_counts_triangle():
     # an isosceles arc (b = c) maps to exactly three distinct branches
     states = [(-(1.0 + 0.1 * k), 1.0 + 0.1 * k, 0.9, 0.9) for k in range(4)]
-    images = orbit(triangle_group(), _branch_from_states(states), _shape(triangle_group()))
+    images = orbit(TRIANGLE.families, _branch_from_states(states))
     assert len(images) == 3
 
 
 def test_orbit_counts_tetra_families():
     pair = [(-1.0, 1.0, 1.0, 0.8 + 0.02 * k, 1.0, 1.0, 1.3 - 0.02 * k) for k in range(4)]
-    assert len(orbit(tetra_group(), _branch_from_states(pair), _shape(tetra_group()))) == 6  # one wing only
+    assert len(orbit(TETRAHEDRON.families, _branch_from_states(pair))) == 6  # one wing only
     # a full pitchfork branch through the symmetric point maps to 3: the
     # reversing symmetry folds the two wings onto each other
     sym = [(-1.0, 1.0, 1.0, 1.0 + 0.02 * k, 1.0, 1.0, 1.0 - 0.02 * k) for k in range(-3, 4)]
-    assert len(orbit(tetra_group(), _branch_from_states(sym), _shape(tetra_group()))) == 3
+    assert len(orbit(TETRAHEDRON.families, _branch_from_states(sym))) == 3
     apex = [(-1.0, 1.1, 1.1, 1.1, 0.9 + 0.01 * k, 0.9 + 0.01 * k, 0.9 + 0.01 * k) for k in range(4)]
-    assert len(orbit(tetra_group(), _branch_from_states(apex), _shape(tetra_group()))) == 4
+    assert len(orbit(TETRAHEDRON.families, _branch_from_states(apex))) == 4
     eqp = [(-1.0, 1.2 + 0.01 * k, 0.9, 0.9, 1.2 + 0.01 * k, 0.9, 0.9) for k in range(4)]
-    assert len(orbit(tetra_group(), _branch_from_states(eqp), _shape(tetra_group()))) == 3
+    assert len(orbit(TETRAHEDRON.families, _branch_from_states(eqp))) == 3
 
 
 def test_orbit_copies_stability_and_parameter():
     states = [(-1.0, 1.2, 0.9, 0.9)]
-    images = orbit(triangle_group(), _branch_from_states(states), _shape(triangle_group()))
+    images = orbit(TRIANGLE.families, _branch_from_states(states))
     for img in images:
         assert img.points[0].stability == "stable"
         assert img.points[0].parameter == 0.5
@@ -272,14 +271,12 @@ def test_scalene_triangle_crosses_the_three_isosceles_lines():
         assert np.allclose(Q, np.eye(4) - np.outer(u, u), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("make", [triangle_isosceles_reduction, tetra_opposite_pair_reduction,
-                                  tetra_apex_reduction, tetra_equal_pair_reduction])
-def test_crossing_normals_are_unit_vectors_of_fix_s_orthogonal_to_fix_s_prime(make):
-    reduction = make()
-    group = triangle_group() if reduction.subgroup.n == 4 else tetra_group()
-    normals, projections = crossing_functionals(group, reduction.subgroup.elements)
+@pytest.mark.parametrize("family", [ISOSCELES, OPPOSITE_PAIR, APEX, EQUAL_PAIR], ids=lambda f: f[1])
+def test_crossing_normals_are_unit_vectors_of_fix_s_orthogonal_to_fix_s_prime(family):
+    subgroup = reduction(*family).subgroup
+    normals, projections = crossing_functionals(family[0].families.group(), subgroup.elements)
     assert len(normals) == 1  # each of these branches has one more symmetric neighbour
-    P = fixed_projection(reduction.subgroup)
+    P = fixed_projection(subgroup)
     for u, Q in zip(normals, projections):
         assert abs(u @ u - 1.0) < 1e-15
         assert np.max(np.abs(P @ u - u)) < 1e-15  # in Fix(S)
@@ -313,7 +310,7 @@ def test_crossing_functionals_are_built_once_per_isotropy_type(monkeypatch):
     finally:
         symmetry._cached_crossings.cache_clear()
     triangle_types = {subgroup for n, subgroup in built if n == 4}
-    assert triangle_types == {(Perm.identity(4),), triangle_isosceles_reduction().subgroup.elements}
+    assert triangle_types == {(Perm.identity(4),), reduction(*ISOSCELES).subgroup.elements}
     assert len(built) > len(triangle_types)
     assert set(built.values()) == {1}
 
@@ -336,18 +333,18 @@ def _reference_orbit(group, branch, tol=1e-9):
     return images
 
 
-def _relabeled(images, shape):
-    return [Branch(points=[replace(pt, shape=shape(list(pt.state[1:]))) for pt in image.points])
+def _relabeled(images, families):
+    return [Branch(points=[replace(pt, shape=families.shapes(pt.state)[0]) for pt in image.points])
             for image in images]
 
 
 def _switched_branches(monkeypatch, problem, spec, window, settings):
-    """The branches `build_diagram` expands to orbits, with the group it uses."""
+    """The branches `build_diagram` expands to orbits, with the family table it uses."""
     calls = []
 
-    def recording(group, branch, *args, **kwargs):
-        calls.append((group, branch))
-        return orbit(group, branch, *args, **kwargs)
+    def recording(families, branch, *args, **kwargs):
+        calls.append((families, branch))
+        return orbit(families, branch, *args, **kwargs)
 
     monkeypatch.setattr(cli, "orbit", recording)
     build_diagram(problem, spec, window, settings)
@@ -361,13 +358,13 @@ def _switched_branches(monkeypatch, problem, spec, window, settings):
 ], ids=["lennard-jones-triangle", "soft-spring-tetrahedron"])
 def test_orbit_matches_the_per_element_reference_on_switched_branches(monkeypatch, problem, spec, window,
                                                                       settings):
-    shape = GEOMETRIES[problem].shape
     calls = _switched_branches(monkeypatch, problem, spec, window, settings)
     assert len(calls) >= 2
     self_reversed = 0
-    for group, branch in calls:
+    for families, branch in calls:
+        group = families.group()
         want = _reference_orbit(group, branch)
-        assert orbit(group, branch, shape) == _relabeled(want, shape)
+        assert orbit(families, branch) == _relabeled(want, families)
         # some element maps the branch onto its own reversal, so its orbit is smaller
         states = np.array([pt.state for pt in branch.points])
         self_reversed += len(states) > 1 and any(
@@ -375,15 +372,49 @@ def test_orbit_matches_the_per_element_reference_on_switched_branches(monkeypatc
     assert self_reversed >= 1
 
 
-@pytest.mark.parametrize("group", [triangle_group(), tetra_group()], ids=["triangle", "tetrahedron"])
-def test_orbit_of_a_short_branch_matches_the_reference(group):
-    shape = _shape(group)
+@pytest.mark.parametrize("geometry", [TRIANGLE, TETRAHEDRON], ids=["triangle", "tetrahedron"])
+def test_orbit_of_a_short_branch_matches_the_reference(geometry):
+    families = geometry.families
+    group = families.group()
     empty = Branch(points=[])
-    assert orbit(group, empty, shape) == _reference_orbit(group, empty) == [Branch(points=[])]
+    assert orbit(families, empty) == _reference_orbit(group, empty) == [Branch(points=[])]
     n_edges = group.n - 1
     for edges in ([1.0] * n_edges, [1.0 + 0.1 * i for i in range(n_edges)]):
         one = _branch_from_states([(-1.0, *edges)])
         want = _reference_orbit(group, one)
-        assert orbit(group, one, shape) == _relabeled(want, shape)
+        assert orbit(families, one) == _relabeled(want, families)
         assert len(want) == len({img.points[0].state for img in want})
-    assert len(orbit(group, _branch_from_states([(-1.0, *[1.0] * n_edges)]), shape)) == 1
+    assert len(orbit(families, _branch_from_states([(-1.0, *[1.0] * n_edges)]))) == 1
+
+
+def _subgroups(group):
+    """Every subgroup of `group`, as the closures of its element pairs (D3 and S4 are 2-generated)."""
+    return {frozenset(symmetry._closure((p, q))) for p in group for q in group}
+
+
+def _conjugates(group, subgroup):
+    return {frozenset(g @ h @ g.inverse() for h in subgroup) for g in group}
+
+
+@pytest.mark.parametrize("geometry, k, orders", [
+    (TRIANGLE, 3, {2}), (TETRAHEDRON, 3, {4, 6}), (TETRAHEDRON, 7, {8}),
+], ids=["triangle-sigma3", "tetrahedron-sigma3", "tetrahedron-sigma7"])
+def test_axial_subgroups_of_each_kernel_are_the_classes_of_its_families(geometry, k, orders):
+    # the equivariant branching lemma: one branch per axial subgroup, an
+    # isotropy subgroup whose fixed space meets the kernel in a line
+    group = geometry.families.group()
+    subgroups = _subgroups(group)
+    assert len(subgroups) == {6: 6, 24: 30}[len(group)]
+    row = geometry.margins[k]
+    kernel = np.array(row.kernel).T
+    axial = set()
+    for sub in subgroups:
+        fixed = fixed_projection(sub) @ kernel  # spans Fix(sub) in the invariant kernel
+        if np.linalg.matrix_rank(fixed, tol=1e-12) == 1:
+            v = fixed[:, np.argmax(np.abs(fixed).sum(axis=0))]
+            if frozenset(isotropy(group, v).elements) == sub:
+                axial.add(sub)
+    families = set().union(*(_conjugates(group, reduction(geometry, name).subgroup.elements)
+                             for name in row.reductions))
+    assert axial == families
+    assert {len(sub) for sub in axial} == orders

@@ -8,6 +8,7 @@ from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import tetra_group
 from cluster_bifurc.tetrahedron import (
     RESTRICTION_COLUMNS,
+    TETRAHEDRON,
     TetState,
     TetraProblem,
     cayley_menger,
@@ -18,7 +19,6 @@ from cluster_bifurc.tetrahedron import (
     jacobian4,
     mu_tetra,
     residual4,
-    shape_of_edges,
     stability_boundaries4,
     trivial4,
     trivial_spectrum4,
@@ -255,6 +255,11 @@ def test_classify_trivial_states():
     assert (cls.stability, cls.shape) == ("unstable", "regular")
     cls = classify_point4(PolynomialSpring(1, 0), trivial4(PolynomialSpring(1, 0), 50.0), 50.0)
     assert (cls.stability, cls.shape) == ("stable", "regular")
+
+
+def shape_of_edges(edges):
+    """The shape `TETRAHEDRON.families` gives a state with these edges."""
+    return TETRAHEDRON.families.shapes([0.0, *edges])[0]
 
 
 def test_shape_families():
