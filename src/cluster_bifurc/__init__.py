@@ -46,34 +46,21 @@ from .cluster import (  # noqa: E402
 )
 from .triangle import (  # noqa: E402
     TRIANGLE,
-    TriState,
-    TriangleProblem,
     classify_point3,
     heron,
     jacobian3,
-    mu3,
     residual3,
     stability_boundaries3,
-    stable_intervals3,
-    triangle_energy,
-    trivial3,
     trivial_spectrum3,
 )
 from .tetrahedron import (  # noqa: E402
     TETRAHEDRON,
-    TetState,
-    TetraProblem,
     cayley_menger,
     classify_point4,
-    grad_g4,
-    hess_g4,
     is_tetrahedron,
     jacobian4,
-    mu_tetra,
     residual4,
     stability_boundaries4,
-    tetra_energy,
-    trivial4,
     trivial_spectrum4,
 )
 from .symmetry import (  # noqa: E402

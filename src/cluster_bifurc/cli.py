@@ -34,7 +34,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .cluster import ClusterProblem, Geometry, jacobian, margin, residual, stability_boundaries
+from .cluster import ClusterProblem, Geometry, jacobian, margin, residual, stability_boundaries, trivial_point
 from .continuation import (
     BifurcationEvent,
     Branch,
@@ -74,15 +74,8 @@ from .symmetry import (
     fixed_projection_exact,
     orbit,
 )
-from .tetrahedron import (
-    RESTRICTION_COLUMNS,
-    TETRAHEDRON,
-    cayley_menger,
-    jacobian4,
-    trivial4,
-    trivial_spectrum4,
-)
-from .triangle import TRIANGLE, jacobian3, trivial3, trivial_spectrum3
+from .tetrahedron import RESTRICTION_COLUMNS, TETRAHEDRON, cayley_menger, jacobian4, trivial_spectrum4
+from .triangle import TRIANGLE, jacobian3, trivial_spectrum3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,7 +160,7 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
     if not seeds:
         return None
     x_ev = np.asarray(ev.state, dtype=float)
-    label = system.shape_of(np.asarray(seeds[0].state))
+    label = seeds[0].shape
     if not all(is_isolated(system, np.asarray(s.state), s.parameter) for s in seeds):
         # degenerate family: the switched solutions are not isolated, so a
         # branch trace is ill posed; report the converged seed points alone
@@ -407,7 +400,7 @@ def run_verification() -> list[tuple[str, bool, str]]:
         spec_i = _random_spec(rng)
         A = float(rng.uniform(0.3, 3.0))
         sp = trivial_spectrum3(spec_i, A)
-        w, _ = sym_eigen(jacobian3(spec_i, trivial3(spec_i, A).as_array()))
+        w, _ = sym_eigen(jacobian3(spec_i, ClusterProblem(TRIANGLE, spec_i).trivial_state(A)))
         expect = np.sort([sp.mu, sp.mu, sp.simple_pair[0], sp.simple_pair[1]])
         scale = max(1.0, float(np.max(np.abs(expect))))
         worst = max(worst, float(np.max(np.abs(np.sort(w) - expect))) / scale)
@@ -420,8 +413,7 @@ def run_verification() -> list[tuple[str, bool, str]]:
         spec_i = _random_spec(rng)
         V = float(rng.uniform(0.3, 3.0))
         sp = trivial_spectrum4(spec_i, V)
-        st = trivial4(spec_i, V)
-        J = jacobian4(spec_i, st.as_array())
+        J = jacobian4(spec_i, ClusterProblem(TETRAHEDRON, spec_i).trivial_state(V))
         U = M.T @ J[1:, 1:] @ M
         w, _ = sym_eigen(0.5 * (U + U.T))
         expect = np.asarray(sp.u_eigs)
@@ -607,15 +599,14 @@ def cmd_trivial(cfg: dict, out_dir: Path | None) -> int:
         raise ConfigError("values must be a non-empty list of parameter values", key="values")
     values = [_config_float(p, "values", positive=True) for p in values]
     for p in values:
+        lam, a = trivial_point(GEOMETRIES[problem], spec, p)
         if problem == "triangle":
-            st = trivial3(spec, p)
             sp = trivial_spectrum3(spec, p)
-            print(f"A={p:.12g}  lambda={st.lam:.12g}  edge={st.a:.12g}  mu={sp.mu:.12g}  "
+            print(f"A={p:.12g}  lambda={lam:.12g}  edge={a:.12g}  mu={sp.mu:.12g}  "
                   f"pair=({sp.simple_pair[0]:.12g}, {sp.simple_pair[1]:.12g})")
         else:
-            st = trivial4(spec, p)
             sp = trivial_spectrum4(spec, p)
-            print(f"V={p:.12g}  lambda={st.lam:.12g}  edge={st.edges[0]:.12g}  "
+            print(f"V={p:.12g}  lambda={lam:.12g}  edge={a:.12g}  "
                   f"mu1={sp.mu1:.12g}  mu2={sp.mu2:.12g}  restricted={tuple(round(v, 9) for v in sp.u_eigs)}")
     return EXIT_OK
 

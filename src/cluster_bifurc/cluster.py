@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import householder_complement, sym_eigen
-from .potentials import PotentialSpec, derivatives
+from .potentials import PotentialSpec, derivatives, stability_margin
 from .symmetry import FamilyTable, fixed_space, stabilizer
 
 __all__ = [
@@ -141,9 +141,7 @@ class Classification:
 
 
 def _unpack(geometry: Geometry, state, positive: bool = False) -> tuple[float, list[float]]:
-    """(lambda, [e_1, ..., e_n]) as Python floats from a state record or vector."""
-    if hasattr(state, "as_array"):
-        state = state.as_array()
+    """(lambda, [e_1, ..., e_n]) as Python floats from a state vector."""
     x = np.asarray(state, dtype=float)
     n = geometry.n_edges
     if x.shape != (n + 1,):
@@ -200,9 +198,7 @@ def trivial_point(geometry: Geometry, spec: PotentialSpec, param: float) -> tupl
 
 def margin(geometry: Geometry, spec: PotentialSpec, param: float, k: int) -> float:
     """sigma_k = phi''(a) + k phi'(a)/a at the trivial edge a of the given parameter."""
-    a = _trivial_edge(geometry, param)
-    _, d1, d2 = derivatives(spec, a)
-    return d2 + k * d1 / a
+    return stability_margin(spec, _trivial_edge(geometry, param), k)
 
 
 def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
@@ -377,15 +373,9 @@ class ClusterProblem:
     def classify_stack(self, states, jacobians) -> list[Classification]:
         return classify_stack(self.geometry, states, jacobians)
 
-    def energy(self, x) -> float:
-        return energy(self.geometry, self.spec, x)
-
     def trivial_state(self, p: float) -> np.ndarray:
         lam, a = trivial_point(self.geometry, self.spec, p)
         return np.array([lam] + [a] * self.geometry.n_edges)
-
-    def shape_of(self, x) -> str:
-        return self.geometry.families.shapes(x)[0]
 
     def group(self):
         return self.geometry.families.group()

@@ -11,10 +11,9 @@ A `system` is any object with the small interface that
     in_domain(x)              iterates allowed here (edge positivity)
     feasible(x)               converged states allowed here (realizability)
     classify(x, p, J=None)    `cluster.Classification` of a solution (J: its Jacobian)
-    energy(x)                 total configuration energy
+    classify_stack(xs, Js)    the `classify` labels of many solutions, from their Jacobians
     group()                   the permutation group the system is equivariant under
     isotropy_order(x)         number of group elements in the `symmetry.stabilizer` of x
-    shape_of(x)               shape label of x, from its geometry's `symmetry.FamilyTable`
     fixed_space(x)            `symmetry.fixed_space` of the stabilizer of x
 
 There is one corrector, Keller's bordered Newton iteration, in a
@@ -379,16 +378,18 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
       that step, kept as the branch's `reached_event`, or else on the
       bifurcation of the symmetric branch there, reported as an event;
     * landing, the fallback where the larger fixed space has codimension
-      above 1: a corrected point has another shape label and a larger
-      isotropy order than the start point; the point is dropped.
+      above 1: a kept point has another shape label and a larger isotropy
+      order than the start point; the trace ends before the first such
+      point, and whatever came after it, a crossing end too, is dropped.
 
     Every correction and localization probe is projected onto Fix(S), S the
     start point's stabilizer.  The loop keeps each accepted point's state,
     parameter, arclength, Jacobian and tangent slope; after it, the points
     are labeled in one `classify_stack` call (corrections that the window
-    or these rules reject are never labeled), and `detect_and_localize`
-    runs on each segment whose index or tangent-sign monitor changed.  The
-    crossing end point is labeled on its own and its event comes last.
+    or crossing rules reject are never labeled), the landing rule cuts
+    them, and `detect_and_localize` runs on each segment before the cut
+    whose index or tangent-sign monitor changed.  The crossing end point
+    is labeled on its own and its event comes last.
     Detected events are classified as `bifurcation_kind` ("primary" when
     the caller is tracing the fully symmetric branch) or "turning".
     """
@@ -404,7 +405,6 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     slopes = [float(t[-1])]  # the tangents' parameter components
     fix, normals, projections = system.fixed_space(x0)
     phi = normals @ x0
-    start_order = system.isotropy_order(x0)
     reached = end = end_point = None
     h = settings.h0
     s = 0.0
@@ -442,8 +442,6 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
                                     arclength=s + float(np.sqrt((z_end - z) @ (z_end - z))))
             break
-        if system.shape_of(x_new) != start.shape and system.isotropy_order(x_new) > start_order:
-            break  # landed on a more symmetric point
         w_new = metric_weights(z_new)
         t_new = branch_tangent(system, x_new, z_new[-1], t, w_new, corrected.jacobian)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))
@@ -458,9 +456,17 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         if corrected.iterations <= settings.contraction_target:
             h = min(h * settings.step_growth, settings.h_max)
 
+    labels = system.classify_stack(states, jacobians)
+    start_order = system.isotropy_order(x0)
+    cut = next((i for i, (x, c) in enumerate(zip(states, labels))
+                if c.shape != start.shape and system.isotropy_order(x) > start_order), None)
+    if cut is not None:  # landed on a more symmetric point
+        states, params, arclengths, labels, slopes = (
+            states[:cut], params[:cut], arclengths[:cut], labels[:cut], slopes[:cut + 1])
+        reached = end = end_point = None
     points = [replace(start, arclength=0.0)] + [
         BranchPoint(tuple(x), p, sk, c.stability, c.shape, c.index) for x, p, sk, c in
-        zip(np.array(states).tolist(), params, arclengths, system.classify_stack(states, jacobians))]
+        zip(np.array(states).tolist(), params, arclengths, labels)]
     events: list[BifurcationEvent] = []
     if settings.detection:
         index, tp = np.array([pt.index for pt in points]), np.array(slopes)

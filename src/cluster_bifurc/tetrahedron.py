@@ -20,14 +20,14 @@ edges u = e^2,
 
 with S the sum of all six u; it is 4 at unit edges.  The constraint
 kernel `cayley_menger_terms` gives this polynomial, its gradient and its
-Hessian (hand derivatives) in one pass on Python floats; `grad_g4` and
-`hess_g4` are array views of it.  The tests and `cluster-bifurc verify`
-check the cubic against the determinant and the derivatives against finite
+Hessian (hand derivatives) in one pass on Python floats.  The tests and
+`cluster-bifurc verify` check the cubic against the determinant and the derivatives against finite
 differences.
 
 The regular tetrahedron a_V^3 = 6 sqrt(2) V with multiplier
 lambda_V = -phi'(a_V) / (4 a_V^5) solves the KKT system for every V, and the
-linearization there carries two families of critical eigenvalues,
+linearization there carries two families of critical eigenvalues
+(`cluster.margin` at k = 3 and 7),
 
     sigma_3(a_V) = phi'' + 3 phi'/a_V   (multiplicity three)
     sigma_7(a_V) = phi'' + 7 phi'/a_V   (multiplicity two),
@@ -48,61 +48,23 @@ from itertools import permutations
 
 import numpy as np
 
-from .cluster import (
-    ClusterProblem,
-    Geometry,
-    Margin,
-    classify_point,
-    energy,
-    jacobian,
-    margin,
-    residual,
-    stability_boundaries,
-    trivial_point,
-)
+from .cluster import Geometry, Margin, classify_point, jacobian, residual, stability_boundaries, trivial_point
 from .potentials import PotentialSpec, derivatives
 from .symmetry import FamilyTable, tetra_group
 
 __all__ = [
-    "TetState",
     "TrivialSpectrum4",
     "TETRAHEDRON",
     "cayley_menger",
     "cayley_menger_terms",
     "is_tetrahedron",
-    "grad_g4",
-    "hess_g4",
     "residual4",
     "jacobian4",
-    "trivial4",
     "trivial_spectrum4",
-    "mu_tetra",
     "stability_boundaries4",
     "classify_point4",
-    "tetra_energy",
-    "TetraProblem",
     "RESTRICTION_COLUMNS",
 ]
-
-
-@dataclass(frozen=True)
-class TetState:
-    lam: float
-    edges: tuple[float, float, float, float, float, float]
-
-    def __post_init__(self):
-        if len(self.edges) != 6:
-            raise ValueError("a tetrahedron state carries 6 edges")
-        if min(self.edges) <= 0:
-            raise ValueError("edge lengths must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.lam,) + tuple(self.edges))
-
-    @staticmethod
-    def from_array(x) -> "TetState":
-        x = np.asarray(x, dtype=float)
-        return TetState(float(x[0]), tuple(float(v) for v in x[1:7]))
 
 
 # Edge i is opposite edge _OPPOSITE[i]; each face is a triple of edges.
@@ -179,27 +141,6 @@ def cayley_menger_terms(e) -> tuple[float, list[float], list[list[float]]]:
     return _cubic(u, s), [4.0 * (v * q) for v, q in zip(e, half)], H
 
 
-def grad_g4(edges) -> np.ndarray:
-    """Gradient of the Cayley-Menger polynomial, all six components expanded."""
-    return np.array(cayley_menger_terms(_edges(edges))[1])
-
-
-def hess_g4(edges) -> np.ndarray:
-    """Hessian of the Cayley-Menger polynomial g = G(u) (see `cayley_menger_terms`)."""
-    return np.array(cayley_menger_terms(_edges(edges))[2])
-
-
-def trivial4(spec: PotentialSpec, volume: float) -> TetState:
-    """The regular-tetrahedron critical point at the given volume."""
-    lam, a = trivial_point(TETRAHEDRON, spec, volume)
-    return TetState(lam, (a,) * 6)
-
-
-def mu_tetra(spec: PotentialSpec, volume: float) -> tuple[float, float]:
-    """The two critical eigenvalues (sigma_3, sigma_7) on the trivial branch."""
-    return margin(TETRAHEDRON, spec, volume, 3), margin(TETRAHEDRON, spec, volume, 7)
-
-
 # Restriction onto the constraint tangent space {sum(y) = 0} used by the
 # closed-form spectrum: columns span the complement of (1,...,1).
 RESTRICTION_COLUMNS = np.array([
@@ -230,8 +171,7 @@ class TrivialSpectrum4:
 
 
 def trivial_spectrum4(spec: PotentialSpec, volume: float) -> TrivialSpectrum4:
-    st = trivial4(spec, volume)
-    a = st.edges[0]
+    a = trivial_point(TETRAHEDRON, spec, volume)[1]
     _, d1, d2 = derivatives(spec, a)
     alpha = d2 + 3.0 * d1 / a
     beta = -2.0 * d1 / a
@@ -270,11 +210,3 @@ residual4 = partial(residual, TETRAHEDRON)
 jacobian4 = partial(jacobian, TETRAHEDRON)
 classify_point4 = partial(classify_point, TETRAHEDRON)
 stability_boundaries4 = partial(stability_boundaries, TETRAHEDRON)
-tetra_energy = partial(energy, TETRAHEDRON)
-
-
-class TetraProblem(ClusterProblem):
-    """Continuation-facing wrapper of the tetrahedron KKT system for one potential."""
-
-    def __init__(self, spec: PotentialSpec):
-        super().__init__(TETRAHEDRON, spec)

@@ -13,7 +13,7 @@ area the system has the equilateral solution
 
     a_A = 2 sqrt(A) / 3^(1/4),   lambda_A = -4 phi'(a_A) / a_A^3,
 
-and the linearization there has the double eigenvalue
+and the linearization there has the double eigenvalue (`cluster.margin`, k = 3)
 
     mu(A) = phi''(a_A) + (3/a_A) phi'(a_A)
 
@@ -30,65 +30,21 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from .cluster import (
-    ClusterProblem,
-    DegenerateConstraintError,
-    Geometry,
-    Margin,
-    StabilityInterval,
-    classify_point,
-    energy,
-    jacobian,
-    margin,
-    residual,
-    stability_boundaries,
-    stable_intervals,
-    trivial_point,
-)
+from .cluster import Geometry, Margin, classify_point, jacobian, residual, stability_boundaries, trivial_point
 from .potentials import PotentialSpec, derivatives
 from .symmetry import FamilyTable, triangle_group
 
 __all__ = [
-    "TriState",
     "TrivialSpectrum3",
     "TRIANGLE",
     "heron",
     "heron_terms",
-    "grad_heron",
-    "hess_heron",
     "residual3",
     "jacobian3",
-    "trivial3",
     "trivial_spectrum3",
-    "mu3",
     "stability_boundaries3",
-    "stable_intervals3",
     "classify_point3",
-    "triangle_energy",
-    "TriangleProblem",
 ]
-
-
-@dataclass(frozen=True)
-class TriState:
-    lam: float
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
-            raise ValueError("edge lengths must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam, self.a, self.b, self.c])
-
-    @staticmethod
-    def from_array(x) -> "TriState":
-        lam, a, b, c = (float(v) for v in x)
-        return TriState(lam, a, b, c)
 
 
 def heron(a: float, b: float, c: float) -> float:
@@ -117,14 +73,6 @@ def heron_terms(e) -> tuple[float, list[float], list[list[float]]]:
     return g, grad, hess
 
 
-def grad_heron(a: float, b: float, c: float) -> np.ndarray:
-    return np.array(heron_terms((a, b, c))[1])
-
-
-def hess_heron(a: float, b: float, c: float) -> np.ndarray:
-    return np.array(heron_terms((a, b, c))[2])
-
-
 TRIANGLE = Geometry(
     name="triangle",
     param_name="area",
@@ -144,14 +92,6 @@ residual3 = partial(residual, TRIANGLE)
 jacobian3 = partial(jacobian, TRIANGLE)
 classify_point3 = partial(classify_point, TRIANGLE)
 stability_boundaries3 = partial(stability_boundaries, TRIANGLE)
-stable_intervals3 = partial(stable_intervals, TRIANGLE)
-triangle_energy = partial(energy, TRIANGLE)
-
-
-def trivial3(spec: PotentialSpec, area: float) -> TriState:
-    """The equilateral critical point at the given area."""
-    lam, a = trivial_point(TRIANGLE, spec, area)
-    return TriState(lam, a, a, a)
 
 
 @dataclass(frozen=True)
@@ -166,24 +106,11 @@ class TrivialSpectrum3:
 
 
 def trivial_spectrum3(spec: PotentialSpec, area: float) -> TrivialSpectrum3:
-    st = trivial3(spec, area)
-    a = st.a
+    lam, a = trivial_point(TRIANGLE, spec, area)
     dd = derivatives(spec, a)[2]
-    alpha = dd - st.lam * a * a / 4.0
-    beta = st.lam * a * a / 2.0
+    alpha = dd - lam * a * a / 4.0
+    beta = lam * a * a / 2.0
     gamma = a ** 3 / 4.0
     disc = math.sqrt((alpha + 2.0 * beta) ** 2 + 12.0 * gamma * gamma)
     pair = (0.5 * (alpha + 2.0 * beta - disc), 0.5 * (alpha + 2.0 * beta + disc))
     return TrivialSpectrum3(alpha, beta, gamma, alpha - beta, pair)
-
-
-def mu3(spec: PotentialSpec, area: float) -> float:
-    """The double eigenvalue mu(A) = phi''(a_A) + 3 phi'(a_A)/a_A on the trivial branch."""
-    return margin(TRIANGLE, spec, area, 3)
-
-
-class TriangleProblem(ClusterProblem):
-    """Continuation-facing wrapper of the triangle KKT system for one potential."""
-
-    def __init__(self, spec: PotentialSpec):
-        super().__init__(TRIANGLE, spec)

@@ -17,22 +17,24 @@ import numpy as np
 import pytest
 
 from cluster_bifurc import (
+    TRIANGLE,
     Buckingham,
+    ClusterProblem,
     ContinuationSettings,
     LennardJones,
     PolynomialSpring,
     closed_form_thresholds,
     stability_boundaries3,
     stability_boundaries4,
-    triangle_energy,
-    trivial3,
 )
 from cluster_bifurc.cli import build_diagram, run_verification
+from cluster_bifurc.cluster import energy
 from cluster_bifurc.continuation import newton_correct
 from cluster_bifurc.diagram import export
-from cluster_bifurc.triangle import TriangleProblem, classify_point3
+from cluster_bifurc.triangle import classify_point3
 
 LJ = LennardJones(1, 2, 12, 6)
+LJ_TRIANGLE = ClusterProblem(TRIANGLE, LJ)
 BUCK = Buckingham(1, 1, 1, 4)
 SOFT = PolynomialSpring(1, -0.1)
 HOOKE = PolynomialSpring(1, 0)
@@ -117,7 +119,7 @@ def _corrected_isosceles(iso, area, stability):
     """Newton-correct the traced point of the given stability nearest in area."""
     nearest = min((pt for pt in iso.points if pt.stability == stability),
                   key=lambda pt: abs(pt.parameter - area))
-    corrected, _ = newton_correct(TriangleProblem(LJ), np.asarray(nearest.state), area,
+    corrected, _ = newton_correct(LJ_TRIANGLE, np.asarray(nearest.state), area,
                                   ContinuationSettings())
     return corrected
 
@@ -128,7 +130,7 @@ def _multistability_data(diagram):
                 if ev.kind == "turning" and ev.source_branch == iso.id)
     lo, hi = fold.parameter, primary.parameter
     mid = 0.5 * (lo + hi)
-    return lo, hi, mid, trivial3(LJ, mid), _corrected_isosceles(iso, mid, "stable")
+    return lo, hi, mid, LJ_TRIANGLE.trivial_state(mid), _corrected_isosceles(iso, mid, "stable")
 
 
 def test_criterion_4_multistability_window(lj_diagram):
@@ -169,7 +171,7 @@ def test_criterion_4_energy_ordering_as_stated(lj_diagram):
         cls = classify_point3(LJ, state, area)
         assert cls.stability == "stable" and cls.shape.startswith("isosceles"), \
             f"corrected state at A={area:.7f} is {cls.stability} {cls.shape}"
-        return triangle_energy(LJ, trivial3(LJ, area)), triangle_energy(LJ, state), state
+        return energy(TRIANGLE, LJ, LJ_TRIANGLE.trivial_state(area)), energy(TRIANGLE, LJ, state), state
 
     def gap(area):
         e_trivial, e_iso, _ = energies(area)
@@ -252,9 +254,9 @@ def test_multistability_energy_ordering_vs_unstable_neighbor(lj_diagram):
     _, _, mid, trivial_state, stable_pt = _multistability_data(diagram)
     unstable_pt = _corrected_isosceles(iso, mid, "unstable")
     assert classify_point3(LJ, np.asarray(unstable_pt.state), mid).stability == "unstable"
-    e_trivial = triangle_energy(LJ, trivial_state)
-    e_unstable = triangle_energy(LJ, np.asarray(unstable_pt.state))
-    e_stable = triangle_energy(LJ, np.asarray(stable_pt.state))
+    e_trivial = energy(TRIANGLE, LJ, trivial_state)
+    e_unstable = energy(TRIANGLE, LJ, np.asarray(unstable_pt.state))
+    e_stable = energy(TRIANGLE, LJ, np.asarray(stable_pt.state))
     assert e_stable < e_trivial < e_unstable
     print(f"\nEnergy ordering at A={mid:.5f}: stable isosceles {e_stable:.10f} < "
           f"trivial {e_trivial:.10f} < unstable isosceles {e_unstable:.10f}")

@@ -26,14 +26,14 @@ from cluster_bifurc.continuation import (
 from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import Perm, PermGroup, Reduction
-from cluster_bifurc.triangle import TRIANGLE, TriangleProblem, stability_boundaries3
+from cluster_bifurc.triangle import TRIANGLE, heron, stability_boundaries3
 
 LJ = LennardJones(1, 2, 12, 6)
 A0 = math.sqrt(3.0) / 4.0 * 2.5 ** (1.0 / 3.0)
 
 
 def lj_system():
-    return TriangleProblem(LJ)
+    return ClusterProblem(TRIANGLE, LJ)
 
 
 def isosceles():
@@ -87,7 +87,7 @@ def test_newton_correct_domain_error():
         newton_correct(system, [0.0, -1.0, 1.0, 1.0], 0.5, ContinuationSettings())
 
 
-class FlatTriangle(TriangleProblem):
+class FlatTriangle(ClusterProblem):
     """The Lennard-Jones triangle with every Jacobian replaced by zeros."""
 
     def evaluate(self, x, p):
@@ -96,7 +96,7 @@ class FlatTriangle(TriangleProblem):
 
 
 def test_singular_corrector_matrix_is_a_corrector_failure():
-    system = FlatTriangle(LJ)
+    system = FlatTriangle(TRIANGLE, LJ)
     settings = ContinuationSettings()
     x = system.trivial_state(0.4)
     x[1] += 1e-3
@@ -265,7 +265,7 @@ def test_corrector_and_tangent_are_bit_identical_to_the_allocating_ones(monkeypa
         assert kinds[CorrectorFailure] > 0  # the Buckingham build's corrections that stall
 
 
-class _Infeasible(TriangleProblem):
+class _Infeasible(ClusterProblem):
     """The Lennard-Jones triangle on which no converged point is feasible."""
 
     def feasible(self, x):
@@ -292,8 +292,8 @@ def test_each_corrector_failure_matches_the_allocating_corrector():
         (lj_system(), nan_state, variants[:2], CorrectorFailure, "non-finite residual"),
         (lj_system(), nan_state, variants[2:], DomainExit, "iterate left the domain"),
         (lj_system(), np.array([0.0, -1.0, 0.5, -1.0]), variants, DomainExit, "iterate left the domain"),
-        (_Infeasible(LJ), x0, variants, DomainExit, "converged point is infeasible"),
-        (FlatTriangle(LJ), off, variants, CorrectorFailure, "singular corrector matrix"),
+        (_Infeasible(TRIANGLE, LJ), x0, variants, DomainExit, "converged point is infeasible"),
+        (FlatTriangle(TRIANGLE, LJ), off, variants, CorrectorFailure, "singular corrector matrix"),
     ]
     for system_i, state, kwargs_list, kind, message in cases:
         for kwargs in kwargs_list:
@@ -350,7 +350,7 @@ def test_trace_trivial_branch_stability_flip():
 
 def test_trace_buckingham_trivial_stable_window():
     spec = Buckingham(1, 1, 1, 4)
-    system = TriangleProblem(spec)
+    system = ClusterProblem(TRIANGLE, spec)
     settings = ContinuationSettings(h_max=0.2)
     start, _ = newton_correct(system, system.trivial_state(1.0), 1.0, settings)
     hint = np.zeros(5)
@@ -370,7 +370,7 @@ def test_trace_buckingham_trivial_stable_window():
 
 
 def test_trace_hooke_emits_no_events():
-    system = TriangleProblem(PolynomialSpring(1, 0))
+    system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
     hint = np.zeros(5)
@@ -437,7 +437,7 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
         calls.append((kwargs.get("constraint", args[4] if len(args) > 4 else None), out))
         return out
 
-    system = TriangleProblem(PolynomialSpring(1, 0))
+    system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
     monkeypatch.setattr(cluster, "sym_eigen", eig)
@@ -471,7 +471,7 @@ def test_a_failed_edge_correction_falls_back_to_a_shorter_step(monkeypatch, fail
             raise CorrectorFailure("refused at the edge")
         return newton_correct(system, state, parameter, *args, **kwargs)
 
-    system = TriangleProblem(PolynomialSpring(1, 0))
+    system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
     monkeypatch.setattr(continuation, "newton_correct", correct)
@@ -550,6 +550,46 @@ def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
         assert sorted(np.round(np.abs(kernel[1:]) * math.sqrt(2.0), 6)) == [0.0, 1.0, 1.0]
 
 
+class _LandsPast(ClusterProblem):
+    """The Lennard-Jones triangle, on which every state of area beyond `area`
+    reads as isosceles with isotropy order 2: more symmetric than scalene."""
+
+    def __init__(self, area):
+        super().__init__(TRIANGLE, LJ)
+        self.area = area
+
+    def _past(self, x):
+        return math.sqrt(heron(*np.asarray(x)[1:])) > self.area
+
+    def shape_of(self, x):
+        return "isosceles(a=b)" if self._past(x) else TRIANGLE.families.shapes(x)[0]
+
+    def classify_stack(self, states, jacobians):
+        return [replace(c, shape="isosceles(a=b)") if self._past(x) else c
+                for x, c in zip(states, super().classify_stack(states, jacobians))]
+
+    def isotropy_order(self, x):
+        return 2 if self._past(x) else super().isotropy_order(x)
+
+
+@pytest.mark.parametrize("with_targets", [True, False])
+def test_landing_on_a_more_symmetric_point_ends_the_trace_before_it(with_targets):
+    # the scalene trace from the lower secondary runs up in area and ends on
+    # the upper one (a crossing); landing at A = 0.645, short of it, cuts
+    # the crossing end, the reached target and the crossing event
+    system, low, high = _lennard_jones_secondaries()
+    settings = ContinuationSettings(h_max=0.2)
+    targets = (low, high) if with_targets else ()
+    for seed, hint in _scalene_seeds(system, low, settings):
+        full, full_events = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=targets)
+        assert full_events or full.reached_event is not None
+        kept = [pt for pt in full.points if pt.parameter < 0.645]
+        assert 1 < len(kept) < len(full.points) - 1
+        branch, events = trace_branch(_LandsPast(0.645), seed, hint, settings, (0.3, 0.9), targets=targets)
+        assert branch.points == kept and branch.points == full.points[:len(kept)]
+        assert branch.reached_event is None and events == []
+
+
 def test_index_monitor_jumps_by_two_across_the_double_crossing():
     # two eigenvalues cross together at the primary A0, which leaves the
     # determinant sign as it was; the tangent-space index moves by 2
@@ -613,7 +653,7 @@ def test_branch_switch_seeds_straddle_the_parameter():
 
 def test_branch_switch_buckingham_second_root():
     spec = Buckingham(1, 1, 1, 4)
-    system = TriangleProblem(spec)
+    system = ClusterProblem(TRIANGLE, spec)
     settings = ContinuationSettings()
     roots = stability_boundaries3(spec, (1.0, 100.0))
     ev = make_primary_event(system, roots[1].parameter)

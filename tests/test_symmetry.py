@@ -7,6 +7,7 @@ import pytest
 
 from cluster_bifurc import cli, symmetry
 from cluster_bifurc.cli import build_diagram
+from cluster_bifurc.cluster import ClusterProblem, margin
 from cluster_bifurc.continuation import Branch, BranchPoint, ContinuationSettings
 from cluster_bifurc.potentials import LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import (
@@ -20,8 +21,8 @@ from cluster_bifurc.symmetry import (
     tetra_group,
     triangle_group,
 )
-from cluster_bifurc.tetrahedron import TETRAHEDRON, cayley_menger, jacobian4, mu_tetra, residual4, trivial4
-from cluster_bifurc.triangle import TRIANGLE, jacobian3, mu3, residual3, trivial3
+from cluster_bifurc.tetrahedron import TETRAHEDRON, cayley_menger, jacobian4, residual4
+from cluster_bifurc.triangle import TRIANGLE, jacobian3, residual3
 
 LJ = LennardJones(1, 2, 12, 6)
 F = Fraction
@@ -184,17 +185,17 @@ def test_projection_idempotent_symmetric_exact():
 def test_reduced_jacobian_simple_eigenvalue_triangle():
     P = reduction(*ISOSCELES).projection
     for A in (0.4, 0.5877, 1.1):
-        L = P @ jacobian3(LJ, trivial3(LJ, A).as_array()) @ P
+        L = P @ jacobian3(LJ, ClusterProblem(TRIANGLE, LJ).trivial_state(A)) @ P
         v = np.array([0.0, -2.0, 1.0, 1.0])
-        assert np.max(np.abs(L @ v - mu3(LJ, A) * v)) < 1e-10 * max(1.0, np.abs(L).max())
+        assert np.max(np.abs(L @ v - margin(TRIANGLE, LJ, A, 3) * v)) < 1e-10 * max(1.0, np.abs(L).max())
     # reduced residual of a fixed-space zero is a full-system zero
-    x = trivial3(LJ, 0.7).as_array()
+    x = ClusterProblem(TRIANGLE, LJ).trivial_state(0.7)
     assert np.max(np.abs(P @ residual3(LJ, x, 0.7))) < 1e-12
 
 
 def test_reduced_jacobian_simple_eigenvalues_tetra():
-    x = trivial4(LJ, 0.4).as_array()
-    m1, m2 = mu_tetra(LJ, 0.4)
+    x = ClusterProblem(TETRAHEDRON, LJ).trivial_state(0.4)
+    m1, m2 = (margin(TETRAHEDRON, LJ, 0.4, k) for k in (3, 7))
     scale = max(1.0, np.abs(jacobian4(LJ, x)).max())
     for red, vec, mu in (
         (reduction(*OPPOSITE_PAIR), (0, 0, 0, -1.0, 0, 0, 1.0), m1),

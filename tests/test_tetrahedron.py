@@ -3,30 +3,37 @@ import math
 import numpy as np
 import pytest
 
+from cluster_bifurc.cluster import ClusterProblem, margin, trivial_point
 from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import tetra_group
 from cluster_bifurc.tetrahedron import (
     RESTRICTION_COLUMNS,
     TETRAHEDRON,
-    TetState,
-    TetraProblem,
     cayley_menger,
+    cayley_menger_terms,
     classify_point4,
-    grad_g4,
-    hess_g4,
     is_tetrahedron,
     jacobian4,
-    mu_tetra,
     residual4,
     stability_boundaries4,
-    trivial4,
     trivial_spectrum4,
 )
 
 LJ = LennardJones(1, 2, 12, 6)
 SOFT = PolynomialSpring(1, -0.1)
 REG_VOL = 1.0 / (6.0 * math.sqrt(2.0))  # volume of the unit regular tetrahedron
+
+
+def regular(spec, volume):
+    """The regular state vector (lambda, a, ..., a) at the given volume."""
+    return ClusterProblem(TETRAHEDRON, spec).trivial_state(volume)
+
+
+def grad_hess(e):
+    """Gradient and Hessian of the Cayley-Menger polynomial as arrays, from the constraint kernel."""
+    _, g, H = cayley_menger_terms(np.asarray(e, dtype=float).tolist())
+    return np.array(g), np.array(H)
 
 
 def embed_volume(edges):
@@ -84,7 +91,7 @@ def test_cayley_menger_cubic_matches_the_determinant():
 
 
 def _ref_hess_g4(e):
-    """The numpy-array form of the Cayley-Menger Hessian that `hess_g4` replaced."""
+    """The numpy-array form of the Cayley-Menger Hessian that the constraint kernel replaced."""
     u = e * e
     Gu = np.empty(6)
     Guu = np.zeros((6, 6))
@@ -116,7 +123,7 @@ def test_hessian_matches_the_array_form():
     rng = np.random.default_rng(9)
     for _ in range(200):
         e = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, 6)
-        H, ref = hess_g4(e), _ref_hess_g4(e)
+        H, ref = grad_hess(e)[1], _ref_hess_g4(e)
         assert np.array_equal(H, H.T)
         assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -137,7 +144,7 @@ def test_is_tetrahedron():
 
 def test_gradient_at_regular():
     for a in (1.0, 1.7):
-        g = grad_g4(a * np.ones(6))
+        g = grad_hess(a * np.ones(6))[0]
         assert np.allclose(g, 4.0 * a ** 5, rtol=1e-12)
 
 
@@ -145,8 +152,7 @@ def test_gradient_hessian_match_finite_differences():
     rng = np.random.default_rng(32)
     for _ in range(60):
         e = 1.0 + 0.3 * rng.uniform(-1, 1, 6)
-        g = grad_g4(e)
-        H = hess_g4(e)
+        g, H = grad_hess(e)
         assert np.max(np.abs(H - H.T)) == 0.0  # symmetric by construction
         for i in range(6):
             h = 1e-6 * e[i]
@@ -155,7 +161,7 @@ def test_gradient_hessian_match_finite_differences():
             em[i] -= h
             fd = (cayley_menger(ep) - cayley_menger(em)) / (2 * h)
             assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-7)
-            fd_col = (grad_g4(ep) - grad_g4(em)) / (2 * h)
+            fd_col = (grad_hess(ep)[0] - grad_hess(em)[0]) / (2 * h)
             assert np.max(np.abs(fd_col - H[:, i])) < 1e-6 * max(1.0, np.abs(H[:, i]).max())
 
 
@@ -170,26 +176,26 @@ def test_cm_invariance_under_group():
 
 
 def test_trivial_state():
-    st = trivial4(LJ, REG_VOL)
-    assert st.edges[0] == pytest.approx(1.0, abs=1e-14)
-    assert st.lam == pytest.approx(0.0, abs=1e-12)
-    st = trivial4(PolynomialSpring(1, 0), REG_VOL)
-    assert st.lam == pytest.approx(-0.25, abs=1e-14)
+    lam, a = trivial_point(TETRAHEDRON, LJ, REG_VOL)
+    assert a == pytest.approx(1.0, abs=1e-14)
+    assert lam == pytest.approx(0.0, abs=1e-12)
+    lam, _ = trivial_point(TETRAHEDRON, PolynomialSpring(1, 0), REG_VOL)
+    assert lam == pytest.approx(-0.25, abs=1e-14)
     with pytest.raises(ValueError):
-        trivial4(LJ, 0.0)
+        trivial_point(TETRAHEDRON, LJ, 0.0)
 
 
 def test_residual_vanishes_on_trivial_branch():
     for spec in (LJ, Buckingham(1, 1, 1, 4), SOFT):
         for V in (0.05, REG_VOL, 2.0):
-            r = residual4(spec, trivial4(spec, V), V)
+            r = residual4(spec, regular(spec, V), V)
             assert np.max(np.abs(r)) < 1e-11 * max(1.0, 288.0 * V * V)
 
 
 def test_trivial_eigenvector_identities():
     for V in (0.1, 0.8, 2.0):
-        J = jacobian4(LJ, trivial4(LJ, V))
-        m1, m2 = mu_tetra(LJ, V)
+        J = jacobian4(LJ, regular(LJ, V))
+        m1, m2 = (margin(TETRAHEDRON, LJ, V, k) for k in (3, 7))
         scale = max(1.0, np.abs(J).max())
         for v in ((0, -1, 0, 0, 1, 0, 0), (0, 0, -1, 0, 0, 1, 0), (0, 0, 0, -1, 0, 0, 1)):
             v = np.asarray(v, dtype=float)
@@ -209,7 +215,7 @@ def test_jacobian_symmetry():
 
 def test_mu_values_spring():
     for V in (0.3, 1.0, 20.0):
-        m1, m2 = mu_tetra(PolynomialSpring(1, 0), V)
+        m1, m2 = (margin(TETRAHEDRON, PolynomialSpring(1, 0), V, k) for k in (3, 7))
         assert m1 == pytest.approx(4.0, abs=1e-12)
         assert m2 == pytest.approx(8.0, abs=1e-12)
 
@@ -222,7 +228,7 @@ def test_trivial_spectrum_closed_forms():
         spec = specs[rng.integers(0, len(specs))]
         V = float(rng.uniform(0.3, 3.0))
         sp = trivial_spectrum4(spec, V)
-        J = jacobian4(spec, trivial4(spec, V))
+        J = jacobian4(spec, regular(spec, V))
         U = M.T @ J[1:, 1:] @ M
         w, _ = sym_eigen(0.5 * (U + U.T))
         scale = max(1.0, np.abs(sp.u_eigs).max())
@@ -249,11 +255,11 @@ def test_stability_boundaries_scan():
 
 
 def test_classify_trivial_states():
-    cls = classify_point4(LJ, trivial4(LJ, 0.15), 0.15)
+    cls = classify_point4(LJ, regular(LJ, 0.15), 0.15)
     assert (cls.stability, cls.shape) == ("stable", "regular")
-    cls = classify_point4(LJ, trivial4(LJ, 0.25), 0.25)
+    cls = classify_point4(LJ, regular(LJ, 0.25), 0.25)
     assert (cls.stability, cls.shape) == ("unstable", "regular")
-    cls = classify_point4(PolynomialSpring(1, 0), trivial4(PolynomialSpring(1, 0), 50.0), 50.0)
+    cls = classify_point4(PolynomialSpring(1, 0), regular(PolynomialSpring(1, 0), 50.0), 50.0)
     assert (cls.stability, cls.shape) == ("stable", "regular")
 
 
@@ -286,12 +292,11 @@ def test_equivariance_of_residual():
 
 
 def test_problem_wrapper():
-    sys_ = TetraProblem(SOFT)
+    sys_ = ClusterProblem(TETRAHEDRON, SOFT)
     assert sys_.dim == 7 and sys_.param_name == "volume"
     x = sys_.trivial_state(1.0)
     assert np.max(np.abs(sys_.residual(x, 1.0))) < 1e-10
     assert sys_.parameter_derivative(x, 1.0)[0] == pytest.approx(-576.0)
     assert sys_.feasible(x)
     assert not sys_.feasible(np.array([0.0, 1, 1, 1, 1, 1, 2.0]))
-    state = TetState.from_array(x)
-    assert state.edges[0] == pytest.approx((6 * math.sqrt(2)) ** (1 / 3), rel=1e-12)
+    assert x[1] == pytest.approx((6 * math.sqrt(2)) ** (1 / 3), rel=1e-12)

@@ -3,28 +3,42 @@ import math
 import numpy as np
 import pytest
 
+from cluster_bifurc.cluster import (
+    ClusterProblem,
+    DegenerateConstraintError,
+    StabilityInterval,
+    energy,
+    margin,
+    stable_intervals,
+    trivial_point,
+)
 from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import triangle_group
 from cluster_bifurc.triangle import (
-    DegenerateConstraintError,
-    TriState,
-    TriangleProblem,
+    TRIANGLE,
     classify_point3,
-    grad_heron,
     heron,
-    hess_heron,
+    heron_terms,
     jacobian3,
-    mu3,
     residual3,
     stability_boundaries3,
-    triangle_energy,
-    trivial3,
     trivial_spectrum3,
 )
 
 LJ = LennardJones(1, 2, 12, 6)
 HOOKE = PolynomialSpring(1, 0)
+
+
+def equilateral(spec, area):
+    """The equilateral state vector (lambda, a, a, a) at the given area."""
+    return ClusterProblem(TRIANGLE, spec).trivial_state(area)
+
+
+def grad_hess(e):
+    """Gradient and Hessian of the squared area as arrays, from the constraint kernel."""
+    _, g, H = heron_terms(e)
+    return np.array(g), np.array(H)
 
 
 def heron_factored(a, b, c):
@@ -54,8 +68,7 @@ def test_heron_derivatives_match_finite_differences():
         if heron(a, b, c) <= 1e-3:
             continue
         done += 1
-        g = grad_heron(a, b, c)
-        H = hess_heron(a, b, c)
+        g, H = grad_hess((a, b, c))
         for i in range(3):
             e = [a, b, c]
             h = 1e-6 * e[i]
@@ -65,31 +78,30 @@ def test_heron_derivatives_match_finite_differences():
             em[i] -= h
             fd = (heron(*ep) - heron(*em)) / (2 * h)
             assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-9)
-            fd_col = (grad_heron(*ep) - grad_heron(*em)) / (2 * h)
+            fd_col = (grad_hess(ep)[0] - grad_hess(em)[0]) / (2 * h)
             assert np.max(np.abs(fd_col - H[:, i])) < 1e-6 * max(1.0, np.abs(H[:, i]).max())
 
 
 def test_trivial_state_geometry():
-    st = trivial3(LJ, math.sqrt(3.0) / 4.0)
-    assert st.a == pytest.approx(1.0, abs=1e-14)
-    assert st.lam == pytest.approx(0.0, abs=1e-12)  # phi'(1) = 0 for this potential
-    st = trivial3(HOOKE, math.sqrt(3.0) / 4.0)
-    assert st.lam == pytest.approx(-4.0, abs=1e-12)
+    lam, a = trivial_point(TRIANGLE, LJ, math.sqrt(3.0) / 4.0)
+    assert a == pytest.approx(1.0, abs=1e-14)
+    assert lam == pytest.approx(0.0, abs=1e-12)  # phi'(1) = 0 for this potential
+    lam, _ = trivial_point(TRIANGLE, HOOKE, math.sqrt(3.0) / 4.0)
+    assert lam == pytest.approx(-4.0, abs=1e-12)
     with pytest.raises(ValueError):
-        trivial3(LJ, -1.0)
+        trivial_point(TRIANGLE, LJ, -1.0)
 
 
 def test_residual_vanishes_on_trivial_branch():
     for spec in (LJ, Buckingham(1, 1, 1, 4), PolynomialSpring(2, -0.1)):
         for A in (0.1, 0.5877, 3.0, 40.0):
-            r = residual3(spec, trivial3(spec, A), A)
+            r = residual3(spec, equilateral(spec, A), A)
             assert np.max(np.abs(r)) < 1e-11 * max(1.0, A * A)
 
 
 def test_residual_hooke_hand_value():
     # Hooke spring at the unit equilateral: lambda = -4 phi'(1)/1 = -4
-    st = TriState(-4.0, 1.0, 1.0, 1.0)
-    r = residual3(HOOKE, st, math.sqrt(3.0 / 16.0))
+    r = residual3(HOOKE, (-4.0, 1.0, 1.0, 1.0), math.sqrt(3.0 / 16.0))
     assert np.max(np.abs(r)) < 1e-14
 
 
@@ -115,8 +127,7 @@ def test_jacobian_border_and_symmetry():
 
 def test_jacobian_trivial_hooke_entries():
     # lambda_A = -4, so alpha = phi'' - lambda a^2/4 = 2 and beta = lambda a^2/2 = -2
-    st = trivial3(HOOKE, math.sqrt(3.0) / 4.0)
-    J = jacobian3(HOOKE, st)
+    J = jacobian3(HOOKE, equilateral(HOOKE, math.sqrt(3.0) / 4.0))
     assert J[1, 1] == pytest.approx(2.0, abs=1e-12)
     assert J[1, 2] == pytest.approx(-2.0, abs=1e-12)
     sp = trivial_spectrum3(HOOKE, math.sqrt(3.0) / 4.0)
@@ -130,7 +141,7 @@ def test_trivial_spectrum_identity():
         spec = specs[rng.integers(0, len(specs))]
         A = float(rng.uniform(0.3, 3.0))
         sp = trivial_spectrum3(spec, A)
-        w, _ = sym_eigen(jacobian3(spec, trivial3(spec, A)))
+        w, _ = sym_eigen(jacobian3(spec, equilateral(spec, A)))
         expect = np.sort([sp.mu, sp.mu, *sp.simple_pair])
         scale = max(1.0, np.abs(expect).max())
         assert np.max(np.abs(np.sort(w) - expect)) < 1e-9 * scale
@@ -139,8 +150,8 @@ def test_trivial_spectrum_identity():
 
 def test_trivial_eigenvector_identity():
     for A in (0.4, 0.5877, 1.7):
-        J = jacobian3(LJ, trivial3(LJ, A))
-        mu = mu3(LJ, A)
+        J = jacobian3(LJ, equilateral(LJ, A))
+        mu = margin(TRIANGLE, LJ, A, 3)
         for v in ((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0)):
             v = np.asarray(v)
             assert np.max(np.abs(J @ v - mu * v)) < 1e-10 * max(1.0, np.abs(J).max())
@@ -148,13 +159,13 @@ def test_trivial_eigenvector_identity():
 
 def test_mu_spring_constant():
     for A in (0.2, 1.0, 25.0):
-        assert mu3(HOOKE, A) == pytest.approx(4.0, abs=1e-12)
+        assert margin(TRIANGLE, HOOKE, A, 3) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_mu_roots_lj_and_buckingham():
     A0 = math.sqrt(3.0) / 4.0 * 2.5 ** (1.0 / 3.0)
-    assert mu3(LJ, A0) == pytest.approx(0.0, abs=1e-12)
-    assert abs(mu3(Buckingham(1, 1, 1, 4), 5.3154)) < 1e-4
+    assert margin(TRIANGLE, LJ, A0, 3) == pytest.approx(0.0, abs=1e-12)
+    assert abs(margin(TRIANGLE, Buckingham(1, 1, 1, 4), 5.3154, 3)) < 1e-4
 
 
 def test_stability_boundaries_scan():
@@ -178,36 +189,34 @@ def test_stability_boundaries_scan():
 
 
 def test_stable_intervals():
-    from cluster_bifurc.triangle import StabilityInterval, stable_intervals3
-
-    (lj,) = stable_intervals3(LJ, (0.1, 10.0))
+    (lj,) = stable_intervals(TRIANGLE, LJ, (0.1, 10.0))
     assert lj.lo == 0.1 and not lj.lo_is_boundary
     assert lj.hi == pytest.approx(0.5877, abs=1e-4) and lj.hi_is_boundary
-    (buck,) = stable_intervals3(Buckingham(1, 1, 1, 4), (0.1, 1000.0))
+    (buck,) = stable_intervals(TRIANGLE, Buckingham(1, 1, 1, 4), (0.1, 1000.0))
     assert buck.lo == pytest.approx(5.3154, abs=1e-2)
     assert buck.hi == pytest.approx(74.2253, abs=1e-2)
     assert buck.lo_is_boundary and buck.hi_is_boundary
-    (hooke,) = stable_intervals3(HOOKE, (0.1, 100.0))
+    (hooke,) = stable_intervals(TRIANGLE, HOOKE, (0.1, 100.0))
     assert (hooke.lo, hooke.hi) == (0.1, 100.0)
     # margin positive at sampled interior points
     for frac in (0.2, 0.5, 0.8):
-        assert mu3(Buckingham(1, 1, 1, 4), buck.lo + frac * (buck.hi - buck.lo)) > 0
+        assert margin(TRIANGLE, Buckingham(1, 1, 1, 4), buck.lo + frac * (buck.hi - buck.lo), 3) > 0
     with pytest.raises(ValueError):
         StabilityInterval(2.0, 1.0, False, False)
 
 
 def test_classify_trivial_states():
-    cls = classify_point3(LJ, trivial3(LJ, 0.5), 0.5)
+    cls = classify_point3(LJ, equilateral(LJ, 0.5), 0.5)
     assert (cls.stability, cls.shape) == ("stable", "equilateral")
-    cls = classify_point3(LJ, trivial3(LJ, 0.7), 0.7)
+    cls = classify_point3(LJ, equilateral(LJ, 0.7), 0.7)
     assert (cls.stability, cls.shape) == ("unstable", "equilateral")
-    cls = classify_point3(HOOKE, trivial3(HOOKE, 100.0), 100.0)
+    cls = classify_point3(HOOKE, equilateral(HOOKE, 100.0), 100.0)
     assert (cls.stability, cls.shape) == ("stable", "equilateral")
 
 
 def test_classify_marginal_at_root():
     A0 = math.sqrt(3.0) / 4.0 * 2.5 ** (1.0 / 3.0)
-    cls = classify_point3(LJ, trivial3(LJ, A0), A0)
+    cls = classify_point3(LJ, equilateral(LJ, A0), A0)
     assert cls.stability == "marginal"
 
 
@@ -215,10 +224,10 @@ def test_classify_agrees_with_mu_sign():
     rng = np.random.default_rng(25)
     for _ in range(40):
         A = float(rng.uniform(0.2, 3.0))
-        mu = mu3(LJ, A)
+        mu = margin(TRIANGLE, LJ, A, 3)
         if abs(mu) < 1e-3:
             continue
-        cls = classify_point3(LJ, trivial3(LJ, A), A)
+        cls = classify_point3(LJ, equilateral(LJ, A), A)
         assert cls.stability == ("stable" if mu > 0 else "unstable")
 
 
@@ -243,7 +252,7 @@ def test_equivariance_of_residual():
 
 
 def test_energy_sum():
-    assert triangle_energy(LJ, (0.0, 1.0, 1.0, 1.0)) == pytest.approx(-3.0, abs=1e-14)
+    assert energy(TRIANGLE, LJ, (0.0, 1.0, 1.0, 1.0)) == pytest.approx(-3.0, abs=1e-14)
 
 
 def test_trivial_jacobian_determinant_sign_is_constant():
@@ -254,7 +263,7 @@ def test_trivial_jacobian_determinant_sign_is_constant():
     signs = {}
     inertia = {}
     for A in (0.55, 0.62):
-        J = jacobian3(LJ, trivial3(LJ, A))
+        J = jacobian3(LJ, equilateral(LJ, A))
         signs[A] = det_sign(J)
         w, _ = sym_eigen(J)
         inertia[A] = int(np.sum(w < 0))
@@ -265,7 +274,7 @@ def test_trivial_jacobian_determinant_sign_is_constant():
 
 
 def test_problem_wrapper():
-    sys_ = TriangleProblem(LJ)
+    sys_ = ClusterProblem(TRIANGLE, LJ)
     assert sys_.dim == 4 and sys_.param_name == "area"
     x = sys_.trivial_state(0.5)
     assert np.max(np.abs(sys_.residual(x, 0.5))) < 1e-12
