@@ -22,7 +22,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -118,17 +117,6 @@ class _Entry:
     reached: set[int]  # ids of known events its traces ended at
 
 
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("CLUSTER_BIFURC_THREADS")
-    if raw:
-        try:
-            return max(1, min(int(raw), n_jobs))
-        except ValueError as exc:
-            raise ConfigError(f"CLUSTER_BIFURC_THREADS must be an integer, got {raw!r}",
-                              key="CLUSTER_BIFURC_THREADS") from exc
-    return max(1, n_jobs)
-
-
 def _run_traces(system, jobs, settings, window, targets):
     """Trace every (seed, center) job, each ending at any of `targets`; deterministic result order.
 
@@ -147,7 +135,7 @@ def _run_traces(system, jobs, settings, window, targets):
 
     if len(jobs) <= 1:
         return [one(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=_thread_count(len(jobs))) as pool:
+    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(one, jobs))
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import householder_complement, sym_eigen
+from .linalg import householder_complement
 from .potentials import PotentialSpec, derivatives, stability_margin
 from .symmetry import FamilyTable, fixed_space, stabilizer
 
@@ -291,50 +291,39 @@ def _tangent_matrix(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, tol
 
 
-def _classification(w: list[float], tol: float, shape: str) -> Classification:
-    """The labels of tangent eigenvalues `w`: stable when all exceed `tol`,
-    marginal when any lies within `tol` of zero, unstable otherwise."""
-    if all(v > tol for v in w):
-        stability = "stable"
-    elif any(abs(v) <= tol for v in w):
-        stability = "marginal"
-    else:
-        stability = "unstable"
-    return Classification(stability, shape, tuple(w))
-
-
 def classify_point(geometry: Geometry, spec: PotentialSpec, state, param: float,
                    J: np.ndarray | None = None) -> Classification:
-    """Stability and shape of a computed solution.
-
-    Inspects the eigenvalues (`sym_eigen`) of the constrained Hessian
-    projected onto the constraint tangent space, Z^t H Z, against a zero
-    band of 1e-8 times the Hessian scale (see `_tangent_matrix`).  `J` is
-    the state's Jacobian, built here if not given.
-    """
-    lam, e = _unpack(geometry, state)
+    """Stability and shape of a computed solution: `classify_stack` of the one
+    state, with `J` its Jacobian, built here if not given."""
     if J is None:
         J = jacobian(geometry, spec, state)
-    M, tol = _tangent_matrix(J)
-    w, _ = sym_eigen(M)
-    return _classification(w.tolist(), float(tol), geometry.families.shapes([lam, *e])[0])
+    return classify_stack(geometry, [state], [J])[0]
 
 
 def classify_stack(geometry: Geometry, states, jacobians) -> list[Classification]:
-    """`classify_point` of many solutions in one pass: states (N, n+1) with
+    """Stability and shape of many solutions in one pass: states (N, n+1) with
     their Jacobians (N, n+1, n+1).
 
+    Inspects the eigenvalues of each constrained Hessian projected onto the
+    constraint tangent space, Z^t H Z, against a zero band of 1e-8 times the
+    Hessian scale (see `_tangent_matrix`): a solution is stable when all
+    exceed the band, marginal when any lies within it, unstable otherwise.
     Builds every Z^t H Z at once and takes their eigenvalues in one stacked
-    `numpy.linalg.eigh` and every shape in one `FamilyTable.shapes` call;
-    the eigenvalues, and so the labels, are bit for bit those of
-    `classify_point`.
+    `numpy.linalg.eigh` and every shape in one `FamilyTable.shapes` call.
     """
     dim = geometry.n_edges + 1
     states = np.asarray(states, dtype=float).reshape(-1, dim)
     M, tol = _tangent_matrix(np.asarray(jacobians, dtype=float).reshape(len(states), dim, dim))
-    w = np.linalg.eigh(M)[0]
-    return [_classification(wi, t, shape)
-            for wi, t, shape in zip(w.tolist(), tol.tolist(), geometry.families.shapes(states))]
+    out = []
+    for w, t, shape in zip(np.linalg.eigh(M)[0].tolist(), tol.tolist(), geometry.families.shapes(states)):
+        if all(v > t for v in w):
+            stability = "stable"
+        elif any(abs(v) <= t for v in w):
+            stability = "marginal"
+        else:
+            stability = "unstable"
+        out.append(Classification(stability, shape, tuple(w)))
+    return out
 
 
 class ClusterProblem:
@@ -349,12 +338,6 @@ class ClusterProblem:
     def evaluate(self, x, p: float) -> tuple[np.ndarray, np.ndarray]:
         return evaluate(self.geometry, self.spec, x, p)
 
-    def residual(self, x, p: float) -> np.ndarray:
-        return residual(self.geometry, self.spec, x, p)
-
-    def jacobian(self, x, p: float) -> np.ndarray:
-        return jacobian(self.geometry, self.spec, x)
-
     def parameter_derivative(self, x, p: float) -> np.ndarray:
         out = np.zeros(self.dim)
         out[0] = -2.0 * self.geometry.target_scale * p
@@ -366,9 +349,6 @@ class ClusterProblem:
     def feasible(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return self.in_domain(x) and self.geometry.realizable(x[1:].tolist())
-
-    def classify(self, x, p: float, J: np.ndarray | None = None) -> Classification:
-        return classify_point(self.geometry, self.spec, x, p, J)
 
     def classify_stack(self, states, jacobians) -> list[Classification]:
         return classify_stack(self.geometry, states, jacobians)

@@ -4,14 +4,12 @@ A `system` is any object with the small interface that
 `cluster.ClusterProblem` implements for both cluster problems:
 
     dim                       number of unknowns (multiplier + edges)
-    evaluate(x, p)            (residual, jacobian) from one pass
-    residual(x, p)            KKT residual, length dim
-    jacobian(x, p)            symmetric bordered Jacobian, dim x dim
+    param_name                the parameter's name, as `DomainExit` messages print it
+    evaluate(x, p)            (KKT residual, symmetric bordered Jacobian) from one pass
     parameter_derivative(x, p) d(residual)/dp
     in_domain(x)              iterates allowed here (edge positivity)
     feasible(x)               converged states allowed here (realizability)
-    classify(x, p, J=None)    `cluster.Classification` of a solution (J: its Jacobian)
-    classify_stack(xs, Js)    the `classify` labels of many solutions, from their Jacobians
+    classify_stack(xs, Js)    the `cluster.Classification` of each solution, from its Jacobian
     group()                   the permutation group the system is equivariant under
     isotropy_order(x)         number of group elements in the `symmetry.stabilizer` of x
     fixed_space(x)            `symmetry.fixed_space` of the stabilizer of x
@@ -22,7 +20,9 @@ extra (weighted) row during correction.  Event localization uses the same
 corrector with a zero step along the segment chord, which keeps each probe
 on the hyperplane through it normal to the chord; branch-switch seeds and
 crossing-end probes use it at fixed parameter or with the extra row
-pinning an amplitude.  A branch of isotropy S
+pinning an amplitude.  Such a probe or seed goes through `_try_correct`,
+the one place where its failed correction becomes None; only a trace's
+own step reads why it failed.  A branch of isotropy S
 lies in the fixed-point space Fix(S), and the corrector projects every
 iterate onto it with the exact group-average projector of the start point's
 stabilizer, so a trace keeps its symmetry by construction, whatever the
@@ -226,7 +226,7 @@ class TransversalityError(RuntimeError):
 
 def classified_point(system, x: np.ndarray, p: float, J: np.ndarray | None = None) -> BranchPoint:
     """A solution point with its labels and index, from its Jacobian `J` (built here when not given)."""
-    cls = system.classify(x, p, system.jacobian(x, p) if J is None else J)
+    cls = system.classify_stack([x], [system.evaluate(x, p)[1] if J is None else J])[0]
     return BranchPoint(
         state=tuple(float(v) for v in x),
         parameter=float(p),
@@ -325,6 +325,18 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         res_norm, settings.newton_max_iters)
 
 
+def _try_correct(system, state, parameter: float, settings: ContinuationSettings,
+                 constraint: PseudoArclength | None = None,
+                 projection: np.ndarray | None = None) -> Correction | None:
+    """`newton_correct`, or None where it raises `CorrectorFailure` or
+    `DomainExit`: the one place a probe's or a seed's failed correction is
+    decided."""
+    try:
+        return newton_correct(system, state, parameter, settings, constraint, projection)
+    except (CorrectorFailure, DomainExit):
+        return None
+
+
 def branch_tangent(system, x: np.ndarray, p: float, t_prev: np.ndarray,
                    weights: np.ndarray | None = None, J: np.ndarray | None = None) -> np.ndarray:
     """Unit tangent of the solution curve, oriented along t_prev.
@@ -336,7 +348,7 @@ def branch_tangent(system, x: np.ndarray, p: float, t_prev: np.ndarray,
     n = system.dim
     w = np.ones(n + 1) if weights is None else weights
     if J is None:
-        J = system.jacobian(x, p)
+        J = system.evaluate(x, p)[1]
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     M = np.empty((n + 1, n + 1))
@@ -415,21 +427,18 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 system, z_pred[:-1], z_pred[-1], settings,
                 PseudoArclength(tuple(z[:-1]), float(z[-1]), tuple(t), h, tuple(w)), fix)
         except (CorrectorFailure, DomainExit) as err:
-            if h > settings.h_min:
-                h = max(h * settings.step_shrink, settings.h_min)
-                continue
-            if not states and isinstance(err, CorrectorFailure):
+            if h <= settings.h_min and not states and isinstance(err, CorrectorFailure):
                 raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
-            break
-        at_edge = not (window[0] <= corrected.parameter <= window[1])
+            corrected = None
+        at_edge = corrected is not None and not (window[0] <= corrected.parameter <= window[1])
         if at_edge:
             # the step left the window: end it on the edge it crossed instead
             corrected = _edge_correction(system, z, corrected, window, w, settings, fix)
-            if corrected is None:
-                if h > settings.h_min:
-                    h = max(h * settings.step_shrink, settings.h_min)
-                    continue
-                break
+        if corrected is None:  # a failed step is shrunk and retried, or ends the trace at h_min
+            if h > settings.h_min:
+                h = max(h * settings.step_shrink, settings.h_min)
+                continue
+            break
         x_new = corrected.state
         z_new = np.append(x_new, corrected.parameter)
         phi_new = normals @ x_new
@@ -496,9 +505,8 @@ def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[floa
     edge = window[0] if p < window[0] else window[1]
     z_over = np.append(over.state, p)
     guess = z + (edge - z[-1]) / (p - z[-1]) * (z_over - z)
-    try:
-        got = newton_correct(system, guess[:-1], edge, settings, projection=fix)
-    except (CorrectorFailure, DomainExit):
+    got = _try_correct(system, guess[:-1], edge, settings, projection=fix)
+    if got is None:
         return None
     dz, dz_over = np.append(got.state, edge) - z, z_over - z
     return got if (w * dz) @ dz <= (w * dz_over) @ dz_over else None
@@ -528,11 +536,8 @@ def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.nda
     u, Q = normals[ks[0]], projections[ks[0]]
 
     def probe(p: float, guess: np.ndarray):
-        try:
-            got = newton_correct(system, guess, p, settings, projection=Q)
-        except (CorrectorFailure, DomainExit):
-            return None
-        return got.state, float(u @ got.jacobian @ u), got.jacobian
+        got = _try_correct(system, guess, p, settings, projection=Q)
+        return None if got is None else (got.state, float(u @ got.jacobian @ u), got.jacobian)
 
     p0, scale = float(z_a[-1]), max(1.0, abs(z_a[-1]))
     p1 = float(z_b[-1]) if abs(z_b[-1] - p0) > 1e-8 * scale else p0 + 1e-6 * scale
@@ -572,11 +577,13 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     Programming 32) the index changes exactly where an eigenvalue of the
     Jacobian of any multiplicity crosses zero, including the double and
     triple crossings on the fully symmetric branch that leave every
-    determinant sign unchanged.  A tangent flip classifies the segment as a
-    fold and the fold is localized by a secant iteration on the tangent
-    component, falling back to bisection whenever a secant step leaves the
-    bracket; an index change without a tangent flip is a bifurcation
-    crossing, localized by bisection on the same index.  Every probe
+    determinant sign unchanged.  `monitors` gives both at both ends; when
+    it is None the indices are the points' own and the tangents are built
+    here.  A tangent flip classifies the segment as a fold, an index change
+    without one as a bifurcation crossing.  One bracketing loop localizes
+    either on its monitor: a fold's trial point is the secant root of the
+    tangent component, or the midpoint whenever that leaves the bracket; a
+    crossing's is the midpoint, kept on the side whose index it shares.  Every probe
     corrects back onto the branch on the hyperplane orthogonal to the
     segment chord, so folds pose no difficulty; `newton_correct` does this
     with a zero arclength step along the chord, projecting onto the
@@ -593,10 +600,9 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     if monitors is not None:
         neg_a, neg_b, tp_a, tp_b = monitors
     else:
-        neg_a, neg_b = (system.classify(z[:-1], z[-1]).index for z in (za, zb))
         ta = branch_tangent(system, za[:-1], za[-1], d)
         tb = branch_tangent(system, zb[:-1], zb[-1], ta)
-        tp_a, tp_b = float(ta[-1]), float(tb[-1])
+        neg_a, neg_b, tp_a, tp_b = a.index, b.index, float(ta[-1]), float(tb[-1])
 
     fold_flip = tp_a * tp_b < 0
     inertia_change = neg_a != neg_b
@@ -606,12 +612,9 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
 
     def corrected(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
         q = za + theta * chord
-        try:
-            got = newton_correct(system, q[:-1], q[-1], settings,
-                                 PseudoArclength(tuple(q[:-1]), float(q[-1]), tuple(d), 0.0), projection)
-        except (CorrectorFailure, DomainExit):
-            return None
-        return np.append(got.state, got.parameter), got.jacobian
+        got = _try_correct(system, q[:-1], q[-1], settings,
+                           PseudoArclength(tuple(q[:-1]), float(q[-1]), tuple(d), 0.0), projection)
+        return None if got is None else (np.append(got.state, got.parameter), got.jacobian)
 
     def corrected_near(lo: float, hi: float, theta: float):
         """Probe theta, falling back to offsets inside (lo, hi).
@@ -635,57 +638,50 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     def tight(lo: float, hi: float) -> bool:
         return (hi - lo) * abs(chord[-1]) < p_tol and (hi - lo) * chord_len < 1e-9 * max(1.0, chord_len)
 
-    best, refined = None, True
-    lo, hi = 0.0, 1.0
     if kind == "turning":
         # the chord keeps a consistent tangent orientation across the fold
-        def value(z, J=None):
+        def monitor(z, J=None):
             return float(branch_tangent(system, z[:-1], z[-1], d, J=J)[-1])
 
-        f_lo, f_hi = value(za), value(zb)
-        theta_prev, f_prev = lo, f_lo
-        theta_cur, f_cur = hi, f_hi
-        for _ in range(80):
-            if tight(lo, hi):
-                break
-            theta = None
-            if f_cur != f_prev:
-                theta = theta_cur - f_cur * (theta_cur - theta_prev) / (f_cur - f_prev)
-            if theta is None or not (lo < theta < hi):
-                theta = 0.5 * (lo + hi)
-            theta, mid = corrected_near(lo, hi, theta)
-            if mid is None:
-                refined = False
-                break
-            f_mid = value(*mid)
-            best = mid
-            theta_prev, f_prev = theta_cur, f_cur
-            theta_cur, f_cur = theta, f_mid
-            if f_lo * f_mid <= 0.0:
-                hi, f_hi = theta, f_mid
-            else:
-                lo, f_lo = theta, f_mid
+        def same_side(f_lo, f) -> bool:
+            return f_lo * f > 0.0
+
+        f_lo, f_hi = monitor(za), monitor(zb)
     else:
-        for _ in range(80):
-            if tight(lo, hi):
-                break
-            theta, mid = corrected_near(lo, hi, 0.5 * (lo + hi))
-            if mid is None:
-                refined = False
-                break
-            best = mid
-            z_mid, J_mid = mid
-            if system.classify(z_mid[:-1], z_mid[-1], J_mid).index == neg_a:
-                lo = theta
-            else:
-                hi = theta
+        def monitor(z, J):
+            return system.classify_stack([z[:-1]], [J])[0].index
+
+        def same_side(f_lo, f) -> bool:
+            return f == f_lo
+
+        f_lo, f_hi = neg_a, neg_b
+    best, refined = None, True
+    lo, hi = 0.0, 1.0
+    prev, cur = (lo, f_lo), (hi, f_hi)  # the last two (theta, monitor) probes
+    for _ in range(80):
+        if tight(lo, hi):
+            break
+        theta = 0.5 * (lo + hi)
+        if kind == "turning" and cur[1] != prev[1]:
+            secant = cur[0] - cur[1] * (cur[0] - prev[0]) / (cur[1] - prev[1])
+            theta = secant if lo < secant < hi else theta
+        theta, mid = corrected_near(lo, hi, theta)
+        if mid is None:
+            refined = False
+            break
+        best, f = mid, monitor(*mid)
+        prev, cur = cur, (theta, f)
+        if same_side(f_lo, f):
+            lo, f_lo = theta, f
+        else:
+            hi = theta
 
     if best is None:
         best = corrected(0.5 * (lo + hi))
         if best is None:
             # bracket lost entirely: report the midpoint at reduced precision
             z_mid = za + 0.5 * chord
-            best = z_mid, system.jacobian(z_mid[:-1], z_mid[-1])
+            best = z_mid, system.evaluate(z_mid[:-1], z_mid[-1])[1]
             refined = False
 
     z_best, J_best = best
@@ -725,7 +721,7 @@ def is_isolated(system, x: np.ndarray, p: float) -> bool:
     surface of nontrivial critical points), where branch tracing is ill
     posed.
     """
-    w, _ = sym_eigen(system.jacobian(x, p))
+    w, _ = sym_eigen(system.evaluate(x, p)[1])
     scale = float(np.max(np.abs(w)))
     return scale > 0 and float(np.min(np.abs(w))) > 1e-7 * scale
 
@@ -741,23 +737,20 @@ def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray,
     first amplitude whose full Jacobian is comfortably regular, returning
     the last good wing point.
     """
-    def pinned(guess: np.ndarray, p: float, amp: float) -> Correction:
-        return newton_correct(system, guess, p, settings,
-                              PseudoArclength(tuple(x0), p0, tuple(v) + (0.0,), amp), P)
+    def pinned(guess: np.ndarray, p: float, amp: float) -> Correction | None:
+        return _try_correct(system, guess, p, settings,
+                            PseudoArclength(tuple(x0), p0, tuple(v) + (0.0,), amp), P)
 
-    try:
-        got = pinned(x0 + delta * v, p0, delta)
-    except (CorrectorFailure, DomainExit):
-        return None
+    got = pinned(x0 + delta * v, p0, delta)
     amp = delta
     for _ in range(16):
-        if is_isolated(system, got.state, got.parameter):
+        if got is None or is_isolated(system, got.state, got.parameter):
             break
         amp *= 2.0
-        try:
-            got = pinned(got.state + 0.5 * amp * v, got.parameter, amp)
-        except (CorrectorFailure, DomainExit):
+        wider = pinned(got.state + 0.5 * amp * v, got.parameter, amp)
+        if wider is None:
             break
+        got = wider
     return got
 
 
@@ -791,37 +784,27 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
     x0 = np.array(event.state, dtype=float)
     p0 = float(event.parameter)
 
-    F0 = P @ system.residual(x0, p0)
-    Fp = P @ system.residual(x0 + fd_step * v, p0)
-    Fm = P @ system.residual(x0 - fd_step * v, p0)
+    F0, Fp, Fm = (P @ system.evaluate(x, p0)[0] for x in (x0, x0 + fd_step * v, x0 - fd_step * v))
     a0 = float(v @ ((Fp - 2.0 * F0 + Fm) / fd_step ** 2))
 
     b0 = 0.0
     if trivial_curve is not None:
         dp = 1e-5 * max(1.0, abs(p0))
-        Lp = P @ system.jacobian(trivial_curve(p0 + dp), p0 + dp) @ P
-        Lm = P @ system.jacobian(trivial_curve(p0 - dp), p0 - dp) @ P
+        Lp, Lm = (P @ system.evaluate(trivial_curve(p), p)[1] @ P for p in (p0 + dp, p0 - dp))
         b0 = float(v @ (((Lp - Lm) / (2.0 * dp)) @ v))
         if abs(b0) < 1e-8:
             raise TransversalityError(
                 f"critical eigenvalue is not transversal at {system.param_name}={p0:.6g}", b0)
 
-    seeds: list[BranchPoint] = []
     m = 0.0
     if trivial_curve is not None and abs(a0) > 1e-8:
         m = -2.0 * b0 / a0
-        for eps in (epsilon, -epsilon):
-            p_seed = p0 + eps
-            guess = trivial_curve(p_seed) + eps * m * v
-            try:
-                seeds.append(newton_correct(system, guess, p_seed, settings, projection=P).point)
-            except (CorrectorFailure, DomainExit):
-                pass  # a seed that does not converge is left out
+        tries = [_try_correct(system, trivial_curve(p0 + eps) + eps * m * v, p0 + eps, settings, projection=P)
+                 for eps in (epsilon, -epsilon)]
     else:
-        for delta in (pitchfork_delta, -pitchfork_delta):
-            got = _ramped_pitchfork_seed(system, P, v, x0, p0, delta, settings)
-            if got is not None:
-                seeds.append(got.point)
+        tries = [_ramped_pitchfork_seed(system, P, v, x0, p0, delta, settings)
+                 for delta in (pitchfork_delta, -pitchfork_delta)]
+    seeds = [got.point for got in tries if got is not None]  # a seed that does not converge is left out
 
     data = BranchSwitchData(
         v=tuple(float(t) for t in v),

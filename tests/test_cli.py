@@ -230,17 +230,6 @@ def test_svg_projection_config():
         _svg_projection({"svg": {"projection": "polar"}}, "triangle")
 
 
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLUSTER_BIFURC_THREADS", "1")
-    d = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.55, 0.62),
-                      ContinuationSettings(h_max=0.02, max_points=120), trivial_samples=40)
-    assert len(d.branches) == 4
-    monkeypatch.setenv("CLUSTER_BIFURC_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.55, 0.62),
-                      ContinuationSettings(h_max=0.02, max_points=120), trivial_samples=40)
-
-
 def test_a_crossing_a_trace_localized_is_not_switched_again(monkeypatch):
     # with no known events to end at, the scalene traces localize the
     # secondary points they run into themselves; those are not switched

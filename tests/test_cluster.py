@@ -417,16 +417,11 @@ def test_core_is_bit_identical_to_the_per_geometry_copies(name):
             p = float(rng.uniform(*case["params"]))
             assert _identical(new_res(spec, x, p), ref_res(spec, x, p))
             assert _identical(new_jac(spec, x), ref_jac(spec, x))
-            assert _identical(problem.residual(x, p), ref_res(spec, x, p))
-            assert _identical(problem.jacobian(x, p), ref_jac(spec, x))
             F, J = problem.evaluate(x, p)
             assert _identical(F, ref_res(spec, x, p)) and _identical(J, ref_jac(spec, x))
             got, want = new_cls(spec, x, p), ref_cls(spec, x, p)
             assert got == want
             assert _identical(got.tangent_eigenvalues, want.tangent_eigenvalues)
-            from_J = problem.classify(x, p, J)
-            assert from_J == want
-            assert _identical(from_J.tangent_eigenvalues, want.tangent_eigenvalues)
             assert problem.feasible(x) == case["feasible"](x)
             assert _identical(problem.parameter_derivative(x, p), case["dp"](x, p))
             assert _identical(problem.trivial_state(p), case["trivial"](spec, p))
@@ -464,8 +459,8 @@ def test_bordered_inertia_is_tangent_inertia_plus_one(name):
     problem = case["problem"](spec)
 
     def spectra(x):
-        J = problem.jacobian(x, 0.0)
-        return sym_eigen(J)[0], np.array(problem.classify(x, 0.0, J).tangent_eigenvalues), J
+        J = problem.evaluate(x, 0.0)[1]
+        return sym_eigen(J)[0], np.array(problem.classify_stack([x], [J])[0].tangent_eigenvalues), J
 
     checked = 0
     for x in _states(rng, case["n_edges"], 200):

@@ -23,7 +23,6 @@ from cluster_bifurc.continuation import (
     newton_correct,
     trace_branch,
 )
-from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import Perm, PermGroup, Reduction
 from cluster_bifurc.triangle import TRIANGLE, heron, stability_boundaries3
@@ -69,7 +68,7 @@ def test_newton_correct_trivial_is_instant():
     settings = ContinuationSettings()
     point, its = newton_correct(system, system.trivial_state(0.5), 0.5, settings)
     assert its <= 1
-    assert np.max(np.abs(system.residual(np.asarray(point.state), 0.5))) < settings.newton_tol
+    assert np.max(np.abs(system.evaluate(np.asarray(point.state), 0.5)[0])) < settings.newton_tol
 
 
 def test_newton_correct_recovers_perturbation():
@@ -188,7 +187,7 @@ def _ref_branch_tangent(system, x, p, t_prev, weights=None, J=None):
     n = system.dim
     w = np.ones(n + 1) if weights is None else weights
     if J is None:
-        J = system.jacobian(x, p)
+        J = system.evaluate(x, p)[1]
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     M = _ref_bordered_matrix(system, J, x, p, w * t_prev)
@@ -340,7 +339,7 @@ def test_trace_trivial_branch_stability_flip():
     assert primaries[0].kernel_dim == 2
     # residual invariant: every accepted point solves the system
     for pt in branch.points[:: max(1, len(branch.points) // 20)]:
-        assert np.max(np.abs(system.residual(np.asarray(pt.state), pt.parameter))) < settings.newton_tol
+        assert np.max(np.abs(system.evaluate(np.asarray(pt.state), pt.parameter)[0])) < settings.newton_tol
     # stability changes only across the recorded event
     for i in range(1, len(branch.points)):
         a, b = branch.points[i - 1], branch.points[i]
@@ -383,17 +382,17 @@ def test_trace_hooke_emits_no_events():
 
 def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     # the quiet Hooke trace above: every Newton iterate runs the constraint
-    # kernel once and every converged correction takes at most one
-    # eigen-decomposition, plus one of each at the start point
+    # kernel once, plus once at the start point, and every converged
+    # correction is labeled at most once
     counts = Counter()
 
     def terms(e):
         counts["terms"] += 1
         return TRIANGLE.terms(e)
 
-    def eig(M):
-        counts["eig"] += 1
-        return sym_eigen(M)
+    def stack(geometry, states, jacobians):
+        counts["labels"] += len(states)
+        return classify_stack(geometry, states, jacobians)
 
     def correct(*args, **kwargs):
         out = newton_correct(*args, **kwargs)
@@ -405,8 +404,7 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
     counts.clear()
-    monkeypatch.setattr(cluster, "sym_eigen", eig)
-    monkeypatch.setattr(continuation, "sym_eigen", eig)
+    monkeypatch.setattr(cluster, "classify_stack", stack)
     monkeypatch.setattr(continuation, "newton_correct", correct)
     hint = np.zeros(5)
     hint[-1] = 1.0
@@ -414,19 +412,14 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     assert events == [] and branch.points[-1].parameter > 99.0
     assert counts["corrections"] >= len(branch.points) - 1 > 25
     assert counts["corrections"] <= counts["terms"] <= counts["iterates"] + 1
-    assert counts["eig"] <= counts["corrections"] + 1
+    assert counts["labels"] <= counts["corrections"]
 
 
 def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     # the same quiet Hooke trace: the one correction past the A = 100 edge is
     # rejected unlabeled, a fixed-parameter correction puts the last point on
     # the edge, and the kept points are labeled in one stacked pass
-    counts = Counter()
     rows, calls = [], []
-
-    def eig(M):
-        counts["eig"] += 1
-        return sym_eigen(M)
 
     def stack(geometry, states, jacobians):
         rows.append(len(states))
@@ -440,14 +433,12 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
-    monkeypatch.setattr(cluster, "sym_eigen", eig)
+    monkeypatch.setattr(cluster, "classify_stack", stack)
     monkeypatch.setattr(continuation, "newton_correct", correct)
     corrected = newton_correct(system, system.trivial_state(0.2), 0.2, settings)
-    assert corrected[1] == corrected.iterations and counts["eig"] == 0
-    assert corrected[0] is corrected.point and counts["eig"] == 1
-    counts.clear()
-    monkeypatch.setattr(continuation, "sym_eigen", eig)
-    monkeypatch.setattr(cluster, "classify_stack", stack)
+    assert corrected[1] == corrected.iterations and rows == []
+    assert corrected[0] is corrected.point and rows == [1]
+    rows.clear()
     hint = np.zeros(5)
     hint[-1] = 1.0
     branch, _ = trace_branch(system, start, hint, settings, (0.1, 100.0))
@@ -456,7 +447,7 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     assert calls[past[0] + 1][0] is None and calls[past[0] + 1][1].parameter == 100.0
     assert past[0] + 2 == len(calls) and branch.points[-1].parameter == 100.0
     # one row for every point kept after the start point, which comes labeled
-    assert rows == [len(branch.points) - 1] and counts["eig"] == 0
+    assert rows == [len(branch.points) - 1]
 
 
 @pytest.mark.parametrize("failures", [1, math.inf])
@@ -543,7 +534,7 @@ def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
         assert ev.parameter == pytest.approx(high.parameter, rel=1e-9)
         assert branch.points[-1].state == ev.state and branch.points[-1].shape.startswith("isosceles")
         x = np.asarray(ev.state)
-        assert np.max(np.abs(system.residual(x, ev.parameter))) < settings.newton_tol
+        assert np.max(np.abs(system.evaluate(x, ev.parameter)[0])) < settings.newton_tol
         # the kernel is the direction e_i - e_j across the isosceles line
         kernel = np.asarray(ev.kernel[0])
         assert kernel[0] == pytest.approx(0.0, abs=1e-6)
@@ -635,7 +626,7 @@ def test_branch_switch_transcritical_isosceles():
     assert params[1] == pytest.approx(A0 + 1e-3, abs=1e-12)
     for pt in seeds:
         x = np.asarray(pt.state)
-        assert np.max(np.abs(system.residual(x, pt.parameter))) < 10 * settings.newton_tol
+        assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < 10 * settings.newton_tol
         assert pt.shape == "isosceles(b=c)"
         assert abs(x[1] - x[2]) > 1e-4  # genuinely nontrivial
 
@@ -666,20 +657,61 @@ def test_branch_switch_buckingham_second_root():
 
 def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
     system = lj_system()
-    calls = Counter()
-    jacobian = system.jacobian
+    outside, correcting = [], []
+    evaluate = system.evaluate
 
     def counting(*args):
-        calls["jacobian"] += 1
-        return jacobian(*args)
+        if not correcting:
+            outside.append(args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(system, "jacobian", counting)
+    def correct(*args, **kwargs):
+        correcting.append(True)
+        try:
+            return newton_correct(*args, **kwargs)
+        finally:
+            correcting.pop()
+
+    monkeypatch.setattr(system, "evaluate", counting)
+    monkeypatch.setattr(continuation, "newton_correct", correct)
     seeds, _ = branch_switch(system, make_primary_event(system, A0), isosceles(),
                              ContinuationSettings(), trivial_curve=system.trivial_state)
-    # the two differences of B0 along the symmetric branch; no seed builds its own Jacobian
-    assert len(seeds) == 2 and calls["jacobian"] == 2
+    # the three differences of A0 and the two of B0 along the symmetric
+    # branch; no seed evaluates its own Jacobian outside its correction
+    assert len(seeds) == 2 and len(outside) == 3 + 2
     for pt in seeds:
         assert pt == continuation.classified_point(system, np.asarray(pt.state), pt.parameter)
+
+
+class _DocumentedInterface:
+    """A system with only the members the `continuation` docstring lists, each
+    delegated to a `ClusterProblem`."""
+
+    def __init__(self, problem: ClusterProblem):
+        self.dim, self.param_name = problem.dim, problem.param_name
+        for name in ("evaluate", "parameter_derivative", "in_domain", "feasible", "classify_stack",
+                     "group", "isotropy_order", "fixed_space"):
+            setattr(self, name, getattr(problem, name))
+
+
+def test_continuation_needs_only_the_documented_interface():
+    # the trivial trace across A0 localizes the primary by index bisection;
+    # the switches there seed by the asymptotic slope and by the pitchfork ramp
+    problem = lj_system()
+    system = _DocumentedInterface(problem)
+    settings = ContinuationSettings(h_max=0.02)
+    start, _ = newton_correct(problem, problem.trivial_state(0.55), 0.55, settings)
+    assert newton_correct(system, problem.trivial_state(0.55), 0.55, settings).point == start
+    hint = np.zeros(5)
+    hint[-1] = 1.0
+    want = trace_branch(problem, start, hint, settings, (0.55, 0.62), bifurcation_kind="primary")
+    got = trace_branch(system, start, hint, settings, (0.55, 0.62), bifurcation_kind="primary")
+    assert got == want and [ev.kind for ev in got[1]] == ["primary"]
+    ev = make_primary_event(problem, A0)
+    for curve in (problem.trivial_state, None):
+        want = branch_switch(problem, ev, isosceles(), settings, trivial_curve=curve)
+        got = branch_switch(system, ev, isosceles(), settings, trivial_curve=curve)
+        assert got == want and len(got[0]) == 2 and (got[1].m == 0.0) == (curve is None)
 
 
 # (problem, potential, window, number of primary switches seeded by the pitchfork ramp)
@@ -720,7 +752,7 @@ def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, r
         for pt in seeds:
             x = np.asarray(pt.state)
             assert all(np.array_equal(P.apply(x), x) for P in reduction.subgroup)
-            assert np.max(np.abs(system.residual(x, pt.parameter))) < settings.newton_tol
+            assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < settings.newton_tol
 
 
 def test_dedup_events():

@@ -295,7 +295,7 @@ def test_problem_wrapper():
     sys_ = ClusterProblem(TETRAHEDRON, SOFT)
     assert sys_.dim == 7 and sys_.param_name == "volume"
     x = sys_.trivial_state(1.0)
-    assert np.max(np.abs(sys_.residual(x, 1.0))) < 1e-10
+    assert np.max(np.abs(sys_.evaluate(x, 1.0)[0])) < 1e-10
     assert sys_.parameter_derivative(x, 1.0)[0] == pytest.approx(-576.0)
     assert sys_.feasible(x)
     assert not sys_.feasible(np.array([0.0, 1, 1, 1, 1, 1, 2.0]))

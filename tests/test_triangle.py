@@ -277,10 +277,10 @@ def test_problem_wrapper():
     sys_ = ClusterProblem(TRIANGLE, LJ)
     assert sys_.dim == 4 and sys_.param_name == "area"
     x = sys_.trivial_state(0.5)
-    assert np.max(np.abs(sys_.residual(x, 0.5))) < 1e-12
+    assert np.max(np.abs(sys_.evaluate(x, 0.5)[0])) < 1e-12
     assert np.allclose(sys_.parameter_derivative(x, 0.5), [-1.0, 0, 0, 0])
     assert sys_.in_domain(x) and sys_.feasible(x)
     assert not sys_.in_domain([0.0, -1.0, 1.0, 1.0])
     assert not sys_.feasible([0.0, 1.0, 1.0, 2.5])  # violates the triangle inequality
-    cls = sys_.classify(x, 0.5)
+    cls = sys_.classify_stack([x], [sys_.evaluate(x, 0.5)[1]])[0]
     assert (cls.stability, cls.shape) == ("stable", "equilateral")
