@@ -3,9 +3,11 @@
 A Diagram bundles the traced branches and localized events of one run along
 with the potential, the parameter window, the continuation settings and the
 tool version, so a stored file identifies the computation that produced it.
-JSON is the archival format (lossless round trip), CSV the interchange
-format (one row per branch point), and SVG the plot format: stable segments
-are drawn in #008000, unstable ones in #c00000, with events marked.
+JSON is the archival format (lossless round trip): it stores each record's
+own fields, except that a point's `arclength` is stored as "s" and a
+branch's `reached_event` is not stored.  CSV is the interchange format (one
+row per branch point), and SVG the plot format: stable segments are drawn
+in #008000, unstable ones in #c00000, with events marked.
 """
 
 from __future__ import annotations
@@ -62,82 +64,22 @@ class Diagram:
                 raise ValueError(f"branch {br.id} points are not sorted by arclength")
 
 
-def _point_obj(pt: BranchPoint) -> dict:
-    return {
-        "state": list(pt.state),
-        "parameter": pt.parameter,
-        "s": pt.arclength,
-        "stability": pt.stability,
-        "shape": pt.shape,
-        "index": pt.index,
-    }
-
-
-def _point_from(obj: dict) -> BranchPoint:
-    return BranchPoint(
-        state=tuple(obj["state"]),
-        parameter=obj["parameter"],
-        arclength=obj["s"],
-        stability=obj["stability"],
-        shape=obj["shape"],
-        index=obj["index"],
-    )
-
-
-def _event_obj(ev: BifurcationEvent) -> dict:
-    return {
-        "id": ev.id,
-        "kind": ev.kind,
-        "parameter": ev.parameter,
-        "kernel_dim": ev.kernel_dim,
-        "kernel": [list(v) for v in ev.kernel],
-        "state": list(ev.state),
-        "source_branch": ev.source_branch,
-        "refined": ev.refined,
-    }
-
-
-def _event_from(obj: dict) -> BifurcationEvent:
-    return BifurcationEvent(
-        kind=obj["kind"],
-        parameter=obj["parameter"],
-        kernel_dim=obj["kernel_dim"],
-        kernel=tuple(tuple(v) for v in obj["kernel"]),
-        state=tuple(obj["state"]),
-        source_branch=obj["source_branch"],
-        refined=obj["refined"],
-        id=obj["id"],
-    )
+def _stored_point(pt: BranchPoint) -> dict:
+    obj = dict(vars(pt))
+    obj["s"] = obj.pop("arclength")
+    return obj
 
 
 def diagram_to_json(diagram: Diagram) -> str:
     obj = {
-        "problem": diagram.problem,
-        "potential": diagram.potential,
-        "window": list(diagram.window),
-        "settings": {
-            "h0": diagram.settings.h0,
-            "h_min": diagram.settings.h_min,
-            "h_max": diagram.settings.h_max,
-            "newton_tol": diagram.settings.newton_tol,
-            "newton_max_iters": diagram.settings.newton_max_iters,
-            "step_growth": diagram.settings.step_growth,
-            "step_shrink": diagram.settings.step_shrink,
-            "contraction_target": diagram.settings.contraction_target,
-            "detection": diagram.settings.detection,
-            "max_points": diagram.settings.max_points,
-        },
-        "version": diagram.version,
+        **vars(diagram),
+        "settings": vars(diagram.settings),
         "branches": [
-            {
-                "id": br.id,
-                "parent_event": br.parent_event,
-                "label": br.label,
-                "points": [_point_obj(pt) for pt in br.points],
-            }
+            {"id": br.id, "parent_event": br.parent_event, "label": br.label,
+             "points": [_stored_point(pt) for pt in br.points]}
             for br in diagram.branches
         ],
-        "events": [_event_obj(ev) for ev in diagram.events],
+        "events": [vars(ev) for ev in diagram.events],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -147,26 +89,20 @@ def diagram_from_json(text: str) -> Diagram:
     if any("index" not in pt for b in obj["branches"] for pt in b["points"]):
         raise ValueError(f"diagram version {obj.get('version')!r} stores no Morse index per point; "
                          f"version {__version__} reads only diagrams that do")
-    settings = ContinuationSettings(**obj["settings"])
-    branches = [
-        Branch(
-            points=[_point_from(p) for p in b["points"]],
-            id=b["id"],
-            parent_event=b["parent_event"],
-            label=b["label"],
-        )
-        for b in obj["branches"]
-    ]
-    events = [_event_from(e) for e in obj["events"]]
-    return Diagram(
-        problem=obj["problem"],
-        potential=obj["potential"],
-        window=tuple(obj["window"]),
-        settings=settings,
-        branches=branches,
-        events=events,
-        version=obj["version"],
-    )
+    for b in obj["branches"]:
+        for pt in b["points"]:
+            pt["arclength"] = pt.pop("s")
+    return Diagram(**{
+        **obj,
+        "window": tuple(obj["window"]),
+        "settings": ContinuationSettings(**obj["settings"]),
+        "branches": [Branch(**{**b, "points": [BranchPoint(**{**pt, "state": tuple(pt["state"])})
+                                               for pt in b["points"]]})
+                     for b in obj["branches"]],
+        "events": [BifurcationEvent(**{**e, "state": tuple(e["state"]),
+                                       "kernel": tuple(map(tuple, e["kernel"]))})
+                   for e in obj["events"]],
+    })
 
 
 def diagram_to_csv(diagram: Diagram) -> str:
@@ -234,12 +170,11 @@ def check_projection(problem: str, projection) -> None:
         raise ValueError(f"unknown projection {projection!r}")
 
 
-def _project_points(diagram: Diagram, projection) -> list[list[tuple[float, float]]]:
-    """Per-branch lists of plot coordinates."""
-    check_projection(diagram.problem, projection)
+def _project_points(problem: str, projection, records) -> list[tuple[float, float]]:
+    """Plot coordinates of records that have `.parameter` and `.state`: points or events."""
     if isinstance(projection, ParamVsComponent):
-        idx = _COMPONENTS[diagram.problem].index(projection.name)
-        return [[(pt.parameter, pt.state[idx]) for pt in br.points] for br in diagram.branches]
+        idx = _COMPONENTS[problem].index(projection.name)
+        return [(r.parameter, r.state[idx]) for r in records]
     az = math.radians(projection.azimuth_deg)
     tl = math.radians(projection.tilt_deg)
     ca, sa = math.cos(az), math.sin(az)
@@ -250,23 +185,7 @@ def _project_points(diagram: Diagram, projection) -> list[list[tuple[float, floa
         xr, yr = ca * x - sa * y, sa * x + ca * y
         return (ct * xr - st * z, yr)
 
-    return [[proj(pt.state) for pt in br.points] for br in diagram.branches]
-
-
-def _event_coords(diagram: Diagram, projection) -> list[tuple[float, float]]:
-    fake = Diagram(
-        problem=diagram.problem,
-        potential=diagram.potential,
-        window=diagram.window,
-        settings=diagram.settings,
-        branches=[Branch(points=[
-            BranchPoint(state=ev.state, parameter=ev.parameter, arclength=0.0,
-                        stability="marginal", shape="", index=0)
-            for ev in diagram.events
-        ])],
-    )
-    coords = _project_points(fake, projection)
-    return coords[0] if coords else []
+    return [proj(r.state) for r in records]
 
 
 def _segment_color(sa: str, sb: str) -> str:
@@ -282,10 +201,11 @@ def render_svg(diagram: Diagram, projection, width: int = 800, height: int = 600
     green/red partition changes exactly at the recorded stability changes;
     events are drawn as black circles.
     """
-    branch_coords = _project_points(diagram, projection)
+    check_projection(diagram.problem, projection)
+    branch_coords = [_project_points(diagram.problem, projection, br.points) for br in diagram.branches]
     if not any(len(c) >= 1 for c in branch_coords):
         raise ValueError("diagram has no points to render for this projection")
-    event_coords = _event_coords(diagram, projection)
+    event_coords = _project_points(diagram.problem, projection, diagram.events)
     xs = [x for coords in branch_coords for (x, _) in coords] + [x for (x, _) in event_coords]
     ys = [y for coords in branch_coords for (_, y) in coords] + [y for (_, y) in event_coords]
     x_lo, x_hi = min(xs), max(xs)
