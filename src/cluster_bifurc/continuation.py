@@ -374,7 +374,11 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     `direction` seeds the tangent orientation (only its sign content
     matters).  The trace stops at max_points, on the parameter window's
     edge, when the corrector keeps failing/leaving the domain at the
-    minimum step, or where the branch meets a more symmetric one:
+    minimum step, or where the branch meets a more symmetric one.  A
+    converged correction farther than h/2 from its predictor z + h t, in
+    the step's metric, has jumped onto another part of the solution curve
+    (past a fold the corrector's hyperplane can meet its other leg; Allgower
+    & Georg 1990, ch. 6) and counts as a corrector failure.
 
     * window edge: a correction past the window is dropped unlabeled, and
       one `newton_correct` at the crossed edge's parameter, from the state
@@ -426,6 +430,9 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             corrected = newton_correct(
                 system, z_pred[:-1], z_pred[-1], settings,
                 PseudoArclength(tuple(z[:-1]), float(z[-1]), tuple(t), h, tuple(w)), fix)
+            jump = np.append(corrected.state, corrected.parameter) - z_pred
+            if (w * jump) @ jump > 0.25 * h * h:  # converged onto another part of the curve
+                raise CorrectorFailure("correction farther than h/2 from its predictor")
         except (CorrectorFailure, DomainExit) as err:
             if h <= settings.h_min and not states and isinstance(err, CorrectorFailure):
                 raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
@@ -445,7 +452,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         crossed = np.flatnonzero((phi * phi_new < 0.0)
                                  | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
         if crossed.size:
-            z_end, reached, end = _crossing_end(system, normals, projections, crossed, z, z_new,
+            z_end, reached, end = _crossing_end(system, normals, projections, crossed, z, z_new, h,
                                                 targets, settings, bifurcation_kind)
             if z_end is not None:
                 end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
@@ -512,25 +519,25 @@ def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[floa
     return got if (w * dz) @ dz <= (w * dz_over) @ dz_over else None
 
 
-def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.ndarray,
+def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.ndarray, h: float,
                   targets: Sequence[BifurcationEvent], settings: ContinuationSettings, kind: str):
     """(end point, reached target, new event) of a step z_a -> z_b across Fix(S'_k), k in `ks`.
 
-    It ends on a target's group image in a crossed Fix(S'_k) within one
-    step length of the step's midpoint (at a pitchfork both ends of the step
-    lie on one side of it), or else where mu = u^t J u (J u = mu u on the
-    symmetric branch) vanishes, found by a secant iteration in the
-    parameter with each probe corrected within Fix(S'_k): near a pitchfork
+    It ends on a target's group image in a crossed Fix(S'_k) within the
+    step h of the step's midpoint, in the metric at z_a (at a pitchfork
+    both ends of the step lie on one side of it), or else where
+    mu = u^t J u (J u = mu u on the symmetric branch) vanishes, found by a
+    secant iteration in the parameter with each probe corrected within
+    Fix(S'_k): near a pitchfork
     the chord is nearly normal to Fix(S'_k), and hyperplane corrections
     along it converge onto the symmetric branch away from the crossing.
     """
     w = metric_weights(z_a)
-    reach = float((w * (z_b - z_a)) @ (z_b - z_a))
     z_mid = 0.5 * (z_a + z_b)
     for tg, P in ((tg, P) for tg in targets for P in system.group()):
         z_img = np.append(P.apply(tg.state), tg.parameter)
         x = z_img[:-1]
-        if float((w * (z_img - z_mid)) @ (z_img - z_mid)) <= reach and any(
+        if float((w * (z_img - z_mid)) @ (z_img - z_mid)) <= h * h and any(
                 np.max(np.abs(projections[k] @ x - x)) <= 1e-6 * np.max(np.abs(x[1:])) for k in ks):
             return z_img, tg, None
     u, Q = normals[ks[0]], projections[ks[0]]

@@ -32,12 +32,7 @@ SETTINGS = {"soft-spring-tetrahedron": {"max_points": 400}}
 LENNARD_JONES_EVENTS = [("primary", 0.587689), ("secondary", 0.625072), ("secondary", 0.667039),
                         ("turning", 0.585663)]
 FINEST = 0.01
-STEPS = [("lennard-jones", h) for h in (0.5, 0.2, 0.05, 0.02)] + \
-        [("buckingham", h) for h in (0.2, 0.05, 0.02)]
-BUCKINGHAM_COARSE = pytest.param(
-    "buckingham", 0.5, marks=pytest.mark.xfail(
-        strict=True, reason="at h_max=0.5 the Buckingham turning point is localized at 42.3159 "
-                            "instead of 46.0442"))
+STEPS = [(name, h) for name in ("lennard-jones", "buckingham") for h in (0.5, 0.2, 0.05, 0.02)]
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +45,7 @@ def _events(diagram):
     return sorted((ev.kind, ev.parameter) for ev in diagram.events)
 
 
-@pytest.mark.parametrize("name, h_max", STEPS + [BUCKINGHAM_COARSE])
+@pytest.mark.parametrize("name, h_max", STEPS)
 def test_events_and_branch_count_match_the_finest_step(name, h_max):
     got, want = _diagram(name, h_max), _diagram(name, FINEST)
     assert len(got.branches) == len(want.branches)
@@ -59,7 +54,7 @@ def test_events_and_branch_count_match_the_finest_step(name, h_max):
         assert abs(p_got - p_want) < 1e-6
 
 
-ALL = STEPS + [(name, FINEST) for name in ("lennard-jones", "buckingham")] + [("buckingham", 0.5)]
+ALL = STEPS + [(name, FINEST) for name in ("lennard-jones", "buckingham")]
 TETRAHEDRON_STEPS = [("lennard-jones-tetrahedron", h) for h in (0.5, 0.2, 0.05)]
 
 

@@ -100,40 +100,21 @@ CASES.update({name: (problem, spec, window, (50, 200)) for name, (problem, spec,
 
 # (check, case) -> the defect that fails it and the ROADMAP item expected to fix it
 DEFECTS = {
-    ("steps", "buckingham-3-3"): "at width/100 the 53.673 fold is missed and the 66.1211 primary is "
-                                 "reported again as a kernel_dim-2 secondary, 10 branches against 7 "
-                                 "(items 3 and 8)",
-    ("steps", "buckingham-3-5"): "kernel_dim-2 secondaries at 46.1802 and 63.1637 at width/100 and "
-                                 "the 59.8359 primary reported again at width/400, 16 branches "
-                                 "against 13 (items 3 and 4)",
-    ("steps", "buckingham-3-6"): "a correction jumps across the 10.6035 fold at width/100 (item 3)",
-    ("steps", "buckingham-3-8"): "a correction jumps across the 18.8026 fold at width/100, losing "
-                                 "its stable arc (item 3)",
-    ("steps", "buckingham-3-9"): "a correction jumps across the 37.7909 fold at width/100 (item 3)",
+    ("steps", "buckingham-3-3"): "the kernel_dim-2 fold at 53.673 is found at width/400 and missed "
+                                 "at width/100 (item 8)",
     ("steps", "buckingham-4-0"): "the 21.0353 primary is reported again as a kernel_dim-2 secondary "
-                                 "at width/100 (item 4)",
-    ("steps", "buckingham-4-2"): "a correction jumps across the 20.8269 fold at width/100 (item 3)",
-    ("steps", "buckingham-4-3"): "at width/100 the 12.2474 fold is missed and the 19.0606 primary is "
-                                 "reported again as a secondary, 13 branches against 10 (item 3)",
-    ("steps", "buckingham-4-5"): "a kernel_dim-2 secondary at 151.096 at width/100 and at 121.055 at "
-                                 "width/400 (items 4 and 8)",
-    ("steps", "buckingham-4-6"): "kernel_dim-2 secondaries at 69.317 and 90.224 against 69.6469, the "
-                                 "70.5656 fold missed at width/100, 13 branches against 10 "
-                                 "(items 3, 4 and 8)",
-    ("steps", "buckingham-4-8"): "a correction jumps across the 12.506 fold at width/100 (item 3)",
-    ("window", "buckingham-3-5"): "switch seeds converge at A = -504.23 and 164.06 at width/100 and "
-                                  "149.86 at width/400, outside (1.42, 83.77) (item 4)",
-    ("window", "buckingham-4-3"): "switch seeds converge at A = 34.31 and 39.85 at width/100, above "
-                                  "the window top 26.68 (item 4)",
-    ("window", "buckingham-4-4"): "switch seeds converge at A = 240.20 at both steps, above the "
-                                  "window top 141.23 (item 4)",
-    ("window", "buckingham-4-5"): "switch seeds converge at A = -53.34 at width/400 (item 4)",
-    ("window", "buckingham-4-6"): "switch seeds converge at A = 211.49 and 1539.78 at width/100 and "
-                                  "1500.91 at width/400, above the window top 116.31 (item 4)",
+                                 "at width/100 (item 3)",
+    ("steps", "buckingham-4-5"): "a kernel_dim-2 secondary at 151.096 at width/100 and a kernel_dim-2 "
+                                 "fold at 149.272 at width/400, 10 branches against 7 (items 3 and 8)",
+    ("steps", "buckingham-4-6"): "kernel_dim-2 secondaries at 69.317 and 90.224 at width/100 and a "
+                                 "kernel_dim-2 fold at 69.6825 at width/400, 13 branches against 7 "
+                                 "(items 3 and 8)",
+    ("window", "buckingham-4-6"): "switch seeds converge at A = 211.49 and 1539.78 at width/100, "
+                                  "above the window top 116.31 (item 3)",
     ("window", "spring-triangle"): "the pitchfork ramp walks the non-isolated seeds of the 1.77801 "
-                                   "primary to A = 0.8626, below the window bottom 0.889 (item 4)",
+                                   "primary to A = 0.8626, below the window bottom 0.889 (item 9)",
     ("ends", "spring-triangle"): "the 1.77801 primary's non-isolated seeds at A = 0.8626 and 1.2624 "
-                                 "are exported as branch ends far from any event (item 4)",
+                                 "are exported as branch ends far from any event (item 9)",
     ("ends", "spring-tetrahedron-c"): "both primaries get 3-point stubs whose seeds, 1e-3 from the "
                                       "event, are judged non-isolated (item 6)",
 }
