@@ -163,9 +163,6 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
         merged = concatenate_branches(halves[0], classified_point(system, x_ev, ev.parameter), halves[1])
     else:
         merged = halves[0]
-    # events within the small seeding gap around the source bifurcation are echoes of it
-    events = [e for e in events
-              if abs(e.parameter - ev.parameter) > 2e-3 * max(1.0, abs(ev.parameter))]
     return _Entry(branch=merged, events=events, parent_event_id=ev.id, label=label,
                   reached={h.reached_event for h in halves} - {None})
 
