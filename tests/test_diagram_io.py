@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.continuation import BifurcationEvent, Branch, BranchPoint, ContinuationSettings
 from cluster_bifurc.diagram import (
     Abc3d,
@@ -16,6 +17,7 @@ from cluster_bifurc.diagram import (
     load_diagram,
     render_svg,
 )
+from cluster_bifurc.potentials import LennardJones
 
 
 def point(state, p, s, stability="stable", shape="equilateral", index=0):
@@ -71,6 +73,45 @@ def test_json_round_trip_exact():
     blob = export(d, "json")
     back = load_diagram(blob)
     assert back == d
+
+
+# The stored format: sorted keys, no spaces, each record's own fields with a
+# point's arclength under "s", and floats as Python's repr writes them.
+SMALL_DIAGRAM_JSON = (
+    b'{"branches":[{"id":0,"label":"trivial","parent_event":null,"points":['
+    b'{"index":0,"parameter":0.4,"s":0.0,"shape":"equilateral","stability":"stable",'
+    b'"state":[-1.0,1.0,1.0,1.0]},'
+    b'{"index":0,"parameter":0.45,"s":0.1,"shape":"equilateral","stability":"stable",'
+    b'"state":[-1.1,1.05,1.05,1.05]},'
+    b'{"index":2,"parameter":0.5,"s":0.2,"shape":"equilateral","stability":"unstable",'
+    b'"state":[-1.2,1.1,1.1,1.1]},'
+    b'{"index":2,"parameter":0.55,"s":0.3,"shape":"equilateral","stability":"unstable",'
+    b'"state":[-1.3,1.15,1.15,1.15]}]},'
+    b'{"id":1,"label":"isosceles(b=c)","parent_event":0,"points":['
+    b'{"index":0,"parameter":0.45,"s":0.0,"shape":"isosceles(b=c)","stability":"stable",'
+    b'"state":[-1.1,1.2,1.0,1.0]},'
+    b'{"index":1,"parameter":0.47,"s":0.1,"shape":"isosceles(b=c)","stability":"unstable",'
+    b'"state":[-1.15,1.25,0.98,0.98]}]}],'
+    b'"events":[{"id":0,"kernel":[[0.0,-1.0,1.0,0.0],[0.0,-1.0,0.0,1.0]],"kernel_dim":2,'
+    b'"kind":"primary","parameter":0.45,"refined":true,"source_branch":0,'
+    b'"state":[-1.1,1.05,1.05,1.05]}],'
+    b'"potential":{"family":"lennard_jones","params":{"c1":1.0,"c2":2.0,"delta1":12.0,"delta2":6.0}},'
+    b'"problem":"triangle",'
+    b'"settings":{"contraction_target":4,"detection":true,"h0":0.01,"h_max":0.5,"h_min":1e-06,'
+    b'"max_points":5000,"newton_max_iters":20,"newton_tol":1e-10,"step_growth":1.5,'
+    b'"step_shrink":0.5},'
+    b'"version":"0.2.0","window":[0.4,0.55]}'
+)
+
+
+def test_json_bytes_are_pinned():
+    assert export(replace(small_diagram(), version="0.2.0"), "json") == SMALL_DIAGRAM_JSON
+
+
+def test_json_round_trip_of_a_built_diagram_with_events():
+    d = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9), ContinuationSettings(h_max=0.05))
+    assert d.events
+    assert load_diagram(export(d, "json")) == d
 
 
 def test_json_round_trip_randomized():
