@@ -528,9 +528,9 @@ def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.nda
     both ends of the step lie on one side of it), or else where
     mu = u^t J u (J u = mu u on the symmetric branch) vanishes, found by a
     secant iteration in the parameter with each probe corrected within
-    Fix(S'_k): near a pitchfork
-    the chord is nearly normal to Fix(S'_k), and hyperplane corrections
-    along it converge onto the symmetric branch away from the crossing.
+    Fix(S'_k): near a pitchfork the chord is nearly normal to Fix(S'_k),
+    and hyperplane corrections along it converge onto the symmetric branch
+    away from the crossing.
     """
     w = metric_weights(z_a)
     z_mid = 0.5 * (z_a + z_b)
