@@ -36,22 +36,26 @@ special point p - edge = 0 of the solution curve (Allgower & Georg 1990,
 ch. 9), computed by one correction at that fixed parameter from the
 step's chord.
 
-Event detection then compares two monitors between neighbouring points, as
-arrays over the whole trace: the tangent-space (Morse) index, the number of
-negative eigenvalues of the Lagrangian's Hessian restricted to the
-constraint tangent space, Z^t H Z, which classification computes anyway,
-and the sign of the tangent's parameter component, which flips at folds.
+Event detection then compares one monitor between neighbouring points, as
+an array over the whole trace: the tangent-space (Morse) index, the number
+of negative eigenvalues of the Lagrangian's Hessian restricted to the
+constraint tangent space, Z^t H Z, which classification computes anyway.
 Since In(J) = In(Z^t H Z) + (1, 1, 0) where grad g != 0 (Gould 1985, Math.
-Programming 32), the index changes exactly where an eigenvalue of J of any
-multiplicity crosses zero.  `detect_and_localize` refines whichever fired,
-on the segments where one did.
+Programming 32), the index changes exactly where eigenvalues of J cross
+zero, and by their number.  `detect_and_localize` localizes every event,
+fold or bifurcation, with one bracketing loop on the crossing eigenvalue,
+reads the kernel dimension from the index jump, and calls the event a fold
+where the tangent's parameter component flips.
 
 A trace ends where it meets a more symmetric branch, inside a larger
 fixed-point space Fix(S') (Golubitsky, Stewart & Schaeffer, ch. XIII); where
 Fix(S') has codimension 1 the crossing monitor is the signed distance u.x
 from it, a symmetry-adapted test function as in Dellnitz & Werner (1989,
 J. Comput. Appl. Math. 26), and landing on a point of larger isotropy order
-is the fallback elsewhere.
+is the fallback elsewhere.  The crossing step's two ends, corrected into
+Fix(S') at fixed parameter, bracket the bifurcation of the symmetric branch
+for the same localizer; where they bracket no index change, the step
+jumped across Fix(S') and is shrunk and retried.
 `branch_switch` seeds the bifurcating branches in the fixed-point space
 of the kernel's isotropy subgroup, either by the asymptotic slope -2*B0/A0
 of the Lyapunov-Schmidt coefficients or, for pitchforks, by
@@ -392,7 +396,9 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
       or ends it within the stabilizer's 1e-6 relative of zero; the trace
       ends exactly on a group image of one of `targets` in Fix(S') within
       that step, kept as the branch's `reached_event`, or else on the
-      bifurcation of the symmetric branch there, reported as an event;
+      bifurcation of the symmetric branch there, reported as an event.
+      Where the step's ends bracket no such bifurcation, the step jumped
+      across Fix(S') and is shrunk and retried as after a corrector failure;
     * landing, the fallback where the larger fixed space has codimension
       above 1: a kept point has another shape label and a larger isotropy
       order than the start point; the trace ends before the first such
@@ -404,8 +410,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     are labeled in one `classify_stack` call (corrections that the window
     or crossing rules reject are never labeled), the landing rule cuts
     them, and `detect_and_localize` runs on each segment before the cut
-    whose index or tangent-sign monitor changed.  The crossing end point
-    is labeled on its own and its event comes last.
+    whose index changed.  The crossing end point is labeled on its own and
+    its event comes last.
     Detected events are classified as `bifurcation_kind` ("primary" when
     the caller is tracing the fully symmetric branch) or "turning".
     """
@@ -441,23 +447,28 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         if at_edge:
             # the step left the window: end it on the edge it crossed instead
             corrected = _edge_correction(system, z, corrected, window, w, settings, fix)
-        if corrected is None:  # a failed step is shrunk and retried, or ends the trace at h_min
+        crossing = None
+        if corrected is not None:
+            phi_new = normals @ corrected.state
+            crossed = np.flatnonzero((phi * phi_new < 0.0)
+                                     | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(corrected.state[1:]))))
+            if crossed.size:
+                crossing = _crossing_end(system, normals, projections, crossed, z,
+                                         np.append(corrected.state, corrected.parameter), h,
+                                         targets, settings, bifurcation_kind)
+                corrected = None if crossing is None else corrected  # it jumped across Fix(S')
+        if corrected is None:  # a failed step or a jump is shrunk and retried, or ends the trace at h_min
             if h > settings.h_min:
                 h = max(h * settings.step_shrink, settings.h_min)
                 continue
             break
+        if crossing is not None:
+            z_end, reached, end = crossing
+            end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
+                                arclength=s + float(np.sqrt((z_end - z) @ (z_end - z))))
+            break
         x_new = corrected.state
         z_new = np.append(x_new, corrected.parameter)
-        phi_new = normals @ x_new
-        crossed = np.flatnonzero((phi * phi_new < 0.0)
-                                 | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
-        if crossed.size:
-            z_end, reached, end = _crossing_end(system, normals, projections, crossed, z, z_new, h,
-                                                targets, settings, bifurcation_kind)
-            if z_end is not None:
-                end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
-                                    arclength=s + float(np.sqrt((z_end - z) @ (z_end - z))))
-            break
         w_new = metric_weights(z_new)
         t_new = branch_tangent(system, x_new, z_new[-1], t, w_new, corrected.jacobian)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))
@@ -485,8 +496,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         zip(np.array(states).tolist(), params, arclengths, labels)]
     events: list[BifurcationEvent] = []
     if settings.detection:
-        index, tp = np.array([pt.index for pt in points]), np.array(slopes)
-        for i in np.flatnonzero((index[:-1] != index[1:]) | (tp[:-1] * tp[1:] < 0.0)).tolist():
+        index = np.array([pt.index for pt in points])
+        for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
             ev = detect_and_localize(system, points[i], points[i + 1], settings,
                                      bifurcation_kind=bifurcation_kind,
                                      monitors=(index[i], index[i + 1], slopes[i], slopes[i + 1]),
@@ -521,16 +532,18 @@ def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[floa
 
 def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.ndarray, h: float,
                   targets: Sequence[BifurcationEvent], settings: ContinuationSettings, kind: str):
-    """(end point, reached target, new event) of a step z_a -> z_b across Fix(S'_k), k in `ks`.
+    """(end point, reached target, new event) of a step z_a -> z_b across Fix(S'_k), k in `ks`, or None.
 
     It ends on a target's group image in a crossed Fix(S'_k) within the
     step h of the step's midpoint, in the metric at z_a (at a pitchfork
-    both ends of the step lie on one side of it), or else where
-    mu = u^t J u (J u = mu u on the symmetric branch) vanishes, found by a
-    secant iteration in the parameter with each probe corrected within
-    Fix(S'_k): near a pitchfork the chord is nearly normal to Fix(S'_k),
-    and hyperplane corrections along it converge onto the symmetric branch
-    away from the crossing.
+    both ends of the step lie on one side of it), or else on the
+    bifurcation of the symmetric branch: both ends of the step are
+    corrected at their fixed parameters within Fix(S'_k), and
+    `detect_and_localize` localizes the index change between them, with
+    every probe in Fix(S'_k) (near a pitchfork the step's own chord is
+    nearly normal to Fix(S'_k)).  None when a correction fails or the ends
+    bracket no index change: the step crossed Fix(S'_k) at no bifurcation,
+    a jump.
     """
     w = metric_weights(z_a)
     z_mid = 0.5 * (z_a + z_b)
@@ -540,24 +553,11 @@ def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.nda
         if float((w * (z_img - z_mid)) @ (z_img - z_mid)) <= h * h and any(
                 np.max(np.abs(projections[k] @ x - x)) <= 1e-6 * np.max(np.abs(x[1:])) for k in ks):
             return z_img, tg, None
-    u, Q = normals[ks[0]], projections[ks[0]]
-
-    def probe(p: float, guess: np.ndarray):
-        got = _try_correct(system, guess, p, settings, projection=Q)
-        return None if got is None else (got.state, float(u @ got.jacobian @ u), got.jacobian)
-
-    p0, scale = float(z_a[-1]), max(1.0, abs(z_a[-1]))
-    p1 = float(z_b[-1]) if abs(z_b[-1] - p0) > 1e-8 * scale else p0 + 1e-6 * scale
-    a, b = probe(p0, Q @ z_a[:-1]), probe(p1, Q @ z_b[:-1])
-    for _ in range(40):
-        if a is None or b is None or a[1] == b[1]:
-            break
-        p0, p1 = p1, p1 - b[1] * (p1 - p0) / (b[1] - a[1])
-        a, b = b, probe(p1, b[0])
-        if b is not None and abs(p1 - p0) <= 1e-10 * scale:  # `detect_and_localize`'s accuracy
-            ev = _event_at(kind, b[0], p1, b[2], refined=True)
-            return (None, None, None) if ev is None else (np.append(ev.state, p1), None, ev)
-    return None, None, None
+    Q = projections[ks[0]]
+    ends = [_try_correct(system, Q @ z[:-1], z[-1], settings, projection=Q) for z in (z_a, z_b)]
+    ev = None if None in ends else detect_and_localize(system, ends[0].point, ends[1].point, settings,
+                                                       kind, projection=Q)
+    return None if ev is None else (np.append(ev.state, ev.parameter), None, ev)
 
 
 def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
@@ -577,45 +577,44 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
                         projection: np.ndarray | None = None) -> BifurcationEvent | None:
     """Examine one traced segment for a bifurcation or turning point.
 
-    Two monitors are compared between the endpoints: the tangent-space
-    (Morse) index, the number of negative eigenvalues of Z^t H Z that the
-    classification computes, and the sign of the tangent's parameter
-    component.  By In(J) = In(Z^t H Z) + (1, 1, 0) (Gould 1985, Math.
-    Programming 32) the index changes exactly where an eigenvalue of the
-    Jacobian of any multiplicity crosses zero, including the double and
-    triple crossings on the fully symmetric branch that leave every
-    determinant sign unchanged.  `monitors` gives both at both ends; when
-    it is None the indices are the points' own and the tangents are built
-    here.  A tangent flip classifies the segment as a fold, an index change
-    without one as a bifurcation crossing.  One bracketing loop localizes
-    either on its monitor: a fold's trial point is the secant root of the
-    tangent component, or the midpoint whenever that leaves the bracket; a
-    crossing's is the midpoint, kept on the side whose index it shares.  Every probe
-    corrects back onto the branch on the hyperplane orthogonal to the
-    segment chord, so folds pose no difficulty; `newton_correct` does this
-    with a zero arclength step along the chord, projecting onto the
-    branch's fixed-point space with `projection`.  Localization targets
-    relative parameter accuracy 1e-10; if a probe correction fails the event
-    is reported from the best point found, flagged `refined=False`.
+    The monitor is the tangent-space (Morse) index, the number of negative
+    eigenvalues of Z^t H Z that the classification computes.  By
+    In(J) = In(Z^t H Z) + (1, 1, 0) (Gould 1985, Math. Programming 32) it
+    changes exactly where an eigenvalue of the Jacobian of any multiplicity
+    crosses zero, including the double and triple crossings on the fully
+    symmetric branch that leave every determinant sign unchanged; a segment
+    whose index does not change holds no event.  `monitors` gives the
+    indices and the tangents' parameter components at both ends; when it is
+    None the indices are the points' own and the tangents are built here.
+    The event is a fold ("turning") where the tangent component flips, and
+    `bifurcation_kind` otherwise.
+
+    One bracketing loop localizes every event on the crossing eigenvalue:
+    the tangent eigenvalue at ascending position min(index_a, index_b),
+    which each probe's classification returns.  Each trial point is the
+    secant root of the last two probes, or the bracket midpoint while there
+    are fewer or the root leaves the bracket; the probe's index decides
+    which side it replaces.  Every probe corrects back onto the branch on
+    the hyperplane orthogonal to the segment chord, so folds pose no
+    difficulty; `newton_correct` does this with a zero arclength step along
+    the chord, projecting onto the branch's fixed-point space with
+    `projection`.  Localization targets relative parameter accuracy 1e-10;
+    if a probe correction fails the event is reported from the best point
+    found, flagged `refined=False`.  The kernel dimension m is the index
+    jump across the final bracket, and the kernel is the m eigenvectors of
+    the Jacobian nearest zero at the reported point.
     """
     za, zb = a.z(), b.z()
     chord = zb - za
     chord_len = float(np.sqrt(chord @ chord))
-    if chord_len == 0.0:
+    neg_a, neg_b = (a.index, b.index) if monitors is None else monitors[:2]
+    if chord_len == 0.0 or neg_a == neg_b:
         return None
     d = chord / chord_len
-    if monitors is not None:
-        neg_a, neg_b, tp_a, tp_b = monitors
-    else:
+    if monitors is None:  # the tangents, oriented along the chord
         ta = branch_tangent(system, za[:-1], za[-1], d)
-        tb = branch_tangent(system, zb[:-1], zb[-1], ta)
-        neg_a, neg_b, tp_a, tp_b = a.index, b.index, float(ta[-1]), float(tb[-1])
-
-    fold_flip = tp_a * tp_b < 0
-    inertia_change = neg_a != neg_b
-    if not fold_flip and not inertia_change:
-        return None
-    kind = "turning" if fold_flip else bifurcation_kind
+        monitors = (neg_a, neg_b, float(ta[-1]), float(branch_tangent(system, zb[:-1], zb[-1], ta)[-1]))
+    kind = "turning" if monitors[2] * monitors[3] < 0 else bifurcation_kind
 
     def corrected(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
         q = za + theta * chord
@@ -645,43 +644,28 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
     def tight(lo: float, hi: float) -> bool:
         return (hi - lo) * abs(chord[-1]) < p_tol and (hi - lo) * chord_len < 1e-9 * max(1.0, chord_len)
 
-    if kind == "turning":
-        # the chord keeps a consistent tangent orientation across the fold
-        def monitor(z, J=None):
-            return float(branch_tangent(system, z[:-1], z[-1], d, J=J)[-1])
-
-        def same_side(f_lo, f) -> bool:
-            return f_lo * f > 0.0
-
-        f_lo, f_hi = monitor(za), monitor(zb)
-    else:
-        def monitor(z, J):
-            return system.classify_stack([z[:-1]], [J])[0].index
-
-        def same_side(f_lo, f) -> bool:
-            return f == f_lo
-
-        f_lo, f_hi = neg_a, neg_b
+    k = min(neg_a, neg_b)  # ascending position of the crossing tangent eigenvalue
     best, refined = None, True
-    lo, hi = 0.0, 1.0
-    prev, cur = (lo, f_lo), (hi, f_hi)  # the last two (theta, monitor) probes
+    lo, hi, neg_lo, neg_hi = 0.0, 1.0, neg_a, neg_b
+    probes = []  # (theta, monitor) of each probe
     for _ in range(80):
         if tight(lo, hi):
             break
         theta = 0.5 * (lo + hi)
-        if kind == "turning" and cur[1] != prev[1]:
-            secant = cur[0] - cur[1] * (cur[0] - prev[0]) / (cur[1] - prev[1])
+        if len(probes) > 1 and probes[-1][1] != probes[-2][1]:
+            (t0, f0), (t1, f1) = probes[-2:]
+            secant = t1 - f1 * (t1 - t0) / (f1 - f0)
             theta = secant if lo < secant < hi else theta
         theta, mid = corrected_near(lo, hi, theta)
         if mid is None:
             refined = False
             break
-        best, f = mid, monitor(*mid)
-        prev, cur = cur, (theta, f)
-        if same_side(f_lo, f):
-            lo, f_lo = theta, f
+        best, cls = mid, system.classify_stack([mid[0][:-1]], [mid[1]])[0]
+        probes.append((theta, cls.tangent_eigenvalues[k]))
+        if cls.index == neg_lo:
+            lo = theta
         else:
-            hi = theta
+            hi, neg_hi = theta, cls.index
 
     if best is None:
         best = corrected(0.5 * (lo + hi))
@@ -692,27 +676,15 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
             refined = False
 
     z_best, J_best = best
-    return _event_at(kind, z_best[:-1], z_best[-1], J_best, refined)
-
-
-def _event_at(kind: str, x: np.ndarray, p: float, J: np.ndarray, refined: bool
-              ) -> BifurcationEvent | None:
-    """The event at a localized point with Jacobian J: its kernel is the
-    eigenvectors whose eigenvalues are below 1e-6 of the spectral scale."""
-    w, V = sym_eigen(J)
-    scale = float(np.max(np.abs(w)))
-    near = np.abs(w) < max(1e-6 * scale, 1e-300)
-    kernel = tuple(tuple(float(v) for v in V[:, i]) for i in range(len(w)) if near[i])
-    if not kernel:
-        # any true crossing or parameter reversal makes the Jacobian singular;
-        # an empty kernel means the flip was a discretization artifact
-        return None
+    # the kernel: as many eigenvectors of J, nearest zero first, as eigenvalues crossed
+    w, V = sym_eigen(J_best)
+    near = np.sort(np.argsort(np.abs(w), kind="stable")[:abs(neg_hi - neg_lo)])
     return BifurcationEvent(
         kind=kind,
-        parameter=float(p),
-        kernel_dim=len(kernel),
-        kernel=kernel,
-        state=tuple(float(v) for v in x),
+        parameter=float(z_best[-1]),
+        kernel_dim=len(near),
+        kernel=tuple(tuple(float(v) for v in V[:, i]) for i in near),
+        state=tuple(float(v) for v in z_best[:-1]),
         refined=refined,
     )
 

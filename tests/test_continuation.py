@@ -541,6 +541,26 @@ def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
         assert sorted(np.round(np.abs(kernel[1:]) * math.sqrt(2.0), 6)) == [0.0, 1.0, 1.0]
 
 
+def test_a_step_onto_the_mirror_branch_is_a_jump():
+    # from the last scalene point before the upper secondary to the mirror
+    # image of the one before it: both ends correct onto the isosceles branch
+    # on one side of the secondary, so they bracket no index change
+    system, low, high = _lennard_jones_secondaries()
+    settings = ContinuationSettings(h_max=0.2)
+    seed, hint = _scalene_seeds(system, low, settings)[0]
+    branch, _ = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=(low, high))
+    end = np.asarray(branch.points[-1].state)
+    x_a, x_b = (np.asarray(pt.state) for pt in branch.points[-2:-4:-1])
+    mirror = next(P for P in system.group()
+                  if np.array_equal(P.apply(end), end) and not np.array_equal(P.apply(x_b), x_b))
+    z_a, z_b = np.append(x_a, branch.points[-2].parameter), np.append(mirror.apply(x_b), branch.points[-3].parameter)
+    _, normals, projections = system.fixed_space(x_a)
+    ks = np.flatnonzero((normals @ z_a[:-1]) * (normals @ z_b[:-1]) < 0.0)
+    assert ks.size and max(z_a[-1], z_b[-1]) < high.parameter
+    assert continuation._crossing_end(system, normals, projections, ks, z_a, z_b, 0.2, (), settings,
+                                      "secondary") is None
+
+
 class _LandsPast(ClusterProblem):
     """The Lennard-Jones triangle, on which every state of area beyond `area`
     reads as isosceles with isotropy order 2: more symmetric than scalene."""

@@ -100,16 +100,16 @@ CASES.update({name: (problem, spec, window, (50, 200)) for name, (problem, spec,
 
 # (check, case) -> the defect that fails it and the ROADMAP item expected to fix it
 DEFECTS = {
-    ("steps", "buckingham-3-3"): "the kernel_dim-2 fold at 53.673 is found at width/400 and missed "
-                                 "at width/100 (item 8)",
-    ("steps", "buckingham-4-0"): "the 21.0353 primary is reported again as a kernel_dim-2 secondary "
-                                 "at width/100 (item 3)",
-    ("steps", "buckingham-4-5"): "a kernel_dim-2 secondary at 151.096 at width/100 and a kernel_dim-2 "
-                                 "fold at 149.272 at width/400, 10 branches against 7 (items 3 and 8)",
-    ("steps", "buckingham-4-6"): "kernel_dim-2 secondaries at 69.317 and 90.224 at width/100 and a "
-                                 "kernel_dim-2 fold at 69.6825 at width/400, 13 branches against 7 "
-                                 "(items 3 and 8)",
-    ("window", "buckingham-4-6"): "switch seeds converge at A = 211.49 and 1539.78 at width/100, "
+    ("steps", "buckingham-3-3"): "a turning at 53.4509 at width/400 and none at width/100; the fold, at "
+                                 "53.75998 by an h_max=2e-3 trace, lies past the end of the width/400 "
+                                 "step that turns across it (item 8)",
+    ("steps", "buckingham-4-5"): "the width/100 step from 132.80 to 200 crosses the 149.272 fold with no "
+                                 "tangent flip and is localized, unrefined, as a secondary at 150.804; "
+                                 "13 branches against 7 (items 3 and 8)",
+    ("steps", "buckingham-4-6"): "the width/100 steps 59.52 to 89.08 and 89.08 to 108.42 show no tangent "
+                                 "flip and are localized as secondaries at 69.6825, the width/400 fold, "
+                                 "and 90.224; 13 branches against 7 (items 3 and 8)",
+    ("window", "buckingham-4-6"): "switch seeds converge at A = 211.49 and 1483.38 at width/100, "
                                   "above the window top 116.31 (item 3)",
     ("window", "spring-triangle"): "the pitchfork ramp walks the non-isolated seeds of the 1.77801 "
                                    "primary to A = 0.8626, below the window bottom 0.889 (item 9)",
