@@ -186,11 +186,13 @@ class Threshold:
 def closed_form_thresholds(spec: PotentialSpec, problem: str) -> list[Threshold]:
     """Closed-form stability boundaries of the trivial branch, possibly empty.
 
-    Lennard-Jones: the triangle margin crosses zero at a single area; the
-    tetrahedron sigma_3 margin at a single volume, joined by the sigma_7
-    boundary when delta2 > 6.  Soft springs (beta < 0) cross once per margin;
-    hard and Hooke springs never do.  The Buckingham family has no closed
-    form here and returns [].
+    Lennard-Jones: sigma_k(r) = c1 d1 (d1+1-k)/r^(d1+2) - c2 d2 (d2+1-k)/r^(d2+2)
+    has one root when (d1+1-k)(d2+1-k) > 0 and none otherwise.  So sigma_3
+    (delta2 > 2) crosses zero at a single area on the triangle and a single
+    volume on the tetrahedron, joined there by the sigma_7 boundary when
+    both exponents lie above 6 or both below.  Soft springs (beta < 0) cross
+    once per margin; hard and Hooke springs never do.  The Buckingham family
+    has no closed form here and returns [].
     """
     if problem not in ("triangle", "tetrahedron"):
         raise ValueError(f"problem must be 'triangle' or 'tetrahedron', got {problem!r}")
@@ -202,11 +204,11 @@ def closed_form_thresholds(spec: PotentialSpec, problem: str) -> list[Threshold]
             # mapped to area through a_A = 2 sqrt(A)/3^(1/4).
             ratio = (c1 * d1 * (d1 - 2.0)) / (c2 * d2 * (d2 - 2.0))
             out.append(Threshold("triangle", 3, math.sqrt(3.0) / 4.0 * ratio ** (2.0 / (d1 - d2))))
-        elif d1 > 6.0:
+        else:
             # volume through a_V^3 = 6 sqrt(2) V
             ratio = (c1 * d1 * (d1 - 2.0)) / (c2 * d2 * (d2 - 2.0))
             out.append(Threshold("tetrahedron", 3, math.sqrt(2.0) / 12.0 * ratio ** (3.0 / (d1 - d2))))
-            if d2 > 6.0:
+            if (d1 - 6.0) * (d2 - 6.0) > 0.0:
                 ratio7 = (c1 * d1 * (d1 - 6.0)) / (c2 * d2 * (d2 - 6.0))
                 out.append(Threshold("tetrahedron", 7, math.sqrt(2.0) / 12.0 * ratio7 ** (3.0 / (d1 - d2))))
         return out

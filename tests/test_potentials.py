@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cluster_bifurc.cluster import stability_boundaries
 from cluster_bifurc.potentials import (
     Buckingham,
     ConfigError,
@@ -18,6 +19,8 @@ from cluster_bifurc.potentials import (
     potential_to_json,
     stability_margin,
 )
+from cluster_bifurc.tetrahedron import TETRAHEDRON
+from cluster_bifurc.triangle import TRIANGLE
 
 LJ = LennardJones(1, 2, 12, 6)
 
@@ -224,3 +227,19 @@ def test_normalized_evaluation_survives_huge_xi():
         vals = derivatives(spec, r)
         assert all(math.isfinite(v) for v in vals)
     assert eval_potential(spec, 1.0, 0) == pytest.approx(-1.0, abs=1e-9)
+
+
+
+@pytest.mark.parametrize("exponents", [(12, 8), (12, 6), (12, 4), (8, 7), (6, 4), (5, 3), (5.5, 2.5)])
+@pytest.mark.parametrize("geometry", [TRIANGLE, TETRAHEDRON], ids=lambda g: g.name)
+def test_lj_closed_forms_are_the_margin_scan_roots(geometry, exponents):
+    # sigma_3 always has a root (delta2 > 2); on the tetrahedron sigma_7 has
+    # one exactly when both exponents lie on one side of 6
+    spec = LennardJones(1, 2, *exponents)
+    closed = closed_form_thresholds(spec, geometry.name)
+    both_sides = (exponents[0] - 6) * (exponents[1] - 6) > 0
+    assert [t.margin_coefficient for t in closed] == ([3, 7] if geometry is TETRAHEDRON and both_sides else [3])
+    values = [t.value for t in closed]
+    roots = stability_boundaries(geometry, spec, (min(values) / 10.0, max(values) * 10.0))
+    assert sorted((r.margin_coefficient, r.parameter) for r in roots) == [
+        (t.margin_coefficient, pytest.approx(t.value, rel=1e-8)) for t in closed]
