@@ -207,7 +207,8 @@ def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
 
     Roots are refined to relative parameter accuracy 1e-12; the crossing
     slope is estimated by a central difference and roots with |slope| below
-    1e-8 are flagged non-transversal.
+    1e-8 are flagged non-transversal.  A value exactly zero at a grid point,
+    either end included, is a root as it stands and is counted once.
     """
     if not (0 < lo < hi):
         raise ValueError("scan interval must satisfy 0 < lo < hi")
@@ -216,12 +217,12 @@ def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
     grid = np.geomspace(lo, hi, grid_n)
     vals = [fn(float(p)) for p in grid]
     roots: list[BoundaryRoot] = []
-    for i in range(1, grid_n):
-        va, vb = vals[i - 1], vals[i]
+    for i in range(grid_n):
+        va = vals[i]
         if va == 0.0:
-            root = float(grid[i - 1])
-        elif va * vb < 0.0:
-            a, b = float(grid[i - 1]), float(grid[i])
+            root = float(grid[i])
+        elif i + 1 < grid_n and va * vals[i + 1] < 0.0:
+            a, b = float(grid[i]), float(grid[i + 1])
             fa = va
             while (b - a) > 1e-12 * a:
                 m = 0.5 * (a + b)

@@ -443,6 +443,15 @@ def test_stability_boundaries_match_the_per_geometry_copies(name):
     assert found > 0
 
 
+@pytest.mark.parametrize("at", [0, 5, 10])
+def test_scan_counts_an_exact_zero_on_any_grid_point_once(at):
+    # both ends of the grid included: p - 2.0 vanishes exactly on the top point
+    zero = float(np.geomspace(1.0, 2.0, 11)[at])
+    roots = scan_boundary_roots(lambda p: p - zero, 1.0, 2.0, 11, 3, 2)
+    assert [(r.parameter, r.margin_coefficient, r.kernel_dim) for r in roots] == [(zero, 3, 2)]
+    assert roots[0].transversal and roots[0].slope == pytest.approx(1.0)
+
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bordered_inertia_is_tangent_inertia_plus_one(name):
