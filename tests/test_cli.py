@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from cluster_bifurc.cli import (
 from cluster_bifurc.cluster import stability_boundaries
 from cluster_bifurc.diagram import load_diagram
 from cluster_bifurc.potentials import Buckingham, ConfigError, LennardJones, PolynomialSpring
-from cluster_bifurc.continuation import ContinuationSettings, classified_point
+from cluster_bifurc.continuation import (
+    BifurcationEvent,
+    ContinuationSettings,
+    CorrectorFailure,
+    DomainExit,
+    TraceAbort,
+    TransversalityError,
+    branch_switch,
+    classified_point,
+    trace_branch,
+)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -256,6 +267,67 @@ def test_a_crossing_a_trace_localized_is_not_switched_again(monkeypatch):
     assert not {ev.id for ev in found} & set(switched)
     ends = {pt.state for b in diagram.branches[1:] for pt in (b.points[0], b.points[-1])}
     assert all(ev.state in ends for ev in found)
+
+
+
+def _primary_switch():
+    """The Lennard-Jones triangle, its primary event and the isosceles reduction there."""
+    system = make_system("triangle", LennardJones(1, 2, 12, 6))
+    root = stability_boundaries(system.geometry, system.spec, (0.3, 0.9))[0]
+    ev = BifurcationEvent("primary", root.parameter, 2, system.geometry.margins[3].kernel,
+                          tuple(system.trivial_state(root.parameter)), source_branch=0, id=0)
+    return system, ev, system.geometry.families.reduction("isosceles")
+
+
+def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypatch):
+    from cluster_bifurc import cli
+
+    system, ev, reduction = _primary_switch()
+    settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
+    seed = branch_switch(system, ev, reduction, settings, trivial_curve=system.trivial_state)[0][0]
+    center = np.append(ev.state, ev.parameter)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", None)  # a single job never reaches the pool
+    want = trace_branch(system, seed, seed.z() - center, settings, window, targets=(ev,))
+    assert cli._run_traces(system, [(seed, center)], settings, window, (ev,)) == [want]
+
+    def aborting(*args, **kwargs):
+        raise TraceAbort("corrector failed at the start point with minimum step")
+
+    monkeypatch.setattr(cli, "trace_branch", aborting)
+    (got,) = cli._run_traces(system, [(seed, center)], settings, window, (ev,))
+    assert got[0].points == [replace(seed, arclength=0.0)] and got[1] == []
+
+
+@pytest.mark.parametrize("error", [TransversalityError("not transversal", 0.0),
+                                   CorrectorFailure("no convergence"), DomainExit("left the domain")])
+def test_a_switch_that_raises_is_skipped(monkeypatch, error):
+    from cluster_bifurc import cli
+
+    def raising(*args, **kwargs):
+        raise error
+
+    system, ev, reduction = _primary_switch()
+    monkeypatch.setattr(cli, "branch_switch", raising)
+    assert cli._switch_and_trace(system, ev, reduction, ContinuationSettings(), (0.3, 0.9),
+                                 system.trivial_state, (ev,)) is None
+
+
+def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
+    from cluster_bifurc import cli
+
+    def first_seed_only(*args, **kwargs):
+        seeds, data = branch_switch(*args, **kwargs)
+        return seeds[:1], data
+
+    system, ev, reduction = _primary_switch()
+    settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
+    monkeypatch.setattr(cli, "branch_switch", first_seed_only)
+    entry = cli._switch_and_trace(system, ev, reduction, settings, window, system.trivial_state, (ev,))
+    (seed,), _ = first_seed_only(system, ev, reduction, settings, trivial_curve=system.trivial_state)
+    half, events = trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings,
+                                window, targets=(ev,))
+    assert entry.branch.points == half.points and entry.branch.points[0] == replace(seed, arclength=0.0)
+    assert entry.events == events and entry.parent_event_id == ev.id and entry.label == seed.shape
 
 
 def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):

@@ -675,6 +675,17 @@ def test_branch_switch_buckingham_second_root():
         assert pt.shape.startswith("isosceles")
 
 
+def test_a_symmetric_curve_that_does_not_move_is_not_transversal():
+    # one fixed state at every parameter: the Jacobian does not change along
+    # it, so B0 = 0 and there is no slope to seed with
+    system = lj_system()
+    ev = make_primary_event(system, A0)
+    fixed = system.trivial_state(A0)
+    with pytest.raises(continuation.TransversalityError) as err:
+        branch_switch(system, ev, isosceles(), ContinuationSettings(), trivial_curve=lambda p: fixed)
+    assert err.value.slope_estimate == 0.0
+
+
 def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
     system = lj_system()
     outside, correcting = [], []
