@@ -449,12 +449,12 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             corrected = _edge_correction(system, z, corrected, window, w, settings, fix)
         crossing = None
         if corrected is not None:
-            phi_new = normals @ corrected.state
+            x_new, z_new = corrected.state, np.append(corrected.state, corrected.parameter)
+            phi_new = normals @ x_new
             crossed = np.flatnonzero((phi * phi_new < 0.0)
-                                     | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(corrected.state[1:]))))
+                                     | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
             if crossed.size:
-                crossing = _crossing_end(system, normals, projections, crossed, z,
-                                         np.append(corrected.state, corrected.parameter), h,
+                crossing = _crossing_end(system, normals, projections, crossed, z, z_new, h,
                                          targets, settings, bifurcation_kind)
                 corrected = None if crossing is None else corrected  # it jumped across Fix(S')
         if corrected is None:  # a failed step or a jump is shrunk and retried, or ends the trace at h_min
@@ -467,8 +467,6 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
                                 arclength=s + float(np.sqrt((z_end - z) @ (z_end - z))))
             break
-        x_new = corrected.state
-        z_new = np.append(x_new, corrected.parameter)
         w_new = metric_weights(z_new)
         t_new = branch_tangent(system, x_new, z_new[-1], t, w_new, corrected.jacobian)
         s += float(np.sqrt((z_new - z) @ (z_new - z)))
