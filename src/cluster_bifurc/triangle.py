@@ -1,14 +1,23 @@
 """The three-particle problem: energy minimization at fixed triangle area.
 
 Unknowns are x = (lambda, a, b, c): a Lagrange multiplier and the three
-inter-particle distances.  The constraint g(a, b, c) = A^2 uses the squared
-area in the expanded quartic form
+inter-particle distances.  The constraint is g(a, b, c) = A^2, the squared
+area in Kahan's form of Heron's formula: with the edges sorted x >= y >= z,
 
-    g = (a^2 b^2 + a^2 c^2 + b^2 c^2)/8 - (a^4 + b^4 + c^4)/16,
+    g = (x + (y + z)) (z - (x - y)) (z + (x - y)) (x + (y - z)) / 16,
 
-whose value, gradient and Hessian the constraint kernel `heron_terms` gives
-in one pass (the factored semi-perimeter product serves as a test oracle
-only).  For any
+which is accurate to a few ulps of g even for needle-like and nearly flat
+triangles (W. Kahan, "Miscalculating Area and Angles of a Needle-like
+Triangle", 2014; N. J. Higham, "Accuracy and Stability of Numerical
+Algorithms", 2nd ed., 2002, sec. 1.7).  The expanded quartic
+
+    g = (a^2 b^2 + a^2 c^2 + b^2 c^2)/8 - (a^4 + b^4 + c^4)/16
+
+loses all but a few digits there: on a needle with b = c ~ 100 its terms
+near b^4/16 have an ulp of 1e-9, more than the corrector's tolerance on
+|g - A^2|.  The gradient and Hessian are still the quartic's, hand
+differentiated; the constraint kernel `heron_terms` gives the value,
+gradient and Hessian in one pass.  For any
 area the system has the equilateral solution
 
     a_A = 2 sqrt(A) / 3^(1/4),   lambda_A = -4 phi'(a_A) / a_A^3,
@@ -47,24 +56,41 @@ __all__ = [
 ]
 
 
+def _kahan_area2(a: float, b: float, c: float) -> float:
+    """The squared area by Kahan's sorted product form, on unchecked edges."""
+    if a < b:
+        a, b = b, a
+    if b < c:
+        b, c = c, b
+        if a < b:
+            a, b = b, a
+    return (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c)) / 16.0
+
+
 def heron(a: float, b: float, c: float) -> float:
-    """Squared triangle area; positive exactly for nondegenerate triangles."""
+    """Squared triangle area in Kahan's form; positive exactly for nondegenerate triangles.
+
+    With the edges sorted x >= y >= z this is
+    (x + (y + z)) (z - (x - y)) (z + (x - y)) (x + (y - z)) / 16, within a
+    few ulps of the exact value for any shape (Kahan 2014); only the second
+    factor can be negative, exactly when x > y + z.
+    """
     if min(a, b, c) <= 0:
         raise ValueError("edge lengths must be positive")
-    return (a * a * b * b + a * a * c * c + b * b * c * c) / 8.0 \
-        - (a ** 4 + b ** 4 + c ** 4) / 16.0
+    return _kahan_area2(a, b, c)
 
 
 def heron_terms(e) -> tuple[float, list[float], list[list[float]]]:
     """(g, grad g, hess g) of the squared area at edges e = (a, b, c), in one pass.
 
-    The triangle's constraint kernel: the value is `heron`'s expression and
-    the derivatives are the hand-differentiated quartic, on the floats of e,
-    with no validation (`cluster.evaluate` checks the edges first).
+    The triangle's constraint kernel: the value is `heron`'s, Kahan's
+    cancellation-free product form (Kahan 2014), and the derivatives are the
+    hand-differentiated expanded quartic, on the floats of e, with no
+    validation (`cluster.evaluate` checks the edges first).
     """
     a, b, c = e
     a2, b2, c2 = a * a, b * b, c * c
-    g = (a * a * b * b + a * a * c * c + b * b * c * c) / 8.0 - (a ** 4 + b ** 4 + c ** 4) / 16.0
+    g = _kahan_area2(a, b, c)
     grad = [a * (b2 + c2 - a2) / 4.0, b * (a2 + c2 - b2) / 4.0, c * (a2 + b2 - c2) / 4.0]
     ab, ac, bc = 2 * a * b / 4.0, 2 * a * c / 4.0, 2 * b * c / 4.0
     hess = [[(b2 + c2 - 3 * a * a) / 4.0, ab, ac],

@@ -58,11 +58,12 @@ SPECS = [
 
 
 def _ref_heron(a: float, b: float, c: float) -> float:
-    """Squared triangle area; positive exactly for nondegenerate triangles."""
+    """Squared triangle area in Kahan's sorted product form (the expanded
+    quartic cancels on needles); positive exactly for nondegenerate triangles."""
     if min(a, b, c) <= 0:
         raise ValueError("edge lengths must be positive")
-    return (a * a * b * b + a * a * c * c + b * b * c * c) / 8.0 \
-        - (a ** 4 + b ** 4 + c ** 4) / 16.0
+    x, y, z = sorted((a, b, c), reverse=True)
+    return (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z)) / 16.0
 
 
 def _ref_grad_heron(a: float, b: float, c: float) -> np.ndarray:
