@@ -7,7 +7,9 @@ same branch count as the finest step; every switched branch keeps one
 isotropy type between its junction and its end points; and no branch is
 stored twice.  The Lennard-Jones tetrahedron has 14 branches at every
 `h_max`.  Every switched branch of the Lennard-Jones triangle and of both
-tetrahedra ends exactly on a window edge or on a group image of an event.
+tetrahedra ends exactly on a window edge or on a group image of an event,
+and every Buckingham branch switched at the 5.3154 primary ends on the
+window top, A = 100.
 A solver whose every solution is off by a relative 1e-13 (or 1e-10) leaves
 the branch counts and the events as they are.
 """
@@ -88,6 +90,22 @@ def test_no_two_branches_coincide(name, h_max):
             tol = 1e-6 * np.maximum(1.0, np.abs(a))
             assert not np.all(np.abs(a - b) <= tol)
             assert not np.all(np.abs(a - b[::-1]) <= tol)
+
+
+BUCKINGHAM_STEPS = [h for name, h in ALL if name == "buckingham"]
+
+
+@pytest.mark.parametrize("h_max", BUCKINGHAM_STEPS)
+def test_buckingham_needle_branches_reach_the_window_top(h_max):
+    # the isosceles branches of the 5.3154 primary are needles (a ~ 1.95,
+    # b = c ~ 100 at the top), where only a cancellation-free squared area
+    # lets the corrector meet its absolute tolerance all the way up
+    diagram = _diagram("buckingham", h_max)
+    primary = [ev.id for ev in diagram.events if ev.kind == "primary" and abs(ev.parameter - 5.3154) < 1e-3]
+    assert len(primary) == 1
+    branches = [b for b in diagram.branches if b.parent_event == primary[0]]
+    assert branches
+    assert all(b.points[-1].parameter == 100.0 for b in branches), [b.points[-1].parameter for b in branches]
 
 
 LENNARD_JONES_STEPS = [h for name, h in ALL if name == "lennard-jones"]

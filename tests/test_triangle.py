@@ -1,8 +1,12 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cluster_bifurc import continuation
+from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.cluster import (
     ClusterProblem,
     DegenerateConstraintError,
@@ -12,6 +16,7 @@ from cluster_bifurc.cluster import (
     stable_intervals,
     trivial_point,
 )
+from cluster_bifurc.continuation import ContinuationSettings, CorrectorFailure
 from cluster_bifurc.linalg import sym_eigen
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import triangle_group
@@ -42,7 +47,7 @@ def grad_hess(e):
 
 
 def heron_factored(a, b, c):
-    """Classic semi-perimeter product form; cross-check oracle for the quartic."""
+    """Classic semi-perimeter product form; cross-check oracle for the kernel."""
     s = 0.5 * (a + b + c)
     return s * (s - a) * (s - b) * (s - c)
 
@@ -58,6 +63,77 @@ def test_heron_matches_factored_form():
     for _ in range(200):
         a, b, c = rng.uniform(0.3, 3.0, 3)
         assert heron(a, b, c) == pytest.approx(heron_factored(a, b, c), rel=1e-10, abs=1e-12)
+
+
+def heron_expanded(a, b, c):
+    """The expanded quartic, the counterexample to the exact-arithmetic test
+    below: its terms near b^4/16 cancel to g on a needle, leaving hundreds of
+    ulps of g (millions on a nearly flat triangle)."""
+    return (a * a * b * b + a * a * c * c + b * b * c * c) / 8.0 - (a ** 4 + b ** 4 + c ** 4) / 16.0
+
+
+def heron_exact(a, b, c):
+    """The squared area in rational arithmetic, on the same floats."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c) / 16
+
+
+def error_in_ulps(f, e):
+    """|f(e) - g(e)| in units of eps * g(e), g exact."""
+    exact = heron_exact(*e)
+    return float(abs(Fraction(f(*e)) - exact) / (exact * Fraction(sys.float_info.epsilon)))
+
+
+NEEDLES = [(1.95, 79.1, 79.1), (1.948, 102.0, 102.0), (1.95, 102.3, 101.9)]
+
+
+def _random_needles(n=200):
+    # a short edge of 0.5-3 against two long ones of 20-120 that differ by
+    # less than it, so every triple is a triangle
+    rng = np.random.default_rng(24)
+    for _ in range(n):
+        a, b = rng.uniform(0.5, 3.0), rng.uniform(20.0, 120.0)
+        yield tuple(rng.permutation([a, b, b + rng.uniform(-0.99, 0.99) * a]).tolist())
+
+
+def _assert_within_a_few_ulps(e):
+    assert error_in_ulps(heron, e) <= 8.0, e
+    assert error_in_ulps(lambda *v: heron_terms(v)[0], e) <= 8.0, e
+
+
+@pytest.mark.parametrize("e", NEEDLES + [(1.0, 1.0, 1.9999999), (3.0, 4.0, 5.0)])
+def test_squared_area_is_within_a_few_ulps_of_exact(e):
+    _assert_within_a_few_ulps(e)
+
+
+def test_squared_area_of_random_needles_is_within_a_few_ulps_of_exact():
+    for e in _random_needles():
+        _assert_within_a_few_ulps(e)
+
+
+@pytest.mark.parametrize("e", NEEDLES[1:] + [(1.0, 1.0, 1.9999999)])
+def test_the_expanded_quartic_misses_the_exact_area(e):
+    assert error_in_ulps(heron_expanded, e) > 8.0
+
+
+def test_corrections_on_the_buckingham_needle_branch_converge(monkeypatch):
+    # with the expanded quartic, |g - A^2| on the isosceles branch of the
+    # 5.3154 primary (a ~ 1.95, b = c ~ 80-100) stalls above the absolute
+    # Newton tolerance and 24 trace corrections fail; one real divergence,
+    # near A = 49.21, remains
+    failures = []
+    newton_correct = continuation.newton_correct
+
+    def correct(*args, **kwargs):
+        try:
+            return newton_correct(*args, **kwargs)
+        except CorrectorFailure as err:
+            failures.append(err)
+            raise
+
+    monkeypatch.setattr(continuation, "newton_correct", correct)
+    build_diagram("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0), ContinuationSettings(h_max=0.2))
+    assert len(failures) <= 1, [str(err) for err in failures]
 
 
 def test_heron_derivatives_match_finite_differences():
