@@ -559,14 +559,20 @@ def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.nda
 
 
 def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
-    """Merge events closer than 1e-8 relative in the parameter."""
+    """Merge events of one kind closer than 1e-8 relative in the parameter.
+
+    Of merged events the first one found is kept, a refined one before an
+    unrefined one, so the order of discovery, not rounding, decides which
+    group image of an event survives; the kept events come sorted by
+    parameter.
+    """
     kept: list[BifurcationEvent] = []
-    for ev in sorted(events, key=lambda e: (e.parameter, not e.refined)):
+    for ev in sorted(events, key=lambda e: not e.refined):
         if any(ev.kind == k.kind and abs(ev.parameter - k.parameter) <= 1e-8 * max(1.0, abs(k.parameter))
                for k in kept):
             continue
         kept.append(ev)
-    return kept
+    return sorted(kept, key=lambda e: e.parameter)
 
 
 def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: ContinuationSettings,

@@ -795,6 +795,19 @@ def test_dedup_events():
     assert len(out) == 3
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_dedup_events_keeps_the_first_event_found(order):
+    # two images of one event, 1e-11 apart: the earlier one in the input
+    # survives, whichever has the smaller parameter, and the output is sorted
+    low = BifurcationEvent("secondary", 0.2, 1, ((0.0,),), (1.0, 2.0))
+    high = BifurcationEvent("secondary", 0.2 + 1e-11, 1, ((0.0,),), (2.0, 1.0))
+    far = BifurcationEvent("secondary", 0.1, 1, ((0.0,),), (0.0, 0.0))
+    pair = [low, high][::order]
+    assert dedup_events(pair + [far]) == [far, pair[0]]
+    unrefined = BifurcationEvent("secondary", 0.2, 1, ((0.0,),), (3.0, 3.0), refined=False)
+    assert dedup_events([unrefined] + pair) == [pair[0]]
+
+
 def test_concatenate_rebuilds_arclength():
     system = lj_system()
     settings = ContinuationSettings(max_points=8)
