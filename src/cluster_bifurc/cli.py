@@ -82,6 +82,9 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 GEOMETRIES = {geometry.name: geometry for geometry in (TRIANGLE, TETRAHEDRON)}
+# every top-level config key some subcommand reads; one config serves them all
+CONFIG_KEYS = frozenset({"problem", "potential", "window", "values", "continuation", "trace", "outputs",
+                         "svg", "deep"})
 
 
 def _geometry(problem: str) -> Geometry:
@@ -94,10 +97,10 @@ def make_system(problem: str, spec) -> ClusterProblem:
     return ClusterProblem(_geometry(problem), spec)
 
 
-def _trivial_branch(system, window, samples: int, extra_params) -> Branch:
-    """The symmetric branch at `samples` even steps over the window and at `extra_params`,
+def _trivial_branch(system, window, extra_params) -> Branch:
+    """The symmetric branch at 400 even steps over the window and at `extra_params`,
     classified in one stacked pass."""
-    params = sorted(set(np.linspace(window[0], window[1], samples).tolist()) | set(extra_params))
+    params = sorted(set(np.linspace(window[0], window[1], 400).tolist()) | set(extra_params))
     states = np.array([system.trivial_state(p) for p in params]).reshape(-1, system.dim)
     jacobians = [system.evaluate(x, p)[1] for x, p in zip(states, params)]
     dz = np.diff(np.column_stack([states, params]), axis=0)
@@ -142,7 +145,7 @@ def _run_traces(system, jobs, settings, window, targets):
 def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings,
                       window, trivial_curve, targets) -> _Entry | None:
     try:
-        seeds, _ = branch_switch(system, ev, reduction, settings, trivial_curve=trivial_curve)
+        seeds, _ = branch_switch(system, ev, reduction, trivial_curve=trivial_curve)
     except (TransversalityError, CorrectorFailure, DomainExit):
         return None
     if not seeds:
@@ -168,8 +171,7 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
 
 
 def build_diagram(problem: str, spec, window: tuple[float, float],
-                  settings: ContinuationSettings | None = None, *, scan_n: int = 2000,
-                  trivial_samples: int = 400, deep: bool = False) -> Diagram:
+                  settings: ContinuationSettings | None = None, *, deep: bool = False) -> Diagram:
     """Run the full pipeline and assemble a Diagram.
 
     Primary bifurcation parameters come from the closed-form margin scan on
@@ -194,7 +196,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     system = make_system(problem, spec)
     geometry = system.geometry
 
-    roots = stability_boundaries(geometry, spec, window, scan_n)
+    roots = stability_boundaries(geometry, spec, window)
     event_counter = 0
     primary_events: list[BifurcationEvent] = []
     jobs = []  # (event, reduction, symmetric curve) to switch at
@@ -215,7 +217,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         if root.transversal:
             jobs += [(ev, geometry.families.reduction(name), system.trivial_state) for name in row.reductions]
 
-    trivial = _trivial_branch(system, window, trivial_samples, [ev.parameter for ev in primary_events])
+    trivial = _trivial_branch(system, window, [ev.parameter for ev in primary_events])
 
     entries: list[_Entry] = []
     known = list(primary_events)  # the events a trace may end at
@@ -519,15 +521,6 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _config_int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
-    val = cfg.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or int(val) != val:
-        raise ConfigError(f"{key} must be an integer, got {val!r}", key=key)
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {val!r}", key=key)
-    return int(val)
-
-
 def _config_float(value, key: str, positive: bool = False) -> float:
     try:
         out = float(value)
@@ -599,8 +592,7 @@ def cmd_trivial(cfg: dict, out_dir: Path | None) -> int:
 def cmd_stability(cfg: dict, out_dir: Path | None) -> int:
     problem, spec = _config_problem_spec(cfg)
     window = _config_window(cfg)
-    grid_n = _config_int(cfg, "grid_n", 2000, minimum=2)
-    roots = stability_boundaries(GEOMETRIES[problem], spec, window, grid_n)
+    roots = stability_boundaries(GEOMETRIES[problem], spec, window)
     closed = closed_form_thresholds(spec, problem)
     if not roots:
         print("no stability boundaries in the window")
@@ -609,13 +601,13 @@ def cmd_stability(cfg: dict, out_dir: Path | None) -> int:
                 f"(slope {r.slope:.4g}, kernel dim {r.kernel_dim}"
                 f"{'' if r.transversal else ', NON-TRANSVERSAL'})")
         match = [t for t in closed if t.margin_coefficient == r.margin_coefficient
-                 and abs(t.value - r.parameter) < 1e-6 * max(1.0, abs(t.value))]
+                 and abs(t.value - r.parameter) < 1e-6 * abs(t.value)]
         if match:
             line += f"  closed-form {match[0].value:.10g} agrees"
         print(line)
     for t in closed:
         if window[0] <= t.value <= window[1] and not any(
-                abs(t.value - r.parameter) < 1e-6 * max(1.0, abs(t.value)) for r in roots):
+                abs(t.value - r.parameter) < 1e-6 * abs(t.value) for r in roots):
             print(f"closed-form margin[{t.margin_coefficient}] value {t.value:.10g} "
                   "was NOT found by the scan")
             return EXIT_NUMERICAL
@@ -646,7 +638,7 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
             x0 = None
         if x0 is None or x0.shape != (system.dim,):
             raise ConfigError(f"trace.start must have {system.dim} components", key="trace.start")
-    start, _ = newton_correct(system, x0, p0, settings)
+    start, _ = newton_correct(system, x0, p0)
     hint = np.zeros(system.dim + 1)
     hint[-1] = math.copysign(1.0, direction)
     branch, events = trace_branch(system, start, hint, settings, window,
@@ -720,20 +712,12 @@ def cmd_diagram(cfg: dict, out_dir: Path | None) -> int:
     deep = cfg.get("deep", False)
     if type(deep) is not bool:  # a string such as "no" would switch to depth 4
         raise ConfigError(f"deep must be true or false, got {deep!r}", key="deep")
-    diagram = build_diagram(
-        problem, spec, window, settings,
-        scan_n=_config_int(cfg, "grid_n", 2000, minimum=2),
-        trivial_samples=_config_int(cfg, "trivial_samples", 400, minimum=0),
-        deep=deep,
-    )
+    diagram = build_diagram(problem, spec, window, settings, deep=deep)
     print(f"{len(diagram.branches)} branches, {len(diagram.events)} events")
     for ev in diagram.events:
         print(f"event[{ev.id}] {ev.kind} at {ev.parameter:.8g} "
               f"(kernel dim {ev.kernel_dim}, branch {ev.source_branch})")
     if out_dir is not None:
-        if "svg" in outputs[0] and not any(br.points for br in diagram.branches):
-            raise ConfigError("the diagram has no points to draw in diagram.svg; set trivial_samples "
-                              "to at least 1 or leave 'svg' out of outputs", key="trivial_samples")
         _write_outputs(diagram, out_dir, *outputs)
     return EXIT_OK
 
@@ -769,14 +753,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry (dotted path)")
     parser.add_argument("--out", help="output directory for exported files")
-    parser.add_argument("--deep", action="store_true",
-                        help="switch bifurcations found beyond the secondary level too")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.sets)
-        if args.deep:
-            cfg["deep"] = True
+        unknown = sorted(set(cfg) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}", key=unknown[0])
         out_dir = Path(args.out) if args.out else None
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+SCAN_POINTS = 2000  # the log grid on which `stability_boundaries` brackets margin zeros
+
+
 class DegenerateConstraintError(RuntimeError):
     """The constraint gradient vanished; no tangent space to classify in."""
 
@@ -206,9 +209,10 @@ def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
     """Bracket sign changes of fn on a log grid and refine them by bisection.
 
     Roots are refined to relative parameter accuracy 1e-12; the crossing
-    slope is estimated by a central difference and roots with |slope| below
-    1e-8 are flagged non-transversal.  A value exactly zero at a grid point,
-    either end included, is a root as it stands and is counted once.
+    slope is estimated by a central difference of relative step 1e-6, so fn
+    is never called at a parameter of the other sign, and roots with |slope|
+    below 1e-8 are flagged non-transversal.  A value exactly zero at a grid
+    point, either end included, is a root as it stands and is counted once.
     """
     if not (0 < lo < hi):
         raise ValueError("scan interval must satisfy 0 < lo < hi")
@@ -234,16 +238,17 @@ def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
             root = 0.5 * (a + b)
         else:
             continue
-        step = 1e-6 * max(root, 1.0)
+        step = 1e-6 * root
         slope = (fn(root + step) - fn(root - step)) / (2.0 * step)
         roots.append(BoundaryRoot(root, float(slope), abs(slope) >= 1e-8,
                                   margin_coefficient, kernel_dim))
     return roots
 
 
-def stability_boundaries(geometry: Geometry, spec: PotentialSpec, interval: tuple[float, float],
-                         grid_n: int = 2000) -> list[BoundaryRoot]:
-    """Zeros of every margin on the interval, labeled by coefficient and sorted by parameter.
+def stability_boundaries(geometry: Geometry, spec: PotentialSpec,
+                         interval: tuple[float, float]) -> list[BoundaryRoot]:
+    """Zeros of every margin on the interval, bracketed on a log grid of
+    SCAN_POINTS points, labeled by coefficient and sorted by parameter.
 
     Each root's kernel dimension is the number of kernel vectors in its
     margins-table row.
@@ -251,20 +256,20 @@ def stability_boundaries(geometry: Geometry, spec: PotentialSpec, interval: tupl
     lo, hi = interval
     roots: list[BoundaryRoot] = []
     for k, row in geometry.margins.items():
-        roots += scan_boundary_roots(lambda p, k=k: margin(geometry, spec, p, k), lo, hi, grid_n,
+        roots += scan_boundary_roots(lambda p, k=k: margin(geometry, spec, p, k), lo, hi, SCAN_POINTS,
                                      margin_coefficient=k, kernel_dim=len(row.kernel))
     return sorted(roots, key=lambda r: r.parameter)
 
 
-def stable_intervals(geometry: Geometry, spec: PotentialSpec, interval: tuple[float, float],
-                     grid_n: int = 2000) -> list[StabilityInterval]:
+def stable_intervals(geometry: Geometry, spec: PotentialSpec,
+                     interval: tuple[float, float]) -> list[StabilityInterval]:
     """Maximal sub-intervals of the window where the symmetric state is stable.
 
     Cut the window at the margin zeros and keep the pieces on which every
     margin is positive (sampled at the midpoint).
     """
     lo, hi = interval
-    cuts = [lo] + [r.parameter for r in stability_boundaries(geometry, spec, interval, grid_n)] + [hi]
+    cuts = [lo] + [r.parameter for r in stability_boundaries(geometry, spec, interval)] + [hi]
     out: list[StabilityInterval] = []
     for a, b in zip(cuts, cuts[1:]):
         if b - a > 1e-14 * max(1.0, abs(b)) and all(

@@ -100,43 +100,34 @@ __all__ = [
 ]
 
 
+# The corrector's and the step control's constants, and branch switching's
+# offsets.  Every function reads them when it is called, so a test can patch
+# one (a stalled corrector, say) with monkeypatch.
+H_MIN = 1e-6  # the shortest step; a step that fails at it ends the trace
+NEWTON_TOL = 1e-10  # the residual infinity norm a converged iterate stays below
+NEWTON_MAX_ITERS = 20
+STEP_GROWTH = 1.5  # the step grows by this after a correction of at most CONTRACTION_TARGET iterations
+STEP_SHRINK = 0.5  # and shrinks by this after a failed or rejected step
+CONTRACTION_TARGET = 4
+SWITCH_EPSILON = 1e-3  # the parameter offset of the two seeds of a transcritical switch
+PITCHFORK_DELTA = 1e-3  # the first pinned amplitude on a pitchfork wing
+FD_STEP = 1e-4  # the step of the second difference that gives A0
+
+
 @dataclass(frozen=True)
 class ContinuationSettings:
-    h0: float = 1e-2
-    h_min: float = 1e-6
+    """The largest step of a trace and its most points; the first step is min(1e-2, h_max)."""
+
     h_max: float = 0.5
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 20
-    step_growth: float = 1.5
-    step_shrink: float = 0.5
-    contraction_target: int = 4
-    detection: bool = True
     max_points: int = 5000
 
     def __post_init__(self):
-        # every bound is finite (an infinite step or tolerance passes a plain
-        # comparison) and every count an int (a float one stops range() mid-build)
-        for name in ("h0", "h_min", "h_max", "newton_tol", "step_growth", "step_shrink"):
-            if isinstance(getattr(self, name), bool):  # True passes every bound as 1
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not (0 < self.h_min <= self.h0 <= self.h_max < math.inf):
-            raise ValueError("step sizes must satisfy 0 < h_min <= h0 <= h_max < inf")
-        # a shrink of 1 never ends the retry at a window edge; the rest would
-        # leave a trace at its seed point without saying so
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must satisfy 0 < step_shrink < 1")
-        if not 1 <= self.step_growth < math.inf:
-            raise ValueError("step_growth must be finite and at least 1")
-        if not 0 < self.newton_tol < math.inf:
-            raise ValueError("newton_tol must be positive and finite")
-        if type(self.newton_max_iters) is not int or not self.newton_max_iters >= 1:
-            raise ValueError("newton_max_iters must be an integer of at least 1")
+        # an infinite step passes a plain comparison, True passes it as 1, and
+        # a float count stops range() mid-build
+        if isinstance(self.h_max, bool) or not H_MIN <= self.h_max < math.inf:
+            raise ValueError(f"h_max must be a number with {H_MIN:g} <= h_max < inf, got {self.h_max!r}")
         if type(self.max_points) is not int or not self.max_points >= 2:
             raise ValueError("max_points must be an integer of at least 2")
-        if type(self.contraction_target) is not int or not self.contraction_target >= 0:
-            raise ValueError("contraction_target must be a non-negative integer")
-        if type(self.detection) is not bool:  # a string such as "no" would turn detection on
-            raise ValueError(f"detection must be true or false, got {self.detection!r}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,6 @@ class BranchSwitchData:
     A0_coef: float
     B0_coef: float
     m: float
-    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -261,7 +251,7 @@ class Correction:
         return self.iterations if i in (1, -1) else (self.point, self.iterations)[i]
 
 
-def newton_correct(system, state, parameter: float, settings: ContinuationSettings,
+def newton_correct(system, state, parameter: float,
                    constraint: PseudoArclength | None = None,
                    projection: np.ndarray | None = None) -> Correction:
     """Correct a guess onto the solution set; returns (point, iterations used).
@@ -275,10 +265,10 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
     place on every iterate.  `projection`, the projector onto a fixed-point
     space Fix(S), is applied to every iterate, so the converged state lies
     in Fix(S) exactly.  Convergence is declared when the residual infinity
-    norm drops below newton_tol and the constraint holds; the `Correction`
+    norm drops below NEWTON_TOL and the constraint holds; the `Correction`
     carries that iterate's Jacobian and labels the point only when asked.
     Raises CorrectorFailure on a non-finite residual, a singular corrector
-    matrix or no convergence within newton_max_iters iterations, and
+    matrix or no convergence within NEWTON_MAX_ITERS iterations, and
     DomainExit when an iterate leaves the domain or the converged point is
     infeasible.
     """
@@ -295,7 +285,7 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         M[n] = row
         h = constraint.h
     res_norm = math.inf
-    for it in range(settings.newton_max_iters + 1):
+    for it in range(NEWTON_MAX_ITERS + 1):
         if projection is not None:
             x = projection @ x
         if not system.in_domain(x):
@@ -308,11 +298,11 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         if constraint is not None:
             z[:n], z[n] = x, p
             gap = row @ (z - z_prev) - h
-        if res_norm < settings.newton_tol and abs(gap) < 1e-10 * max(1.0, abs(h)):
+        if res_norm < NEWTON_TOL and abs(gap) < 1e-10 * max(1.0, abs(h)):
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
             return Correction(system, x, p, it, J)
-        if it == settings.newton_max_iters:
+        if it == NEWTON_MAX_ITERS:
             break
         try:
             if constraint is None:
@@ -325,18 +315,18 @@ def newton_correct(system, state, parameter: float, settings: ContinuationSettin
         except LinAlgError as exc:
             raise CorrectorFailure(f"singular corrector matrix ({exc})", res_norm, it) from exc
     raise CorrectorFailure(
-        f"no convergence in {settings.newton_max_iters} iterations (|F|={res_norm:.3e})",
-        res_norm, settings.newton_max_iters)
+        f"no convergence in {NEWTON_MAX_ITERS} iterations (|F|={res_norm:.3e})",
+        res_norm, NEWTON_MAX_ITERS)
 
 
-def _try_correct(system, state, parameter: float, settings: ContinuationSettings,
+def _try_correct(system, state, parameter: float,
                  constraint: PseudoArclength | None = None,
                  projection: np.ndarray | None = None) -> Correction | None:
     """`newton_correct`, or None where it raises `CorrectorFailure` or
     `DomainExit`: the one place a probe's or a seed's failed correction is
     decided."""
     try:
-        return newton_correct(system, state, parameter, settings, constraint, projection)
+        return newton_correct(system, state, parameter, constraint, projection)
     except (CorrectorFailure, DomainExit):
         return None
 
@@ -428,25 +418,25 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     fix, normals, projections = system.fixed_space(x0)
     phi = normals @ x0
     reached = end = end_point = None
-    h = settings.h0
+    h = min(1e-2, settings.h_max)
     s = 0.0
     while 1 + len(states) < settings.max_points:
         z_pred = z + h * t
         try:
             corrected = newton_correct(
-                system, z_pred[:-1], z_pred[-1], settings,
+                system, z_pred[:-1], z_pred[-1],
                 PseudoArclength(tuple(z[:-1]), float(z[-1]), tuple(t), h, tuple(w)), fix)
             jump = np.append(corrected.state, corrected.parameter) - z_pred
             if (w * jump) @ jump > 0.25 * h * h:  # converged onto another part of the curve
                 raise CorrectorFailure("correction farther than h/2 from its predictor")
         except (CorrectorFailure, DomainExit) as err:
-            if h <= settings.h_min and not states and isinstance(err, CorrectorFailure):
+            if h <= H_MIN and not states and isinstance(err, CorrectorFailure):
                 raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
             corrected = None
         at_edge = corrected is not None and not (window[0] <= corrected.parameter <= window[1])
         if at_edge:
             # the step left the window: end it on the edge it crossed instead
-            corrected = _edge_correction(system, z, corrected, window, w, settings, fix)
+            corrected = _edge_correction(system, z, corrected, window, w, fix)
         crossing = None
         if corrected is not None:
             x_new, z_new = corrected.state, np.append(corrected.state, corrected.parameter)
@@ -455,11 +445,11 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                                      | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
             if crossed.size:
                 crossing = _crossing_end(system, normals, projections, crossed, z, z_new, h,
-                                         targets, settings, bifurcation_kind)
+                                         targets, bifurcation_kind)
                 corrected = None if crossing is None else corrected  # it jumped across Fix(S')
-        if corrected is None:  # a failed step or a jump is shrunk and retried, or ends the trace at h_min
-            if h > settings.h_min:
-                h = max(h * settings.step_shrink, settings.h_min)
+        if corrected is None:  # a failed step or a jump is shrunk and retried, or ends the trace at H_MIN
+            if h > H_MIN:
+                h = max(h * STEP_SHRINK, H_MIN)
                 continue
             break
         if crossing is not None:
@@ -478,8 +468,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         z, t, w, phi = z_new, t_new, w_new, phi_new
         if at_edge:
             break
-        if corrected.iterations <= settings.contraction_target:
-            h = min(h * settings.step_growth, settings.h_max)
+        if corrected.iterations <= CONTRACTION_TARGET:
+            h = min(h * STEP_GROWTH, settings.h_max)
 
     labels = system.classify_stack(states, jacobians)
     start_order = system.isotropy_order(x0)
@@ -493,15 +483,14 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         BranchPoint(tuple(x), p, sk, c.stability, c.shape, c.index) for x, p, sk, c in
         zip(np.array(states).tolist(), params, arclengths, labels)]
     events: list[BifurcationEvent] = []
-    if settings.detection:
-        index = np.array([pt.index for pt in points])
-        for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
-            ev = detect_and_localize(system, points[i], points[i + 1], settings,
-                                     bifurcation_kind=bifurcation_kind,
-                                     monitors=(index[i], index[i + 1], slopes[i], slopes[i + 1]),
-                                     projection=fix)
-            if ev is not None:
-                events.append(ev)
+    index = np.array([pt.index for pt in points])
+    for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
+        ev = detect_and_localize(system, points[i], points[i + 1],
+                                 bifurcation_kind=bifurcation_kind,
+                                 monitors=(index[i], index[i + 1], slopes[i], slopes[i + 1]),
+                                 projection=fix)
+        if ev is not None:
+            events.append(ev)
     events += [end] if end is not None else []
     points += [end_point] if end_point is not None else []
     return (Branch(points=points, reached_event=None if reached is None else reached.id),
@@ -509,7 +498,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
 
 
 def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[float, float],
-                     w: np.ndarray, settings: ContinuationSettings, fix: np.ndarray) -> Correction | None:
+                     w: np.ndarray, fix: np.ndarray) -> Correction | None:
     """The branch point on the window edge that the step z -> `over` crossed,
     corrected at that fixed parameter in Fix(S) from the step's chord; None
     when z is not strictly inside the window, when the correction raises, or
@@ -521,7 +510,7 @@ def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[floa
     edge = window[0] if p < window[0] else window[1]
     z_over = np.append(over.state, p)
     guess = z + (edge - z[-1]) / (p - z[-1]) * (z_over - z)
-    got = _try_correct(system, guess[:-1], edge, settings, projection=fix)
+    got = _try_correct(system, guess[:-1], edge, projection=fix)
     if got is None:
         return None
     dz, dz_over = np.append(got.state, edge) - z, z_over - z
@@ -529,7 +518,7 @@ def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[floa
 
 
 def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.ndarray, h: float,
-                  targets: Sequence[BifurcationEvent], settings: ContinuationSettings, kind: str):
+                  targets: Sequence[BifurcationEvent], kind: str):
     """(end point, reached target, new event) of a step z_a -> z_b across Fix(S'_k), k in `ks`, or None.
 
     It ends on a target's group image in a crossed Fix(S'_k) within the
@@ -552,9 +541,9 @@ def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.nda
                 np.max(np.abs(projections[k] @ x - x)) <= 1e-6 * np.max(np.abs(x[1:])) for k in ks):
             return z_img, tg, None
     Q = projections[ks[0]]
-    ends = [_try_correct(system, Q @ z[:-1], z[-1], settings, projection=Q) for z in (z_a, z_b)]
-    ev = None if None in ends else detect_and_localize(system, ends[0].point, ends[1].point, settings,
-                                                       kind, projection=Q)
+    ends = [_try_correct(system, Q @ z[:-1], z[-1], projection=Q) for z in (z_a, z_b)]
+    ev = None if None in ends else detect_and_localize(system, ends[0].point, ends[1].point, kind,
+                                                       projection=Q)
     return None if ev is None else (np.append(ev.state, ev.parameter), None, ev)
 
 
@@ -575,7 +564,7 @@ def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
     return sorted(kept, key=lambda e: e.parameter)
 
 
-def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: ContinuationSettings,
+def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
                         bifurcation_kind: str = "secondary",
                         monitors: tuple[int, int, float, float] | None = None,
                         projection: np.ndarray | None = None) -> BifurcationEvent | None:
@@ -622,7 +611,7 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint, settings: Contin
 
     def corrected(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
         q = za + theta * chord
-        got = _try_correct(system, q[:-1], q[-1], settings,
+        got = _try_correct(system, q[:-1], q[-1],
                            PseudoArclength(tuple(q[:-1]), float(q[-1]), tuple(d), 0.0), projection)
         return None if got is None else (np.append(got.state, got.parameter), got.jacobian)
 
@@ -710,7 +699,7 @@ def is_isolated(system, x: np.ndarray, p: float) -> bool:
 
 
 def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float,
-                           delta: float, settings: ContinuationSettings) -> Correction | None:
+                           delta: float) -> Correction | None:
     """Walk out along a pitchfork wing by doubling the pinned amplitude.
 
     Each step is a `newton_correct` in Fix(S), projected with `P`, with the
@@ -721,7 +710,7 @@ def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray,
     the last good wing point.
     """
     def pinned(guess: np.ndarray, p: float, amp: float) -> Correction | None:
-        return _try_correct(system, guess, p, settings,
+        return _try_correct(system, guess, p,
                             PseudoArclength(tuple(x0), p0, tuple(v) + (0.0,), amp), P)
 
     got = pinned(x0 + delta * v, p0, delta)
@@ -737,9 +726,8 @@ def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray,
     return got
 
 
-def branch_switch(system, event: BifurcationEvent, reduction, settings: ContinuationSettings,
-                  trivial_curve=None, epsilon: float = 1e-3, pitchfork_delta: float = 1e-3,
-                  fd_step: float = 1e-4) -> tuple[list[BranchPoint], BranchSwitchData]:
+def branch_switch(system, event: BifurcationEvent, reduction,
+                  trivial_curve=None) -> tuple[list[BranchPoint], BranchSwitchData]:
     """Seed the branch emanating from a bifurcation event.
 
     In Fix(S), S the reduction's isotropy subgroup, the critical eigenvalue
@@ -748,12 +736,12 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
     directional difference of the projected residual P F along v; the
     parameter coefficient differentiates the projected Jacobian P J P along
     the known symmetric branch `trivial_curve`.  Their ratio gives the
-    branch slope m = -2*B0/A0 and two seeds at parameter offsets +-epsilon,
+    branch slope m = -2*B0/A0 and two seeds at parameter offsets +-SWITCH_EPSILON,
     corrected at fixed parameter.
 
     Degenerate (pitchfork) events, |A0| below 1e-8, and events without a
     `trivial_curve` are seeded by perturbing the critical state along v with
-    the amplitude pinned to +-pitchfork_delta and the parameter free; the
+    the amplitude pinned to +-PITCHFORK_DELTA and the parameter free; the
     amplitude is then doubled along the wing until the Jacobian spectrum
     clears zero, so the returned seeds are traceable.
 
@@ -767,8 +755,8 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
     x0 = np.array(event.state, dtype=float)
     p0 = float(event.parameter)
 
-    F0, Fp, Fm = (P @ system.evaluate(x, p0)[0] for x in (x0, x0 + fd_step * v, x0 - fd_step * v))
-    a0 = float(v @ ((Fp - 2.0 * F0 + Fm) / fd_step ** 2))
+    F0, Fp, Fm = (P @ system.evaluate(x, p0)[0] for x in (x0, x0 + FD_STEP * v, x0 - FD_STEP * v))
+    a0 = float(v @ ((Fp - 2.0 * F0 + Fm) / FD_STEP ** 2))
 
     b0 = 0.0
     if trivial_curve is not None:
@@ -782,11 +770,11 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
     m = 0.0
     if trivial_curve is not None and abs(a0) > 1e-8:
         m = -2.0 * b0 / a0
-        tries = [_try_correct(system, trivial_curve(p0 + eps) + eps * m * v, p0 + eps, settings, projection=P)
-                 for eps in (epsilon, -epsilon)]
+        tries = [_try_correct(system, trivial_curve(p0 + eps) + eps * m * v, p0 + eps, projection=P)
+                 for eps in (SWITCH_EPSILON, -SWITCH_EPSILON)]
     else:
-        tries = [_ramped_pitchfork_seed(system, P, v, x0, p0, delta, settings)
-                 for delta in (pitchfork_delta, -pitchfork_delta)]
+        tries = [_ramped_pitchfork_seed(system, P, v, x0, p0, delta)
+                 for delta in (PITCHFORK_DELTA, -PITCHFORK_DELTA)]
     seeds = [got.point for got in tries if got is not None]  # a seed that does not converge is left out
 
     data = BranchSwitchData(
@@ -794,7 +782,6 @@ def branch_switch(system, event: BifurcationEvent, reduction, settings: Continua
         A0_coef=a0,
         B0_coef=b0,
         m=m,
-        epsilon=epsilon,
     )
     return seeds, data
 

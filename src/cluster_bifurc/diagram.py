@@ -194,8 +194,8 @@ def _segment_color(sa: str, sb: str) -> str:
     return UNSTABLE_COLOR
 
 
-def render_svg(diagram: Diagram, projection, width: int = 800, height: int = 600) -> str:
-    """Render the diagram as standalone SVG text.
+def render_svg(diagram: Diagram, projection) -> str:
+    """Render the diagram as standalone 800 x 600 SVG text.
 
     One polyline per maximal same-color run of consecutive points, so the
     green/red partition changes exactly at the recorded stability changes;
@@ -214,7 +214,7 @@ def render_svg(diagram: Diagram, projection, width: int = 800, height: int = 600
     y_pad = 0.05 * (y_hi - y_lo) or 1.0
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-    margin = 60.0
+    width, height, margin = 800, 600, 60.0
 
     def to_screen(x: float, y: float) -> tuple[float, float]:
         sx = margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)

@@ -290,8 +290,8 @@ def potential_from_json(obj: dict) -> PotentialSpec:
                 continue  # defaults to a Hooke spring
             raise ConfigError(f"missing parameter {name!r} for family {family!r}", key=name)
         value = params[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"parameter {name!r} must be a number", key=name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+            raise ConfigError(f"parameter {name!r} must be a finite number, got {value!r}", key=name)
         kwargs[name] = float(value)
     try:
         return cls(**kwargs)

@@ -350,12 +350,12 @@ class FamilyTable:
         return f"{name}({equal})"
 
 
-def orbit(families: FamilyTable, branch: Branch, tol: float = 1e-9) -> list[Branch]:
+def orbit(families: FamilyTable, branch: Branch) -> list[Branch]:
     """All distinct images of a branch under the group of `families`.
 
     The branch's states are stacked once, and each group element's image is
     a column permutation of that array.  Two images are considered equal
-    when their point states agree within `tol` componentwise, in either
+    when their point states agree within 1e-9 componentwise, in either
     traversal order (a symmetry may reverse the parametrization of a branch
     that passes through a symmetric point).  Parameter, arclength,
     stability and index are copied unchanged, since conjugate states share
@@ -370,8 +370,8 @@ def orbit(families: FamilyTable, branch: Branch, tol: float = 1e-9) -> list[Bran
     kept: list[int] = []
     for i, image in enumerate(mapped):
         others = mapped[kept]
-        if not (np.any(np.all(np.abs(image - others) < tol, axis=(1, 2)))
-                or np.any(np.all(np.abs(image[::-1] - others) < tol, axis=(1, 2)))):
+        if not (np.any(np.all(np.abs(image - others) < 1e-9, axis=(1, 2)))
+                or np.any(np.all(np.abs(image[::-1] - others) < 1e-9, axis=(1, 2)))):
             kept.append(i)
     shapes = iter(families.shapes(mapped[kept]))
     return [Branch(points=[BranchPoint(tuple(x), pt.parameter, pt.arclength, pt.stability, next(shapes), pt.index)

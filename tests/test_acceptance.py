@@ -119,8 +119,7 @@ def _corrected_isosceles(iso, area, stability):
     """Newton-correct the traced point of the given stability nearest in area."""
     nearest = min((pt for pt in iso.points if pt.stability == stability),
                   key=lambda pt: abs(pt.parameter - area))
-    corrected, _ = newton_correct(LJ_TRIANGLE, np.asarray(nearest.state), area,
-                                  ContinuationSettings())
+    corrected, _ = newton_correct(LJ_TRIANGLE, np.asarray(nearest.state), area)
     return corrected
 
 
@@ -311,7 +310,7 @@ def test_criterion_7_tetra_thresholds():
 
     assert stability_boundaries4(HOOKE, (0.1, 50.0)) == []
     hooke = build_diagram("tetrahedron", HOOKE, (0.1, 50.0),
-                          ContinuationSettings(h_max=0.2), trivial_samples=120)
+                          ContinuationSettings(h_max=0.2))
     assert hooke.events == []
     assert len(hooke.branches) == 1
     assert all(pt.stability == "stable" for pt in hooke.branches[0].points)

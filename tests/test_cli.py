@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from cluster_bifurc.cli import (
 )
 from cluster_bifurc.cluster import stability_boundaries
 from cluster_bifurc.diagram import load_diagram
-from cluster_bifurc.potentials import Buckingham, ConfigError, LennardJones, PolynomialSpring
+from cluster_bifurc.potentials import Buckingham, ConfigError, LennardJones, PolynomialSpring, closed_form_thresholds
 from cluster_bifurc.continuation import (
     BifurcationEvent,
     ContinuationSettings,
@@ -188,7 +190,6 @@ def test_diagram_subcommand_and_determinism(tmp_path):
         "potential": {"family": "spring", "params": {"k": 1, "beta": -0.1}},
         "window": [0.5, 6.0],
         "continuation": {"h_max": 0.05, "max_points": 200},
-        "trivial_samples": 50,
     }
     cfg = write_config(tmp_path, cfg_obj)
     out1 = tmp_path / "run1"
@@ -204,17 +205,56 @@ def test_diagram_subcommand_and_determinism(tmp_path):
     assert any(ev.kind == "primary" for ev in d.events)
 
 
-def test_a_diagram_without_points_and_with_svg_exits_2_before_writing(tmp_path, capsys):
-    # the Hooke triangle has no margin zero on (0.5, 2), so without samples nothing is drawn
-    cfg = write_config(tmp_path, {"problem": "triangle",
-                                  "potential": {"family": "spring", "params": {"k": 1, "beta": 0}},
-                                  "window": [0.5, 2.0], "trivial_samples": 0})
+@pytest.mark.parametrize("command", ["diagram", "stability", "trace", "trivial", "verify"])
+@pytest.mark.parametrize("item, key", [
+    ("contination.h_max=0.01", "contination"),  # a misspelt key, not a build at the default h_max
+    ("grid_n=2000", "grid_n"),
+    ("grid_n=Infinity", "grid_n"),
+    ("trivial_samples=400", "trivial_samples"),
+    ("trivial_samples=NaN", "trivial_samples"),
+])
+def test_an_unknown_top_level_key_exits_2_before_any_work(tmp_path, capsys, command, item, key):
+    cfg = write_config(tmp_path, {**LJ_STABILITY, "values": [0.5]})
     out_dir = tmp_path / "out"
-    assert main(["diagram", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
-    assert "(field: trivial_samples)" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(out_dir), "--set", item]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {key})" in captured.err and captured.out == ""
     assert not out_dir.exists()
-    assert main(["diagram", "--config", cfg, "--out", str(out_dir), "--set", 'outputs=["json"]']) == EXIT_OK
-    assert sorted(f.name for f in out_dir.iterdir()) == ["diagram.json", "run_meta.json"]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_potential_parameter_exits_2_before_writing(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, {"problem": "triangle",
+                                  "potential": {"family": "spring", "params": {"k": 1, "beta": -0.1}},
+                                  "window": [0.5, 6.0]})
+    out_dir = tmp_path / "out"
+    argv = ["diagram", "--config", cfg, "--out", str(out_dir), "--set", f"potential.params.beta={value}"]
+    assert main(argv) == EXIT_CONFIG
+    assert "(field: beta)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_a_margin_root_below_1e_6_is_scanned_and_agrees_with_the_closed_form(tmp_path, capsys):
+    # the slope's central difference steps 1e-6 relative to the root, so it
+    # never evaluates the margin at a negative area
+    potential = {"family": "lennard_jones", "params": {"c1": 1e-20, "c2": 1, "delta1": 12, "delta2": 6}}
+    cfg = write_config(tmp_path, {"problem": "triangle", "potential": potential, "window": [1e-8, 1e-6]})
+    assert main(["stability", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    (closed,) = closed_form_thresholds(LennardJones(1e-20, 1, 12, 6), "triangle")
+    (root,) = (float(v) for v in re.findall(r"root at (\S+)", out))
+    assert closed.value == pytest.approx(1.5952e-7, rel=1e-4)
+    assert root == pytest.approx(closed.value, rel=1e-9)
+    assert "agrees" in out and "NON-TRANSVERSAL" not in out
+
+
+def test_the_readme_config_builds(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = write_config(tmp_path, json.loads(block))
+    out_dir = tmp_path / "out"
+    assert main(["diagram", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
+    assert {f.name for f in out_dir.iterdir()} == {"diagram.json", "diagram.csv", "diagram.svg", "run_meta.json"}
 
 
 def test_build_diagram_rejects_bad_window():
@@ -284,7 +324,7 @@ def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypa
 
     system, ev, reduction = _primary_switch()
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
-    seed = branch_switch(system, ev, reduction, settings, trivial_curve=system.trivial_state)[0][0]
+    seed = branch_switch(system, ev, reduction, trivial_curve=system.trivial_state)[0][0]
     center = np.append(ev.state, ev.parameter)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", None)  # a single job never reaches the pool
     want = trace_branch(system, seed, seed.z() - center, settings, window, targets=(ev,))
@@ -323,7 +363,7 @@ def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
     monkeypatch.setattr(cli, "branch_switch", first_seed_only)
     entry = cli._switch_and_trace(system, ev, reduction, settings, window, system.trivial_state, (ev,))
-    (seed,), _ = first_seed_only(system, ev, reduction, settings, trivial_curve=system.trivial_state)
+    (seed,), _ = first_seed_only(system, ev, reduction, trivial_curve=system.trivial_state)
     half, events = trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings,
                                 window, targets=(ev,))
     assert entry.branch.points == half.points and entry.branch.points[0] == replace(seed, arclength=0.0)
@@ -353,7 +393,7 @@ def test_stacked_trivial_branch_labels_equal_the_per_point_ones(problem, spec, w
     system = make_system(problem, spec)
     events = [r.parameter for r in stability_boundaries(system.geometry, spec, window)]
     assert events
-    branch = _trivial_branch(system, window, 400, events)
+    branch = _trivial_branch(system, window, events)
     assert len(branch.points) == 400 + len(events)
     s = 0.0
     for i, pt in enumerate(branch.points):
@@ -367,19 +407,3 @@ def test_stacked_trivial_branch_labels_equal_the_per_point_ones(problem, spec, w
     # every primary event is a marginal point (a sample may sit close enough to one to be marginal too)
     marginal = {pt.parameter for pt in branch.points if pt.stability == "marginal"}
     assert set(events) <= marginal
-
-
-@pytest.mark.parametrize("samples", [0, 1])
-def test_a_trivial_branch_of_zero_or_one_samples(samples):
-    # the Hooke triangle has no margin zero, so the samples are all the branch has
-    spec = PolynomialSpring(1, 0)
-    diagram = build_diagram("triangle", spec, (0.5, 2.0), trivial_samples=samples)
-    assert (len(diagram.branches), len(diagram.events)) == (1, 0)
-    points = diagram.branches[0].points
-    assert len(points) == samples
-    system = make_system("triangle", spec)
-    for pt in points:
-        assert pt == classified_point(system, system.trivial_state(0.5), 0.5)
-    # one extra parameter alone makes a branch of one point
-    assert _trivial_branch(system, (0.5, 2.0), 0, [0.7]).points == [
-        classified_point(system, system.trivial_state(0.7), 0.7)]

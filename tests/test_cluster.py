@@ -17,6 +17,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from cluster_bifurc import cluster
 from cluster_bifurc.cluster import BoundaryRoot, Classification, ClusterProblem, scan_boundary_roots
 from cluster_bifurc.linalg import householder_complement, sym_eigen
 from cluster_bifurc.potentials import (
@@ -431,13 +432,14 @@ def test_core_is_bit_identical_to_the_per_geometry_copies(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stability_boundaries_match_the_per_geometry_copies(name):
+def test_stability_boundaries_match_the_per_geometry_copies(monkeypatch, name):
     case = CASES[name]
     new, ref = case["boundaries"]
+    monkeypatch.setattr(cluster, "SCAN_POINTS", 400)  # a coarser grid than the scan's keeps this quick
     found = 0
     for spec in SPECS:
         for window in case["windows"]:
-            got, want = new(spec, window, 400), ref(spec, window, 400)
+            got, want = new(spec, window), ref(spec, window, 400)
             assert got == want
             assert all(isinstance(r, BoundaryRoot) for r in got)
             found += len(got)
@@ -482,7 +484,7 @@ def test_bordered_inertia_is_tangent_inertia_plus_one(name):
         checked += 1
     assert checked >= 180
 
-    roots = case["boundaries"][0](spec, case["windows"][0], 400)
+    roots = case["boundaries"][0](spec, case["windows"][0])
     assert roots
     for root in roots:
         w_J, w_T, J = spectra(case["trivial"](spec, root.parameter))

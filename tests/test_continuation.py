@@ -53,37 +53,35 @@ def make_primary_event(system, parameter):
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        ContinuationSettings(h0=1.0, h_max=0.5)
-    with pytest.raises(ValueError):
-        ContinuationSettings(h_min=0.0)
-    # a bool passes every bound as 0 or 1
-    for name in ("h0", "h_min", "h_max", "newton_tol", "step_growth", "step_shrink"):
-        with pytest.raises(ValueError, match=name):
-            ContinuationSettings(**{"h_max": 2.0, "h0": 1.0, name: True})
+    # a bool passes every bound as 0 or 1, and an infinite step passes a plain comparison
+    for h_max in (0.0, 1e-7, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="h_max"):
+            ContinuationSettings(h_max=h_max)
+    for max_points in (1, 2.5, True):
+        with pytest.raises(ValueError, match="max_points"):
+            ContinuationSettings(max_points=max_points)
+    assert ContinuationSettings(h_max=continuation.H_MIN).h_max == continuation.H_MIN
 
 
 def test_newton_correct_trivial_is_instant():
     system = lj_system()
-    settings = ContinuationSettings()
-    point, its = newton_correct(system, system.trivial_state(0.5), 0.5, settings)
+    point, its = newton_correct(system, system.trivial_state(0.5), 0.5)
     assert its <= 1
-    assert np.max(np.abs(system.evaluate(np.asarray(point.state), 0.5)[0])) < settings.newton_tol
+    assert np.max(np.abs(system.evaluate(np.asarray(point.state), 0.5)[0])) < continuation.NEWTON_TOL
 
 
 def test_newton_correct_recovers_perturbation():
     system = lj_system()
-    settings = ContinuationSettings()
     x = system.trivial_state(0.4)
     x[1] += 1e-3
-    point, _ = newton_correct(system, x, 0.4, settings)
+    point, _ = newton_correct(system, x, 0.4)
     assert np.max(np.abs(np.asarray(point.state) - system.trivial_state(0.4))) < 1e-9
 
 
 def test_newton_correct_domain_error():
     system = lj_system()
     with pytest.raises(DomainExit):
-        newton_correct(system, [0.0, -1.0, 1.0, 1.0], 0.5, ContinuationSettings())
+        newton_correct(system, [0.0, -1.0, 1.0, 1.0], 0.5)
 
 
 class FlatTriangle(ClusterProblem):
@@ -96,33 +94,31 @@ class FlatTriangle(ClusterProblem):
 
 def test_singular_corrector_matrix_is_a_corrector_failure():
     system = FlatTriangle(TRIANGLE, LJ)
-    settings = ContinuationSettings()
     x = system.trivial_state(0.4)
     x[1] += 1e-3
     with pytest.raises(CorrectorFailure, match="singular corrector matrix"):
-        newton_correct(system, x, 0.4, settings)
+        newton_correct(system, x, 0.4)
     with pytest.raises(CorrectorFailure, match="singular corrector matrix"):
-        newton_correct(system, x, 0.4, settings,
+        newton_correct(system, x, 0.4,
                        PseudoArclength(tuple(x), 0.4, tuple(np.eye(5)[1]), 0.0))
 
 
-def test_newton_correct_failure_on_hopeless_guess():
+def test_newton_correct_failure_on_hopeless_guess(monkeypatch):
     system = lj_system()
-    settings = ContinuationSettings(newton_max_iters=3)
+    monkeypatch.setattr(continuation, "NEWTON_MAX_ITERS", 3)
     with pytest.raises((CorrectorFailure, DomainExit)):
-        newton_correct(system, [50.0, 9.0, 0.01, 5.0], 0.5, settings)
+        newton_correct(system, [50.0, 9.0, 0.01, 5.0], 0.5)
 
 
 def test_arclength_constraint_holds():
     system = lj_system()
-    settings = ContinuationSettings()
     x0 = system.trivial_state(0.5)
     z0 = np.append(x0, 0.5)
     from cluster_bifurc.continuation import metric_weights
     w = metric_weights(z0)
     t = branch_tangent(system, x0, 0.5, np.array([0, 0, 0, 0, 1.0]), w)
     h = 1e-2
-    point, _ = newton_correct(system, x0, 0.5, settings,
+    point, _ = newton_correct(system, x0, 0.5,
                               PseudoArclength(tuple(x0), 0.5, tuple(t), h, tuple(w)))
     z1 = point.z()
     assert abs((w * t) @ (z1 - z0) - h) < 1e-9
@@ -130,7 +126,8 @@ def test_arclength_constraint_holds():
 
 # ---------------------------------------------------------------------------
 # references: the corrector and tangent as they stood before the in-place
-# bordered step, kept verbatim except that the corrector returns a tuple
+# bordered step, kept verbatim except that the corrector returns a tuple and
+# reads its tolerance and iteration bound from `continuation`
 
 
 def _ref_bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np.ndarray) -> np.ndarray:
@@ -142,7 +139,7 @@ def _ref_bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np
     return M
 
 
-def _ref_newton_correct(system, state, parameter, settings, constraint=None, projection=None):
+def _ref_newton_correct(system, state, parameter, constraint=None, projection=None):
     n = system.dim
     x = np.array(state, dtype=float)
     p = float(parameter)
@@ -154,7 +151,7 @@ def _ref_newton_correct(system, state, parameter, settings, constraint=None, pro
             row = np.asarray(constraint.weights, dtype=float) * row
         h = constraint.h
     res_norm = math.inf
-    for it in range(settings.newton_max_iters + 1):
+    for it in range(continuation.NEWTON_MAX_ITERS + 1):
         if projection is not None:
             x = projection @ x
         if not system.in_domain(x):
@@ -164,11 +161,11 @@ def _ref_newton_correct(system, state, parameter, settings, constraint=None, pro
             raise CorrectorFailure("non-finite residual", math.inf, it)
         res_norm = float(np.max(np.abs(F)))
         gap = 0.0 if constraint is None else row @ (np.append(x, p) - z_prev) - h
-        if res_norm < settings.newton_tol and abs(gap) < 1e-10 * max(1.0, abs(h)):
+        if res_norm < continuation.NEWTON_TOL and abs(gap) < 1e-10 * max(1.0, abs(h)):
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
             return x, p, it, J
-        if it == settings.newton_max_iters:
+        if it == continuation.NEWTON_MAX_ITERS:
             break
         try:
             if constraint is None:
@@ -179,8 +176,8 @@ def _ref_newton_correct(system, state, parameter, settings, constraint=None, pro
         except np.linalg.LinAlgError as exc:
             raise CorrectorFailure(f"singular corrector matrix ({exc})", res_norm, it) from exc
     raise CorrectorFailure(
-        f"no convergence in {settings.newton_max_iters} iterations (|F|={res_norm:.3e})",
-        res_norm, settings.newton_max_iters)
+        f"no convergence in {continuation.NEWTON_MAX_ITERS} iterations (|F|={res_norm:.3e})",
+        res_norm, continuation.NEWTON_MAX_ITERS)
 
 
 def _ref_branch_tangent(system, x, p, t_prev, weights=None, J=None):
@@ -255,7 +252,7 @@ def test_corrector_and_tangent_are_bit_identical_to_the_allocating_ones(monkeypa
     kinds = Counter()
     for args, kwargs in corrections:
         failure = _assert_same_correction(args, kwargs)
-        bordered = (args[4] if len(args) > 4 else kwargs.get("constraint")) is not None
+        bordered = (args[3] if len(args) > 3 else kwargs.get("constraint")) is not None
         kinds[failure or ("bordered" if bordered else "square")] += 1
     for args, kwargs in tangents:
         assert _bits(branch_tangent(*args, **kwargs)) == _bits(_ref_branch_tangent(*args, **kwargs))
@@ -271,9 +268,8 @@ class _Infeasible(ClusterProblem):
         return False
 
 
-def test_each_corrector_failure_matches_the_allocating_corrector():
+def test_each_corrector_failure_matches_the_allocating_corrector(monkeypatch):
     system = lj_system()
-    settings = ContinuationSettings()
     x0 = system.trivial_state(0.5)
     z0 = np.append(x0, 0.5)
     w = metric_weights(z0)
@@ -296,17 +292,18 @@ def test_each_corrector_failure_matches_the_allocating_corrector():
     ]
     for system_i, state, kwargs_list, kind, message in cases:
         for kwargs in kwargs_list:
-            assert _assert_same_correction((system_i, state, 0.5, settings), kwargs) is kind
+            assert _assert_same_correction((system_i, state, 0.5), kwargs) is kind
             with pytest.raises(kind, match=message):
-                newton_correct(system_i, state, 0.5, settings, **kwargs)
-    stalled = ContinuationSettings(newton_max_iters=1)
-    for args in ((system, off, 0.5, stalled), (system, guess[:-1], guess[-1], stalled, arclength),
-                 (system, guess[:-1], guess[-1], stalled, arclength, fix)):
-        assert _assert_same_correction(args, {}) is CorrectorFailure
-        with pytest.raises(CorrectorFailure, match="no convergence in 1 iterations"):
-            newton_correct(*args)
-    for args in ((system, off, 0.5, settings), (system, guess[:-1], guess[-1], settings, arclength),
-                 (system, guess[:-1], guess[-1], settings, arclength, fix)):
+                newton_correct(system_i, state, 0.5, **kwargs)
+    cases = ((system, off, 0.5), (system, guess[:-1], guess[-1], arclength),
+             (system, guess[:-1], guess[-1], arclength, fix))
+    with monkeypatch.context() as stalled:
+        stalled.setattr(continuation, "NEWTON_MAX_ITERS", 1)
+        for args in cases:
+            assert _assert_same_correction(args, {}) is CorrectorFailure
+            with pytest.raises(CorrectorFailure, match="no convergence in 1 iterations"):
+                newton_correct(*args)
+    for args in cases:
         assert _assert_same_correction(args, {}) is None
 
 
@@ -321,7 +318,7 @@ def test_tangent_orientation_is_stable():
 def test_trace_trivial_branch_stability_flip():
     system = lj_system()
     settings = ContinuationSettings(h_max=0.02)
-    start, _ = newton_correct(system, system.trivial_state(0.3), 0.3, settings)
+    start, _ = newton_correct(system, system.trivial_state(0.3), 0.3)
     hint = np.zeros(5)
     hint[-1] = 1.0
     branch, events = trace_branch(system, start, hint, settings, (0.3, 0.8),
@@ -339,7 +336,7 @@ def test_trace_trivial_branch_stability_flip():
     assert primaries[0].kernel_dim == 2
     # residual invariant: every accepted point solves the system
     for pt in branch.points[:: max(1, len(branch.points) // 20)]:
-        assert np.max(np.abs(system.evaluate(np.asarray(pt.state), pt.parameter)[0])) < settings.newton_tol
+        assert np.max(np.abs(system.evaluate(np.asarray(pt.state), pt.parameter)[0])) < continuation.NEWTON_TOL
     # stability changes only across the recorded event
     for i in range(1, len(branch.points)):
         a, b = branch.points[i - 1], branch.points[i]
@@ -351,7 +348,7 @@ def test_trace_buckingham_trivial_stable_window():
     spec = Buckingham(1, 1, 1, 4)
     system = ClusterProblem(TRIANGLE, spec)
     settings = ContinuationSettings(h_max=0.2)
-    start, _ = newton_correct(system, system.trivial_state(1.0), 1.0, settings)
+    start, _ = newton_correct(system, system.trivial_state(1.0), 1.0)
     hint = np.zeros(5)
     hint[-1] = 1.0
     branch, events = trace_branch(system, start, hint, settings, (1.0, 100.0),
@@ -371,7 +368,7 @@ def test_trace_buckingham_trivial_stable_window():
 def test_trace_hooke_emits_no_events():
     system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
-    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
+    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1)
     hint = np.zeros(5)
     hint[-1] = 1.0
     branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
@@ -402,7 +399,7 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
 
     system = ClusterProblem(replace(TRIANGLE, terms=terms), PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
-    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
+    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1)
     counts.clear()
     monkeypatch.setattr(cluster, "classify_stack", stack)
     monkeypatch.setattr(continuation, "newton_correct", correct)
@@ -427,15 +424,15 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
 
     def correct(*args, **kwargs):
         out = newton_correct(*args, **kwargs)
-        calls.append((kwargs.get("constraint", args[4] if len(args) > 4 else None), out))
+        calls.append((kwargs.get("constraint", args[3] if len(args) > 3 else None), out))
         return out
 
     system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
-    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
+    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1)
     monkeypatch.setattr(cluster, "classify_stack", stack)
     monkeypatch.setattr(continuation, "newton_correct", correct)
-    corrected = newton_correct(system, system.trivial_state(0.2), 0.2, settings)
+    corrected = newton_correct(system, system.trivial_state(0.2), 0.2)
     assert corrected[1] == corrected.iterations and rows == []
     assert corrected[0] is corrected.point and rows == [1]
     rows.clear()
@@ -464,7 +461,7 @@ def test_a_failed_edge_correction_falls_back_to_a_shorter_step(monkeypatch, fail
 
     system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
-    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1, settings)
+    start, _ = newton_correct(system, system.trivial_state(0.1), 0.1)
     monkeypatch.setattr(continuation, "newton_correct", correct)
     hint = np.zeros(5)
     hint[-1] = 1.0
@@ -481,8 +478,7 @@ def test_stacked_trace_labels_equal_the_per_point_ones():
     system = lj_system()
     settings = ContinuationSettings(h_max=0.2)
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, isosceles(), settings,
-                             trivial_curve=system.trivial_state)
+    seeds, _ = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
     center = np.append(ev.state, ev.parameter)
     kinds, indices = [], set()
     for seed in seeds:
@@ -503,16 +499,16 @@ def _lennard_jones_secondaries():
     return lj_system(), low, high
 
 
-def _scalene_seeds(system, ev, settings):
+def _scalene_seeds(system, ev):
     reduction = Reduction(PermGroup((Perm.identity(4),)), ev.kernel[0])
-    seeds, _ = branch_switch(system, ev, reduction, settings)
+    seeds, _ = branch_switch(system, ev, reduction)
     return [(seed, seed.z() - np.append(ev.state, ev.parameter)) for seed in seeds]
 
 
 def test_crossing_ends_the_trace_exactly_on_the_image_of_a_target():
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.2)
-    for seed, hint in _scalene_seeds(system, low, settings):
+    for seed, hint in _scalene_seeds(system, low):
         branch, events = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=(low, high))
         assert events == [] and branch.reached_event == high.id
         end = branch.points[-1]
@@ -526,7 +522,7 @@ def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
     # finds the upper one as the point where u^t J u vanishes on the isosceles branch
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.05)
-    for seed, hint in _scalene_seeds(system, low, settings):
+    for seed, hint in _scalene_seeds(system, low):
         branch, events = trace_branch(system, seed, hint, settings, (0.3, 0.9))
         assert len(events) == 1 and branch.reached_event is None
         ev = events[0]
@@ -534,7 +530,7 @@ def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
         assert ev.parameter == pytest.approx(high.parameter, rel=1e-9)
         assert branch.points[-1].state == ev.state and branch.points[-1].shape.startswith("isosceles")
         x = np.asarray(ev.state)
-        assert np.max(np.abs(system.evaluate(x, ev.parameter)[0])) < settings.newton_tol
+        assert np.max(np.abs(system.evaluate(x, ev.parameter)[0])) < continuation.NEWTON_TOL
         # the kernel is the direction e_i - e_j across the isosceles line
         kernel = np.asarray(ev.kernel[0])
         assert kernel[0] == pytest.approx(0.0, abs=1e-6)
@@ -547,7 +543,7 @@ def test_a_step_onto_the_mirror_branch_is_a_jump():
     # on one side of the secondary, so they bracket no index change
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.2)
-    seed, hint = _scalene_seeds(system, low, settings)[0]
+    seed, hint = _scalene_seeds(system, low)[0]
     branch, _ = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=(low, high))
     end = np.asarray(branch.points[-1].state)
     x_a, x_b = (np.asarray(pt.state) for pt in branch.points[-2:-4:-1])
@@ -557,8 +553,7 @@ def test_a_step_onto_the_mirror_branch_is_a_jump():
     _, normals, projections = system.fixed_space(x_a)
     ks = np.flatnonzero((normals @ z_a[:-1]) * (normals @ z_b[:-1]) < 0.0)
     assert ks.size and max(z_a[-1], z_b[-1]) < high.parameter
-    assert continuation._crossing_end(system, normals, projections, ks, z_a, z_b, 0.2, (), settings,
-                                      "secondary") is None
+    assert continuation._crossing_end(system, normals, projections, ks, z_a, z_b, 0.2, (), "secondary") is None
 
 
 class _LandsPast(ClusterProblem):
@@ -591,7 +586,7 @@ def test_landing_on_a_more_symmetric_point_ends_the_trace_before_it(with_targets
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.2)
     targets = (low, high) if with_targets else ()
-    for seed, hint in _scalene_seeds(system, low, settings):
+    for seed, hint in _scalene_seeds(system, low):
         full, full_events = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=targets)
         assert full_events or full.reached_event is not None
         kept = [pt for pt in full.points if pt.parameter < 0.645]
@@ -605,26 +600,23 @@ def test_index_monitor_jumps_by_two_across_the_double_crossing():
     # two eigenvalues cross together at the primary A0, which leaves the
     # determinant sign as it was; the tangent-space index moves by 2
     system = lj_system()
-    settings = ContinuationSettings()
-    below, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01, settings)
-    above, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01, settings)
+    below, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01)
+    above, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01)
     assert abs(below.index - above.index) == 2
 
 
 def test_detect_no_event_on_quiet_segment():
     system = lj_system()
-    settings = ContinuationSettings()
-    a, _ = newton_correct(system, system.trivial_state(0.40), 0.40, settings)
-    b, _ = newton_correct(system, system.trivial_state(0.41), 0.41, settings)
-    assert detect_and_localize(system, a, b, settings) is None
+    a, _ = newton_correct(system, system.trivial_state(0.40), 0.40)
+    b, _ = newton_correct(system, system.trivial_state(0.41), 0.41)
+    assert detect_and_localize(system, a, b) is None
 
 
 def test_detect_primary_between_trivial_points():
     system = lj_system()
-    settings = ContinuationSettings()
-    a, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01, settings)
-    b, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01, settings)
-    ev = detect_and_localize(system, a, b, settings, bifurcation_kind="primary")
+    a, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01)
+    b, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01)
+    ev = detect_and_localize(system, a, b, bifurcation_kind="primary")
     assert ev is not None
     assert ev.kind == "primary"
     assert ev.parameter == pytest.approx(A0, abs=1e-8)
@@ -634,10 +626,8 @@ def test_detect_primary_between_trivial_points():
 
 def test_branch_switch_transcritical_isosceles():
     system = lj_system()
-    settings = ContinuationSettings()
     ev = make_primary_event(system, A0)
-    seeds, data = branch_switch(system, ev, isosceles(), settings,
-                                trivial_curve=system.trivial_state)
+    seeds, data = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
     assert len(seeds) == 2
     assert abs(data.A0_coef) > 1.0  # genuinely trans-critical
     assert data.m != 0.0
@@ -646,7 +636,7 @@ def test_branch_switch_transcritical_isosceles():
     assert params[1] == pytest.approx(A0 + 1e-3, abs=1e-12)
     for pt in seeds:
         x = np.asarray(pt.state)
-        assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < 10 * settings.newton_tol
+        assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < 10 * continuation.NEWTON_TOL
         assert pt.shape == "isosceles(b=c)"
         assert abs(x[1] - x[2]) > 1e-4  # genuinely nontrivial
 
@@ -654,10 +644,8 @@ def test_branch_switch_transcritical_isosceles():
 def test_branch_switch_seeds_straddle_the_parameter():
     # trans-criticality: the two seeds continue to opposite sides of A0
     system = lj_system()
-    settings = ContinuationSettings()
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, isosceles(), settings,
-                             trivial_curve=system.trivial_state)
+    seeds, _ = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
     sides = {int(np.sign(pt.parameter - A0)) for pt in seeds}
     assert sides == {-1, 1}
 
@@ -665,11 +653,9 @@ def test_branch_switch_seeds_straddle_the_parameter():
 def test_branch_switch_buckingham_second_root():
     spec = Buckingham(1, 1, 1, 4)
     system = ClusterProblem(TRIANGLE, spec)
-    settings = ContinuationSettings()
     roots = stability_boundaries3(spec, (1.0, 100.0))
     ev = make_primary_event(system, roots[1].parameter)
-    seeds, _ = branch_switch(system, ev, isosceles(), settings,
-                             trivial_curve=system.trivial_state)
+    seeds, _ = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
     assert len(seeds) == 2
     for pt in seeds:
         assert pt.shape.startswith("isosceles")
@@ -682,7 +668,7 @@ def test_a_symmetric_curve_that_does_not_move_is_not_transversal():
     ev = make_primary_event(system, A0)
     fixed = system.trivial_state(A0)
     with pytest.raises(continuation.TransversalityError) as err:
-        branch_switch(system, ev, isosceles(), ContinuationSettings(), trivial_curve=lambda p: fixed)
+        branch_switch(system, ev, isosceles(), trivial_curve=lambda p: fixed)
     assert err.value.slope_estimate == 0.0
 
 
@@ -706,7 +692,7 @@ def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
     monkeypatch.setattr(system, "evaluate", counting)
     monkeypatch.setattr(continuation, "newton_correct", correct)
     seeds, _ = branch_switch(system, make_primary_event(system, A0), isosceles(),
-                             ContinuationSettings(), trivial_curve=system.trivial_state)
+                             trivial_curve=system.trivial_state)
     # the three differences of A0 and the two of B0 along the symmetric
     # branch; no seed evaluates its own Jacobian outside its correction
     assert len(seeds) == 2 and len(outside) == 3 + 2
@@ -731,8 +717,8 @@ def test_continuation_needs_only_the_documented_interface():
     problem = lj_system()
     system = _DocumentedInterface(problem)
     settings = ContinuationSettings(h_max=0.02)
-    start, _ = newton_correct(problem, problem.trivial_state(0.55), 0.55, settings)
-    assert newton_correct(system, problem.trivial_state(0.55), 0.55, settings).point == start
+    start, _ = newton_correct(problem, problem.trivial_state(0.55), 0.55)
+    assert newton_correct(system, problem.trivial_state(0.55), 0.55).point == start
     hint = np.zeros(5)
     hint[-1] = 1.0
     want = trace_branch(problem, start, hint, settings, (0.55, 0.62), bifurcation_kind="primary")
@@ -740,8 +726,8 @@ def test_continuation_needs_only_the_documented_interface():
     assert got == want and [ev.kind for ev in got[1]] == ["primary"]
     ev = make_primary_event(problem, A0)
     for curve in (problem.trivial_state, None):
-        want = branch_switch(problem, ev, isosceles(), settings, trivial_curve=curve)
-        got = branch_switch(system, ev, isosceles(), settings, trivial_curve=curve)
+        want = branch_switch(problem, ev, isosceles(), trivial_curve=curve)
+        got = branch_switch(system, ev, isosceles(), trivial_curve=curve)
         assert got == want and len(got[0]) == 2 and (got[1].m == 0.0) == (curve is None)
 
 
@@ -766,10 +752,10 @@ def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, r
         x = np.linalg.solve(M, b)
         return x * (1.0 + rel * np.linspace(-1.0, 1.0, len(x)))
 
-    def recording(system, event, reduction, settings, trivial_curve=None, **kwargs):
-        seeds, data = branch_switch(system, event, reduction, settings, trivial_curve=trivial_curve, **kwargs)
+    def recording(system, event, reduction, trivial_curve=None):
+        seeds, data = branch_switch(system, event, reduction, trivial_curve=trivial_curve)
         if trivial_curve is not None:  # a switch off the symmetric branch
-            switches.append((system, reduction, settings, seeds, data))
+            switches.append((system, reduction, seeds, data))
         return seeds, data
 
     monkeypatch.setattr(cli, "branch_switch", recording)
@@ -778,12 +764,12 @@ def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, r
     assert switches
     # transcritical seeds carry the slope m; the pitchfork ramp leaves it 0
     assert sum(data.m == 0.0 for *_, data in switches) == pitchforks
-    for system, reduction, settings, seeds, _ in switches:
+    for system, reduction, seeds, _ in switches:
         assert len(seeds) == 2
         for pt in seeds:
             x = np.asarray(pt.state)
             assert all(np.array_equal(P.apply(x), x) for P in reduction.subgroup)
-            assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < settings.newton_tol
+            assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < continuation.NEWTON_TOL
 
 
 def test_dedup_events():
@@ -811,7 +797,7 @@ def test_dedup_events_keeps_the_first_event_found(order):
 def test_concatenate_rebuilds_arclength():
     system = lj_system()
     settings = ContinuationSettings(max_points=8)
-    start, _ = newton_correct(system, system.trivial_state(0.4), 0.4, settings)
+    start, _ = newton_correct(system, system.trivial_state(0.4), 0.4)
     hint = np.zeros(5)
     hint[-1] = 1.0
     up, _ = trace_branch(system, start, hint, settings, (0.3, 0.8))

@@ -64,7 +64,7 @@ def random_diagram(seed):
                              shape="scalene", index=int(rng.integers(0, 3))))
         branches.append(Branch(points=pts, id=bid, label=f"b{bid}"))
     return Diagram(problem="triangle", potential={"family": "spring", "params": {"k": 1.0, "beta": 0.0}},
-                   window=(0.1, 2.5), settings=ContinuationSettings(h0=5e-3), branches=branches,
+                   window=(0.1, 2.5), settings=ContinuationSettings(h_max=5e-3), branches=branches,
                    events=[])
 
 
@@ -97,15 +97,13 @@ SMALL_DIAGRAM_JSON = (
     b'"state":[-1.1,1.05,1.05,1.05]}],'
     b'"potential":{"family":"lennard_jones","params":{"c1":1.0,"c2":2.0,"delta1":12.0,"delta2":6.0}},'
     b'"problem":"triangle",'
-    b'"settings":{"contraction_target":4,"detection":true,"h0":0.01,"h_max":0.5,"h_min":1e-06,'
-    b'"max_points":5000,"newton_max_iters":20,"newton_tol":1e-10,"step_growth":1.5,'
-    b'"step_shrink":0.5},'
-    b'"version":"0.2.0","window":[0.4,0.55]}'
+    b'"settings":{"h_max":0.5,"max_points":5000},'
+    b'"version":"0.3.0","window":[0.4,0.55]}'
 )
 
 
 def test_json_bytes_are_pinned():
-    assert export(replace(small_diagram(), version="0.2.0"), "json") == SMALL_DIAGRAM_JSON
+    assert export(replace(small_diagram(), version="0.3.0"), "json") == SMALL_DIAGRAM_JSON
 
 
 def test_json_round_trip_of_a_built_diagram_with_events():

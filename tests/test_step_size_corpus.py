@@ -1,10 +1,10 @@
 """Step-size invariance over a corpus of potentials.
 
 A diagram should depend on the potential and the window, not on the step.
-Every case is built at a coarse and a fine `h_max`, with h0 = min(0.01,
-h_max) and `max_points` 4000, and must give the same events (kind,
-parameter to 6 significant digits, `kernel_dim`) and the same branch count
-at both, with every exported point inside the window.  On the controls,
+Every case is built at a coarse and a fine `h_max` (each trace starts with
+the step min(0.01, h_max)) and `max_points` 4000, and must give the same
+events (kind, parameter to 6 significant digits, `kernel_dim`) and the same
+branch count at both, with every exported point inside the window.  On the controls,
 every end of a switched branch must also lie exactly on a window edge or
 within 1e-8 of a group image of an event.
 
@@ -132,7 +132,7 @@ def _builds(name: str):
     for n in divisions:
         h = (hi - lo) / n
         builds.append(build_diagram(problem, spec, (lo, hi),
-                                    ContinuationSettings(h0=min(0.01, h), h_max=h, max_points=4000)))
+                                    ContinuationSettings(h_max=h, max_points=4000)))
     return builds
 
 
