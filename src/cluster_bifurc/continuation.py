@@ -103,6 +103,7 @@ __all__ = [
 # The corrector's and the step control's constants, and branch switching's
 # offsets.  Every function reads them when it is called, so a test can patch
 # one (a stalled corrector, say) with monkeypatch.
+H0 = 1e-2  # the first step of a trace, unless h_max is shorter
 H_MIN = 1e-6  # the shortest step; a step that fails at it ends the trace
 NEWTON_TOL = 1e-10  # the residual infinity norm a converged iterate stays below
 NEWTON_MAX_ITERS = 20
@@ -116,7 +117,7 @@ FD_STEP = 1e-4  # the step of the second difference that gives A0
 
 @dataclass(frozen=True)
 class ContinuationSettings:
-    """The largest step of a trace and its most points; the first step is min(1e-2, h_max)."""
+    """The largest step of a trace and its most points; the first step is min(H0, h_max)."""
 
     h_max: float = 0.5
     max_points: int = 5000
@@ -418,7 +419,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     fix, normals, projections = system.fixed_space(x0)
     phi = normals @ x0
     reached = end = end_point = None
-    h = min(1e-2, settings.h_max)
+    h = min(H0, settings.h_max)
     s = 0.0
     while 1 + len(states) < settings.max_points:
         z_pred = z + h * t

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .continuation import Branch, BranchPoint, BifurcationEvent, ContinuationSettings
@@ -89,6 +89,10 @@ def diagram_from_json(text: str) -> Diagram:
     if any("index" not in pt for b in obj["branches"] for pt in b["points"]):
         raise ValueError(f"diagram version {obj.get('version')!r} stores no Morse index per point; "
                          f"version {__version__} reads only diagrams that do")
+    setting_names = sorted(f.name for f in fields(ContinuationSettings))
+    if sorted(obj["settings"]) != setting_names:
+        raise ValueError(f"diagram version {obj.get('version')!r} stores the settings {sorted(obj['settings'])}; "
+                         f"version {__version__} reads only diagrams whose settings are {setting_names}")
     for b in obj["branches"]:
         for pt in b["points"]:
             pt["arclength"] = pt.pop("s")

@@ -290,9 +290,16 @@ def potential_from_json(obj: dict) -> PotentialSpec:
                 continue  # defaults to a Hooke spring
             raise ConfigError(f"missing parameter {name!r} for family {family!r}", key=name)
         value = params[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            raise ConfigError(f"parameter {name!r} must be a finite number, got {value!r}", key=name)
-        kwargs[name] = float(value)
+        message = f"parameter {name!r} must be a finite number, got {value!r}"
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(message, key=name)
+        try:
+            value = float(value)  # an int too large for a float overflows here
+        except OverflowError:
+            raise ConfigError(message, key=name) from None
+        if not math.isfinite(value):
+            raise ConfigError(message, key=name)
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:

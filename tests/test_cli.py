@@ -184,6 +184,16 @@ def test_trace_subcommand(tmp_path, capsys):
     assert (out_dir / "diagram.csv").exists()
 
 
+def test_a_diagram_writes_only_the_outputs_asked_for(tmp_path):
+    cfg = write_config(tmp_path, {"problem": "triangle",
+                                  "potential": {"family": "spring", "params": {"k": 1, "beta": -0.1}},
+                                  "window": [0.5, 6.0], "continuation": {"h_max": 0.05},
+                                  "outputs": ["json"]})
+    out_dir = tmp_path / "out"
+    assert main(["diagram", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
+    assert sorted(f.name for f in out_dir.iterdir()) == ["diagram.json", "run_meta.json"]
+
+
 def test_diagram_subcommand_and_determinism(tmp_path):
     cfg_obj = {
         "problem": "triangle",
@@ -222,7 +232,8 @@ def test_an_unknown_top_level_key_exits_2_before_any_work(tmp_path, capsys, comm
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+# the last value is an integer too large for a float
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
 def test_a_non_finite_potential_parameter_exits_2_before_writing(tmp_path, capsys, value):
     cfg = write_config(tmp_path, {"problem": "triangle",
                                   "potential": {"family": "spring", "params": {"k": 1, "beta": -0.1}},

@@ -139,6 +139,18 @@ def test_load_rejects_a_file_without_the_index_and_names_its_version():
         load_diagram(json.dumps(obj))
 
 
+def test_load_rejects_the_ten_settings_of_0_2_0_and_names_its_version():
+    old = (SMALL_DIAGRAM_JSON
+           .replace(b'"settings":{"h_max":0.5,"max_points":5000},',
+                    b'"settings":{"contraction_target":4,"detection":true,"h0":0.01,"h_max":0.5,"h_min":1e-06,'
+                    b'"max_points":5000,"newton_max_iters":20,"newton_tol":1e-10,"step_growth":1.5,'
+                    b'"step_shrink":0.5},')
+           .replace(b'"version":"0.3.0"', b'"version":"0.2.0"'))
+    assert old != SMALL_DIAGRAM_JSON
+    with pytest.raises(ValueError, match="0.2.0"):
+        load_diagram(old)
+
+
 def test_export_deterministic_bytes():
     d = small_diagram()
     assert export(d, "json") == export(d, "json")

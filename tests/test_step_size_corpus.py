@@ -2,7 +2,7 @@
 
 A diagram should depend on the potential and the window, not on the step.
 Every case is built at a coarse and a fine `h_max` (each trace starts with
-the step min(0.01, h_max)) and `max_points` 4000, and must give the same
+the step min(continuation.H0, h_max)) and `max_points` 4000, and must give the same
 events (kind, parameter to 6 significant digits, `kernel_dim`) and the same
 branch count at both, with every exported point inside the window.  On the controls,
 every end of a switched branch must also lie exactly on a window edge or
