@@ -25,7 +25,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,8 +83,13 @@ EXIT_VERIFY = 4
 
 GEOMETRIES = {geometry.name: geometry for geometry in (TRIANGLE, TETRAHEDRON)}
 # every top-level config key some subcommand reads; one config serves them all
-CONFIG_KEYS = frozenset({"problem", "potential", "window", "values", "continuation", "trace", "outputs",
-                         "svg", "deep"})
+CONFIG_KEYS = frozenset({"problem", "potential", "window", "values", "continuation", "trace", "outputs", "svg"})
+# the keys each object-valued config key may hold
+OBJECT_KEYS = {
+    "continuation": frozenset(f.name for f in fields(ContinuationSettings)),
+    "trace": frozenset({"parameter", "direction", "start"}),
+    "svg": frozenset({"projection", "component", "azimuth_deg", "tilt_deg"}),
+}
 
 
 def _geometry(problem: str) -> Geometry:
@@ -111,15 +116,6 @@ def _trivial_branch(system, window, extra_params) -> Branch:
     return Branch(points=points, id=0, label="trivial")
 
 
-@dataclass
-class _Entry:
-    branch: Branch
-    events: list[BifurcationEvent]
-    parent_event_id: int
-    label: str
-    reached: set[int]  # ids of known events its traces ended at
-
-
 def _run_traces(system, jobs, settings, window, targets):
     """Trace every (seed, center) job, each ending at any of `targets`; deterministic result order.
 
@@ -142,8 +138,10 @@ def _run_traces(system, jobs, settings, window, targets):
         return list(pool.map(one, jobs))
 
 
-def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings,
-                      window, trivial_curve, targets) -> _Entry | None:
+def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings, window, trivial_curve,
+                      targets) -> tuple[Branch, list[BifurcationEvent], set[int]] | None:
+    """(branch, events its traces localized, ids of the targets they ended at) of one switch at `ev`,
+    the branch's `parent_event` and `label` set; None where the switch fails or gives no seed."""
     try:
         seeds, _ = branch_switch(system, ev, reduction, trivial_curve=trivial_curve)
     except (TransversalityError, CorrectorFailure, DomainExit):
@@ -151,56 +149,51 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
     if not seeds:
         return None
     x_ev = np.asarray(ev.state, dtype=float)
-    label = seeds[0].shape
-    if not all(is_isolated(system, np.asarray(s.state), s.parameter) for s in seeds):
+    if all(is_isolated(system, np.asarray(s.state), s.parameter) for s in seeds):
+        center_z = np.append(x_ev, ev.parameter)
+        results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window, targets)
+        halves = [r[0] for r in results]
+        events = dedup_events([e for r in results for e in r[1]])
+    else:
         # degenerate family: the switched solutions are not isolated, so a
         # branch trace is ill posed; report the converged seed points alone
-        merged = concatenate_branches(Branch(points=[seeds[0]]), classified_point(system, x_ev, ev.parameter),
-                                      Branch(points=list(seeds[1:])))
-        return _Entry(branch=merged, events=[], parent_event_id=ev.id, label=label, reached=set())
-    center_z = np.append(x_ev, ev.parameter)
-    results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window, targets)
-    halves = [r[0] for r in results]
-    events = dedup_events([e for r in results for e in r[1]])
+        halves, events = [Branch(points=[seeds[0]]), Branch(points=list(seeds[1:]))], []
     if len(halves) == 2:
-        merged = concatenate_branches(halves[0], classified_point(system, x_ev, ev.parameter), halves[1])
+        branch = concatenate_branches(halves[0], classified_point(system, x_ev, ev.parameter), halves[1])
     else:
-        merged = halves[0]
-    return _Entry(branch=merged, events=events, parent_event_id=ev.id, label=label,
-                  reached={h.reached_event for h in halves} - {None})
+        branch = halves[0]
+    branch.parent_event, branch.label = ev.id, seeds[0].shape
+    return branch, events, {h.reached_event for h in halves} - {None}
 
 
 def build_diagram(problem: str, spec, window: tuple[float, float],
-                  settings: ContinuationSettings | None = None, *, deep: bool = False) -> Diagram:
+                  settings: ContinuationSettings | None = None) -> Diagram:
     """Run the full pipeline and assemble a Diagram.
 
     Primary bifurcation parameters come from the closed-form margin scan on
     the symmetric branch; each transversal root is switched through the
     reductions of the families its margins-table row names, the switched
     branches are traced through the window (detecting secondary and turning
-    events), and secondary bifurcations are switched once more (depth 2
-    unless `deep`).  Every trace ends where it reaches a primary event or an event of a
-    branch traced before it, or where it crosses into a larger fixed-point
-    space at a bifurcation it localizes itself; a simple secondary event
-    that some trace reached is not switched again: the branches it would
-    seed are images of that trace.  Finally every nontrivial branch is
-    expanded to its full symmetry orbit: each image a column permutation of
-    the branch's stacked states, the shapes of all images' points read from
-    the geometry's `FamilyTable` in one stacked call.
+    events), and the secondary bifurcations those traces localize are
+    switched once more, with no further level.  Every trace ends where it
+    reaches a primary event or an event of a branch traced before it, or
+    where it crosses into a larger fixed-point space at a bifurcation it
+    localizes itself; a simple secondary event that some trace reached is
+    not switched again: the branches it would seed are images of that
+    trace.  Each switched branch is expanded to its full symmetry orbit:
+    each image a column permutation of the branch's stacked states, the
+    shapes of all images' points read from the geometry's `FamilyTable` in
+    one stacked call.  An event's id is its position in the diagram's
+    events, a branch's its position in the branches.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if any(isinstance(v, bool) for v in window) or not (0 < lo < hi < math.inf):
-        raise ConfigError(f"window must satisfy 0 < lo < hi, both finite, got {list(window)!r}", key="window")
-    window = (lo, hi)
+    window = _window(window)
     settings = settings or ContinuationSettings()
     system = make_system(problem, spec)
     geometry = system.geometry
 
-    roots = stability_boundaries(geometry, spec, window)
-    event_counter = 0
-    primary_events: list[BifurcationEvent] = []
+    known: list[BifurcationEvent] = []  # every event so far, the ones a trace may end at
     jobs = []  # (event, reduction, symmetric curve) to switch at
-    for root in roots:
+    for root in stability_boundaries(geometry, spec, window):
         row = geometry.margins[root.margin_coefficient]
         ev = BifurcationEvent(
             kind="primary",
@@ -210,57 +203,36 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
             state=tuple(float(v) for v in system.trivial_state(root.parameter)),
             source_branch=0,
             refined=True,
-            id=event_counter,
+            id=len(known),
         )
-        event_counter += 1
-        primary_events.append(ev)
+        known.append(ev)
         if root.transversal:
             jobs += [(ev, geometry.families.reduction(name), system.trivial_state) for name in row.reductions]
 
-    trivial = _trivial_branch(system, window, [ev.parameter for ev in primary_events])
-
-    entries: list[_Entry] = []
-    known = list(primary_events)  # the events a trace may end at
+    branches = [_trivial_branch(system, window, [ev.parameter for ev in known])]
     reached: set[int] = set()
-    max_depth = 4 if deep else 2
-    for depth in range(1, max_depth + 1):
-        frontier = []
+    identity = PermGroup((Perm.identity(system.dim),))
+    for _ in range(2):  # the primaries, then the secondaries their traces localized
+        first_new = len(known)
         for ev, red, curve in jobs:
             if ev.kernel_dim == 1 and ev.id in reached:
                 continue  # a trace already ran into this point; its branches are images of that one
-            entry = _switch_and_trace(system, ev, red, settings, window, curve, tuple(known))
-            if entry is None:
+            switched = _switch_and_trace(system, ev, red, settings, window, curve, tuple(known))
+            if switched is None:
                 continue
-            ends = {entry.branch.points[0].state, entry.branch.points[-1].state}
-            for i, e in enumerate(entry.events):
-                entry.events[i] = replace(e, id=event_counter)
+            branch, events, ended_at = switched
+            ends = {branch.points[0].state, branch.points[-1].state}
+            for e in events:
                 if e.state in ends:
-                    reached.add(event_counter)  # a trace ended at this crossing it localized
-                event_counter += 1
-            known += entry.events
-            reached |= entry.reached
-            frontier.append(entry)
-        entries.extend(frontier)
-        if depth == max_depth:
-            break
+                    reached.add(len(known))  # a trace ended at this crossing it localized
+                known.append(replace(e, id=len(known), source_branch=len(branches)))
+            reached |= ended_at
+            for image in orbit(geometry.families, branch):
+                branches.append(replace(image, id=len(branches), parent_event=branch.parent_event,
+                                        label=branch.label))
         # secondary bifurcations are switched on their own, with no symmetric curve
-        identity = PermGroup((Perm.identity(system.dim),))
-        jobs = [(ev, Reduction(identity, tuple(ev.kernel[0])), None) for entry in frontier
-                for ev in entry.events if ev.kind == "secondary" and ev.kernel_dim >= 1]
-
-    branches: list[Branch] = [trivial]
-    events: list[BifurcationEvent] = list(primary_events)
-    next_branch_id = 1
-    for entry in entries:
-        images = orbit(geometry.families, entry.branch)
-        rep_id = next_branch_id
-        for image in images:
-            image.id = next_branch_id
-            image.parent_event = entry.parent_event_id
-            image.label = entry.label
-            branches.append(image)
-            next_branch_id += 1
-        events.extend(replace(e, source_branch=rep_id) for e in entry.events)
+        jobs = [(ev, Reduction(identity, tuple(ev.kernel[0])), None) for ev in known[first_new:]
+                if ev.kind == "secondary"]
 
     diagram = Diagram(
         problem=problem,
@@ -268,7 +240,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         window=window,
         settings=settings,
         branches=branches,
-        events=events,
+        events=known,
         version=__version__,
     )
     diagram.validate()
@@ -539,29 +511,20 @@ def _config_problem_spec(cfg: dict):
     return problem, spec
 
 
-def _config_window(cfg: dict) -> tuple[float, float]:
-    window = _require(cfg, "window")
-    if (not isinstance(window, (list, tuple)) or len(window) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                       for v in window)):
-        raise ConfigError("window must be [lo, hi] with finite numbers", key="window")
-    lo, hi = float(window[0]), float(window[1])
-    if not (0 < lo < hi):
-        raise ConfigError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]", key="window")
-    return lo, hi
+def _window(window) -> tuple[float, float]:
+    """`window` as (lo, hi): a list or tuple of two finite real numbers, not bools, with 0 < lo < hi."""
+    # comparing an int with a float is exact, so an int too large for a float fails the last bound
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in window)
+            and 0 < window[0] < window[1] <= sys.float_info.max):
+        raise ConfigError(f"window must be [lo, hi], finite numbers with 0 < lo < hi, got {window!r}",
+                          key="window")
+    return float(window[0]), float(window[1])
 
 
 def _config_settings(cfg: dict) -> ContinuationSettings:
-    overrides = cfg.get("continuation", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("continuation settings must be an object", key="continuation")
-    base = ContinuationSettings()
-    known = set(base.__dataclass_fields__)
-    for key in overrides:
-        if key not in known:
-            raise ConfigError(f"unknown continuation setting {key!r}", key=key)
     try:
-        return ContinuationSettings(**overrides)
+        return ContinuationSettings(**cfg.get("continuation", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad continuation settings: {exc}", key="continuation") from exc
 
@@ -591,7 +554,7 @@ def cmd_trivial(cfg: dict, out_dir: Path | None) -> int:
 
 def cmd_stability(cfg: dict, out_dir: Path | None) -> int:
     problem, spec = _config_problem_spec(cfg)
-    window = _config_window(cfg)
+    window = _window(_require(cfg, "window"))
     roots = stability_boundaries(GEOMETRIES[problem], spec, window)
     closed = closed_form_thresholds(spec, problem)
     if not roots:
@@ -618,10 +581,8 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
     problem, spec = _config_problem_spec(cfg)
     system = make_system(problem, spec)
     settings = _config_settings(cfg)
-    window = _config_window(cfg)
+    window = _window(_require(cfg, "window"))
     tr = cfg.get("trace", {})
-    if not isinstance(tr, dict):
-        raise ConfigError("trace options must be an object", key="trace")
     p0 = _config_float(tr.get("parameter", 0.5 * (window[0] + window[1])), "trace.parameter",
                        positive=True)
     if not window[0] <= p0 <= window[1]:
@@ -661,8 +622,6 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
 
 def _svg_projection(cfg: dict, problem: str):
     svg = cfg.get("svg", {})
-    if not isinstance(svg, dict):
-        raise ConfigError("svg options must be an object", key="svg")
     kind = svg.get("projection", "param_vs_component")
     if kind == "param_vs_component":
         projection = ParamVsComponent(svg.get("component", "a"))
@@ -706,13 +665,10 @@ def _write_outputs(diagram: Diagram, out_dir: Path, formats, projection) -> None
 
 def cmd_diagram(cfg: dict, out_dir: Path | None) -> int:
     problem, spec = _config_problem_spec(cfg)
-    window = _config_window(cfg)
+    window = _require(cfg, "window")  # build_diagram checks it before any work
     settings = _config_settings(cfg)
     outputs = _config_outputs(cfg, problem) if out_dir is not None else None
-    deep = cfg.get("deep", False)
-    if type(deep) is not bool:  # a string such as "no" would switch to depth 4
-        raise ConfigError(f"deep must be true or false, got {deep!r}", key="deep")
-    diagram = build_diagram(problem, spec, window, settings, deep=deep)
+    diagram = build_diagram(problem, spec, window, settings)
     print(f"{len(diagram.branches)} branches, {len(diagram.events)} events")
     for ev in diagram.events:
         print(f"event[{ev.id}] {ev.kind} at {ev.parameter:.8g} "
@@ -760,6 +716,13 @@ def main(argv: list[str] | None = None) -> int:
         unknown = sorted(set(cfg) - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config key {unknown[0]!r}", key=unknown[0])
+        for name, keys in OBJECT_KEYS.items():
+            obj = cfg.get(name, {})
+            if not isinstance(obj, dict):
+                raise ConfigError(f"{name} must be an object, got {obj!r}", key=name)
+            unknown = sorted(set(obj) - keys)
+            if unknown:
+                raise ConfigError(f"unknown {name} key {unknown[0]!r}", key=f"{name}.{unknown[0]}")
         out_dir = Path(args.out) if args.out else None
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

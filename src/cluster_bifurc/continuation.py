@@ -178,19 +178,18 @@ class BranchSwitchData:
 
 @dataclass(frozen=True)
 class PseudoArclength:
-    """Corrector constraint <t, z - z_prev>_w = h with the tangent frozen.
+    """Corrector constraint row . (z - origin) = h on z = (x, p), Keller's extra row.
 
-    The inner product carries the relative-scale weights of the previous
-    accepted point (see `metric_weights`), so branches whose multiplier is
-    orders of magnitude larger than the edge lengths still advance in the
-    parameter at a sensible rate.
+    A trace's step freezes the row as the previous tangent times the
+    relative-scale weights of the previous accepted point (see
+    `metric_weights`), so branches whose multiplier is orders of magnitude
+    larger than the edge lengths still advance in the parameter at a
+    sensible rate.
     """
 
-    prev_state: tuple[float, ...]
-    prev_parameter: float
-    tangent: tuple[float, ...]
+    row: np.ndarray
+    origin: np.ndarray
     h: float
-    weights: tuple[float, ...] | None = None
 
 
 def metric_weights(z: np.ndarray) -> np.ndarray:
@@ -259,8 +258,8 @@ def newton_correct(system, state, parameter: float,
 
     With `constraint=None` the parameter stays fixed and Newton runs on the
     square KKT system; with a PseudoArclength constraint both the state and
-    the parameter move, bordered by the frozen tangent row (a zero step with
-    the tangent a unit normal and no weights keeps them on a hyperplane).
+    the parameter move, bordered by its row (a zero step with the row a unit
+    normal keeps them on a hyperplane).
     The bordered matrix [[J, F_p], [row]], its right-hand side and the (x, p)
     buffer of the gap are allocated once per correction and refilled in
     place on every iterate.  `projection`, the projector onto a fixed-point
@@ -278,13 +277,9 @@ def newton_correct(system, state, parameter: float,
     p = float(parameter)
     h = 0.0
     if constraint is not None:
-        z_prev = np.array(constraint.prev_state + (constraint.prev_parameter,), dtype=float)
-        row = np.asarray(constraint.tangent, dtype=float)
-        if constraint.weights is not None:
-            row = np.asarray(constraint.weights, dtype=float) * row
+        row, origin, h = constraint.row, constraint.origin, constraint.h
         M, rhs, z = np.empty((n + 1, n + 1)), np.empty(n + 1), np.empty(n + 1)
         M[n] = row
-        h = constraint.h
     res_norm = math.inf
     for it in range(NEWTON_MAX_ITERS + 1):
         if projection is not None:
@@ -298,7 +293,7 @@ def newton_correct(system, state, parameter: float,
         gap = 0.0
         if constraint is not None:
             z[:n], z[n] = x, p
-            gap = row @ (z - z_prev) - h
+            gap = row @ (z - origin) - h
         if res_norm < NEWTON_TOL and abs(gap) < 1e-10 * max(1.0, abs(h)):
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
@@ -424,9 +419,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     while 1 + len(states) < settings.max_points:
         z_pred = z + h * t
         try:
-            corrected = newton_correct(
-                system, z_pred[:-1], z_pred[-1],
-                PseudoArclength(tuple(z[:-1]), float(z[-1]), tuple(t), h, tuple(w)), fix)
+            corrected = newton_correct(system, z_pred[:-1], z_pred[-1], PseudoArclength(w * t, z, h), fix)
             jump = np.append(corrected.state, corrected.parameter) - z_pred
             if (w * jump) @ jump > 0.25 * h * h:  # converged onto another part of the curve
                 raise CorrectorFailure("correction farther than h/2 from its predictor")
@@ -612,8 +605,7 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
 
     def corrected(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
         q = za + theta * chord
-        got = _try_correct(system, q[:-1], q[-1],
-                           PseudoArclength(tuple(q[:-1]), float(q[-1]), tuple(d), 0.0), projection)
+        got = _try_correct(system, q[:-1], q[-1], PseudoArclength(d, q, 0.0), projection)
         return None if got is None else (np.append(got.state, got.parameter), got.jacobian)
 
     def corrected_near(lo: float, hi: float, theta: float):
@@ -711,8 +703,7 @@ def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray,
     the last good wing point.
     """
     def pinned(guess: np.ndarray, p: float, amp: float) -> Correction | None:
-        return _try_correct(system, guess, p,
-                            PseudoArclength(tuple(x0), p0, tuple(v) + (0.0,), amp), P)
+        return _try_correct(system, guess, p, PseudoArclength(np.append(v, 0.0), np.append(x0, p0), amp), P)
 
     got = pinned(x0 + delta * v, p0, delta)
     amp = delta

@@ -24,6 +24,7 @@ from cluster_bifurc.diagram import load_diagram
 from cluster_bifurc.potentials import Buckingham, ConfigError, LennardJones, PolynomialSpring, closed_form_thresholds
 from cluster_bifurc.continuation import (
     BifurcationEvent,
+    Branch,
     ContinuationSettings,
     CorrectorFailure,
     DomainExit,
@@ -126,7 +127,6 @@ def test_set_overrides(tmp_path, capsys):
     ("stability", ["window.1=Infinity"]),
     ("trace", ["window.1=Infinity"]),
     ("diagram", ["window.0=true"]),
-    ("diagram", ["deep=no"]),
     ("diagram", ["continuation.h_max=true"]),
     ("diagram", ["continuation.h0=true", "continuation.h_max=2"]),
     ("diagram", ["continuation.h_min=true", "continuation.h0=1", "continuation.h_max=2"]),
@@ -222,9 +222,36 @@ def test_diagram_subcommand_and_determinism(tmp_path):
     ("grid_n=Infinity", "grid_n"),
     ("trivial_samples=400", "trivial_samples"),
     ("trivial_samples=NaN", "trivial_samples"),
+    ("deep=no", "deep"),  # secondaries are switched once; no key switches deeper
+    ("deep=true", "deep"),
 ])
 def test_an_unknown_top_level_key_exits_2_before_any_work(tmp_path, capsys, command, item, key):
     cfg = write_config(tmp_path, {**LJ_STABILITY, "values": [0.5]})
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out_dir), "--set", item]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {key})" in captured.err and captured.out == ""
+    assert not out_dir.exists()
+
+
+def _readme_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+@pytest.mark.parametrize("command, item, key", [
+    ("diagram", "svg.componet=b", "svg.componet"),  # a misspelt key, not a plot of component a
+    ("trace", "trace.paramter=0.5", "trace.paramter"),  # not a trace from the window midpoint
+    ("stability", "svg.azimuth=10", "svg.azimuth"),
+    ("trivial", "continuation.step=1", "continuation.step"),
+    ("verify", "trace.start_state=[0]", "trace.start_state"),
+    ("diagram", "svg=7", "svg"),
+    ("trace", "trace=[0.5]", "trace"),
+    ("diagram", "continuation=0.01", "continuation"),
+])
+def test_an_unknown_key_or_a_non_object_inside_an_object_exits_2_before_any_work(tmp_path, capsys, command,
+                                                                                   item, key):
+    cfg = write_config(tmp_path, {**_readme_config(), "values": [0.5]})
     out_dir = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out_dir), "--set", item]) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -260,9 +287,7 @@ def test_a_margin_root_below_1e_6_is_scanned_and_agrees_with_the_closed_form(tmp
 
 
 def test_the_readme_config_builds(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
-    cfg = write_config(tmp_path, json.loads(block))
+    cfg = write_config(tmp_path, _readme_config())
     out_dir = tmp_path / "out"
     assert main(["diagram", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
     assert {f.name for f in out_dir.iterdir()} == {"diagram.json", "diagram.csv", "diagram.svg", "run_meta.json"}
@@ -271,6 +296,27 @@ def test_the_readme_config_builds(tmp_path):
 def test_build_diagram_rejects_bad_window():
     with pytest.raises(ConfigError):
         build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.9, 0.3), ContinuationSettings())
+
+
+@pytest.mark.parametrize("window", [(0.3, 0.0), [0.0, 1.0], [0.3], [0.3, 0.6, 0.9], "ab", 0.5, None,
+                                    [True, 2], [0.3, math.nan], [-math.inf, 1.0], ["0.3", "0.9"],
+                                    [0.3, 10 ** 400]])
+def test_one_window_check_serves_every_command(tmp_path, capsys, window):
+    with pytest.raises(ConfigError) as info:
+        build_diagram("triangle", LennardJones(1, 2, 12, 6), window)
+    assert info.value.key == "window"
+    cfg = write_config(tmp_path, {**LJ_STABILITY, "window": window})
+    for command in ("diagram", "stability", "trace"):
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert "(field: window)" in capsys.readouterr().err
+
+
+def test_the_version_is_the_one_pyproject_toml_declares():
+    import cluster_bifurc
+
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert cluster_bifurc.__version__ == version
 
 
 def test_run_verification_all_green():
@@ -292,33 +338,33 @@ def test_svg_projection_config():
         _svg_projection({"svg": {"projection": "polar"}}, "triangle")
 
 
-def test_a_crossing_a_trace_localized_is_not_switched_again(monkeypatch):
-    # with no known events to end at, the scalene traces localize the
-    # secondary points they run into themselves; those are not switched
-    # again even when deeper levels are, as their branches are images of
-    # the traces that found them
+def test_a_secondary_a_first_level_trace_ended_at_is_not_switched_nor_any_second_level_event(monkeypatch):
+    # each first-level branch ends on the state of a simple secondary event its
+    # own switch found: the branches that event would seed are images of that
+    # trace, so it is not switched; a simple secondary inside the branch is,
+    # and the events found at that second level are never switched
     from cluster_bifurc import cli
 
-    trace, switch = cli.trace_branch, cli._switch_and_trace
     switched = []
 
-    def trace_without_targets(*args, **kwargs):
-        return trace(*args, **{**kwargs, "targets": ()})
-
-    def recording_switch(system, ev, *args):
+    def fake_switch(system, ev, reduction, settings, window, trivial_curve, targets):
         switched.append(ev.id)
-        return switch(system, ev, *args)
+        base = 0.4 if ev.kind == "primary" else 0.6
+        points = [classified_point(system, system.trivial_state(p), p) for p in (base, base + 0.05, base + 0.1)]
+        found = [BifurcationEvent("secondary", pt.parameter, 1, (tuple(np.eye(system.dim)[1]),), pt.state)
+                 for pt in (points[1:] if ev.kind == "primary" else points[1:2])]
+        return Branch(points=points, parent_event=ev.id, label="fake"), found, set()
 
-    monkeypatch.setattr(cli, "trace_branch", trace_without_targets)
-    monkeypatch.setattr(cli, "_switch_and_trace", recording_switch)
-    diagram = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9),
-                            ContinuationSettings(h_max=0.05), deep=True)
-    found = [ev for ev in diagram.events if ev.kind == "secondary" and ev.source_branch != 1]
-    assert sorted(round(ev.parameter, 6) for ev in found) == [0.625072, 0.667039]
-    assert not {ev.id for ev in found} & set(switched)
-    ends = {pt.state for b in diagram.branches[1:] for pt in (b.points[0], b.points[-1])}
-    assert all(ev.state in ends for ev in found)
-
+    monkeypatch.setattr(cli, "_switch_and_trace", fake_switch)
+    diagram = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9))
+    first = [ev for ev in diagram.events if ev.kind == "secondary" and ev.parameter < 0.55]
+    second = [ev for ev in diagram.events if ev.kind == "secondary" and ev.parameter > 0.55]
+    ends = {b.points[-1].state for b in diagram.branches[1:]}
+    at_end = {ev.id for ev in first if ev.state in ends}
+    inside = {ev.id for ev in first} - at_end
+    assert at_end and inside and second
+    assert not at_end & set(switched) and inside <= set(switched)
+    assert not {ev.id for ev in second} & set(switched)
 
 
 def _primary_switch():
@@ -373,12 +419,14 @@ def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
     system, ev, reduction = _primary_switch()
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
     monkeypatch.setattr(cli, "branch_switch", first_seed_only)
-    entry = cli._switch_and_trace(system, ev, reduction, settings, window, system.trivial_state, (ev,))
+    branch, events, ended_at = cli._switch_and_trace(system, ev, reduction, settings, window,
+                                                     system.trivial_state, (ev,))
     (seed,), _ = first_seed_only(system, ev, reduction, trivial_curve=system.trivial_state)
-    half, events = trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings,
-                                window, targets=(ev,))
-    assert entry.branch.points == half.points and entry.branch.points[0] == replace(seed, arclength=0.0)
-    assert entry.events == events and entry.parent_event_id == ev.id and entry.label == seed.shape
+    half, want = trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings,
+                              window, targets=(ev,))
+    assert branch.points == half.points and branch.points[0] == replace(seed, arclength=0.0)
+    assert events == want and branch.parent_event == ev.id and branch.label == seed.shape
+    assert ended_at == {half.reached_event} - {None}
 
 
 def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):

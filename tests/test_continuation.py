@@ -100,7 +100,7 @@ def test_singular_corrector_matrix_is_a_corrector_failure():
         newton_correct(system, x, 0.4)
     with pytest.raises(CorrectorFailure, match="singular corrector matrix"):
         newton_correct(system, x, 0.4,
-                       PseudoArclength(tuple(x), 0.4, tuple(np.eye(5)[1]), 0.0))
+                       PseudoArclength(np.eye(5)[1], np.append(x, 0.4), 0.0))
 
 
 def test_newton_correct_failure_on_hopeless_guess(monkeypatch):
@@ -119,15 +119,16 @@ def test_arclength_constraint_holds():
     t = branch_tangent(system, x0, 0.5, np.array([0, 0, 0, 0, 1.0]), w)
     h = 1e-2
     point, _ = newton_correct(system, x0, 0.5,
-                              PseudoArclength(tuple(x0), 0.5, tuple(t), h, tuple(w)))
+                              PseudoArclength(w * t, z0, h))
     z1 = point.z()
     assert abs((w * t) @ (z1 - z0) - h) < 1e-9
 
 
 # ---------------------------------------------------------------------------
 # references: the corrector and tangent as they stood before the in-place
-# bordered step, kept verbatim except that the corrector returns a tuple and
-# reads its tolerance and iteration bound from `continuation`
+# bordered step, kept verbatim except that the corrector returns a tuple,
+# reads its tolerance and iteration bound from `continuation`, and takes the
+# constraint's row and origin as given
 
 
 def _ref_bordered_matrix(system, J: np.ndarray, x: np.ndarray, p: float, row: np.ndarray) -> np.ndarray:
@@ -145,10 +146,8 @@ def _ref_newton_correct(system, state, parameter, constraint=None, projection=No
     p = float(parameter)
     h = 0.0
     if constraint is not None:
-        z_prev = np.array(constraint.prev_state + (constraint.prev_parameter,), dtype=float)
-        row = np.asarray(constraint.tangent, dtype=float)
-        if constraint.weights is not None:
-            row = np.asarray(constraint.weights, dtype=float) * row
+        z_prev = np.asarray(constraint.origin, dtype=float)
+        row = np.asarray(constraint.row, dtype=float)
         h = constraint.h
     res_norm = math.inf
     for it in range(continuation.NEWTON_MAX_ITERS + 1):
@@ -274,7 +273,7 @@ def test_each_corrector_failure_matches_the_allocating_corrector(monkeypatch):
     z0 = np.append(x0, 0.5)
     w = metric_weights(z0)
     t = branch_tangent(system, x0, 0.5, np.array([0, 0, 0, 0, 1.0]), w)
-    arclength = PseudoArclength(tuple(x0), 0.5, tuple(t), 1e-2, tuple(w))
+    arclength = PseudoArclength(w * t, z0, 1e-2)
     fix = system.fixed_space(x0)[0]
     guess = z0 + 1e-2 * t
     off = x0.copy()
