@@ -27,7 +27,6 @@ from .continuation import (  # noqa: E402
     BifurcationEvent,
     Branch,
     BranchPoint,
-    BranchSwitchData,
     ContinuationSettings,
     CorrectorFailure,
     DomainExit,

@@ -42,7 +42,6 @@ from .continuation import (
     CorrectorFailure,
     DomainExit,
     TraceAbort,
-    TransversalityError,
     dedup_events,
     branch_switch,
     classified_point,
@@ -138,14 +137,16 @@ def _run_traces(system, jobs, settings, window, targets):
         return list(pool.map(one, jobs))
 
 
-def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings, window, trivial_curve,
+def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings, window,
                       targets) -> tuple[Branch, list[BifurcationEvent], set[int]] | None:
     """(branch, events its traces localized, ids of the targets they ended at) of one switch at `ev`,
-    the branch's `parent_event` and `label` set; None where the switch fails or gives no seed."""
+    the branch's `parent_event` and `label` set, from the switch's seeds inside the window; None
+    where the switch fails or gives no such seed."""
     try:
-        seeds, _ = branch_switch(system, ev, reduction, trivial_curve=trivial_curve)
-    except (TransversalityError, CorrectorFailure, DomainExit):
+        seeds, _ = branch_switch(system, ev, reduction)
+    except (CorrectorFailure, DomainExit):
         return None
+    seeds = [s for s in seeds if window[0] <= s.parameter <= window[1]]
     if not seeds:
         return None
     x_ev = np.asarray(ev.state, dtype=float)
@@ -174,8 +175,9 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     the symmetric branch; each transversal root is switched through the
     reductions of the families its margins-table row names, the switched
     branches are traced through the window (detecting secondary and turning
-    events), and the secondary bifurcations those traces localize are
-    switched once more, with no further level.  Every trace ends where it
+    events), and the refined secondary bifurcations those traces localize
+    are switched once more, with no further level.  A switch keeps only the
+    seeds inside the window.  Every trace ends where it
     reaches a primary event or an event of a branch traced before it, or
     where it crosses into a larger fixed-point space at a bifurcation it
     localizes itself; a simple secondary event that some trace reached is
@@ -192,7 +194,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     geometry = system.geometry
 
     known: list[BifurcationEvent] = []  # every event so far, the ones a trace may end at
-    jobs = []  # (event, reduction, symmetric curve) to switch at
+    jobs = []  # (event, reduction) to switch at
     for root in stability_boundaries(geometry, spec, window):
         row = geometry.margins[root.margin_coefficient]
         ev = BifurcationEvent(
@@ -207,17 +209,17 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         )
         known.append(ev)
         if root.transversal:
-            jobs += [(ev, geometry.families.reduction(name), system.trivial_state) for name in row.reductions]
+            jobs += [(ev, geometry.families.reduction(name)) for name in row.reductions]
 
     branches = [_trivial_branch(system, window, [ev.parameter for ev in known])]
     reached: set[int] = set()
     identity = PermGroup((Perm.identity(system.dim),))
     for _ in range(2):  # the primaries, then the secondaries their traces localized
         first_new = len(known)
-        for ev, red, curve in jobs:
+        for ev, red in jobs:
             if ev.kernel_dim == 1 and ev.id in reached:
                 continue  # a trace already ran into this point; its branches are images of that one
-            switched = _switch_and_trace(system, ev, red, settings, window, curve, tuple(known))
+            switched = _switch_and_trace(system, ev, red, settings, window, tuple(known))
             if switched is None:
                 continue
             branch, events, ended_at = switched
@@ -230,9 +232,10 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
             for image in orbit(geometry.families, branch):
                 branches.append(replace(image, id=len(branches), parent_event=branch.parent_event,
                                         label=branch.label))
-        # secondary bifurcations are switched on their own, with no symmetric curve
-        jobs = [(ev, Reduction(identity, tuple(ev.kernel[0])), None) for ev in known[first_new:]
-                if ev.kind == "secondary"]
+        # refined secondary bifurcations are switched; one whose localization
+        # lost its bracket is no trustworthy branch point
+        jobs = [(ev, Reduction(identity, tuple(ev.kernel[0]))) for ev in known[first_new:]
+                if ev.kind == "secondary" and ev.refined]
 
     diagram = Diagram(
         problem=problem,
@@ -496,7 +499,7 @@ def _require(cfg: dict, key: str):
 def _config_float(value, key: str, positive: bool = False) -> float:
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an integer too large for a float overflows
         out = math.nan
     if not math.isfinite(out) or (positive and not out > 0):
         kind = "a positive number" if positive else "a finite number"

@@ -18,11 +18,11 @@ There is one corrector, Keller's bordered Newton iteration, in a
 relative-scale arclength metric: the predictor tangent is frozen as the
 extra (weighted) row during correction.  Event localization uses the same
 corrector with a zero step along the segment chord, which keeps each probe
-on the hyperplane through it normal to the chord; branch-switch seeds and
-crossing-end probes use it at fixed parameter or with the extra row
-pinning an amplitude.  Such a probe or seed goes through `_try_correct`,
-the one place where its failed correction becomes None; only a trace's
-own step reads why it failed.  A branch of isotropy S
+on the hyperplane through it normal to the chord; branch-switch seeds use
+it with the extra row pinning an amplitude, and window-edge and
+crossing-end probes at fixed parameter.  Such a probe or seed goes through
+`_try_correct`, the one place where its failed correction becomes None;
+only a trace's own step reads why it failed.  A branch of isotropy S
 lies in the fixed-point space Fix(S), and the corrector projects every
 iterate onto it with the exact group-average projector of the start point's
 stabilizer, so a trace keeps its symmetry by construction, whatever the
@@ -57,10 +57,12 @@ Fix(S') at fixed parameter, bracket the bifurcation of the symmetric branch
 for the same localizer; where they bracket no index change, the step
 jumped across Fix(S') and is shrunk and retried.
 `branch_switch` seeds the bifurcating branches in the fixed-point space
-of the kernel's isotropy subgroup, either by the asymptotic slope -2*B0/A0
-of the Lyapunov-Schmidt coefficients or, for pitchforks, by
-amplitude-pinned correction walked outward along the wing; every seed is
-corrected on the full residual and projected onto that space.
+Fix(S) of the kernel's isotropy subgroup by one rule, whether the branch
+leaves transcritically or as a pitchfork: a correction with the amplitude
+along the kernel pinned to +-PITCHFORK_DELTA and the parameter free, walked
+outward along the branch until the seed is isolated (Golubitsky, Stewart &
+Schaeffer, ch. XIII); every seed is corrected on the full residual and
+projected onto Fix(S).
 """
 
 from __future__ import annotations
@@ -80,13 +82,11 @@ __all__ = [
     "BranchPoint",
     "Branch",
     "BifurcationEvent",
-    "BranchSwitchData",
     "PseudoArclength",
     "Correction",
     "CorrectorFailure",
     "DomainExit",
     "TraceAbort",
-    "TransversalityError",
     "newton_correct",
     "branch_tangent",
     "trace_branch",
@@ -101,8 +101,8 @@ __all__ = [
 
 
 # The corrector's and the step control's constants, and branch switching's
-# offsets.  Every function reads them when it is called, so a test can patch
-# one (a stalled corrector, say) with monkeypatch.
+# first amplitude.  Every function reads them when it is called, so a test
+# can patch one (a stalled corrector, say) with monkeypatch.
 H0 = 1e-2  # the first step of a trace, unless h_max is shorter
 H_MIN = 1e-6  # the shortest step; a step that fails at it ends the trace
 NEWTON_TOL = 1e-10  # the residual infinity norm a converged iterate stays below
@@ -110,9 +110,7 @@ NEWTON_MAX_ITERS = 20
 STEP_GROWTH = 1.5  # the step grows by this after a correction of at most CONTRACTION_TARGET iterations
 STEP_SHRINK = 0.5  # and shrinks by this after a failed or rejected step
 CONTRACTION_TARGET = 4
-SWITCH_EPSILON = 1e-3  # the parameter offset of the two seeds of a transcritical switch
-PITCHFORK_DELTA = 1e-3  # the first pinned amplitude on a pitchfork wing
-FD_STEP = 1e-4  # the step of the second difference that gives A0
+PITCHFORK_DELTA = 1e-3  # the first pinned amplitude of both seeds of a switch
 
 
 @dataclass(frozen=True)
@@ -169,14 +167,6 @@ class BifurcationEvent:
 
 
 @dataclass(frozen=True)
-class BranchSwitchData:
-    v: tuple[float, ...]
-    A0_coef: float
-    B0_coef: float
-    m: float
-
-
-@dataclass(frozen=True)
 class PseudoArclength:
     """Corrector constraint row . (z - origin) = h on z = (x, p), Keller's extra row.
 
@@ -210,12 +200,6 @@ class DomainExit(RuntimeError):
 
 class TraceAbort(RuntimeError):
     pass
-
-
-class TransversalityError(RuntimeError):
-    def __init__(self, message: str, slope_estimate: float):
-        super().__init__(message)
-        self.slope_estimate = slope_estimate
 
 
 def classified_point(system, x: np.ndarray, p: float, J: np.ndarray | None = None) -> BranchPoint:
@@ -676,31 +660,36 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
 
 
 def is_isolated(system, x: np.ndarray, p: float) -> bool:
-    """True once no Jacobian eigenvalue is trapped near zero.
+    """True once no tangent eigenvalue is trapped near zero.
 
-    Pitchfork wings keep the critical eigenvalues at O(amplitude^2), so a
-    seed too close to the bifurcation leaves every bordered matrix singular;
-    the tracer needs the spectrum clear of zero before taking over.  A state
-    that stays non-isolated at any amplitude signals a degenerate solution
-    family (the soft-spring cluster equations, for example, admit a whole
-    surface of nontrivial critical points), where branch tracing is ill
-    posed.
+    The tangent eigenvalues are those of Z^t H Z that `classify_stack`
+    computes, H = J[1:, 1:] the Hessian of the Lagrangian; they are judged
+    against max|H|, the scale stability is decided on, not against the
+    bordered Jacobian J, whose constraint row can outweigh H by many orders
+    of magnitude.  Near a bifurcation the critical eigenvalue is O(amplitude),
+    or O(amplitude^2) on a pitchfork, so a seed too close to it leaves every
+    bordered matrix nearly singular; the tracer needs the spectrum clear of
+    zero before taking over.  A state that stays non-isolated at any
+    amplitude signals a degenerate solution family (the soft-spring cluster
+    equations, for example, admit a whole surface of nontrivial critical
+    points), where branch tracing is ill posed.
     """
-    w, _ = sym_eigen(system.evaluate(x, p)[1])
-    scale = float(np.max(np.abs(w)))
-    return scale > 0 and float(np.min(np.abs(w))) > 1e-7 * scale
+    J = system.evaluate(x, p)[1]
+    w = np.abs(system.classify_stack([x], [J])[0].tangent_eigenvalues)
+    scale = float(np.max(np.abs(J[1:, 1:])))
+    return scale > 0 and float(np.min(w)) > 1e-7 * scale
 
 
-def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float,
-                           delta: float) -> Correction | None:
-    """Walk out along a pitchfork wing by doubling the pinned amplitude.
+def _pinned_walk(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float,
+                 delta: float) -> Correction | None:
+    """Walk out along a bifurcating branch by doubling the pinned amplitude.
 
     Each step is a `newton_correct` in Fix(S), projected with `P`, with the
     parameter free and the amplitude v.(x - x0) pinned by the constraint
     row (v, 0); inside Fix(S) the kernel is simple and the pinned Newton is
     well posed arbitrarily close to the bifurcation.  The walk stops at the
-    first amplitude whose full Jacobian is comfortably regular, returning
-    the last good wing point.
+    first amplitude whose point `is_isolated`, returning the last good
+    point of the branch.
     """
     def pinned(guess: np.ndarray, p: float, amp: float) -> Correction | None:
         return _try_correct(system, guess, p, PseudoArclength(np.append(v, 0.0), np.append(x0, p0), amp), P)
@@ -718,24 +707,18 @@ def _ramped_pitchfork_seed(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray,
     return got
 
 
-def branch_switch(system, event: BifurcationEvent, reduction,
-                  trivial_curve=None) -> tuple[list[BranchPoint], BranchSwitchData]:
-    """Seed the branch emanating from a bifurcation event.
+def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[BranchPoint], tuple[float, ...]]:
+    """Seed the branches emanating from a bifurcation event; (seeds, kernel vector v).
 
     In Fix(S), S the reduction's isotropy subgroup, the critical eigenvalue
-    is simple with unit kernel vector v (== the left null vector, the
-    Jacobian being symmetric).  The quadratic coefficient is the second
-    directional difference of the projected residual P F along v; the
-    parameter coefficient differentiates the projected Jacobian P J P along
-    the known symmetric branch `trivial_curve`.  Their ratio gives the
-    branch slope m = -2*B0/A0 and two seeds at parameter offsets +-SWITCH_EPSILON,
-    corrected at fixed parameter.
-
-    Degenerate (pitchfork) events, |A0| below 1e-8, and events without a
-    `trivial_curve` are seeded by perturbing the critical state along v with
-    the amplitude pinned to +-PITCHFORK_DELTA and the parameter free; the
-    amplitude is then doubled along the wing until the Jacobian spectrum
-    clears zero, so the returned seeds are traceable.
+    is simple with unit kernel vector v.  Whether the branch crosses the
+    parameter of the event (transcritical) or lies on one side of it
+    (pitchfork), it is parametrized near the event by the amplitude
+    v.(x - x0): each seed pins that amplitude at +-PITCHFORK_DELTA with the
+    parameter free, and doubles it along the branch until the seed
+    `is_isolated`, so the returned seeds are traceable.  The seeds come
+    with the one above the event's parameter first, in a stable order, so
+    a pitchfork pair keeps its +-delta order.
 
     Every seed is a `newton_correct` projected onto Fix(S) with the
     reduction's projector, so it converges on the full residual, lies in
@@ -746,36 +729,9 @@ def branch_switch(system, event: BifurcationEvent, reduction,
     v = reduction.kernel_unit()
     x0 = np.array(event.state, dtype=float)
     p0 = float(event.parameter)
-
-    F0, Fp, Fm = (P @ system.evaluate(x, p0)[0] for x in (x0, x0 + FD_STEP * v, x0 - FD_STEP * v))
-    a0 = float(v @ ((Fp - 2.0 * F0 + Fm) / FD_STEP ** 2))
-
-    b0 = 0.0
-    if trivial_curve is not None:
-        dp = 1e-5 * max(1.0, abs(p0))
-        Lp, Lm = (P @ system.evaluate(trivial_curve(p), p)[1] @ P for p in (p0 + dp, p0 - dp))
-        b0 = float(v @ (((Lp - Lm) / (2.0 * dp)) @ v))
-        if abs(b0) < 1e-8:
-            raise TransversalityError(
-                f"critical eigenvalue is not transversal at {system.param_name}={p0:.6g}", b0)
-
-    m = 0.0
-    if trivial_curve is not None and abs(a0) > 1e-8:
-        m = -2.0 * b0 / a0
-        tries = [_try_correct(system, trivial_curve(p0 + eps) + eps * m * v, p0 + eps, projection=P)
-                 for eps in (SWITCH_EPSILON, -SWITCH_EPSILON)]
-    else:
-        tries = [_ramped_pitchfork_seed(system, P, v, x0, p0, delta)
-                 for delta in (PITCHFORK_DELTA, -PITCHFORK_DELTA)]
+    tries = [_pinned_walk(system, P, v, x0, p0, delta) for delta in (PITCHFORK_DELTA, -PITCHFORK_DELTA)]
     seeds = [got.point for got in tries if got is not None]  # a seed that does not converge is left out
-
-    data = BranchSwitchData(
-        v=tuple(float(t) for t in v),
-        A0_coef=a0,
-        B0_coef=b0,
-        m=m,
-    )
-    return seeds, data
+    return sorted(seeds, key=lambda pt: pt.parameter <= p0), tuple(float(t) for t in v)
 
 
 def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:

@@ -29,7 +29,6 @@ from cluster_bifurc.continuation import (
     CorrectorFailure,
     DomainExit,
     TraceAbort,
-    TransversalityError,
     branch_switch,
     classified_point,
     trace_branch,
@@ -134,6 +133,10 @@ def test_set_overrides(tmp_path, capsys):
     ("diagram", ["continuation.step_growth=true"]),
     ("diagram", ["continuation.step_shrink=false"]),
     ("trace", ["trace.parameter=50"]),  # outside the window (0.1, 10)
+    # integers too large for a float
+    ("trace", ["trace.direction=1" + "0" * 400]),
+    ("trivial", ["values=[1" + "0" * 400 + "]"]),
+    ("diagram", ["svg.projection=abc_3d", "svg.tilt_deg=1" + "0" * 400]),
 ])
 def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets):
     cfg = write_config(tmp_path, LJ_STABILITY)
@@ -347,7 +350,7 @@ def test_a_secondary_a_first_level_trace_ended_at_is_not_switched_nor_any_second
 
     switched = []
 
-    def fake_switch(system, ev, reduction, settings, window, trivial_curve, targets):
+    def fake_switch(system, ev, reduction, settings, window, targets):
         switched.append(ev.id)
         base = 0.4 if ev.kind == "primary" else 0.6
         points = [classified_point(system, system.trivial_state(p), p) for p in (base, base + 0.05, base + 0.1)]
@@ -367,6 +370,29 @@ def test_a_secondary_a_first_level_trace_ended_at_is_not_switched_nor_any_second
     assert not {ev.id for ev in second} & set(switched)
 
 
+def test_an_unrefined_secondary_is_not_switched(monkeypatch):
+    # a secondary whose localization lost its bracket gives no trustworthy
+    # kernel to switch along; the refined one beside it is switched
+    from cluster_bifurc import cli
+
+    switched = []
+
+    def fake_switch(system, ev, reduction, settings, window, targets):
+        switched.append(ev.id)
+        points = [classified_point(system, system.trivial_state(p), p) for p in (0.4, 0.45, 0.5, 0.55)]
+        found = [BifurcationEvent("secondary", pt.parameter, 1, (tuple(np.eye(system.dim)[1]),), pt.state,
+                                  refined=refined)
+                 for pt, refined in zip(points[1:3], (True, False))] if ev.kind == "primary" else []
+        return Branch(points=points, parent_event=ev.id, label="fake"), found, set()
+
+    monkeypatch.setattr(cli, "_switch_and_trace", fake_switch)
+    diagram = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9))
+    refined = {ev.id for ev in diagram.events if ev.kind == "secondary" and ev.refined}
+    unrefined = {ev.id for ev in diagram.events if ev.kind == "secondary" and not ev.refined}
+    assert refined and unrefined
+    assert refined <= set(switched) and not unrefined & set(switched)
+
+
 def _primary_switch():
     """The Lennard-Jones triangle, its primary event and the isosceles reduction there."""
     system = make_system("triangle", LennardJones(1, 2, 12, 6))
@@ -381,7 +407,7 @@ def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypa
 
     system, ev, reduction = _primary_switch()
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
-    seed = branch_switch(system, ev, reduction, trivial_curve=system.trivial_state)[0][0]
+    seed = branch_switch(system, ev, reduction)[0][0]
     center = np.append(ev.state, ev.parameter)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", None)  # a single job never reaches the pool
     want = trace_branch(system, seed, seed.z() - center, settings, window, targets=(ev,))
@@ -395,8 +421,7 @@ def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypa
     assert got[0].points == [replace(seed, arclength=0.0)] and got[1] == []
 
 
-@pytest.mark.parametrize("error", [TransversalityError("not transversal", 0.0),
-                                   CorrectorFailure("no convergence"), DomainExit("left the domain")])
+@pytest.mark.parametrize("error", [CorrectorFailure("no convergence"), DomainExit("left the domain")])
 def test_a_switch_that_raises_is_skipped(monkeypatch, error):
     from cluster_bifurc import cli
 
@@ -405,8 +430,7 @@ def test_a_switch_that_raises_is_skipped(monkeypatch, error):
 
     system, ev, reduction = _primary_switch()
     monkeypatch.setattr(cli, "branch_switch", raising)
-    assert cli._switch_and_trace(system, ev, reduction, ContinuationSettings(), (0.3, 0.9),
-                                 system.trivial_state, (ev,)) is None
+    assert cli._switch_and_trace(system, ev, reduction, ContinuationSettings(), (0.3, 0.9), (ev,)) is None
 
 
 def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
@@ -419,14 +443,29 @@ def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
     system, ev, reduction = _primary_switch()
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
     monkeypatch.setattr(cli, "branch_switch", first_seed_only)
-    branch, events, ended_at = cli._switch_and_trace(system, ev, reduction, settings, window,
-                                                     system.trivial_state, (ev,))
-    (seed,), _ = first_seed_only(system, ev, reduction, trivial_curve=system.trivial_state)
+    branch, events, ended_at = cli._switch_and_trace(system, ev, reduction, settings, window, (ev,))
+    (seed,), _ = first_seed_only(system, ev, reduction)
     half, want = trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings,
                               window, targets=(ev,))
     assert branch.points == half.points and branch.points[0] == replace(seed, arclength=0.0)
     assert events == want and branch.parent_event == ev.id and branch.label == seed.shape
     assert ended_at == {half.reached_event} - {None}
+
+
+def test_a_switch_keeps_only_the_seeds_inside_the_window():
+    from cluster_bifurc import cli
+
+    system, ev, reduction = _primary_switch()
+    settings = ContinuationSettings(h_max=0.05)
+    center = np.append(ev.state, ev.parameter)
+    above, below = branch_switch(system, ev, reduction)[0]
+    assert below.parameter < ev.parameter < above.parameter
+    window = (0.3, 0.5 * (ev.parameter + above.parameter))  # the upper seed lies past the top
+    branch, events, _ = cli._switch_and_trace(system, ev, reduction, settings, window, (ev,))
+    half, want = trace_branch(system, below, below.z() - center, settings, window, targets=(ev,))
+    assert branch.points == half.points and events == want
+    above_both = (above.parameter + 0.01, 0.9)
+    assert cli._switch_and_trace(system, ev, reduction, settings, above_both, (ev,)) is None
 
 
 def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):

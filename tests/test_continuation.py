@@ -477,7 +477,7 @@ def test_stacked_trace_labels_equal_the_per_point_ones():
     system = lj_system()
     settings = ContinuationSettings(h_max=0.2)
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
+    seeds, _ = branch_switch(system, ev, isosceles())
     center = np.append(ev.state, ev.parameter)
     kinds, indices = [], set()
     for seed in seeds:
@@ -624,27 +624,26 @@ def test_detect_primary_between_trivial_points():
 
 
 def test_branch_switch_transcritical_isosceles():
+    # the pinned walk seeds both halves of the transcritical isosceles branch,
+    # each isolated, the one above the primary first
     system = lj_system()
     ev = make_primary_event(system, A0)
-    seeds, data = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
-    assert len(seeds) == 2
-    assert abs(data.A0_coef) > 1.0  # genuinely trans-critical
-    assert data.m != 0.0
-    params = sorted(pt.parameter for pt in seeds)
-    assert params[0] == pytest.approx(A0 - 1e-3, abs=1e-12)
-    assert params[1] == pytest.approx(A0 + 1e-3, abs=1e-12)
+    seeds, v = branch_switch(system, ev, isosceles())
+    assert len(seeds) == 2 and v == tuple(isosceles().kernel_unit())
+    assert seeds[0].parameter > A0 > seeds[1].parameter
     for pt in seeds:
         x = np.asarray(pt.state)
         assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < 10 * continuation.NEWTON_TOL
         assert pt.shape == "isosceles(b=c)"
         assert abs(x[1] - x[2]) > 1e-4  # genuinely nontrivial
+        assert continuation.is_isolated(system, x, pt.parameter)
 
 
 def test_branch_switch_seeds_straddle_the_parameter():
     # trans-criticality: the two seeds continue to opposite sides of A0
     system = lj_system()
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
+    seeds, _ = branch_switch(system, ev, isosceles())
     sides = {int(np.sign(pt.parameter - A0)) for pt in seeds}
     assert sides == {-1, 1}
 
@@ -654,21 +653,10 @@ def test_branch_switch_buckingham_second_root():
     system = ClusterProblem(TRIANGLE, spec)
     roots = stability_boundaries3(spec, (1.0, 100.0))
     ev = make_primary_event(system, roots[1].parameter)
-    seeds, _ = branch_switch(system, ev, isosceles(), trivial_curve=system.trivial_state)
+    seeds, _ = branch_switch(system, ev, isosceles())
     assert len(seeds) == 2
     for pt in seeds:
         assert pt.shape.startswith("isosceles")
-
-
-def test_a_symmetric_curve_that_does_not_move_is_not_transversal():
-    # one fixed state at every parameter: the Jacobian does not change along
-    # it, so B0 = 0 and there is no slope to seed with
-    system = lj_system()
-    ev = make_primary_event(system, A0)
-    fixed = system.trivial_state(A0)
-    with pytest.raises(continuation.TransversalityError) as err:
-        branch_switch(system, ev, isosceles(), trivial_curve=lambda p: fixed)
-    assert err.value.slope_estimate == 0.0
 
 
 def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
@@ -688,13 +676,19 @@ def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
         finally:
             correcting.pop()
 
+    isolated, judge = [], continuation.is_isolated
+
+    def judging(*args):
+        isolated.append(args)
+        return judge(*args)
+
     monkeypatch.setattr(system, "evaluate", counting)
     monkeypatch.setattr(continuation, "newton_correct", correct)
-    seeds, _ = branch_switch(system, make_primary_event(system, A0), isosceles(),
-                             trivial_curve=system.trivial_state)
-    # the three differences of A0 and the two of B0 along the symmetric
-    # branch; no seed evaluates its own Jacobian outside its correction
-    assert len(seeds) == 2 and len(outside) == 3 + 2
+    monkeypatch.setattr(continuation, "is_isolated", judging)
+    seeds, _ = branch_switch(system, make_primary_event(system, A0), isosceles())
+    # one evaluation per isolation test of a walk point; no seed evaluates
+    # its own Jacobian outside its correction
+    assert len(seeds) == 2 and isolated and len(outside) == len(isolated)
     for pt in seeds:
         assert pt == continuation.classified_point(system, np.asarray(pt.state), pt.parameter)
 
@@ -711,8 +705,8 @@ class _DocumentedInterface:
 
 
 def test_continuation_needs_only_the_documented_interface():
-    # the trivial trace across A0 localizes the primary by index bisection;
-    # the switches there seed by the asymptotic slope and by the pitchfork ramp
+    # the trivial trace across A0 localizes the primary by index bisection,
+    # and the switch there walks its two seeds out along the branch
     problem = lj_system()
     system = _DocumentedInterface(problem)
     settings = ContinuationSettings(h_max=0.02)
@@ -724,25 +718,24 @@ def test_continuation_needs_only_the_documented_interface():
     got = trace_branch(system, start, hint, settings, (0.55, 0.62), bifurcation_kind="primary")
     assert got == want and [ev.kind for ev in got[1]] == ["primary"]
     ev = make_primary_event(problem, A0)
-    for curve in (problem.trivial_state, None):
-        want = branch_switch(problem, ev, isosceles(), trivial_curve=curve)
-        got = branch_switch(system, ev, isosceles(), trivial_curve=curve)
-        assert got == want and len(got[0]) == 2 and (got[1].m == 0.0) == (curve is None)
+    want = branch_switch(problem, ev, isosceles())
+    got = branch_switch(system, ev, isosceles())
+    assert got == want and len(got[0]) == 2
 
 
-# (problem, potential, window, number of primary switches seeded by the pitchfork ramp)
+# (problem, potential, window)
 SWITCH_BUILDS = {
-    "lennard-jones-triangle": ("triangle", LJ, (0.3, 0.9), 0),
-    "buckingham-triangle": ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0), 0),
-    "soft-spring-tetrahedron": ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0), 1),
-    "lennard-jones-tetrahedron": ("tetrahedron", LJ, (0.05, 0.5), 1),
+    "lennard-jones-triangle": ("triangle", LJ, (0.3, 0.9)),
+    "buckingham-triangle": ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0)),
+    "soft-spring-tetrahedron": ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0)),
+    "lennard-jones-tetrahedron": ("tetrahedron", LJ, (0.05, 0.5)),
 }
 
 
 @pytest.mark.parametrize("rel", [0.0, 1e-10])
 @pytest.mark.parametrize("name", sorted(SWITCH_BUILDS))
 def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, rel):
-    problem, spec, window, pitchforks = SWITCH_BUILDS[name]
+    problem, spec, window = SWITCH_BUILDS[name]
     switches = []
 
     # rel > 0: a solver off by up to rel, unequally across entries, so only the
@@ -751,19 +744,17 @@ def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, r
         x = np.linalg.solve(M, b)
         return x * (1.0 + rel * np.linspace(-1.0, 1.0, len(x)))
 
-    def recording(system, event, reduction, trivial_curve=None):
-        seeds, data = branch_switch(system, event, reduction, trivial_curve=trivial_curve)
-        if trivial_curve is not None:  # a switch off the symmetric branch
-            switches.append((system, reduction, seeds, data))
-        return seeds, data
+    def recording(system, event, reduction):
+        seeds, v = branch_switch(system, event, reduction)
+        if event.kind == "primary":  # a switch off the symmetric branch
+            switches.append((system, reduction, seeds))
+        return seeds, v
 
     monkeypatch.setattr(cli, "branch_switch", recording)
     monkeypatch.setattr(continuation, "solve", perturbed)
     build_diagram(problem, spec, window, ContinuationSettings(max_points=20))
     assert switches
-    # transcritical seeds carry the slope m; the pitchfork ramp leaves it 0
-    assert sum(data.m == 0.0 for *_, data in switches) == pitchforks
-    for system, reduction, seeds, _ in switches:
+    for system, reduction, seeds in switches:
         assert len(seeds) == 2
         for pt in seeds:
             x = np.asarray(pt.state)

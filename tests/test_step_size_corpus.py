@@ -103,20 +103,15 @@ DEFECTS = {
     ("steps", "buckingham-3-3"): "a turning at 53.4509 at width/400 and none at width/100; the fold, at "
                                  "53.75998 by an h_max=2e-3 trace, lies past the end of the width/400 "
                                  "step that turns across it (item 8)",
-    ("steps", "buckingham-4-5"): "the width/100 step from 132.80 to 200 crosses the 149.272 fold with no "
-                                 "tangent flip and is localized, unrefined, as a secondary at 150.804; "
-                                 "13 branches against 7 (items 3 and 8)",
-    ("steps", "buckingham-4-6"): "the width/100 steps 59.52 to 89.08 and 89.08 to 108.42 show no tangent "
-                                 "flip and are localized as secondaries at 69.6825, the width/400 fold, "
-                                 "and 90.224; 13 branches against 7 (items 3 and 8)",
-    ("window", "buckingham-4-6"): "switch seeds converge at A = 211.49 and 1483.38 at width/100, "
-                                  "above the window top 116.31 (item 3)",
-    ("window", "spring-triangle"): "the pitchfork ramp walks the non-isolated seeds of the 1.77801 "
-                                   "primary to A = 0.8626, below the window bottom 0.889 (item 9)",
-    ("ends", "spring-triangle"): "the 1.77801 primary's non-isolated seeds at A = 0.8626 and 1.2624 "
-                                 "are exported as branch ends far from any event (item 9)",
-    ("ends", "spring-tetrahedron-c"): "both primaries get 3-point stubs whose seeds, 1e-3 from the "
-                                      "event, are judged non-isolated (item 6)",
+    ("steps", "buckingham-4-5"): "a width/100 step crosses the 149.272 fold with no tangent flip, and "
+                                 "the fold is localized, unrefined, as a secondary at 149.267, which is "
+                                 "not switched (item 8)",
+    ("steps", "buckingham-4-6"): "width/100 steps show no tangent flip over the 69.6825 fold and are "
+                                 "localized as secondaries at 69.6486 (unrefined), 90.224 and 99.6776; "
+                                 "the last two are switched, 10 branches against 7 (items 3 and 8)",
+    ("ends", "spring-triangle"): "the 1.77801 primary's non-isolated seed at A = 1.2624 is exported as "
+                                 "a branch end far from any event; its mirror seed, below the window, "
+                                 "is dropped (item 9)",
 }
 
 
