@@ -33,7 +33,16 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .cluster import ClusterProblem, Geometry, jacobian, margin, residual, stability_boundaries, trivial_point
+from .cluster import (
+    ClusterProblem,
+    Geometry,
+    classify_trivial,
+    jacobian,
+    margin,
+    residual,
+    stability_boundaries,
+    trivial_point,
+)
 from .continuation import (
     BifurcationEvent,
     Branch,
@@ -46,7 +55,6 @@ from .continuation import (
     branch_switch,
     classified_point,
     concatenate_branches,
-    is_isolated,
     newton_correct,
     trace_branch,
 )
@@ -103,15 +111,15 @@ def make_system(problem: str, spec) -> ClusterProblem:
 
 def _trivial_branch(system, window, extra_params) -> Branch:
     """The symmetric branch at 400 even steps over the window and at `extra_params`,
-    classified in one stacked pass."""
+    labeled from its closed-form margins (`cluster.classify_trivial`)."""
     params = sorted(set(np.linspace(window[0], window[1], 400).tolist()) | set(extra_params))
-    states = np.array([system.trivial_state(p) for p in params]).reshape(-1, system.dim)
-    jacobians = [system.evaluate(x, p)[1] for x, p in zip(states, params)]
+    states, stability, index = classify_trivial(system.geometry, system.spec, params)
     dz = np.diff(np.column_stack([states, params]), axis=0)
     steps = np.sqrt(squared_norms(dz))
     arclengths = itertools.accumulate(steps.tolist(), initial=0.0)
-    points = [BranchPoint(tuple(x), p, s, c.stability, c.shape, c.index) for x, p, s, c in
-              zip(states.tolist(), params, arclengths, system.classify_stack(states, jacobians))]
+    shape = system.geometry.families.whole
+    points = [BranchPoint(tuple(x), p, s, st, shape, i) for x, p, s, st, i in
+              zip(states.tolist(), params, arclengths, stability, index)]
     return Branch(points=points, id=0, label="trivial")
 
 
@@ -143,14 +151,15 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
     the branch's `parent_event` and `label` set, from the switch's seeds inside the window; None
     where the switch fails or gives no such seed."""
     try:
-        seeds, _ = branch_switch(system, ev, reduction)
+        seeds, isolated = branch_switch(system, ev, reduction)
     except (CorrectorFailure, DomainExit):
         return None
-    seeds = [s for s in seeds if window[0] <= s.parameter <= window[1]]
-    if not seeds:
+    inside = [(s, ok) for s, ok in zip(seeds, isolated) if window[0] <= s.parameter <= window[1]]
+    if not inside:
         return None
+    seeds, isolated = zip(*inside)
     x_ev = np.asarray(ev.state, dtype=float)
-    if all(is_isolated(system, np.asarray(s.state), s.parameter) for s in seeds):
+    if all(isolated):
         center_z = np.append(x_ev, ev.parameter)
         results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window, targets)
         halves = [r[0] for r in results]
@@ -497,8 +506,10 @@ def _require(cfg: dict, key: str):
 
 
 def _config_float(value, key: str, positive: bool = False) -> float:
+    """`value` as a finite float, positive where asked; a bool, which `float`
+    would read as 0 or 1, is refused like any other non-number."""
     try:
-        out = float(value)
+        out = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):  # an integer too large for a float overflows
         out = math.nan
     if not math.isfinite(out) or (positive and not out > 0):

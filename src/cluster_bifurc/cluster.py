@@ -18,6 +18,9 @@ A `Geometry` carries only what differs between the problems; everything
 else here is written once, the constraint too: one kernel per geometry,
 `terms(e) -> (g, grad g, hess g)` in one pass on Python floats, from which
 `evaluate` assembles F and J as lists with one `numpy.array` call each.
+The symmetric branch needs neither: `classify_trivial` labels its states
+from the margins, and `stability_boundaries` brackets their zeros from one
+array pass over its grid.
 `triangle.TRIANGLE` and `tetrahedron.TETRAHEDRON` are the two instances.
 """
 
@@ -50,6 +53,7 @@ __all__ = [
     "stable_intervals",
     "classify_point",
     "classify_stack",
+    "classify_trivial",
     "ClusterProblem",
 ]
 
@@ -204,6 +208,43 @@ def margin(geometry: Geometry, spec: PotentialSpec, param: float, k: int) -> flo
     return stability_margin(spec, _trivial_edge(geometry, param), k)
 
 
+def _log_grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
+    if not (0 < lo < hi):
+        raise ValueError("scan interval must satisfy 0 < lo < hi")
+    if grid_n < 2:
+        raise ValueError("grid must have at least 2 points")
+    return np.geomspace(lo, hi, grid_n)
+
+
+def _refine_roots(fn, grid: np.ndarray, values: np.ndarray,
+                  margin_coefficient: int, kernel_dim: int) -> list[BoundaryRoot]:
+    """The roots of fn bracketed by its `values` on the grid, refined by
+    bisection on fn (see `scan_boundary_roots`)."""
+    with np.errstate(over="ignore"):  # an overflowing product keeps its sign, as a Python float's does
+        crossing = np.append(values[:-1] * values[1:] < 0.0, False)
+    zero = values == 0.0
+    roots: list[BoundaryRoot] = []
+    for i in np.flatnonzero(zero | crossing).tolist():
+        if zero[i]:
+            root = float(grid[i])
+        else:
+            a, b = float(grid[i]), float(grid[i + 1])
+            fa = float(values[i])
+            while (b - a) > 1e-12 * a:
+                m = 0.5 * (a + b)
+                fm = fn(m)
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            root = 0.5 * (a + b)
+        step = 1e-6 * root
+        slope = (fn(root + step) - fn(root - step)) / (2.0 * step)
+        roots.append(BoundaryRoot(root, float(slope), abs(slope) >= 1e-8,
+                                  margin_coefficient, kernel_dim))
+    return roots
+
+
 def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
                         margin_coefficient: int, kernel_dim: int) -> list[BoundaryRoot]:
     """Bracket sign changes of fn on a log grid and refine them by bisection.
@@ -214,35 +255,17 @@ def scan_boundary_roots(fn, lo: float, hi: float, grid_n: int,
     below 1e-8 are flagged non-transversal.  A value exactly zero at a grid
     point, either end included, is a root as it stands and is counted once.
     """
-    if not (0 < lo < hi):
-        raise ValueError("scan interval must satisfy 0 < lo < hi")
-    if grid_n < 2:
-        raise ValueError("grid must have at least 2 points")
-    grid = np.geomspace(lo, hi, grid_n)
-    vals = [fn(float(p)) for p in grid]
-    roots: list[BoundaryRoot] = []
-    for i in range(grid_n):
-        va = vals[i]
-        if va == 0.0:
-            root = float(grid[i])
-        elif i + 1 < grid_n and va * vals[i + 1] < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = va
-            while (b - a) > 1e-12 * a:
-                m = 0.5 * (a + b)
-                fm = fn(m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            root = 0.5 * (a + b)
-        else:
-            continue
-        step = 1e-6 * root
-        slope = (fn(root + step) - fn(root - step)) / (2.0 * step)
-        roots.append(BoundaryRoot(root, float(slope), abs(slope) >= 1e-8,
-                                  margin_coefficient, kernel_dim))
-    return roots
+    grid = _log_grid(lo, hi, grid_n)
+    return _refine_roots(fn, grid, np.array([fn(p) for p in grid.tolist()]), margin_coefficient, kernel_dim)
+
+
+def _homogeneity(geometry: Geometry) -> tuple[int, np.ndarray]:
+    """(d, hess g at unit edges): the constraint g is homogeneous of degree d
+    in the edges, d = 1.grad g(1) / g(1) by Euler's identity, so on the
+    symmetric branch hess g(a 1) = a^(d-2) hess g(1) and, from g(a 1) =
+    s p^2, the trivial edge grows as p^(2/d)."""
+    g, grad, hess = geometry.terms([1.0] * geometry.n_edges)
+    return round(sum(grad) / g), np.array(hess)
 
 
 def stability_boundaries(geometry: Geometry, spec: PotentialSpec,
@@ -250,14 +273,22 @@ def stability_boundaries(geometry: Geometry, spec: PotentialSpec,
     """Zeros of every margin on the interval, bracketed on a log grid of
     SCAN_POINTS points, labeled by coefficient and sorted by parameter.
 
-    Each root's kernel dimension is the number of kernel vectors in its
-    margins-table row.
+    The trivial edges, phi', phi'' and every margin of the table are
+    evaluated over the grid in one array pass, which only brackets the sign
+    changes; each bracket is refined by bisection and its slope taken on
+    `margin` at Python floats, as `scan_boundary_roots` does.  Each root's
+    kernel dimension is the number of kernel vectors in its margins-table
+    row.
     """
     lo, hi = interval
+    grid = _log_grid(lo, hi, SCAN_POINTS)
+    degree, _ = _homogeneity(geometry)
+    a = geometry.trivial_edge(1.0) * grid ** (2.0 / degree)
+    sigma = _margin_table(geometry, a, *derivatives(spec, a)[1:])
     roots: list[BoundaryRoot] = []
-    for k, row in geometry.margins.items():
-        roots += scan_boundary_roots(lambda p, k=k: margin(geometry, spec, p, k), lo, hi, SCAN_POINTS,
-                                     margin_coefficient=k, kernel_dim=len(row.kernel))
+    for (k, row), values in zip(geometry.margins.items(), sigma.T):
+        roots += _refine_roots(lambda p, k=k: margin(geometry, spec, p, k), grid, values,
+                               margin_coefficient=k, kernel_dim=len(row.kernel))
     return sorted(roots, key=lambda r: r.parameter)
 
 
@@ -320,16 +351,54 @@ def classify_stack(geometry: Geometry, states, jacobians) -> list[Classification
     dim = geometry.n_edges + 1
     states = np.asarray(states, dtype=float).reshape(-1, dim)
     M, tol = _tangent_matrix(np.asarray(jacobians, dtype=float).reshape(len(states), dim, dim))
-    out = []
-    for w, t, shape in zip(np.linalg.eigh(M)[0].tolist(), tol.tolist(), geometry.families.shapes(states)):
-        if all(v > t for v in w):
-            stability = "stable"
-        elif any(abs(v) <= t for v in w):
-            stability = "marginal"
-        else:
-            stability = "unstable"
-        out.append(Classification(stability, shape, tuple(w)))
-    return out
+    w = np.linalg.eigh(M)[0]
+    return [Classification(stability, shape, tuple(row)) for stability, shape, row in
+            zip(_stability(w, tol), geometry.families.shapes(states), w.tolist())]
+
+
+def _stability(w: np.ndarray, band: np.ndarray) -> list[str]:
+    """Each row of tangent eigenvalues w against its zero band: stable when
+    all exceed it, marginal when any lies within it, unstable otherwise."""
+    band = band[:, None]
+    return ["stable" if stable else "marginal" if marginal else "unstable" for stable, marginal in
+            zip((w > band).all(axis=1).tolist(), (np.abs(w) <= band).any(axis=1).tolist())]
+
+
+def _margin_table(geometry: Geometry, a: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """sigma_k at trivial edges a, one column per margin of the table, by
+    `stability_margin`'s arithmetic: bit-identical to `margin` where a, phi'
+    and phi'' are."""
+    return d2[:, None] + np.array(list(geometry.margins), dtype=float) * d1[:, None] / a[:, None]
+
+
+def classify_trivial(geometry: Geometry, spec: PotentialSpec, params
+                     ) -> tuple[np.ndarray, list[str], list[int]]:
+    """(states, stabilities, indices) of the symmetric branch at each parameter,
+    from the closed-form margins, with no Jacobian and no eigensolve.
+
+    There the tangent eigenvalues of Z^t H Z are exactly the margins sigma_k,
+    each repeated len(margins[k].kernel) times, so the index is the sum of
+    those multiplicities over the negative margins, and the zero band is
+    `classify_stack`'s, 1e-8 times the larger of max |sigma_k| and max |H|,
+    with H = diag(phi'') + lambda hess g(a 1) scaled from unit edges
+    (`_homogeneity`).  One scalar `derivatives` call per parameter gives the
+    state, bit-identical to `trivial_point`, and every sigma_k, bit-identical
+    to `margin`; the labels follow from arrays.  Every state's shape is the
+    whole group's, `geometry.families.whole`.
+    """
+    rows = []
+    for p in params:
+        a = _trivial_edge(geometry, p)
+        _, d1, d2 = derivatives(spec, a)
+        rows.append((geometry.trivial_multiplier(a, d1), a, d1, d2))
+    lam, a, d1, d2 = np.array(rows, dtype=float).reshape(-1, 4).T
+    states = np.column_stack([lam] + [a] * geometry.n_edges)
+    sigma = _margin_table(geometry, a, d1, d2)
+    degree, hess = _homogeneity(geometry)
+    H = d2[:, None, None] * np.eye(geometry.n_edges) + (lam * a ** (degree - 2))[:, None, None] * hess
+    band = 1e-8 * np.maximum(np.abs(sigma).max(axis=1, initial=0.0), np.abs(H).max(axis=(1, 2), initial=0.0))
+    multiplicity = np.array([len(row.kernel) for row in geometry.margins.values()])
+    return states, _stability(sigma, band), ((sigma < 0.0) @ multiplicity).tolist()
 
 
 class ClusterProblem:

@@ -659,8 +659,9 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
     )
 
 
-def is_isolated(system, x: np.ndarray, p: float) -> bool:
-    """True once no tangent eigenvalue is trapped near zero.
+def is_isolated(system, x: np.ndarray, J: np.ndarray) -> bool:
+    """True once no tangent eigenvalue of the solution x, with Jacobian J, is
+    trapped near zero.
 
     The tangent eigenvalues are those of Z^t H Z that `classify_stack`
     computes, H = J[1:, 1:] the Hessian of the Lagrangian; they are judged
@@ -674,41 +675,46 @@ def is_isolated(system, x: np.ndarray, p: float) -> bool:
     equations, for example, admit a whole surface of nontrivial critical
     points), where branch tracing is ill posed.
     """
-    J = system.evaluate(x, p)[1]
     w = np.abs(system.classify_stack([x], [J])[0].tangent_eigenvalues)
     scale = float(np.max(np.abs(J[1:, 1:])))
     return scale > 0 and float(np.min(w)) > 1e-7 * scale
 
 
 def _pinned_walk(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float,
-                 delta: float) -> Correction | None:
-    """Walk out along a bifurcating branch by doubling the pinned amplitude.
+                 delta: float) -> tuple[Correction | None, bool]:
+    """Walk out along a bifurcating branch by doubling the pinned amplitude;
+    (the last good point of the branch, whether it `is_isolated`).
 
     Each step is a `newton_correct` in Fix(S), projected with `P`, with the
     parameter free and the amplitude v.(x - x0) pinned by the constraint
     row (v, 0); inside Fix(S) the kernel is simple and the pinned Newton is
     well posed arbitrarily close to the bifurcation.  The walk stops at the
-    first amplitude whose point `is_isolated`, returning the last good
-    point of the branch.
+    first amplitude whose point `is_isolated`, judged on its correction's
+    Jacobian, or where a wider amplitude fails to converge, after at most
+    16 doublings.
     """
     def pinned(guess: np.ndarray, p: float, amp: float) -> Correction | None:
         return _try_correct(system, guess, p, PseudoArclength(np.append(v, 0.0), np.append(x0, p0), amp), P)
 
+    def isolated(got: Correction) -> bool:
+        return is_isolated(system, got.state, got.jacobian)
+
     got = pinned(x0 + delta * v, p0, delta)
     amp = delta
     for _ in range(16):
-        if got is None or is_isolated(system, got.state, got.parameter):
-            break
+        if got is None or isolated(got):
+            return got, got is not None
         amp *= 2.0
         wider = pinned(got.state + 0.5 * amp * v, got.parameter, amp)
         if wider is None:
-            break
+            return got, False
         got = wider
-    return got
+    return got, isolated(got)  # the last doubling's point, not judged yet
 
 
-def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[BranchPoint], tuple[float, ...]]:
-    """Seed the branches emanating from a bifurcation event; (seeds, kernel vector v).
+def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[BranchPoint], tuple[bool, ...]]:
+    """Seed the branches emanating from a bifurcation event; (seeds, whether
+    each `is_isolated`).
 
     In Fix(S), S the reduction's isotropy subgroup, the critical eigenvalue
     is simple with unit kernel vector v.  Whether the branch crosses the
@@ -716,9 +722,9 @@ def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[Bran
     (pitchfork), it is parametrized near the event by the amplitude
     v.(x - x0): each seed pins that amplitude at +-PITCHFORK_DELTA with the
     parameter free, and doubles it along the branch until the seed
-    `is_isolated`, so the returned seeds are traceable.  The seeds come
-    with the one above the event's parameter first, in a stable order, so
-    a pitchfork pair keeps its +-delta order.
+    `is_isolated`, so an isolated seed is traceable; the verdicts are the
+    walk's own.  The seeds come with the one above the event's parameter
+    first, in a stable order, so a pitchfork pair keeps its +-delta order.
 
     Every seed is a `newton_correct` projected onto Fix(S) with the
     reduction's projector, so it converges on the full residual, lies in
@@ -730,8 +736,10 @@ def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[Bran
     x0 = np.array(event.state, dtype=float)
     p0 = float(event.parameter)
     tries = [_pinned_walk(system, P, v, x0, p0, delta) for delta in (PITCHFORK_DELTA, -PITCHFORK_DELTA)]
-    seeds = [got.point for got in tries if got is not None]  # a seed that does not converge is left out
-    return sorted(seeds, key=lambda pt: pt.parameter <= p0), tuple(float(t) for t in v)
+    # a seed that does not converge is left out
+    seeds = [(got.point, ok) for got, ok in tries if got is not None]
+    seeds.sort(key=lambda seed: seed[0].parameter <= p0)
+    return [pt for pt, _ in seeds], tuple(ok for _, ok in seeds)
 
 
 def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:

@@ -9,7 +9,10 @@ Four families are supported:
     spring                  phi(r) = k*r^2/2 + beta*r^4/4
 
 All specs are immutable records; every operation here is a pure function of
-(spec, r), so they are safe to share across threads.
+(spec, r), so they are safe to share across threads.  `derivatives` also
+takes an array of distances, evaluated with numpy's power and exponential:
+the margin scan brackets its zeros from one such pass over its grid, and
+every state is still computed on Python floats.
 
 The quantity that controls the stability of the fully symmetric cluster
 states is the margin
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "LennardJones",
@@ -120,10 +125,22 @@ class PolynomialSpring:
 PotentialSpec = LennardJones | Buckingham | NormalizedBuckingham | PolynomialSpring
 
 
-def derivatives(spec: PotentialSpec, r: float) -> tuple[float, float, float]:
-    """(phi, phi', phi'') at r > 0."""
-    if not r > 0:
+def derivatives(spec: PotentialSpec, r):
+    """(phi, phi', phi'') at r > 0, a float or a numpy array of them.
+
+    A float is evaluated with Python's `**` and `math.exp`, as every
+    corrector iterate needs; an array with numpy's, which can differ from
+    them in the last bit.  So array values may decide where to look (the
+    margin scan's brackets) but never give a state.
+    """
+    if isinstance(r, np.ndarray):
+        if not (r > 0).all():
+            raise ValueError("potential evaluated at a non-positive distance")
+        exp = np.exp
+    elif not r > 0:
         raise ValueError(f"potential evaluated at non-positive distance r={r}")
+    else:
+        exp = math.exp
     if isinstance(spec, LennardJones):
         c1, c2, d1, d2 = spec.c1, spec.c2, spec.delta1, spec.delta2
         return (
@@ -133,7 +150,7 @@ def derivatives(spec: PotentialSpec, r: float) -> tuple[float, float, float]:
         )
     if isinstance(spec, Buckingham):
         al, be, ga, eta = spec.alpha, spec.beta, spec.gamma, spec.eta
-        e = math.exp(-be * r)
+        e = exp(-be * r)
         return (
             al * e - ga * r ** -eta,
             -al * be * e + ga * eta * r ** (-eta - 1),
@@ -144,7 +161,7 @@ def derivatives(spec: PotentialSpec, r: float) -> tuple[float, float, float]:
         # which stays finite for large xi where materializing alpha = O(e^xi) would overflow.
         D, R, xi, eta = spec.depth, spec.r_min, spec.xi, spec.eta
         s = D / (xi - eta)
-        e = math.exp(xi * (1.0 - r / R))
+        e = exp(xi * (1.0 - r / R))
         pw = (R / r) ** eta
         return (
             s * (eta * e - xi * pw),

@@ -149,6 +149,25 @@ def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, sets, key", [
+    ("trivial", ["values=[true, 0.5]"], "values"),  # not a run at A = 1
+    ("trivial", ["values=[false]"], "values"),
+    ("trace", ["trace.direction=true"], "trace.direction"),  # not a trace towards +1
+    ("trace", ["trace.parameter=true"], "trace.parameter"),
+    ("diagram", ["svg.projection=abc_3d", "svg.tilt_deg=false"], "svg.tilt_deg"),
+])
+def test_a_boolean_where_a_number_belongs_exits_2_before_any_work(tmp_path, capsys, command, sets, key):
+    cfg = write_config(tmp_path, {**LJ_STABILITY, "window": [0.5, 2.0]})
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out_dir)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {key})" in captured.err and captured.out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["diagram", "stability"])
 def test_an_infinite_window_edge_is_a_window_error(tmp_path, capsys, command):
     # Python's json reads Infinity; the build must not start on such a window
@@ -485,14 +504,61 @@ def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):
     ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0)),
     ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0)),
     ("tetrahedron", LennardJones(1, 2, 12, 6), (0.05, 0.5)),
+    ("triangle", PolynomialSpring(1.0886069965021672, -0.17674424531706434), (0.889, 2.845)),
+    ("tetrahedron", PolynomialSpring(1, -0.1), (0.1, 50.0)),
 ], ids=["lennard-jones-triangle", "buckingham-triangle", "soft-spring-tetrahedron",
-        "lennard-jones-tetrahedron"])
+        "lennard-jones-tetrahedron", "soft-spring-triangle", "soft-spring-tetrahedron-wide"])
 def test_stacked_trivial_branch_labels_equal_the_per_point_ones(problem, spec, window):
     system = make_system(problem, spec)
     events = [r.parameter for r in stability_boundaries(system.geometry, spec, window)]
     assert events
     branch = _trivial_branch(system, window, events)
     assert len(branch.points) == 400 + len(events)
+    _assert_labels_and_arclengths_are_the_per_point_ones(system, branch)
+    # every primary event is a marginal point (a sample may sit close enough to one to be marginal too)
+    marginal = {pt.parameter for pt in branch.points if pt.stability == "marginal"}
+    assert set(events) <= marginal
+
+
+@pytest.mark.parametrize("problem, window", [("triangle", (0.1, 100.0)), ("tetrahedron", (0.1, 50.0))])
+def test_trivial_branch_labels_of_a_hooke_spring_equal_the_per_point_ones(problem, window):
+    # a Hooke spring's margins, 4k and 8k, never vanish: no event, every sample stable
+    system = make_system(problem, PolynomialSpring(1, 0))
+    assert stability_boundaries(system.geometry, system.spec, window) == []
+    branch = _trivial_branch(system, window, [])
+    assert len(branch.points) == 400
+    _assert_labels_and_arclengths_are_the_per_point_ones(system, branch)
+    assert {(pt.stability, pt.index) for pt in branch.points} == {("stable", 0)}
+
+
+@pytest.mark.parametrize("problem, spec, window", [
+    ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0)),
+    ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0)),
+])
+def test_the_trivial_branch_takes_no_jacobian_and_no_eigensolve(monkeypatch, problem, spec, window):
+    from cluster_bifurc import cluster
+
+    calls = {"evaluate": 0, "classify_stack": 0, "householder_complement": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in calls:
+        counting(cluster, name)
+    counting(cluster.ClusterProblem, "evaluate")
+    system = make_system(problem, spec)
+    events = [r.parameter for r in stability_boundaries(system.geometry, spec, window)]
+    branch = _trivial_branch(system, window, events)
+    assert len(branch.points) == 400 + len(events) and events
+    assert calls == {"evaluate": 0, "classify_stack": 0, "householder_complement": 0}
+
+
+def _assert_labels_and_arclengths_are_the_per_point_ones(system, branch):
     s = 0.0
     for i, pt in enumerate(branch.points):
         want = classified_point(system, system.trivial_state(pt.parameter), pt.parameter)
@@ -502,6 +568,3 @@ def test_stacked_trivial_branch_labels_equal_the_per_point_ones(problem, spec, w
             dz = pt.z() - branch.points[i - 1].z()
             s += float(np.sqrt(dz @ dz))
         assert pt.arclength == s
-    # every primary event is a marginal point (a sample may sit close enough to one to be marginal too)
-    marginal = {pt.parameter for pt in branch.points if pt.stability == "marginal"}
-    assert set(events) <= marginal

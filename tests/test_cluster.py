@@ -446,6 +446,33 @@ def test_stability_boundaries_match_the_per_geometry_copies(monkeypatch, name):
     assert found > 0
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_scan_calls_margin_only_to_refine_its_brackets(monkeypatch, name):
+    # the grid's margins come from one array pass; `margin` is called at
+    # Python floats only by each bracket's bisection and its slope's two probes
+    case = CASES[name]
+    calls, real = [], cluster.margin
+
+    def counting(geometry, spec, p, k):
+        calls.append(p)
+        return real(geometry, spec, p, k)
+
+    monkeypatch.setattr(cluster, "margin", counting)
+    found = 0
+    for spec in SPECS:
+        for window in case["windows"]:
+            calls.clear()
+            roots = case["boundaries"][0](spec, window)
+            grid = set(np.geomspace(*window, cluster.SCAN_POINTS).tolist())
+            assert not grid & set(calls) and all(type(p) is float for p in calls)
+            assert len(calls) <= 60 * len(roots)
+            for r in roots:
+                step = 1e-6 * r.parameter
+                assert {r.parameter + step, r.parameter - step} <= set(calls)
+            found += len(roots)
+    assert found > 0
+
+
 @pytest.mark.parametrize("at", [0, 5, 10])
 def test_scan_counts_an_exact_zero_on_any_grid_point_once(at):
     # both ends of the grid included: p - 2.0 vanishes exactly on the top point

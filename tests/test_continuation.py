@@ -625,18 +625,18 @@ def test_detect_primary_between_trivial_points():
 
 def test_branch_switch_transcritical_isosceles():
     # the pinned walk seeds both halves of the transcritical isosceles branch,
-    # each isolated, the one above the primary first
+    # each isolated by the walk's own verdict, the one above the primary first
     system = lj_system()
     ev = make_primary_event(system, A0)
-    seeds, v = branch_switch(system, ev, isosceles())
-    assert len(seeds) == 2 and v == tuple(isosceles().kernel_unit())
+    seeds, isolated = branch_switch(system, ev, isosceles())
+    assert len(seeds) == 2 and isolated == (True, True)
     assert seeds[0].parameter > A0 > seeds[1].parameter
     for pt in seeds:
         x = np.asarray(pt.state)
         assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < 10 * continuation.NEWTON_TOL
         assert pt.shape == "isosceles(b=c)"
         assert abs(x[1] - x[2]) > 1e-4  # genuinely nontrivial
-        assert continuation.is_isolated(system, x, pt.parameter)
+        assert continuation.is_isolated(system, x, system.evaluate(x, pt.parameter)[1])
 
 
 def test_branch_switch_seeds_straddle_the_parameter():
@@ -686,9 +686,9 @@ def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
     monkeypatch.setattr(continuation, "newton_correct", correct)
     monkeypatch.setattr(continuation, "is_isolated", judging)
     seeds, _ = branch_switch(system, make_primary_event(system, A0), isosceles())
-    # one evaluation per isolation test of a walk point; no seed evaluates
-    # its own Jacobian outside its correction
-    assert len(seeds) == 2 and isolated and len(outside) == len(isolated)
+    # every isolation test of a walk point reads its correction's Jacobian, and
+    # no seed evaluates its own Jacobian outside its correction
+    assert len(seeds) == 2 and isolated and outside == []
     for pt in seeds:
         assert pt == continuation.classified_point(system, np.asarray(pt.state), pt.parameter)
 

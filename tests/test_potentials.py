@@ -77,6 +77,20 @@ def test_stability_margin_is_exact_composition():
             assert stability_margin(spec, r, k) == composed  # bitwise identical
 
 
+@pytest.mark.parametrize("spec", [LJ, Buckingham(1, 1, 1, 4), PolynomialSpring(1.5, -0.2),
+                                  NormalizedBuckingham(1, 1, 14.3863, 5.6518)])
+def test_derivatives_take_an_array_and_keep_the_float_path(spec):
+    r = np.geomspace(0.5, 10.0, 200)
+    arrays = derivatives(spec, r)
+    for i, v in enumerate(r.tolist()):
+        floats = derivatives(spec, v)
+        assert all(type(f) is float for f in floats)  # Python's pow and exp, not numpy's
+        for got, want in zip(arrays, floats):
+            assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
+    with pytest.raises(ValueError):
+        derivatives(spec, np.array([1.0, 0.0]))
+
+
 def test_derivatives_match_finite_differences():
     rng = np.random.default_rng(12)
     for spec in (LJ, Buckingham(1, 1, 1, 4), NormalizedBuckingham(1, 1, 14.3863, 5.6518),
