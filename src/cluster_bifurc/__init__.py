@@ -5,7 +5,7 @@ energy of three particles at fixed triangle area and four particles at fixed
 tetrahedron volume, producing bifurcation diagrams with stability annotation.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .potentials import (  # noqa: E402
     Buckingham,

@@ -19,7 +19,6 @@ byte-identical JSON/CSV; timestamps only appear in the run_meta.json sidecar.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -46,7 +45,6 @@ from .cluster import (
 from .continuation import (
     BifurcationEvent,
     Branch,
-    BranchPoint,
     ContinuationSettings,
     CorrectorFailure,
     DomainExit,
@@ -55,11 +53,12 @@ from .continuation import (
     branch_switch,
     classified_point,
     concatenate_branches,
+    cumulative_arclengths,
     newton_correct,
     trace_branch,
 )
 from .diagram import Abc3d, Diagram, ParamVsComponent, check_projection, export, render_svg
-from .linalg import squared_norms, sym_eigen
+from .linalg import sym_eigen
 from .potentials import (
     Buckingham,
     ConfigError,
@@ -112,15 +111,10 @@ def make_system(problem: str, spec) -> ClusterProblem:
 def _trivial_branch(system, window, extra_params) -> Branch:
     """The symmetric branch at 400 even steps over the window and at `extra_params`,
     labeled from its closed-form margins (`cluster.classify_trivial`)."""
-    params = sorted(set(np.linspace(window[0], window[1], 400).tolist()) | set(extra_params))
-    states, stability, index = classify_trivial(system.geometry, system.spec, params)
-    dz = np.diff(np.column_stack([states, params]), axis=0)
-    steps = np.sqrt(squared_norms(dz))
-    arclengths = itertools.accumulate(steps.tolist(), initial=0.0)
-    shape = system.geometry.families.whole
-    points = [BranchPoint(tuple(x), p, s, st, shape, i) for x, p, s, st, i in
-              zip(states.tolist(), params, arclengths, stability, index)]
-    return Branch(points=points, id=0, label="trivial")
+    params = np.array(sorted(set(np.linspace(window[0], window[1], 400).tolist()) | set(extra_params)))
+    states, stability, index = classify_trivial(system.geometry, system.spec, params.tolist())
+    return Branch(states, params, cumulative_arclengths(np.column_stack([states, params])), np.array(index),
+                  stability, [system.geometry.families.whole] * len(params), id=0, label="trivial")
 
 
 def _run_traces(system, jobs, settings, window, targets):
@@ -137,7 +131,7 @@ def _run_traces(system, jobs, settings, window, targets):
             return trace_branch(system, seed, hint, settings, window, bifurcation_kind="secondary",
                                 targets=targets)
         except TraceAbort:
-            return Branch(points=[replace(seed, arclength=0.0)]), []
+            return Branch.from_points([seed]), []
 
     if len(jobs) <= 1:
         return [one(j) for j in jobs]
@@ -167,7 +161,7 @@ def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settin
     else:
         # degenerate family: the switched solutions are not isolated, so a
         # branch trace is ill posed; report the converged seed points alone
-        halves, events = [Branch(points=[seeds[0]]), Branch(points=list(seeds[1:]))], []
+        halves, events = [Branch.from_points(seeds[:1]), Branch.from_points(seeds[1:])], []
     if len(halves) == 2:
         branch = concatenate_branches(halves[0], classified_point(system, x_ev, ev.parameter), halves[1])
     else:
@@ -232,15 +226,15 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
             if switched is None:
                 continue
             branch, events, ended_at = switched
-            ends = {branch.points[0].state, branch.points[-1].state}
+            ends = {tuple(branch.states[0].tolist()), tuple(branch.states[-1].tolist())}
             for e in events:
                 if e.state in ends:
                     reached.add(len(known))  # a trace ended at this crossing it localized
                 known.append(replace(e, id=len(known), source_branch=len(branches)))
             reached |= ended_at
             for image in orbit(geometry.families, branch):
-                branches.append(replace(image, id=len(branches), parent_event=branch.parent_event,
-                                        label=branch.label))
+                image.id, image.parent_event, image.label = len(branches), branch.parent_event, branch.label
+                branches.append(image)
         # refined secondary bifurcations are switched; one whose localization
         # lost its bracket is no trustworthy branch point
         jobs = [(ev, Reduction(identity, tuple(ev.kernel[0]))) for ev in known[first_new:]
@@ -506,11 +500,11 @@ def _require(cfg: dict, key: str):
 
 
 def _config_float(value, key: str, positive: bool = False) -> float:
-    """`value` as a finite float, positive where asked; a bool, which `float`
-    would read as 0 or 1, is refused like any other non-number."""
+    """`value` as a finite float, positive where asked, from an int or a float only, as in `_window`:
+    a bool, which `float` would read as 0 or 1, or a numeric string is refused as a non-number."""
     try:
-        out = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):  # an integer too large for a float overflows
+        out = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer too large for a float
         out = math.nan
     if not math.isfinite(out) or (positive and not out > 0):
         kind = "a positive number" if positive else "a finite number"
@@ -621,8 +615,8 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
                                   else "secondary")
     branch.id = 0
     branch.label = "traced"
-    params = branch.parameters()
-    print(f"traced {len(branch.points)} points, {system.param_name} in "
+    params = branch.parameters
+    print(f"traced {len(params)} points, {system.param_name} in "
           f"[{params.min():.6g}, {params.max():.6g}]")
     for ev in events:
         print(f"event {ev.kind} at {system.param_name}={ev.parameter:.8g} (kernel dim {ev.kernel_dim})")

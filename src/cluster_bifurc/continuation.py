@@ -68,14 +68,14 @@ projected onto Fix(S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .linalg import solve, sym_eigen
+from .linalg import solve, squared_norms, sym_eigen
 
 __all__ = [
     "ContinuationSettings",
@@ -94,6 +94,7 @@ __all__ = [
     "dedup_events",
     "branch_switch",
     "concatenate_branches",
+    "cumulative_arclengths",
     "classified_point",
     "metric_weights",
     "is_isolated",
@@ -142,16 +143,40 @@ class BranchPoint:
         return np.array(self.state + (self.parameter,), dtype=float)
 
 
-@dataclass
+@dataclass(eq=False)
 class Branch:
-    points: list[BranchPoint] = field(default_factory=list)
+    """A branch as columns: point i is row i of `states` (N, n) and entry i of
+    each other column, `index` its tangent-space (Morse) index.  Branches are
+    equal when every field is, compared as arrays (two empty ones are equal)."""
+
+    states: np.ndarray
+    parameters: np.ndarray
+    arclengths: np.ndarray
+    index: np.ndarray
+    stability: Sequence[str]
+    shape: Sequence[str]
     id: int | None = None
     parent_event: int | None = None
     label: str = ""
     reached_event: int | None = None  # id of the known event the trace ended at; not exported
 
-    def parameters(self) -> np.ndarray:
-        return np.array([pt.parameter for pt in self.points])
+    @classmethod
+    def from_points(cls, points: Sequence[BranchPoint], **kwargs) -> Branch:
+        return cls(np.array([pt.state for pt in points], dtype=float), np.array([pt.parameter for pt in points]),
+                   np.array([pt.arclength for pt in points]), np.array([pt.index for pt in points], dtype=int),
+                   [pt.stability for pt in points], [pt.shape for pt in points], **kwargs)
+
+    @property
+    def points(self) -> tuple[BranchPoint, ...]:
+        """The rows as `BranchPoint` records, built anew on each access."""
+        return tuple(map(BranchPoint, map(tuple, self.states.tolist()), self.parameters.tolist(),
+                         self.arclengths.tolist(), self.stability, self.shape, self.index.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Branch):
+            return NotImplemented
+        return all(np.array_equal(a, b) or np.size(a) == np.size(b) == 0 for a, b in
+                   ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -202,24 +227,16 @@ class TraceAbort(RuntimeError):
     pass
 
 
-def classified_point(system, x: np.ndarray, p: float, J: np.ndarray | None = None) -> BranchPoint:
-    """A solution point with its labels and index, from its Jacobian `J` (built here when not given)."""
-    cls = system.classify_stack([x], [system.evaluate(x, p)[1] if J is None else J])[0]
-    return BranchPoint(
-        state=tuple(float(v) for v in x),
-        parameter=float(p),
-        arclength=0.0,
-        stability=cls.stability,
-        shape=cls.shape,
-        index=cls.index,
-    )
+def classified_point(system, x: np.ndarray, p: float) -> BranchPoint:
+    """A solution point with its labels and index, from its Jacobian."""
+    return Correction(system, x, p, 0, system.evaluate(x, p)[1]).point
 
 
 @dataclass(eq=False)
 class Correction:
-    """A converged corrector iterate, unpacking as `(point, iterations)`; the
-    labeled `point` is built on first use, so a rejected correction costs no
-    eigen-decomposition."""
+    """A converged corrector iterate, unpacking as `(point, iterations)`; its
+    `classification`, which the labeled `point` and `is_isolated` read, is
+    computed once on first use, so a rejected correction costs no eigensolve."""
 
     system: object
     state: np.ndarray
@@ -228,8 +245,14 @@ class Correction:
     jacobian: np.ndarray
 
     @cached_property
+    def classification(self):  # the converged point's `cluster.Classification`
+        return self.system.classify_stack([self.state], [self.jacobian])[0]
+
+    @cached_property
     def point(self) -> BranchPoint:
-        return classified_point(self.system, self.state, self.parameter, self.jacobian)
+        c = self.classification
+        return BranchPoint(tuple(float(v) for v in self.state), float(self.parameter), 0.0,
+                           c.stability, c.shape, c.index)
 
     def __getitem__(self, i: int):
         return self.iterations if i in (1, -1) else (self.point, self.iterations)[i]
@@ -376,12 +399,14 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
 
     Every correction and localization probe is projected onto Fix(S), S the
     start point's stabilizer.  The loop keeps each accepted point's state,
-    parameter, arclength, Jacobian and tangent slope; after it, the points
-    are labeled in one `classify_stack` call (corrections that the window
-    or crossing rules reject are never labeled), the landing rule cuts
-    them, and `detect_and_localize` runs on each segment before the cut
-    whose index changed.  The crossing end point is labeled on its own and
-    its event comes last.
+    parameter, arclength, Jacobian and tangent slope, and the crossing end's
+    state, parameter, arclength and Jacobian; after it, the points are
+    labeled in one `classify_stack` call (corrections that the window or
+    crossing rules reject are never labeled), the landing rule cuts them,
+    the branch's columns are filled from these lists, and
+    `detect_and_localize` runs, from its two rows, on each segment before
+    the cut or the crossing end whose index changed.  The crossing end's
+    event comes last.
     Detected events are classified as `bifurcation_kind` ("primary" when
     the caller is tracing the fully symmetric branch) or "turning".
     """
@@ -397,7 +422,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     slopes = [float(t[-1])]  # the tangents' parameter components
     fix, normals, projections = system.fixed_space(x0)
     phi = normals @ x0
-    reached = end = end_point = None
+    reached = end = None
     h = min(H0, settings.h_max)
     s = 0.0
     while 1 + len(states) < settings.max_points:
@@ -431,9 +456,13 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
                 continue
             break
         if crossing is not None:
+            # the end point, labeled with the loop's points; the landing rule and
+            # event detection look only at the points before it
             z_end, reached, end = crossing
-            end_point = replace(classified_point(system, z_end[:-1], z_end[-1]),
-                                arclength=s + float(np.sqrt((z_end - z) @ (z_end - z))))
+            states.append(z_end[:-1])
+            params.append(float(z_end[-1]))
+            arclengths.append(s + float(np.sqrt((z_end - z) @ (z_end - z))))
+            jacobians.append(system.evaluate(z_end[:-1], z_end[-1])[1])
             break
         w_new = metric_weights(z_new)
         t_new = branch_tangent(system, x_new, z_new[-1], t, w_new, corrected.jacobian)
@@ -450,29 +479,29 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             h = min(h * STEP_GROWTH, settings.h_max)
 
     labels = system.classify_stack(states, jacobians)
+    n_kept = 1 + len(states) - (reached is not None or end is not None)  # the points before a crossing end
     start_order = system.isotropy_order(x0)
-    cut = next((i for i, (x, c) in enumerate(zip(states, labels))
+    cut = next((i for i, (x, c) in enumerate(zip(states[:n_kept - 1], labels))
                 if c.shape != start.shape and system.isotropy_order(x) > start_order), None)
     if cut is not None:  # landed on a more symmetric point
         states, params, arclengths, labels, slopes = (
             states[:cut], params[:cut], arclengths[:cut], labels[:cut], slopes[:cut + 1])
-        reached = end = end_point = None
-    points = [replace(start, arclength=0.0)] + [
-        BranchPoint(tuple(x), p, sk, c.stability, c.shape, c.index) for x, p, sk, c in
-        zip(np.array(states).tolist(), params, arclengths, labels)]
+        reached = end = None
+        n_kept = 1 + cut
+    branch = Branch(np.array([x0] + states), np.array([p0] + params), np.array([0.0] + arclengths),
+                    np.array([start.index] + [c.index for c in labels]),
+                    [start.stability] + [c.stability for c in labels], [start.shape] + [c.shape for c in labels],
+                    reached_event=None if reached is None else reached.id)
+    z_rows = np.column_stack([branch.states, branch.parameters])
+    index = branch.index[:n_kept]
     events: list[BifurcationEvent] = []
-    index = np.array([pt.index for pt in points])
     for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
-        ev = detect_and_localize(system, points[i], points[i + 1],
-                                 bifurcation_kind=bifurcation_kind,
-                                 monitors=(index[i], index[i + 1], slopes[i], slopes[i + 1]),
-                                 projection=fix)
+        ev = detect_and_localize(system, z_rows[i], z_rows[i + 1], (index[i], index[i + 1]),
+                                 bifurcation_kind, (slopes[i], slopes[i + 1]), fix)
         if ev is not None:
             events.append(ev)
     events += [end] if end is not None else []
-    points += [end_point] if end_point is not None else []
-    return (Branch(points=points, reached_event=None if reached is None else reached.id),
-            dedup_events(events))
+    return branch, dedup_events(events)
 
 
 def _edge_correction(system, z: np.ndarray, over: Correction, window: tuple[float, float],
@@ -520,8 +549,9 @@ def _crossing_end(system, normals, projections, ks, z_a: np.ndarray, z_b: np.nda
             return z_img, tg, None
     Q = projections[ks[0]]
     ends = [_try_correct(system, Q @ z[:-1], z[-1], projection=Q) for z in (z_a, z_b)]
-    ev = None if None in ends else detect_and_localize(system, ends[0].point, ends[1].point, kind,
-                                                       projection=Q)
+    ev = None if None in ends else detect_and_localize(
+        system, *(np.append(e.state, e.parameter) for e in ends),
+        tuple(e.classification.index for e in ends), kind, projection=Q)
     return None if ev is None else (np.append(ev.state, ev.parameter), None, ev)
 
 
@@ -542,21 +572,21 @@ def dedup_events(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
     return sorted(kept, key=lambda e: e.parameter)
 
 
-def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
+def detect_and_localize(system, za: np.ndarray, zb: np.ndarray, indices: tuple[int, int],
                         bifurcation_kind: str = "secondary",
-                        monitors: tuple[int, int, float, float] | None = None,
+                        slopes: tuple[float, float] | None = None,
                         projection: np.ndarray | None = None) -> BifurcationEvent | None:
-    """Examine one traced segment for a bifurcation or turning point.
+    """Examine one traced segment, z_a = (x_a, p_a) to z_b, for a bifurcation or turning point.
 
     The monitor is the tangent-space (Morse) index, the number of negative
-    eigenvalues of Z^t H Z that the classification computes.  By
-    In(J) = In(Z^t H Z) + (1, 1, 0) (Gould 1985, Math. Programming 32) it
-    changes exactly where an eigenvalue of the Jacobian of any multiplicity
+    eigenvalues of Z^t H Z that the classification computes, `indices` at
+    the ends.  By In(J) = In(Z^t H Z) + (1, 1, 0) (Gould 1985, Math.
+    Programming 32) it changes exactly where an eigenvalue of the Jacobian of any multiplicity
     crosses zero, including the double and triple crossings on the fully
     symmetric branch that leave every determinant sign unchanged; a segment
-    whose index does not change holds no event.  `monitors` gives the
-    indices and the tangents' parameter components at both ends; when it is
-    None the indices are the points' own and the tangents are built here.
+    whose index does not change holds no event.  `slopes` gives the
+    tangents' parameter components at both ends; when it is None the
+    tangents are built here.
     The event is a fold ("turning") where the tangent component flips, and
     `bifurcation_kind` otherwise.
 
@@ -575,17 +605,16 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
     jump across the final bracket, and the kernel is the m eigenvectors of
     the Jacobian nearest zero at the reported point.
     """
-    za, zb = a.z(), b.z()
     chord = zb - za
     chord_len = float(np.sqrt(chord @ chord))
-    neg_a, neg_b = (a.index, b.index) if monitors is None else monitors[:2]
+    neg_a, neg_b = indices
     if chord_len == 0.0 or neg_a == neg_b:
         return None
     d = chord / chord_len
-    if monitors is None:  # the tangents, oriented along the chord
+    if slopes is None:  # the tangents, oriented along the chord
         ta = branch_tangent(system, za[:-1], za[-1], d)
-        monitors = (neg_a, neg_b, float(ta[-1]), float(branch_tangent(system, zb[:-1], zb[-1], ta)[-1]))
-    kind = "turning" if monitors[2] * monitors[3] < 0 else bifurcation_kind
+        slopes = (float(ta[-1]), float(branch_tangent(system, zb[:-1], zb[-1], ta)[-1]))
+    kind = "turning" if slopes[0] * slopes[1] < 0 else bifurcation_kind
 
     def corrected(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
         q = za + theta * chord
@@ -609,7 +638,7 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
                 return cand, got
         return theta, None
 
-    p_tol = 1e-10 * max(1.0, abs(a.parameter), abs(b.parameter))
+    p_tol = 1e-10 * max(1.0, abs(float(za[-1])), abs(float(zb[-1])))
 
     def tight(lo: float, hi: float) -> bool:
         return (hi - lo) * abs(chord[-1]) < p_tol and (hi - lo) * chord_len < 1e-9 * max(1.0, chord_len)
@@ -659,15 +688,15 @@ def detect_and_localize(system, a: BranchPoint, b: BranchPoint,
     )
 
 
-def is_isolated(system, x: np.ndarray, J: np.ndarray) -> bool:
-    """True once no tangent eigenvalue of the solution x, with Jacobian J, is
-    trapped near zero.
+def is_isolated(got: Correction) -> bool:
+    """True once no tangent eigenvalue of the corrected solution is trapped
+    near zero.
 
-    The tangent eigenvalues are those of Z^t H Z that `classify_stack`
-    computes, H = J[1:, 1:] the Hessian of the Lagrangian; they are judged
-    against max|H|, the scale stability is decided on, not against the
-    bordered Jacobian J, whose constraint row can outweigh H by many orders
-    of magnitude.  Near a bifurcation the critical eigenvalue is O(amplitude),
+    The tangent eigenvalues are those of Z^t H Z in the correction's
+    `classification`, H = J[1:, 1:] the Hessian of the Lagrangian in its
+    Jacobian J; they are judged against max|H|, the scale stability is
+    decided on, not against J, whose constraint row can outweigh H by many
+    orders of magnitude.  Near a bifurcation the critical eigenvalue is O(amplitude),
     or O(amplitude^2) on a pitchfork, so a seed too close to it leaves every
     bordered matrix nearly singular; the tracer needs the spectrum clear of
     zero before taking over.  A state that stays non-isolated at any
@@ -675,8 +704,8 @@ def is_isolated(system, x: np.ndarray, J: np.ndarray) -> bool:
     equations, for example, admit a whole surface of nontrivial critical
     points), where branch tracing is ill posed.
     """
-    w = np.abs(system.classify_stack([x], [J])[0].tangent_eigenvalues)
-    scale = float(np.max(np.abs(J[1:, 1:])))
+    w = np.abs(got.classification.tangent_eigenvalues)
+    scale = float(np.max(np.abs(got.jacobian[1:, 1:])))
     return scale > 0 and float(np.min(w)) > 1e-7 * scale
 
 
@@ -690,26 +719,23 @@ def _pinned_walk(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float
     row (v, 0); inside Fix(S) the kernel is simple and the pinned Newton is
     well posed arbitrarily close to the bifurcation.  The walk stops at the
     first amplitude whose point `is_isolated`, judged on its correction's
-    Jacobian, or where a wider amplitude fails to converge, after at most
+    classification, or where a wider amplitude fails to converge, after at most
     16 doublings.
     """
     def pinned(guess: np.ndarray, p: float, amp: float) -> Correction | None:
         return _try_correct(system, guess, p, PseudoArclength(np.append(v, 0.0), np.append(x0, p0), amp), P)
 
-    def isolated(got: Correction) -> bool:
-        return is_isolated(system, got.state, got.jacobian)
-
     got = pinned(x0 + delta * v, p0, delta)
     amp = delta
     for _ in range(16):
-        if got is None or isolated(got):
+        if got is None or is_isolated(got):
             return got, got is not None
         amp *= 2.0
         wider = pinned(got.state + 0.5 * amp * v, got.parameter, amp)
         if wider is None:
             return got, False
         got = wider
-    return got, isolated(got)  # the last doubling's point, not judged yet
+    return got, is_isolated(got)  # the last doubling's point, not judged yet
 
 
 def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[BranchPoint], tuple[bool, ...]]:
@@ -728,8 +754,9 @@ def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[Bran
 
     Every seed is a `newton_correct` projected onto Fix(S) with the
     reduction's projector, so it converges on the full residual, lies in
-    Fix(S) exactly and is labeled from the corrector's last Jacobian; a
-    seed whose correction fails is left out.
+    Fix(S) exactly and is labeled by the classification of the corrector's
+    last Jacobian that its isolation test read; a seed whose correction
+    fails is left out.
     """
     P = reduction.projection
     v = reduction.kernel_unit()
@@ -742,26 +769,27 @@ def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[Bran
     return [pt for pt, _ in seeds], tuple(ok for _, ok in seeds)
 
 
+def cumulative_arclengths(z_rows: np.ndarray) -> np.ndarray:
+    """0, then the running sum in order of the chords between the rows (N, n+1), each from its own `dz @ dz`."""
+    return np.concatenate([[0.0], np.cumsum(np.sqrt(squared_norms(np.diff(z_rows, axis=0))))])
+
+
 def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:
     """Join two half-traces into one branch (first reversed), rebuilding arclength.
 
-    Coincident points at the junction (the halves usually share their seed or
-    start state) are collapsed so arclength stays strictly increasing.
+    A row within 1e-12 relative of the row before it (the halves usually
+    share their seed or start state at the junction) is dropped, so
+    arclength stays strictly increasing.
     """
-    pts = list(reversed(first.points))
-    if junction is not None:
-        pts.append(junction)
-    pts.extend(second.points)
-    out: list[BranchPoint] = []
-    s = 0.0
-    prev = None
-    for pt in pts:
-        if prev is not None:
-            dz = pt.z() - prev.z()
-            step = float(np.sqrt(dz @ dz))
-            if step < 1e-12 * max(1.0, float(np.max(np.abs(pt.z())))):
-                continue
-            s += step
-        out.append(replace(pt, arclength=s))
-        prev = pt
-    return Branch(points=out, label=second.label or first.label)
+    reversed_first = Branch(first.states[::-1], first.parameters[::-1], first.arclengths[::-1],
+                            first.index[::-1], first.stability[::-1], first.shape[::-1])
+    parts = [reversed_first] + ([Branch.from_points([junction])] if junction is not None else []) + [second]
+    parts = [b for b in parts if len(b.parameters)]  # a half can be empty: a stub with one seed
+    z_rows = np.concatenate([np.column_stack([b.states, b.parameters]) for b in parts])
+    step = np.sqrt(squared_norms(np.diff(z_rows, axis=0)))
+    keep = np.flatnonzero(np.append(True, ~(step < 1e-12 * np.maximum(1.0, np.abs(z_rows[1:]).max(axis=1)))))
+    z_rows = z_rows[keep]
+    stability, shape = ([v for b in parts for v in getattr(b, name)] for name in ("stability", "shape"))
+    return Branch(z_rows[:, :-1], z_rows[:, -1], cumulative_arclengths(z_rows),
+                  np.concatenate([b.index for b in parts])[keep], [stability[k] for k in keep],
+                  [shape[k] for k in keep], label=second.label or first.label)

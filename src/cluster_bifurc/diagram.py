@@ -3,11 +3,11 @@
 A Diagram bundles the traced branches and localized events of one run along
 with the potential, the parameter window, the continuation settings and the
 tool version, so a stored file identifies the computation that produced it.
-JSON is the archival format (lossless round trip): it stores each record's
-own fields, except that a point's `arclength` is stored as "s" and a
-branch's `reached_event` is not stored.  CSV is the interchange format (one
-row per branch point), and SVG the plot format: stable segments are drawn
-in #008000, unstable ones in #c00000, with events marked.
+JSON is the archival format (lossless round trip): it stores each branch's
+columns, `id`, `parent_event` and `label` (not its `reached_event`) and
+each event's fields.  CSV is the interchange format (one row per branch
+point), and SVG the plot format: stable segments are drawn in #008000,
+unstable ones in #c00000, with events marked; both read the columns.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import __version__
-from .continuation import Branch, BranchPoint, BifurcationEvent, ContinuationSettings
+from .continuation import Branch, BifurcationEvent, ContinuationSettings
 
 __all__ = [
     "Diagram",
@@ -41,6 +43,8 @@ _COMPONENTS = {
     "tetrahedron": ("lambda", "a", "b", "c", "A", "B", "C"),
 }
 _PARAM_LABEL = {"triangle": "A", "tetrahedron": "V"}
+_FLOAT_COLUMNS = ("states", "parameters", "arclengths")
+_COLUMNS = _FLOAT_COLUMNS + ("index", "stability", "shape")
 
 
 @dataclass
@@ -59,50 +63,24 @@ class Diagram:
             if ev.source_branch is not None and ev.source_branch not in ids:
                 raise ValueError(f"event {ev.id} references missing branch {ev.source_branch}")
         for br in self.branches:
-            s = [pt.arclength for pt in br.points]
-            if any(b < a for a, b in zip(s, s[1:])):
+            if np.any(np.diff(br.arclengths) < 0):
                 raise ValueError(f"branch {br.id} points are not sorted by arclength")
 
 
-def _stored_point(pt: BranchPoint) -> dict:
-    obj = dict(vars(pt))
-    obj["s"] = obj.pop("arclength")
-    return obj
-
-
-def diagram_to_json(diagram: Diagram) -> str:
-    obj = {
-        **vars(diagram),
-        "settings": vars(diagram.settings),
-        "branches": [
-            {"id": br.id, "parent_event": br.parent_event, "label": br.label,
-             "points": [_stored_point(pt) for pt in br.points]}
-            for br in diagram.branches
-        ],
-        "events": [vars(ev) for ev in diagram.events],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def diagram_from_json(text: str) -> Diagram:
-    obj = json.loads(text)
-    if any("index" not in pt for b in obj["branches"] for pt in b["points"]):
-        raise ValueError(f"diagram version {obj.get('version')!r} stores no Morse index per point; "
-                         f"version {__version__} reads only diagrams that do")
+def load_diagram(data: bytes | str) -> Diagram:
+    obj = json.loads(data)
     setting_names = sorted(f.name for f in fields(ContinuationSettings))
-    if sorted(obj["settings"]) != setting_names:
-        raise ValueError(f"diagram version {obj.get('version')!r} stores the settings {sorted(obj['settings'])}; "
-                         f"version {__version__} reads only diagrams whose settings are {setting_names}")
-    for b in obj["branches"]:
-        for pt in b["points"]:
-            pt["arclength"] = pt.pop("s")
+    if sorted(obj["settings"]) != setting_names or any(
+            set(_COLUMNS) - b.keys() or len({len(b[k]) for k in _COLUMNS}) > 1 for b in obj["branches"]):
+        raise ValueError(f"diagram version {obj.get('version')!r} stores another layout; version "
+                         f"{__version__} reads only branches as the columns {_COLUMNS}, all of one "
+                         f"length, and the settings {setting_names}")
     return Diagram(**{
         **obj,
         "window": tuple(obj["window"]),
         "settings": ContinuationSettings(**obj["settings"]),
-        "branches": [Branch(**{**b, "points": [BranchPoint(**{**pt, "state": tuple(pt["state"])})
-                                               for pt in b["points"]]})
-                     for b in obj["branches"]],
+        "branches": [Branch(**{**b, **{k: np.array(b[k], dtype=float) for k in _FLOAT_COLUMNS},
+                               "index": np.array(b["index"], dtype=int)}) for b in obj["branches"]],
         "events": [BifurcationEvent(**{**e, "state": tuple(e["state"]),
                                        "kernel": tuple(map(tuple, e["kernel"]))})
                    for e in obj["events"]],
@@ -115,27 +93,25 @@ def diagram_to_csv(diagram: Diagram) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["branch_id", "s", "parameter"] + list(components) + ["stable", "shape"])
     for br in diagram.branches:
-        for pt in br.points:
-            row = [br.id, f"{pt.arclength:.17g}", f"{pt.parameter:.17g}"]
-            row += [f"{v:.17g}" for v in pt.state]
-            row += ["1" if pt.stability == "stable" else "0", pt.shape]
-            writer.writerow(row)
+        for s, p, x, stability, shape in zip(br.arclengths.tolist(), br.parameters.tolist(), br.states.tolist(),
+                                             br.stability, br.shape):
+            writer.writerow([br.id, f"{s:.17g}", f"{p:.17g}", *(f"{v:.17g}" for v in x),
+                             "1" if stability == "stable" else "0", shape])
     return buf.getvalue()
 
 
 def export(diagram: Diagram, format: str) -> bytes:
     """Serialize a diagram; `format` is "json" or "csv"."""
     if format == "json":
-        return diagram_to_json(diagram).encode()
+        branches = [{"id": br.id, "parent_event": br.parent_event, "label": br.label,
+                     **{name: np.asarray(getattr(br, name)).tolist() for name in _COLUMNS}}
+                    for br in diagram.branches]
+        obj = {**vars(diagram), "settings": vars(diagram.settings), "branches": branches,
+               "events": [vars(ev) for ev in diagram.events]}
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     if format == "csv":
         return diagram_to_csv(diagram).encode()
     raise ValueError(f"unknown export format {format!r}")
-
-
-def load_diagram(data: bytes | str) -> Diagram:
-    if isinstance(data, bytes):
-        data = data.decode()
-    return diagram_from_json(data)
 
 
 @dataclass(frozen=True)
@@ -174,11 +150,11 @@ def check_projection(problem: str, projection) -> None:
         raise ValueError(f"unknown projection {projection!r}")
 
 
-def _project_points(problem: str, projection, records) -> list[tuple[float, float]]:
-    """Plot coordinates of records that have `.parameter` and `.state`: points or events."""
+def _project_points(problem: str, projection, parameters, states) -> list[tuple[float, float]]:
+    """Plot coordinates of points given by their parameters and states: a branch's rows or events."""
     if isinstance(projection, ParamVsComponent):
         idx = _COMPONENTS[problem].index(projection.name)
-        return [(r.parameter, r.state[idx]) for r in records]
+        return [(p, x[idx]) for p, x in zip(parameters, states)]
     az = math.radians(projection.azimuth_deg)
     tl = math.radians(projection.tilt_deg)
     ca, sa = math.cos(az), math.sin(az)
@@ -189,7 +165,7 @@ def _project_points(problem: str, projection, records) -> list[tuple[float, floa
         xr, yr = ca * x - sa * y, sa * x + ca * y
         return (ct * xr - st * z, yr)
 
-    return [proj(r.state) for r in records]
+    return [proj(x) for x in states]
 
 
 def _segment_color(sa: str, sb: str) -> str:
@@ -206,10 +182,12 @@ def render_svg(diagram: Diagram, projection) -> str:
     events are drawn as black circles.
     """
     check_projection(diagram.problem, projection)
-    branch_coords = [_project_points(diagram.problem, projection, br.points) for br in diagram.branches]
+    branch_coords = [_project_points(diagram.problem, projection, br.parameters.tolist(), br.states.tolist())
+                     for br in diagram.branches]
     if not any(len(c) >= 1 for c in branch_coords):
         raise ValueError("diagram has no points to render for this projection")
-    event_coords = _project_points(diagram.problem, projection, diagram.events)
+    event_coords = _project_points(diagram.problem, projection, [ev.parameter for ev in diagram.events],
+                                   [ev.state for ev in diagram.events])
     xs = [x for coords in branch_coords for (x, _) in coords] + [x for (x, _) in event_coords]
     ys = [y for coords in branch_coords for (_, y) in coords] + [y for (_, y) in event_coords]
     x_lo, x_hi = min(xs), max(xs)
@@ -257,7 +235,7 @@ def render_svg(diagram: Diagram, projection) -> str:
         run: list[tuple[float, float]] = [coords[0]]
         run_color = None
         for i in range(1, len(coords)):
-            color = _segment_color(br.points[i - 1].stability, br.points[i].stability)
+            color = _segment_color(br.stability[i - 1], br.stability[i])
             if run_color is None or color == run_color:
                 run_color = color
                 run.append(coords[i])

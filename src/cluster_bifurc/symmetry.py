@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuation import Branch, BranchPoint
+from .continuation import Branch
 
 __all__ = [
     "Perm",
@@ -353,27 +353,26 @@ class FamilyTable:
 def orbit(families: FamilyTable, branch: Branch) -> list[Branch]:
     """All distinct images of a branch under the group of `families`.
 
-    The branch's states are stacked once, and each group element's image is
-    a column permutation of that array.  Two images are considered equal
-    when their point states agree within 1e-9 componentwise, in either
-    traversal order (a symmetry may reverse the parametrization of a branch
-    that passes through a symmetric point).  Parameter, arclength,
-    stability and index are copied unchanged, since conjugate states share
-    spectra.  The shapes of all kept images' points come from one
-    `FamilyTable.shapes` call: labels name particular edges (e.g.
-    'isosceles(b=c)'), so the source branch's own cannot be copied.
+    Each group element's image is one column permutation of the branch's
+    states.  Two images are considered equal when their point states agree
+    within 1e-9 componentwise, in either traversal order (a symmetry may
+    reverse the parametrization of a branch that passes through a
+    symmetric point).  Every image shares the
+    branch's parameter, arclength, index and stability columns, since
+    conjugate states share spectra.  The shapes of all kept images' points
+    come from one `FamilyTable.shapes` call: labels name particular edges
+    (e.g. 'isosceles(b=c)'), so the source branch's own cannot be copied.
     """
     group = families.group()
-    points = branch.points
-    states = np.array([pt.state for pt in points], dtype=float).reshape(len(points), group.n)
-    mapped = states[:, group.sources].swapaxes(0, 1)
+    n_points = len(branch.parameters)
+    mapped = branch.states.reshape(n_points, group.n)[:, group.sources].swapaxes(0, 1)
     kept: list[int] = []
     for i, image in enumerate(mapped):
         others = mapped[kept]
         if not (np.any(np.all(np.abs(image - others) < 1e-9, axis=(1, 2)))
                 or np.any(np.all(np.abs(image[::-1] - others) < 1e-9, axis=(1, 2)))):
             kept.append(i)
-    shapes = iter(families.shapes(mapped[kept]))
-    return [Branch(points=[BranchPoint(tuple(x), pt.parameter, pt.arclength, pt.stability, next(shapes), pt.index)
-                           for x, pt in zip(mapped[i].tolist(), points)])
-            for i in kept]
+    shapes = families.shapes(mapped[kept])
+    return [Branch(mapped[i], branch.parameters, branch.arclengths, branch.index, branch.stability,
+                   shapes[j * n_points:(j + 1) * n_points])
+            for j, i in enumerate(kept)]

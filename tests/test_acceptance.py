@@ -228,8 +228,8 @@ def test_stability_changes_only_at_recorded_events(lj_diagram):
     primary, iso = _primary_isosceles(diagram)
     markers = sorted({ev.parameter for ev in diagram.events
                       if ev.source_branch == iso.id} | {primary.parameter})
-    for i in range(1, len(iso.points)):
-        a, b = iso.points[i - 1], iso.points[i]
+    points = iso.points  # built on each access: read once
+    for a, b in zip(points, points[1:]):
         if (a.stability == "stable") != (b.stability == "stable"):
             # a fold's parameter is the local extremum, slightly outside the
             # segment's own parameter range; allow the quadratic sagitta

@@ -25,6 +25,7 @@ from cluster_bifurc.potentials import Buckingham, ConfigError, LennardJones, Pol
 from cluster_bifurc.continuation import (
     BifurcationEvent,
     Branch,
+    BranchPoint,
     ContinuationSettings,
     CorrectorFailure,
     DomainExit,
@@ -157,6 +158,20 @@ def test_malformed_values_exit_2_before_any_work(tmp_path, capsys, command, sets
     ("diagram", ["svg.projection=abc_3d", "svg.tilt_deg=false"], "svg.tilt_deg"),
 ])
 def test_a_boolean_where_a_number_belongs_exits_2_before_any_work(tmp_path, capsys, command, sets, key):
+    _assert_exits_2_before_any_work(tmp_path, capsys, command, sets, key)
+
+
+@pytest.mark.parametrize("command, sets, key", [
+    ("trivial", ['values=["0.5", " 1e0 "]'], "values"),  # not a run at A = 0.5 and 1
+    ("trace", ['trace.parameter="0.5"'], "trace.parameter"),
+    ("trace", ['trace.direction="-1"'], "trace.direction"),
+    ("diagram", ["svg.projection=abc_3d", 'svg.tilt_deg="30"'], "svg.tilt_deg"),
+])
+def test_a_numeric_string_where_a_number_belongs_exits_2_before_any_work(tmp_path, capsys, command, sets, key):
+    _assert_exits_2_before_any_work(tmp_path, capsys, command, sets, key)
+
+
+def _assert_exits_2_before_any_work(tmp_path, capsys, command, sets, key):
     cfg = write_config(tmp_path, {**LJ_STABILITY, "window": [0.5, 2.0]})
     out_dir = tmp_path / "out"
     argv = [command, "--config", cfg, "--out", str(out_dir)]
@@ -375,7 +390,7 @@ def test_a_secondary_a_first_level_trace_ended_at_is_not_switched_nor_any_second
         points = [classified_point(system, system.trivial_state(p), p) for p in (base, base + 0.05, base + 0.1)]
         found = [BifurcationEvent("secondary", pt.parameter, 1, (tuple(np.eye(system.dim)[1]),), pt.state)
                  for pt in (points[1:] if ev.kind == "primary" else points[1:2])]
-        return Branch(points=points, parent_event=ev.id, label="fake"), found, set()
+        return Branch.from_points(points, parent_event=ev.id, label="fake"), found, set()
 
     monkeypatch.setattr(cli, "_switch_and_trace", fake_switch)
     diagram = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9))
@@ -402,7 +417,7 @@ def test_an_unrefined_secondary_is_not_switched(monkeypatch):
         found = [BifurcationEvent("secondary", pt.parameter, 1, (tuple(np.eye(system.dim)[1]),), pt.state,
                                   refined=refined)
                  for pt, refined in zip(points[1:3], (True, False))] if ev.kind == "primary" else []
-        return Branch(points=points, parent_event=ev.id, label="fake"), found, set()
+        return Branch.from_points(points, parent_event=ev.id, label="fake"), found, set()
 
     monkeypatch.setattr(cli, "_switch_and_trace", fake_switch)
     diagram = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9))
@@ -437,7 +452,7 @@ def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypa
 
     monkeypatch.setattr(cli, "trace_branch", aborting)
     (got,) = cli._run_traces(system, [(seed, center)], settings, window, (ev,))
-    assert got[0].points == [replace(seed, arclength=0.0)] and got[1] == []
+    assert got[0].points == (replace(seed, arclength=0.0),) and got[1] == []
 
 
 @pytest.mark.parametrize("error", [CorrectorFailure("no convergence"), DomainExit("left the domain")])
@@ -485,6 +500,33 @@ def test_a_switch_keeps_only_the_seeds_inside_the_window():
     assert branch.points == half.points and events == want
     above_both = (above.parameter + 0.01, 0.9)
     assert cli._switch_and_trace(system, ev, reduction, settings, above_both, (ev,)) is None
+
+
+def test_a_build_writes_its_branches_with_no_point_record_but_seeds_junctions_and_crossing_ends(
+        tmp_path, monkeypatch):
+    # the Buckingham triangle at h_max=0.2 (the seed-0 buck-tri-coarse benchmark
+    # input): each branch goes from the tracer to the files as columns, and a
+    # BranchPoint is built only for a switch's seeds, its junction and its
+    # traces' crossing ends
+    from cluster_bifurc import cli
+
+    records, switches = [], []
+    init, switch = BranchPoint.__init__, cli.branch_switch
+
+    def counting_init(self, *args, **kwargs):
+        records.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_switch(*args, **kwargs):
+        switches.append(args)
+        return switch(*args, **kwargs)
+
+    monkeypatch.setattr(BranchPoint, "__init__", counting_init)
+    monkeypatch.setattr(cli, "branch_switch", counting_switch)
+    cfg = write_config(tmp_path, {**LJ_STABILITY, "potential": {"family": "buckingham", "params": {
+        "alpha": 1, "beta": 1, "gamma": 1, "eta": 4}}, "window": [1.0, 100.0], "continuation": {"h_max": 0.2}})
+    assert main(["diagram", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert switches and len(records) <= 6 * len(switches)
 
 
 def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -560,11 +602,12 @@ def test_the_trivial_branch_takes_no_jacobian_and_no_eigensolve(monkeypatch, pro
 
 def _assert_labels_and_arclengths_are_the_per_point_ones(system, branch):
     s = 0.0
-    for i, pt in enumerate(branch.points):
+    points = branch.points  # built on each access: read once
+    for i, pt in enumerate(points):
         want = classified_point(system, system.trivial_state(pt.parameter), pt.parameter)
         assert (pt.state, pt.parameter) == (want.state, want.parameter)
         assert (pt.stability, pt.shape, pt.index) == (want.stability, want.shape, want.index)
         if i:
-            dz = pt.z() - branch.points[i - 1].z()
+            dz = pt.z() - points[i - 1].z()
             s += float(np.sqrt(dz @ dz))
         assert pt.arclength == s

@@ -322,10 +322,11 @@ def test_trace_trivial_branch_stability_flip():
     hint[-1] = 1.0
     branch, events = trace_branch(system, start, hint, settings, (0.3, 0.8),
                                   bifurcation_kind="primary")
+    points = branch.points  # built on each access: read once
     flips = [
-        0.5 * (branch.points[i - 1].parameter + branch.points[i].parameter)
-        for i in range(1, len(branch.points))
-        if (branch.points[i - 1].stability == "stable") != (branch.points[i].stability == "stable")
+        0.5 * (points[i - 1].parameter + points[i].parameter)
+        for i in range(1, len(points))
+        if (points[i - 1].stability == "stable") != (points[i].stability == "stable")
     ]
     assert len(flips) == 1
     assert flips[0] == pytest.approx(0.5877, abs=1e-3)
@@ -334,11 +335,11 @@ def test_trace_trivial_branch_stability_flip():
     assert primaries[0].parameter == pytest.approx(A0, abs=1e-8)
     assert primaries[0].kernel_dim == 2
     # residual invariant: every accepted point solves the system
-    for pt in branch.points[:: max(1, len(branch.points) // 20)]:
+    for pt in points[:: max(1, len(points) // 20)]:
         assert np.max(np.abs(system.evaluate(np.asarray(pt.state), pt.parameter)[0])) < continuation.NEWTON_TOL
     # stability changes only across the recorded event
-    for i in range(1, len(branch.points)):
-        a, b = branch.points[i - 1], branch.points[i]
+    for i in range(1, len(points)):
+        a, b = points[i - 1], points[i]
         if (a.stability == "stable") != (b.stability == "stable"):
             assert min(a.parameter, b.parameter) <= primaries[0].parameter <= max(a.parameter, b.parameter)
 
@@ -468,7 +469,7 @@ def test_a_failed_edge_correction_falls_back_to_a_shorter_step(monkeypatch, fail
     end = branch.points[-1].parameter
     assert events == [] and raised["edge"] >= 1 and 99.0 < end <= 100.0
     assert (end == 100.0) == (failures == 1)
-    assert np.all(np.diff(branch.parameters()) > 0.0)
+    assert np.all(np.diff(branch.parameters) > 0.0)
 
 
 def test_stacked_trace_labels_equal_the_per_point_ones():
@@ -591,7 +592,7 @@ def test_landing_on_a_more_symmetric_point_ends_the_trace_before_it(with_targets
         kept = [pt for pt in full.points if pt.parameter < 0.645]
         assert 1 < len(kept) < len(full.points) - 1
         branch, events = trace_branch(_LandsPast(0.645), seed, hint, settings, (0.3, 0.9), targets=targets)
-        assert branch.points == kept and branch.points == full.points[:len(kept)]
+        assert branch.points == tuple(kept) == full.points[:len(kept)]
         assert branch.reached_event is None and events == []
 
 
@@ -608,14 +609,14 @@ def test_detect_no_event_on_quiet_segment():
     system = lj_system()
     a, _ = newton_correct(system, system.trivial_state(0.40), 0.40)
     b, _ = newton_correct(system, system.trivial_state(0.41), 0.41)
-    assert detect_and_localize(system, a, b) is None
+    assert detect_and_localize(system, a.z(), b.z(), (a.index, b.index)) is None
 
 
 def test_detect_primary_between_trivial_points():
     system = lj_system()
     a, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01)
     b, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01)
-    ev = detect_and_localize(system, a, b, bifurcation_kind="primary")
+    ev = detect_and_localize(system, a.z(), b.z(), (a.index, b.index), bifurcation_kind="primary")
     assert ev is not None
     assert ev.kind == "primary"
     assert ev.parameter == pytest.approx(A0, abs=1e-8)
@@ -636,7 +637,7 @@ def test_branch_switch_transcritical_isosceles():
         assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < 10 * continuation.NEWTON_TOL
         assert pt.shape == "isosceles(b=c)"
         assert abs(x[1] - x[2]) > 1e-4  # genuinely nontrivial
-        assert continuation.is_isolated(system, x, system.evaluate(x, pt.parameter)[1])
+        assert continuation.is_isolated(newton_correct(system, x, pt.parameter))
 
 
 def test_branch_switch_seeds_straddle_the_parameter():
@@ -691,6 +692,27 @@ def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
     assert len(seeds) == 2 and isolated and outside == []
     for pt in seeds:
         assert pt == continuation.classified_point(system, np.asarray(pt.state), pt.parameter)
+
+
+def test_each_switch_seed_is_classified_once(monkeypatch):
+    # the isolation test and the seed's labels read one classification of
+    # the correction: one classify_stack call per walk point judged, none more
+    rows, judged, judge = [], [], continuation.is_isolated
+
+    def stack(geometry, states, jacobians):
+        rows.append(len(states))
+        return classify_stack(geometry, states, jacobians)
+
+    def judging(*args):
+        judged.append(args)
+        return judge(*args)
+
+    system = lj_system()
+    monkeypatch.setattr(cluster, "classify_stack", stack)
+    monkeypatch.setattr(continuation, "is_isolated", judging)
+    seeds, isolated = branch_switch(system, make_primary_event(system, A0), isosceles())
+    assert len(seeds) == 2 and isolated == (True, True)
+    assert rows == [1] * len(judged)
 
 
 class _DocumentedInterface:
@@ -798,3 +820,38 @@ def test_concatenate_rebuilds_arclength():
     assert all(b > a for a, b in zip(s, s[1:]))
     # the two halves share their start point, which is collapsed on merge
     assert len(merged.points) == len(up.points) + len(down.points) - 1
+
+
+def _joined_point_by_point(first, junction, second):
+    """The join as a loop over point records: each point is dropped within
+    1e-12 relative of the last one kept, and its arclength adds its chord
+    to that point."""
+    out, s = [], 0.0
+    for pt in list(reversed(first.points)) + ([junction] if junction is not None else []) + list(second.points):
+        if out:
+            dz = pt.z() - out[-1].z()
+            step = float(np.sqrt(dz @ dz))
+            if step < 1e-12 * max(1.0, float(np.max(np.abs(pt.z())))):
+                continue
+            s += step
+        out.append(replace(pt, arclength=s))
+    return tuple(out)
+
+
+def test_the_array_join_equals_the_point_by_point_one():
+    # bit for bit, with the coincident start points of the halves and with a junction
+    system = lj_system()
+    settings = ContinuationSettings(max_points=8)
+    start, _ = newton_correct(system, system.trivial_state(0.4), 0.4)
+    hint = np.zeros(5)
+    hint[-1] = 1.0
+    up, _ = trace_branch(system, start, hint, settings, (0.3, 0.8))
+    down, _ = trace_branch(system, start, -hint, settings, (0.3, 0.8))
+    ev = make_primary_event(system, A0)
+    seeds, _ = branch_switch(system, ev, isosceles())
+    halves = [trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings, (0.3, 0.9))[0]
+              for seed in seeds]
+    junction = continuation.classified_point(system, np.asarray(ev.state), ev.parameter)
+    for first, junction, second in ((down, None, up), (halves[0], junction, halves[1])):
+        want = _joined_point_by_point(first, junction, second)
+        assert concatenate_branches(first, junction, second).points == want

@@ -17,7 +17,7 @@ from cluster_bifurc.diagram import (
     load_diagram,
     render_svg,
 )
-from cluster_bifurc.potentials import LennardJones
+from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 
 
 def point(state, p, s, stability="stable", shape="equilateral", index=0):
@@ -35,7 +35,7 @@ def small_diagram():
     ev = BifurcationEvent(kind="primary", parameter=0.45, kernel_dim=2,
                           kernel=((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0)),
                           state=(-1.1, 1.05, 1.05, 1.05), source_branch=0, refined=True, id=0)
-    iso = Branch(points=[
+    iso = Branch.from_points([
         point((-1.1, 1.2, 1.0, 1.0), 0.45, 0.0, shape="isosceles(b=c)"),
         point((-1.15, 1.25, 0.98, 0.98), 0.47, 0.1, shape="isosceles(b=c)", stability="unstable",
               index=1),
@@ -46,7 +46,7 @@ def small_diagram():
                    "params": {"c1": 1.0, "c2": 2.0, "delta1": 12.0, "delta2": 6.0}},
         window=(0.4, 0.55),
         settings=ContinuationSettings(),
-        branches=[Branch(points=pts, id=0, label="trivial"), iso],
+        branches=[Branch.from_points(pts, id=0, label="trivial"), iso],
         events=[ev],
     )
 
@@ -62,7 +62,7 @@ def random_diagram(seed):
             pts.append(point(tuple(rng.uniform(0.5, 2.0, 4)), float(rng.uniform(0.2, 2.0)), s,
                              stability=("stable", "unstable", "marginal")[rng.integers(0, 3)],
                              shape="scalene", index=int(rng.integers(0, 3))))
-        branches.append(Branch(points=pts, id=bid, label=f"b{bid}"))
+        branches.append(Branch.from_points(pts, id=bid, label=f"b{bid}"))
     return Diagram(problem="triangle", potential={"family": "spring", "params": {"k": 1.0, "beta": 0.0}},
                    window=(0.1, 2.5), settings=ContinuationSettings(h_max=5e-3), branches=branches,
                    events=[])
@@ -75,9 +75,31 @@ def test_json_round_trip_exact():
     assert back == d
 
 
-# The stored format: sorted keys, no spaces, each record's own fields with a
-# point's arclength under "s", and floats as Python's repr writes them.
+# The stored format: sorted keys, no spaces, each branch as its columns and
+# each event as its own fields, and floats as Python's repr writes them.
 SMALL_DIAGRAM_JSON = (
+    b'{"branches":['
+    b'{"arclengths":[0.0,0.1,0.2,0.3],"id":0,"index":[0,0,2,2],"label":"trivial",'
+    b'"parameters":[0.4,0.45,0.5,0.55],"parent_event":null,'
+    b'"shape":["equilateral","equilateral","equilateral","equilateral"],'
+    b'"stability":["stable","stable","unstable","unstable"],'
+    b'"states":[[-1.0,1.0,1.0,1.0],[-1.1,1.05,1.05,1.05],[-1.2,1.1,1.1,1.1],[-1.3,1.15,1.15,1.15]]},'
+    b'{"arclengths":[0.0,0.1],"id":1,"index":[0,1],"label":"isosceles(b=c)",'
+    b'"parameters":[0.45,0.47],"parent_event":0,'
+    b'"shape":["isosceles(b=c)","isosceles(b=c)"],"stability":["stable","unstable"],'
+    b'"states":[[-1.1,1.2,1.0,1.0],[-1.15,1.25,0.98,0.98]]}],'
+    b'"events":[{"id":0,"kernel":[[0.0,-1.0,1.0,0.0],[0.0,-1.0,0.0,1.0]],"kernel_dim":2,'
+    b'"kind":"primary","parameter":0.45,"refined":true,"source_branch":0,'
+    b'"state":[-1.1,1.05,1.05,1.05]}],'
+    b'"potential":{"family":"lennard_jones","params":{"c1":1.0,"c2":2.0,"delta1":12.0,"delta2":6.0}},'
+    b'"problem":"triangle",'
+    b'"settings":{"h_max":0.5,"max_points":5000},'
+    b'"version":"0.4.0","window":[0.4,0.55]}'
+)
+
+# The same diagram as version 0.3.0 stored it: a list of point records per
+# branch, each point's arclength under "s".
+POINT_LIST_JSON = (
     b'{"branches":[{"id":0,"label":"trivial","parent_event":null,"points":['
     b'{"index":0,"parameter":0.4,"s":0.0,"shape":"equilateral","stability":"stable",'
     b'"state":[-1.0,1.0,1.0,1.0]},'
@@ -103,13 +125,26 @@ SMALL_DIAGRAM_JSON = (
 
 
 def test_json_bytes_are_pinned():
-    assert export(replace(small_diagram(), version="0.3.0"), "json") == SMALL_DIAGRAM_JSON
+    assert export(replace(small_diagram(), version="0.4.0"), "json") == SMALL_DIAGRAM_JSON
 
 
-def test_json_round_trip_of_a_built_diagram_with_events():
-    d = build_diagram("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9), ContinuationSettings(h_max=0.05))
-    assert d.events
-    assert load_diagram(export(d, "json")) == d
+# the four fixture builds, the three benchmark workloads among them: (problem, potential, window, settings)
+FIXTURES = {
+    "lennard-jones-triangle": ("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9),
+                               ContinuationSettings(h_max=0.01)),
+    "buckingham-triangle": ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0), ContinuationSettings(h_max=0.2)),
+    "soft-spring-tetrahedron": ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0),
+                                ContinuationSettings(h_max=0.05, max_points=400)),
+    "lennard-jones-tetrahedron": ("tetrahedron", LennardJones(1, 2, 12, 6), (0.05, 0.5), ContinuationSettings()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_json_round_trip_of_each_fixture(name):
+    d = build_diagram(*FIXTURES[name])
+    blob = export(d, "json")
+    back = load_diagram(blob)
+    assert d.events and back == d and export(back, "json") == blob
 
 
 def test_json_round_trip_randomized():
@@ -121,34 +156,42 @@ def test_json_round_trip_randomized():
 def test_morse_index_is_exported_and_compared():
     d = small_diagram()
     obj = json.loads(export(d, "json"))
-    assert [pt["index"] for pt in obj["branches"][0]["points"]] == [0, 0, 2, 2]
+    assert obj["branches"][0]["index"] == [0, 0, 2, 2]
     other = small_diagram()
-    pt = other.branches[1].points[1]
-    other.branches[1].points[1] = replace(pt, index=pt.index + 1)
+    other.branches[1].index[1] += 1
     assert load_diagram(export(other, "json")) != d
 
 
-def test_load_rejects_a_file_without_the_index_and_names_its_version():
-    obj = json.loads(export(small_diagram(), "json"))
-    obj["version"] = "0.1.0"
-    for br in obj["branches"]:
-        for pt in br["points"]:
-            pt["det_sign"] = 1
-            del pt["index"]
-    with pytest.raises(ValueError, match="0.1.0"):
+def _older_file(version: str) -> bytes:
+    """The small diagram as `version` stored it: 0.3.0 a list of point
+    records per branch, 0.2.0 also its ten settings, and 0.1.0 a determinant
+    sign in place of each point's index."""
+    obj = json.loads(POINT_LIST_JSON)
+    obj["version"] = version
+    if version == "0.2.0":
+        obj["settings"] = {"contraction_target": 4, "detection": True, "h0": 0.01, "h_max": 0.5, "h_min": 1e-06,
+                           "max_points": 5000, "newton_max_iters": 20, "newton_tol": 1e-10, "step_growth": 1.5,
+                           "step_shrink": 0.5}
+    if version == "0.1.0":
+        for br in obj["branches"]:
+            for pt in br["points"]:
+                pt["det_sign"] = 1
+                del pt["index"]
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0"])
+def test_load_rejects_an_older_layout_and_names_its_version(version):
+    with pytest.raises(ValueError, match=version.replace(".", r"\.")):
+        load_diagram(_older_file(version))
+
+
+def test_load_rejects_columns_of_different_lengths():
+    # the CSV writer would silently drop the rows past the shortest column
+    obj = json.loads(SMALL_DIAGRAM_JSON)
+    obj["branches"][0]["parameters"].pop()
+    with pytest.raises(ValueError, match="all of one length"):
         load_diagram(json.dumps(obj))
-
-
-def test_load_rejects_the_ten_settings_of_0_2_0_and_names_its_version():
-    old = (SMALL_DIAGRAM_JSON
-           .replace(b'"settings":{"h_max":0.5,"max_points":5000},',
-                    b'"settings":{"contraction_target":4,"detection":true,"h0":0.01,"h_max":0.5,"h_min":1e-06,'
-                    b'"max_points":5000,"newton_max_iters":20,"newton_tol":1e-10,"step_growth":1.5,'
-                    b'"step_shrink":0.5},')
-           .replace(b'"version":"0.3.0"', b'"version":"0.2.0"'))
-    assert old != SMALL_DIAGRAM_JSON
-    with pytest.raises(ValueError, match="0.2.0"):
-        load_diagram(old)
 
 
 def test_export_deterministic_bytes():
@@ -187,7 +230,7 @@ def test_tetra_csv_header():
     d = Diagram(problem="tetrahedron",
                 potential={"family": "spring", "params": {"k": 1.0, "beta": 0.0}},
                 window=(0.1, 1.0), settings=ContinuationSettings(),
-                branches=[Branch(points=[point((-0.25, 1, 1, 1, 1, 1, 1.0), 0.2, 0.0,
+                branches=[Branch.from_points([point((-0.25, 1, 1, 1, 1, 1, 1.0), 0.2, 0.0,
                                                shape="regular")], id=0)],
                 events=[])
     text = export(d, "csv").decode()

@@ -208,7 +208,7 @@ def test_reduced_jacobian_simple_eigenvalues_tetra():
 
 
 def _branch_from_states(states):
-    return Branch(points=[
+    return Branch.from_points([
         BranchPoint(state=tuple(s), parameter=0.5, arclength=float(i),
                     stability="stable", shape="", index=0)
         for i, s in enumerate(states)
@@ -328,14 +328,14 @@ def _reference_orbit(group, branch, tol=1e-9):
         mapped = [p.apply(s) for s in base_states]
         if any(same(mapped, other) or same(mapped, other[::-1]) for other in image_states):
             continue
-        images.append(Branch(points=[replace(pt, state=tuple(float(x) for x in s))
+        images.append(Branch.from_points([replace(pt, state=tuple(float(x) for x in s))
                                      for s, pt in zip(mapped, branch.points)]))
         image_states.append(mapped)
     return images
 
 
 def _relabeled(images, families):
-    return [Branch(points=[replace(pt, shape=families.shapes(pt.state)[0]) for pt in image.points])
+    return [Branch.from_points([replace(pt, shape=families.shapes(pt.state)[0]) for pt in image.points])
             for image in images]
 
 
@@ -377,8 +377,8 @@ def test_orbit_matches_the_per_element_reference_on_switched_branches(monkeypatc
 def test_orbit_of_a_short_branch_matches_the_reference(geometry):
     families = geometry.families
     group = families.group()
-    empty = Branch(points=[])
-    assert orbit(families, empty) == _reference_orbit(group, empty) == [Branch(points=[])]
+    empty = Branch.from_points([])
+    assert orbit(families, empty) == _reference_orbit(group, empty) == [Branch.from_points([])]
     n_edges = group.n - 1
     for edges in ([1.0] * n_edges, [1.0 + 0.1 * i for i in range(n_edges)]):
         one = _branch_from_states([(-1.0, *edges)])
