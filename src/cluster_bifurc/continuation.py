@@ -160,6 +160,12 @@ class Branch:
     label: str = ""
     reached_event: int | None = None  # id of the known event the trace ended at; not exported
 
+    def __post_init__(self):
+        # the CSV writer zips the columns, so a short one would drop rows silently
+        if len({len(self.states), len(self.parameters), len(self.arclengths), len(self.index),
+                len(self.stability), len(self.shape)}) > 1:
+            raise ValueError(f"branch {self.id}: the columns of a branch must be all of one length")
+
     @classmethod
     def from_points(cls, points: Sequence[BranchPoint], **kwargs) -> Branch:
         return cls(np.array([pt.state for pt in points], dtype=float), np.array([pt.parameter for pt in points]),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -70,11 +71,10 @@ class Diagram:
 def load_diagram(data: bytes | str) -> Diagram:
     obj = json.loads(data)
     setting_names = sorted(f.name for f in fields(ContinuationSettings))
-    if sorted(obj["settings"]) != setting_names or any(
-            set(_COLUMNS) - b.keys() or len({len(b[k]) for k in _COLUMNS}) > 1 for b in obj["branches"]):
+    if sorted(obj["settings"]) != setting_names or any(set(_COLUMNS) - b.keys() for b in obj["branches"]):
         raise ValueError(f"diagram version {obj.get('version')!r} stores another layout; version "
-                         f"{__version__} reads only branches as the columns {_COLUMNS}, all of one "
-                         f"length, and the settings {setting_names}")
+                         f"{__version__} reads only branches as the columns {_COLUMNS} and the "
+                         f"settings {setting_names}")
     return Diagram(**{
         **obj,
         "window": tuple(obj["window"]),
@@ -203,11 +203,8 @@ def render_svg(diagram: Diagram, projection) -> str:
         sy = height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
         return sx, sy
 
-    if isinstance(projection, ParamVsComponent):
-        x_label = _PARAM_LABEL[diagram.problem]
-        y_label = projection.name
-    else:
-        x_label, y_label = "u", "v"
+    x_label, y_label = ((_PARAM_LABEL[diagram.problem], projection.name)
+                        if isinstance(projection, ParamVsComponent) else ("u", "v"))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -230,21 +227,12 @@ def render_svg(diagram: Diagram, projection) -> str:
         f'font-size="11">{y_hi:.4g}</text>',
     ]
     for br, coords in zip(diagram.branches, branch_coords):
-        if len(coords) < 2:
-            continue
-        run: list[tuple[float, float]] = [coords[0]]
-        run_color = None
-        for i in range(1, len(coords)):
-            color = _segment_color(br.stability[i - 1], br.stability[i])
-            if run_color is None or color == run_color:
-                run_color = color
-                run.append(coords[i])
-            else:
-                parts.append(_polyline(run, run_color, to_screen))
-                run = [coords[i - 1], coords[i]]
-                run_color = color
-        if len(run) >= 2:
-            parts.append(_polyline(run, run_color or UNSTABLE_COLOR, to_screen))
+        # a run of segments of one color is one polyline through its end points
+        start = 0
+        for color, run in itertools.groupby(map(_segment_color, br.stability[:-1], br.stability[1:])):
+            end = start + len(list(run))
+            parts.append(_polyline(coords[start:end + 1], color, to_screen))
+            start = end
     for (x, y) in event_coords:
         sx, sy = to_screen(x, y)
         parts.append(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="4" fill="black"/>')

@@ -357,11 +357,13 @@ def orbit(families: FamilyTable, branch: Branch) -> list[Branch]:
     states.  Two images are considered equal when their point states agree
     within 1e-9 componentwise, in either traversal order (a symmetry may
     reverse the parametrization of a branch that passes through a
-    symmetric point).  Every image shares the
-    branch's parameter, arclength, index and stability columns, since
-    conjugate states share spectra.  The shapes of all kept images' points
-    come from one `FamilyTable.shapes` call: labels name particular edges
-    (e.g. 'isosceles(b=c)'), so the source branch's own cannot be copied.
+    symmetric point).  Every image shares the branch's parameter, arclength,
+    index and stability columns, since conjugate states share spectra: the
+    images alias one read-only view of each (the stability as one tuple), so
+    no image can be edited apart from the others.  The shapes of all kept
+    images' points come from one `FamilyTable.shapes` call: labels name
+    particular edges (e.g. 'isosceles(b=c)'), so the source branch's own
+    cannot be copied.
     """
     group = families.group()
     n_points = len(branch.parameters)
@@ -372,7 +374,11 @@ def orbit(families: FamilyTable, branch: Branch) -> list[Branch]:
         if not (np.any(np.all(np.abs(image - others) < 1e-9, axis=(1, 2)))
                 or np.any(np.all(np.abs(image[::-1] - others) < 1e-9, axis=(1, 2)))):
             kept.append(i)
-    shapes = families.shapes(mapped[kept])
-    return [Branch(mapped[i], branch.parameters, branch.arclengths, branch.index, branch.stability,
-                   shapes[j * n_points:(j + 1) * n_points])
-            for j, i in enumerate(kept)]
+    images = mapped[kept]  # a copy, so the discarded images are freed
+    shapes = families.shapes(images)
+    shared = [column.view() for column in (branch.parameters, branch.arclengths, branch.index)]
+    for column in shared:
+        column.flags.writeable = False
+    stability = tuple(branch.stability)
+    return [Branch(image, *shared, stability, shapes[j * n_points:(j + 1) * n_points])
+            for j, image in enumerate(images)]

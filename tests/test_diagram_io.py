@@ -162,16 +162,21 @@ def test_morse_index_is_exported_and_compared():
     assert load_diagram(export(other, "json")) != d
 
 
-def _older_file(version: str) -> bytes:
-    """The small diagram as `version` stored it: 0.3.0 a list of point
-    records per branch, 0.2.0 also its ten settings, and 0.1.0 a determinant
-    sign in place of each point's index."""
-    obj = json.loads(POINT_LIST_JSON)
+TEN_SETTINGS_OF_0_2_0 = {"contraction_target": 4, "detection": True, "h0": 0.01, "h_max": 0.5, "h_min": 1e-06,
+                        "max_points": 5000, "newton_max_iters": 20, "newton_tol": 1e-10, "step_growth": 1.5,
+                        "step_shrink": 0.5}
+
+
+def _older_file(version: str, base: bytes) -> bytes:
+    """The small diagram as `version` stored it, from `base`: 0.3.0 a list of
+    point records per branch, 0.2.0 also its ten settings, and 0.1.0 a
+    determinant sign in place of each point's index.  From the columnar
+    SMALL_DIAGRAM_JSON only the version and the settings are older, so the
+    settings alone must refuse it."""
+    obj = json.loads(base)
     obj["version"] = version
     if version == "0.2.0":
-        obj["settings"] = {"contraction_target": 4, "detection": True, "h0": 0.01, "h_max": 0.5, "h_min": 1e-06,
-                           "max_points": 5000, "newton_max_iters": 20, "newton_tol": 1e-10, "step_growth": 1.5,
-                           "step_shrink": 0.5}
+        obj["settings"] = TEN_SETTINGS_OF_0_2_0
     if version == "0.1.0":
         for br in obj["branches"]:
             for pt in br["points"]:
@@ -180,10 +185,12 @@ def _older_file(version: str) -> bytes:
     return json.dumps(obj).encode()
 
 
-@pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0"])
-def test_load_rejects_an_older_layout_and_names_its_version(version):
+@pytest.mark.parametrize("version, base", [("0.1.0", POINT_LIST_JSON), ("0.2.0", POINT_LIST_JSON),
+                                           ("0.2.0", SMALL_DIAGRAM_JSON), ("0.3.0", POINT_LIST_JSON)],
+                         ids=["0.1.0", "0.2.0", "0.2.0-settings-only", "0.3.0"])
+def test_load_rejects_an_older_layout_and_names_its_version(version, base):
     with pytest.raises(ValueError, match=version.replace(".", r"\.")):
-        load_diagram(_older_file(version))
+        load_diagram(_older_file(version, base))
 
 
 def test_load_rejects_columns_of_different_lengths():
@@ -192,6 +199,12 @@ def test_load_rejects_columns_of_different_lengths():
     obj["branches"][0]["parameters"].pop()
     with pytest.raises(ValueError, match="all of one length"):
         load_diagram(json.dumps(obj))
+
+
+def test_a_branch_refuses_columns_of_different_lengths():
+    br = small_diagram().branches[0]
+    with pytest.raises(ValueError, match="all of one length"):
+        Branch(br.states, br.parameters, br.arclengths, br.index, br.stability, br.shape[:-1])
 
 
 def test_export_deterministic_bytes():

@@ -243,6 +243,23 @@ def test_orbit_copies_stability_and_parameter():
         assert img.points[0].parameter == 0.5
 
 
+def test_orbit_images_alias_read_only_columns_and_keep_only_their_states():
+    states = [(-(1.0 + 0.1 * k), 1.0 + 0.1 * k, 0.9, 0.9) for k in range(4)]
+    source = _branch_from_states(states)
+    images = orbit(TRIANGLE.families, source)
+    assert all(np.shares_memory(img.index, source.index) for img in images)
+    with pytest.raises(ValueError, match="read-only"):
+        images[1].index[1] += 1
+    with pytest.raises(TypeError):
+        images[1].stability[1] = "unstable"
+    assert source.index.flags.writeable
+    # the six group images are computed, but only the three kept are held
+    root = images[0].states
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == len(images) * source.states.nbytes
+
+
 def test_equivariance_full_group_both_systems():
     rng = np.random.default_rng(42)
     for _ in range(50):
