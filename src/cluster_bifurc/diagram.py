@@ -7,13 +7,18 @@ JSON is the archival format (lossless round trip): it stores each branch's
 columns, `id`, `parent_event` and `label` (not its `reached_event`) and
 each event's fields.  CSV is the interchange format (one row per branch
 point), and SVG the plot format: stable segments are drawn in #008000,
-unstable ones in #c00000, with events marked; both read the columns.
+unstable ones in #c00000, with events marked; all three read the columns.
+
+The bytes are fixed: diagram.json is `json.dumps` with sorted keys and no
+spaces, and diagram.csv has a header and then rows of `%.17g` floats,
+"1"/"0" for stable and the shape, quoted as csv's QUOTE_MINIMAL quotes it,
+each row ended by "\\n".  The two writers format each distinct float of the
+branch columns once and build the rows from those shared texts, since orbit
+images and symmetric states repeat most values.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -45,7 +50,8 @@ _COMPONENTS = {
 }
 _PARAM_LABEL = {"triangle": "A", "tetrahedron": "V"}
 _FLOAT_COLUMNS = ("states", "parameters", "arclengths")
-_COLUMNS = _FLOAT_COLUMNS + ("index", "stability", "shape")
+_PLAIN_COLUMNS = ("index", "stability", "shape")  # written as json.dumps writes them
+_COLUMNS = _FLOAT_COLUMNS + _PLAIN_COLUMNS
 
 
 @dataclass
@@ -87,28 +93,73 @@ def load_diagram(data: bytes | str) -> Diagram:
     })
 
 
+def _branch_texts(branches: list[Branch], format_values) -> list[tuple[list[str], list[str], list[str]]]:
+    """Each branch's arclengths and parameters as texts, and its states as one
+    text per row with the values joined by commas.  `format_values` maps a list
+    of floats to their texts and sees each distinct value once.  Values are
+    told apart by their bits, so -0.0 and 0.0 keep their own texts."""
+    if not branches:
+        return []
+    values = np.concatenate([np.ravel(c) for br in branches for c in (br.arclengths, br.parameters, br.states)],
+                            dtype=float)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(format_values(bits.view(float).tolist()), dtype=object)[inverse].tolist()
+    out, start = [], 0
+    for br in branches:
+        n = len(br.parameters)
+        width = np.size(br.states) // n if n else 0
+        states = iter(texts[start + 2 * n:start + (2 + width) * n])
+        out.append((texts[start:start + n], texts[start + n:start + 2 * n],
+                    list(map(",".join, zip(*[states] * width)))))  # each row: the next `width` texts
+        start += (2 + width) * n
+    return out
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    # the encoder's own float texts, NaN and Infinity included
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _csv_floats(values: list[float]) -> list[str]:
+    return [f"{v:.17g}" for v in values]
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _json_branch(br: Branch, arclengths: list[str], parameters: list[str], states: list[str]) -> str:
+    items = {"id": _json(br.id), "parent_event": _json(br.parent_event), "label": _json(br.label),
+             **{name: _json(np.asarray(getattr(br, name)).tolist()) for name in _PLAIN_COLUMNS},
+             "arclengths": f"[{','.join(arclengths)}]", "parameters": f"[{','.join(parameters)}]",
+             "states": "[" + ",".join(f"[{row}]" for row in states) + "]"}
+    return "{" + ",".join(f'"{key}":{text}' for key, text in sorted(items.items())) + "}"
+
+
+def _csv_field(text: str) -> str:
+    """`text` as a field of a csv row ended by a newline, quoted as QUOTE_MINIMAL quotes it."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
+
+
 def diagram_to_csv(diagram: Diagram) -> str:
-    components = _COMPONENTS[diagram.problem]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["branch_id", "s", "parameter"] + list(components) + ["stable", "shape"])
-    for br in diagram.branches:
-        for s, p, x, stability, shape in zip(br.arclengths.tolist(), br.parameters.tolist(), br.states.tolist(),
-                                             br.stability, br.shape):
-            writer.writerow([br.id, f"{s:.17g}", f"{p:.17g}", *(f"{v:.17g}" for v in x),
-                             "1" if stability == "stable" else "0", shape])
-    return buf.getvalue()
+    lines = [",".join(["branch_id", "s", "parameter", *_COMPONENTS[diagram.problem], "stable", "shape"])]
+    shapes = {shape: _csv_field(shape) for br in diagram.branches for shape in set(br.shape)}
+    for br, (arclengths, parameters, states) in zip(diagram.branches, _branch_texts(diagram.branches, _csv_floats)):
+        lines += map(",".join, zip(itertools.repeat("" if br.id is None else str(br.id)), arclengths, parameters,
+                                   states, ("1" if st == "stable" else "0" for st in br.stability),
+                                   map(shapes.__getitem__, br.shape)))
+    return "\n".join(lines) + "\n"
 
 
 def export(diagram: Diagram, format: str) -> bytes:
     """Serialize a diagram; `format` is "json" or "csv"."""
     if format == "json":
-        branches = [{"id": br.id, "parent_event": br.parent_event, "label": br.label,
-                     **{name: np.asarray(getattr(br, name)).tolist() for name in _COLUMNS}}
-                    for br in diagram.branches]
-        obj = {**vars(diagram), "settings": vars(diagram.settings), "branches": branches,
-               "events": [vars(ev) for ev in diagram.events]}
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+        branches = [_json_branch(br, *texts)
+                    for br, texts in zip(diagram.branches, _branch_texts(diagram.branches, _json_floats))]
+        rest = {**vars(diagram), "settings": vars(diagram.settings), "events": [vars(ev) for ev in diagram.events]}
+        del rest["branches"]
+        # "branches" sorts first among a diagram's keys, so its text opens the object
+        return ('{"branches":[' + ",".join(branches) + "]," + _json(rest)[1:]).encode()
     if format == "csv":
         return diagram_to_csv(diagram).encode()
     raise ValueError(f"unknown export format {format!r}")

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -128,6 +131,24 @@ def test_json_bytes_are_pinned():
     assert export(replace(small_diagram(), version="0.4.0"), "json") == SMALL_DIAGRAM_JSON
 
 
+# One row per point: floats as "%.17g" writes them, "1" for a stable point.
+SMALL_DIAGRAM_CSV = (
+    b"branch_id,s,parameter,lambda,a,b,c,stable,shape\n"
+    b"0,0,0.40000000000000002,-1,1,1,1,1,equilateral\n"
+    b"0,0.10000000000000001,0.45000000000000001,-1.1000000000000001,1.05,1.05,1.05,1,equilateral\n"
+    b"0,0.20000000000000001,0.5,-1.2,1.1000000000000001,1.1000000000000001,1.1000000000000001,0,equilateral\n"
+    b"0,0.29999999999999999,0.55000000000000004,-1.3,1.1499999999999999,1.1499999999999999,1.1499999999999999,0,"
+    b"equilateral\n"
+    b"1,0,0.45000000000000001,-1.1000000000000001,1.2,1,1,1,isosceles(b=c)\n"
+    b"1,0.10000000000000001,0.46999999999999997,-1.1499999999999999,1.25,0.97999999999999998,0.97999999999999998,0,"
+    b"isosceles(b=c)\n"
+)
+
+
+def test_csv_bytes_are_pinned():
+    assert export(small_diagram(), "csv") == SMALL_DIAGRAM_CSV
+
+
 # the four fixture builds, the three benchmark workloads among them: (problem, potential, window, settings)
 FIXTURES = {
     "lennard-jones-triangle": ("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9),
@@ -139,12 +160,81 @@ FIXTURES = {
 }
 
 
+@cache
+def built(name):
+    return build_diagram(*FIXTURES[name])
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_json_round_trip_of_each_fixture(name):
-    d = build_diagram(*FIXTURES[name])
+    d = built(name)
     blob = export(d, "json")
     back = load_diagram(blob)
     assert d.events and back == d and export(back, "json") == blob
+
+
+# The writers as they formatted every float of every row afresh, kept as the
+# reference for the bytes of the writers that format each distinct value once.
+REFERENCE_COMPONENTS = {
+    "triangle": ("lambda", "a", "b", "c"),
+    "tetrahedron": ("lambda", "a", "b", "c", "A", "B", "C"),
+}
+REFERENCE_COLUMNS = ("states", "parameters", "arclengths", "index", "stability", "shape")
+
+
+def reference_json(diagram):
+    branches = [{"id": br.id, "parent_event": br.parent_event, "label": br.label,
+                 **{name: np.asarray(getattr(br, name)).tolist() for name in REFERENCE_COLUMNS}}
+                for br in diagram.branches]
+    obj = {**vars(diagram), "settings": vars(diagram.settings), "branches": branches,
+           "events": [vars(ev) for ev in diagram.events]}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def reference_csv(diagram):
+    components = REFERENCE_COMPONENTS[diagram.problem]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["branch_id", "s", "parameter"] + list(components) + ["stable", "shape"])
+    for br in diagram.branches:
+        for s, p, x, stability, shape in zip(br.arclengths.tolist(), br.parameters.tolist(), br.states.tolist(),
+                                             br.stability, br.shape):
+            writer.writerow([br.id, f"{s:.17g}", f"{p:.17g}", *(f"{v:.17g}" for v in x),
+                             "1" if stability == "stable" else "0", shape])
+    return buf.getvalue().encode()
+
+
+def edge_diagram():
+    """Values one text per value could mix up: 0.0 and -0.0 (equal, but printed
+    apart) in one column in both orders and across two branches, NaN and inf;
+    a one-point branch with no id, a branch with no point; shape labels that
+    csv quotes."""
+    first = Branch(np.array([[-1.0, 0.0, -0.0, 1.0], [-1.0, -0.0, 0.0, 1.0]]), np.array([0.0, -0.0]),
+                   np.array([0.0, 0.5]), np.array([0, 1]), ["stable", "unstable"], ['a,b', 'say "c"'],
+                   id=0, label="first")
+    second = Branch(np.array([[-0.0, 0.0, np.nan, np.inf]]), np.array([-0.0]), np.array([0.0]), np.array([2]),
+                    ["marginal"], ["two\nlines"], label='x,"y"')
+    return Diagram(problem="triangle", potential={"family": "spring", "params": {"k": 1.0, "beta": 0.0}},
+                   window=(-0.0, 1.0), settings=ContinuationSettings(), events=[],
+                   branches=[first, second, Branch(np.empty((0, 4)), np.empty(0), np.empty(0), np.empty(0, dtype=int),
+                                                   [], [], id=2)])
+
+
+def no_branch_diagram():
+    return Diagram(problem="tetrahedron", potential={"family": "spring", "params": {"k": 1.0}},
+                   window=(0.1, 1.0), settings=ContinuationSettings(), branches=[], events=[])
+
+
+WRITER_CASES = {**{f"fixture-{name}": (lambda name=name: built(name)) for name in sorted(FIXTURES)},
+                **{f"random-{seed}": (lambda seed=seed: random_diagram(seed)) for seed in range(12)},
+                "edge": edge_diagram, "no-branches": no_branch_diagram}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_the_writers_give_the_reference_bytes(case):
+    d = WRITER_CASES[case]()
+    assert export(d, "json") == reference_json(d)
+    assert export(d, "csv") == reference_csv(d)
 
 
 def test_json_round_trip_randomized():
