@@ -66,7 +66,6 @@ from .symmetry import (  # noqa: E402
     FamilyTable,
     Perm,
     PermGroup,
-    Reduction,
     fixed_projection,
     isotropy,
     orbit,

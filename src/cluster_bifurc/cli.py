@@ -72,11 +72,10 @@ from .potentials import (
 )
 from .symmetry import (
     Perm,
-    PermGroup,
-    Reduction,
-    crossing_functionals,
     fixed_projection,
     fixed_projection_exact,
+    fixed_space,
+    isotropy,
     orbit,
 )
 from .tetrahedron import RESTRICTION_COLUMNS, TETRAHEDRON, cayley_menger, jacobian4, trivial_spectrum4
@@ -139,15 +138,12 @@ def _run_traces(system, jobs, settings, window, targets):
         return list(pool.map(one, jobs))
 
 
-def _switch_and_trace(system, ev: BifurcationEvent, reduction: Reduction, settings, window,
+def _switch_and_trace(system, ev: BifurcationEvent, direction, settings, window,
                       targets) -> tuple[Branch, list[BifurcationEvent], set[int]] | None:
-    """(branch, events its traces localized, ids of the targets they ended at) of one switch at `ev`,
-    the branch's `parent_event` and `label` set, from the switch's seeds inside the window; None
-    where the switch fails or gives no such seed."""
-    try:
-        seeds, isolated = branch_switch(system, ev, reduction)
-    except (CorrectorFailure, DomainExit):
-        return None
+    """(branch, events its traces localized, ids of the targets they ended at) of the switch at `ev`
+    along `direction`, the branch's `parent_event` and `label` set, from the switch's seeds inside
+    the window; None where no seed lies inside the window."""
+    seeds, isolated = branch_switch(system, ev, direction)
     inside = [(s, ok) for s, ok in zip(seeds, isolated) if window[0] <= s.parameter <= window[1]]
     if not inside:
         return None
@@ -175,12 +171,13 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     """Run the full pipeline and assemble a Diagram.
 
     Primary bifurcation parameters come from the closed-form margin scan on
-    the symmetric branch; each transversal root is switched through the
-    reductions of the families its margins-table row names, the switched
-    branches are traced through the window (detecting secondary and turning
-    events), and the refined secondary bifurcations those traces localize
-    are switched once more, with no further level.  A switch keeps only the
-    seeds inside the window.  Every trace ends where it
+    the symmetric branch; each transversal root is switched along the
+    representative vector of each family its margins-table row names, the
+    switched branches are traced through the window (detecting secondary and
+    turning events), and the refined secondary bifurcations those traces
+    localize are switched once more, along their first kernel vector, with
+    no further level.  A switch is an event and a direction, and keeps only
+    the seeds inside the window.  Every trace ends where it
     reaches a primary event or an event of a branch traced before it, or
     where it crosses into a larger fixed-point space at a bifurcation it
     localizes itself; a simple secondary event that some trace reached is
@@ -197,7 +194,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     geometry = system.geometry
 
     known: list[BifurcationEvent] = []  # every event so far, the ones a trace may end at
-    jobs = []  # (event, reduction) to switch at
+    jobs = []  # (event, direction) to switch at
     for root in stability_boundaries(geometry, spec, window):
         row = geometry.margins[root.margin_coefficient]
         ev = BifurcationEvent(
@@ -212,17 +209,16 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         )
         known.append(ev)
         if root.transversal:
-            jobs += [(ev, geometry.families.reduction(name)) for name in row.reductions]
+            jobs += [(ev, geometry.families.families[name]) for name in row.reductions]
 
     branches = [_trivial_branch(system, window, [ev.parameter for ev in known])]
     reached: set[int] = set()
-    identity = PermGroup((Perm.identity(system.dim),))
     for _ in range(2):  # the primaries, then the secondaries their traces localized
         first_new = len(known)
-        for ev, red in jobs:
+        for ev, direction in jobs:
             if ev.kernel_dim == 1 and ev.id in reached:
                 continue  # a trace already ran into this point; its branches are images of that one
-            switched = _switch_and_trace(system, ev, red, settings, window, tuple(known))
+            switched = _switch_and_trace(system, ev, direction, settings, window, tuple(known))
             if switched is None:
                 continue
             branch, events, ended_at = switched
@@ -237,7 +233,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
                 branches.append(image)
         # refined secondary bifurcations are switched; one whose localization
         # lost its bracket is no trustworthy branch point
-        jobs = [(ev, Reduction(identity, tuple(ev.kernel[0]))) for ev in known[first_new:]
+        jobs = [(ev, ev.kernel[0]) for ev in known[first_new:]
                 if ev.kind == "secondary" and ev.refined]
 
     diagram = Diagram(
@@ -412,7 +408,7 @@ def run_verification() -> list[tuple[str, bool, str]]:
         return tuple(tuple(next((Fraction(1, len(B)) for B in blocks if i in B and j in B), Fraction(0))
                            for j in range(n)) for i in range(n))
 
-    ok = all(fixed_projection_exact(geometry.families.reduction(name).subgroup)
+    ok = all(fixed_projection_exact(isotropy(geometry.families.group(), geometry.families.families[name]))
              == block_average(geometry.n_edges + 1, blocks) for geometry, name, blocks in (
         (TRIANGLE, "isosceles", ((0,), (1,), (2, 3))),
         (TETRAHEDRON, "opposite-pair", ((0,), (1, 2, 4, 5), (3,), (6,))),
@@ -437,9 +433,9 @@ def run_verification() -> list[tuple[str, bool, str]]:
     worst, counts = 0.0, []
     for geometry in (TRIANGLE, TETRAHEDRON):
         group = geometry.families.group()
-        for sub in [PermGroup((Perm.identity(group.n),))] + [
-                geometry.families.reduction(name).subgroup for name in geometry.families.families]:
-            normals, projections = crossing_functionals(group, sub.elements)
+        for sub in [(Perm.identity(group.n),)] + [
+                isotropy(group, vector).elements for vector in geometry.families.families.values()]:
+            normals, projections = fixed_space(group, sub)[1:]
             counts.append(len(normals))
             for u, Q in zip(normals, projections):
                 worst = max(worst, float(np.max(np.abs(Q + np.outer(u, u) - fixed_projection(sub)))))
@@ -633,11 +629,10 @@ def _svg_projection(cfg: dict, problem: str):
     kind = svg.get("projection", "param_vs_component")
     if kind == "param_vs_component":
         projection = ParamVsComponent(svg.get("component", "a"))
-    elif kind == "abc_3d" and ("azimuth_deg" in svg or "tilt_deg" in svg):
-        projection = Abc3d(_config_float(svg.get("azimuth_deg", -60.0), "svg.azimuth_deg"),
-                           _config_float(svg.get("tilt_deg", 30.0), "svg.tilt_deg"))
     elif kind == "abc_3d":
-        projection = Abc3d.trivial_axis_view()
+        view = Abc3d.trivial_axis_view()
+        projection = Abc3d(_config_float(svg.get("azimuth_deg", view.azimuth_deg), "svg.azimuth_deg"),
+                           _config_float(svg.get("tilt_deg", view.tilt_deg), "svg.tilt_deg"))
     else:
         raise ConfigError(f"unknown svg projection {kind!r}", key="svg.projection")
     try:

@@ -71,8 +71,8 @@ class Margin:
 
     `kernel` spans the critical eigenspace of the Jacobian on the symmetric
     branch (multiplier slot first); `reductions` name the families of the
-    geometry's `FamilyTable` whose reductions branch switching goes through
-    at a zero of the margin.
+    geometry's `FamilyTable` whose representative vectors are the directions
+    branch switching leaves the symmetric branch in at a zero of the margin.
     """
 
     kernel: tuple[tuple[float, ...], ...]

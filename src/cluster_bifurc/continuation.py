@@ -56,13 +56,13 @@ is the fallback elsewhere.  The crossing step's two ends, corrected into
 Fix(S') at fixed parameter, bracket the bifurcation of the symmetric branch
 for the same localizer; where they bracket no index change, the step
 jumped across Fix(S') and is shrunk and retried.
-`branch_switch` seeds the bifurcating branches in the fixed-point space
-Fix(S) of the kernel's isotropy subgroup by one rule, whether the branch
-leaves transcritically or as a pitchfork: a correction with the amplitude
-along the kernel pinned to +-PITCHFORK_DELTA and the parameter free, walked
-outward along the branch until the seed is isolated (Golubitsky, Stewart &
-Schaeffer, ch. XIII); every seed is corrected on the full residual and
-projected onto Fix(S).
+`branch_switch` seeds the bifurcating branches along a kernel direction,
+in the fixed-point space Fix(S) of the direction's isotropy subgroup, by
+one rule, whether the branch leaves transcritically or as a pitchfork: a
+correction with the amplitude along the direction pinned to
++-PITCHFORK_DELTA and the parameter free, walked outward along the branch
+until the seed is isolated (Golubitsky, Stewart & Schaeffer, ch. XIII);
+every seed is corrected on the full residual and projected onto Fix(S).
 """
 
 from __future__ import annotations
@@ -390,7 +390,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
       below like any other.  If that correction fails, or lies farther
       from the last point than the dropped one in the arclength metric,
       the step is shrunk and retried as after a corrector failure;
-    * crossing: the monitor u.x (`symmetry.crossing_functionals`) of a Fix(S')
+    * crossing: the monitor u.x (`symmetry.fixed_space`) of a Fix(S')
       of codimension 1 in the start point's Fix(S) changes sign over a step
       or ends it within the stabilizer's 1e-6 relative of zero; the trace
       ends exactly on a group image of one of `targets` in Fix(S') within
@@ -744,12 +744,16 @@ def _pinned_walk(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float
     return got, is_isolated(got)  # the last doubling's point, not judged yet
 
 
-def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[BranchPoint], tuple[bool, ...]]:
-    """Seed the branches emanating from a bifurcation event; (seeds, whether
-    each `is_isolated`).
+def branch_switch(system, event: BifurcationEvent, direction) -> tuple[list[BranchPoint], tuple[bool, ...]]:
+    """Seed the branches leaving a bifurcation event along a critical
+    direction; (seeds, whether each `is_isolated`).
 
-    In Fix(S), S the reduction's isotropy subgroup, the critical eigenvalue
-    is simple with unit kernel vector v.  Whether the branch crosses the
+    `direction` is a vector of the event's kernel (multiplier slot first),
+    such as a family's representative vector at a primary event or the
+    event's own kernel vector at a secondary.  Let v be its unit vector and
+    S its isotropy subgroup; the projector onto Fix(S) is
+    `system.fixed_space(v)[0]`, the one every trace reads.  In Fix(S) the
+    critical eigenvalue is simple.  Whether the branch crosses the
     parameter of the event (transcritical) or lies on one side of it
     (pitchfork), it is parametrized near the event by the amplitude
     v.(x - x0): each seed pins that amplitude at +-PITCHFORK_DELTA with the
@@ -758,14 +762,15 @@ def branch_switch(system, event: BifurcationEvent, reduction) -> tuple[list[Bran
     walk's own.  The seeds come with the one above the event's parameter
     first, in a stable order, so a pitchfork pair keeps its +-delta order.
 
-    Every seed is a `newton_correct` projected onto Fix(S) with the
-    reduction's projector, so it converges on the full residual, lies in
-    Fix(S) exactly and is labeled by the classification of the corrector's
-    last Jacobian that its isolation test read; a seed whose correction
-    fails is left out.
+    Every seed is a `newton_correct` projected onto Fix(S), so it converges
+    on the full residual, lies in Fix(S) exactly and is labeled by the
+    classification of the corrector's last Jacobian that its isolation test
+    read; a seed whose correction fails is left out, so no corrector
+    exception leaves this function.
     """
-    P = reduction.projection
-    v = reduction.kernel_unit()
+    v = np.asarray(direction, dtype=float)
+    v = v / np.sqrt(v @ v)
+    P = system.fixed_space(v)[0]
     x0 = np.array(event.state, dtype=float)
     p0 = float(event.parameter)
     tries = [_pinned_walk(system, P, v, x0, p0, delta) for delta in (PITCHFORK_DELTA, -PITCHFORK_DELTA)]

@@ -130,7 +130,8 @@ def _json(obj) -> str:
 
 def _json_branch(br: Branch, arclengths: list[str], parameters: list[str], states: list[str]) -> str:
     items = {"id": _json(br.id), "parent_event": _json(br.parent_event), "label": _json(br.label),
-             **{name: _json(np.asarray(getattr(br, name)).tolist()) for name in _PLAIN_COLUMNS},
+             "index": _json(br.index.tolist()), "stability": _json(list(br.stability)),
+             "shape": _json(list(br.shape)),
              "arclengths": f"[{','.join(arclengths)}]", "parameters": f"[{','.join(parameters)}]",
              "states": "[" + ",".join(f"[{row}]" for row in states) + "]"}
     return "{" + ",".join(f'"{key}":{text}' for key, text in sorted(items.items())) + "}"

@@ -1,4 +1,4 @@
-"""Permutation symmetries of the cluster problems and their reductions.
+"""Permutation symmetries of the cluster problems and their fixed-point spaces.
 
 The triangle system is equivariant under the six permutations of the edges
 (a, b, c); the tetrahedron system under the 24 edge permutations generated by
@@ -9,23 +9,24 @@ The triangle system is equivariant under the six permutations of the edges
     (a, b, c, A, B, C) -> (c, A, B, C, a, b).
 
 All group elements act on the KKT unknowns (lambda, edges...) with the
-multiplier coordinate held fixed.  Given a kernel vector of the linearized
-system, `isotropy` extracts the subgroup fixing it and `fixed_projection`
-builds the projector onto the corresponding fixed-point subspace (exactly,
-in rational arithmetic), where the critical eigenvalue is simple and branch
-switching is well posed.
+multiplier coordinate held fixed.  `isotropy` extracts the subgroup fixing
+a vector, and `fixed_projection` builds the projector onto the fixed-point
+subspace of a subgroup (exactly, in rational arithmetic).
 
 Each geometry names its shapes in one `FamilyTable`: the whole group, then
 the isotropy subgroups of a few representative vectors, most symmetric
 first.  `stabilizer` gives a stack of states their sets of fixing group
 elements as bitmasks, in one array comparison, and a state's shape is the
-first family one of whose conjugates that set contains; branch switching
-takes its reductions from the same table.
+first family one of whose conjugates that set contains.  The representative
+vectors are also the directions in which branch switching leaves the
+symmetric branch.
 
 A branch of isotropy S lies in Fix(S) and can meet a more symmetric branch
 only inside a Fix(S') of a larger S'; `fixed_space` gives the projector
 onto Fix(S) and the signed distances from the Fix(S') of codimension 1,
-once per isotropy type.
+once per isotropy type.  It is the one source of fixed-point spaces: a
+trace takes S from its start state, a switch from its direction, in whose
+Fix(S) the critical eigenvalue is simple and switching is well posed.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ from .continuation import Branch
 __all__ = [
     "Perm",
     "PermGroup",
-    "Reduction",
     "FamilyTable",
     "triangle_group",
     "tetra_group",
     "isotropy",
     "stabilizer",
-    "crossing_functionals",
     "fixed_space",
     "fixed_projection",
     "fixed_projection_exact",
@@ -222,34 +221,20 @@ _crossings_lock = threading.Lock()
 def fixed_space(group: PermGroup, subgroup: tuple[Perm, ...]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P, normals, projections) of S = `subgroup`: the group-average projector
-    onto Fix(S) and the `crossing_functionals` of Fix(S).
+    onto Fix(S) and the Fix(S'_k) of codimension 1 in Fix(S).
 
     P has the exact block averages as entries (1/|B| over each block B of
     coordinates that S permutes), so P @ x has bitwise equal entries within
-    each block.  Built once per pair and process (threads wait for the
+    each block.  Row k of the normals is the unit vector u_k spanning Fix(S)
+    minus Fix(S'_k), the signed distance from it; `projections[k]` projects
+    onto Fix(S'_k).  Built once per pair and process (threads wait for the
     first), the arrays are shared and read-only.
     """
     with _crossings_lock:
-        return _cached_crossings(group, tuple(subgroup))
-
-
-def crossing_functionals(group: PermGroup, subgroup: tuple[Perm, ...]
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(normals, projections) of the Fix(S'_k) of codimension 1 in Fix(S), S = `subgroup`.
-
-    Row k of the normals is the unit vector u_k spanning Fix(S) minus
-    Fix(S'_k), the signed distance from it; `projections[k]` projects onto
-    Fix(S'_k).  Shared and read-only, as in `fixed_space`.
-    """
-    return fixed_space(group, subgroup)[1:]
+        return _build_crossings(group, tuple(subgroup))
 
 
 @lru_cache(maxsize=None)
-def _cached_crossings(group: PermGroup, subgroup: tuple[Perm, ...]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _build_crossings(group, subgroup)
-
-
 def _build_crossings(group: PermGroup, subgroup: tuple[Perm, ...]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # every S' > S contains some g outside S, so the largest fixed spaces
@@ -280,22 +265,6 @@ def _build_crossings(group: PermGroup, subgroup: tuple[Perm, ...]
 
 
 @dataclass(frozen=True)
-class Reduction:
-    """An isotropy subgroup with its fixed-space projector and kernel vector."""
-
-    subgroup: PermGroup
-    kernel_vector: tuple[float, ...]
-
-    @property
-    def projection(self) -> np.ndarray:
-        return fixed_projection(self.subgroup)
-
-    def kernel_unit(self) -> np.ndarray:
-        v = np.asarray(self.kernel_vector, dtype=float)
-        return v / np.sqrt(v @ v)
-
-
-@dataclass(frozen=True)
 class FamilyTable:
     """A geometry's named shapes: `whole` for the states the whole group
     fixes, then `families`, most symmetric first, and `other` for the rest.
@@ -316,10 +285,6 @@ class FamilyTable:
     other: str
     edge_names: str = ""
     _memo: dict[int, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def reduction(self, name: str) -> Reduction:
-        """The isotropy subgroup and representative vector of the family called `name`."""
-        return Reduction(isotropy(self.group(), self.families[name]), self.families[name])
 
     def shapes(self, states) -> list[str]:
         """The shape of each state of a stack (N, n), or of one state."""

@@ -371,6 +371,10 @@ def test_svg_projection_config():
     assert _svg_projection({"svg": {"projection": "abc_3d"}}, "triangle") == Abc3d.trivial_axis_view()
     assert _svg_projection({"svg": {"projection": "abc_3d", "azimuth_deg": 10, "tilt_deg": 20}},
                            "triangle") == Abc3d(10.0, 20.0)
+    # a missing angle is the trivial-axis view's, whether one angle is given or none
+    assert _svg_projection({"svg": {"projection": "abc_3d", "tilt_deg": 20}}, "triangle") == Abc3d(-45.0, 20.0)
+    assert _svg_projection({"svg": {"projection": "abc_3d", "azimuth_deg": 10}}, "triangle") == Abc3d(
+        10.0, Abc3d.trivial_axis_view().tilt_deg)
     with pytest.raises(ConfigError):
         _svg_projection({"svg": {"projection": "polar"}}, "triangle")
 
@@ -384,7 +388,7 @@ def test_a_secondary_a_first_level_trace_ended_at_is_not_switched_nor_any_second
 
     switched = []
 
-    def fake_switch(system, ev, reduction, settings, window, targets):
+    def fake_switch(system, ev, direction, settings, window, targets):
         switched.append(ev.id)
         base = 0.4 if ev.kind == "primary" else 0.6
         points = [classified_point(system, system.trivial_state(p), p) for p in (base, base + 0.05, base + 0.1)]
@@ -411,7 +415,7 @@ def test_an_unrefined_secondary_is_not_switched(monkeypatch):
 
     switched = []
 
-    def fake_switch(system, ev, reduction, settings, window, targets):
+    def fake_switch(system, ev, direction, settings, window, targets):
         switched.append(ev.id)
         points = [classified_point(system, system.trivial_state(p), p) for p in (0.4, 0.45, 0.5, 0.55)]
         found = [BifurcationEvent("secondary", pt.parameter, 1, (tuple(np.eye(system.dim)[1]),), pt.state,
@@ -428,20 +432,20 @@ def test_an_unrefined_secondary_is_not_switched(monkeypatch):
 
 
 def _primary_switch():
-    """The Lennard-Jones triangle, its primary event and the isosceles reduction there."""
+    """The Lennard-Jones triangle, its primary event and the isosceles direction there."""
     system = make_system("triangle", LennardJones(1, 2, 12, 6))
     root = stability_boundaries(system.geometry, system.spec, (0.3, 0.9))[0]
     ev = BifurcationEvent("primary", root.parameter, 2, system.geometry.margins[3].kernel,
                           tuple(system.trivial_state(root.parameter)), source_branch=0, id=0)
-    return system, ev, system.geometry.families.reduction("isosceles")
+    return system, ev, system.geometry.families.families["isosceles"]
 
 
 def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypatch):
     from cluster_bifurc import cli
 
-    system, ev, reduction = _primary_switch()
+    system, ev, direction = _primary_switch()
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
-    seed = branch_switch(system, ev, reduction)[0][0]
+    seed = branch_switch(system, ev, direction)[0][0]
     center = np.append(ev.state, ev.parameter)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", None)  # a single job never reaches the pool
     want = trace_branch(system, seed, seed.z() - center, settings, window, targets=(ev,))
@@ -457,14 +461,17 @@ def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypa
 
 @pytest.mark.parametrize("error", [CorrectorFailure("no convergence"), DomainExit("left the domain")])
 def test_a_switch_that_raises_is_skipped(monkeypatch, error):
-    from cluster_bifurc import cli
+    # every correction of a switch goes through `_try_correct`, so a corrector
+    # exception leaves no seed, never the switch, and the switch is skipped
+    from cluster_bifurc import cli, continuation
 
     def raising(*args, **kwargs):
         raise error
 
-    system, ev, reduction = _primary_switch()
-    monkeypatch.setattr(cli, "branch_switch", raising)
-    assert cli._switch_and_trace(system, ev, reduction, ContinuationSettings(), (0.3, 0.9), (ev,)) is None
+    system, ev, direction = _primary_switch()
+    monkeypatch.setattr(continuation, "newton_correct", raising)
+    assert branch_switch(system, ev, direction) == ([], ())
+    assert cli._switch_and_trace(system, ev, direction, ContinuationSettings(), (0.3, 0.9), (ev,)) is None
 
 
 def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
@@ -474,11 +481,11 @@ def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
         seeds, data = branch_switch(*args, **kwargs)
         return seeds[:1], data
 
-    system, ev, reduction = _primary_switch()
+    system, ev, direction = _primary_switch()
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
     monkeypatch.setattr(cli, "branch_switch", first_seed_only)
-    branch, events, ended_at = cli._switch_and_trace(system, ev, reduction, settings, window, (ev,))
-    (seed,), _ = first_seed_only(system, ev, reduction)
+    branch, events, ended_at = cli._switch_and_trace(system, ev, direction, settings, window, (ev,))
+    (seed,), _ = first_seed_only(system, ev, direction)
     half, want = trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings,
                               window, targets=(ev,))
     assert branch.points == half.points and branch.points[0] == replace(seed, arclength=0.0)
@@ -489,17 +496,17 @@ def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
 def test_a_switch_keeps_only_the_seeds_inside_the_window():
     from cluster_bifurc import cli
 
-    system, ev, reduction = _primary_switch()
+    system, ev, direction = _primary_switch()
     settings = ContinuationSettings(h_max=0.05)
     center = np.append(ev.state, ev.parameter)
-    above, below = branch_switch(system, ev, reduction)[0]
+    above, below = branch_switch(system, ev, direction)[0]
     assert below.parameter < ev.parameter < above.parameter
     window = (0.3, 0.5 * (ev.parameter + above.parameter))  # the upper seed lies past the top
-    branch, events, _ = cli._switch_and_trace(system, ev, reduction, settings, window, (ev,))
+    branch, events, _ = cli._switch_and_trace(system, ev, direction, settings, window, (ev,))
     half, want = trace_branch(system, below, below.z() - center, settings, window, targets=(ev,))
     assert branch.points == half.points and events == want
     above_both = (above.parameter + 0.01, 0.9)
-    assert cli._switch_and_trace(system, ev, reduction, settings, above_both, (ev,)) is None
+    assert cli._switch_and_trace(system, ev, direction, settings, above_both, (ev,)) is None
 
 
 def test_a_build_writes_its_branches_with_no_point_record_but_seeds_junctions_and_crossing_ends(

@@ -24,7 +24,7 @@ from cluster_bifurc.continuation import (
     trace_branch,
 )
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
-from cluster_bifurc.symmetry import Perm, PermGroup, Reduction
+from cluster_bifurc.symmetry import stabilizer
 from cluster_bifurc.triangle import TRIANGLE, heron, stability_boundaries3
 
 LJ = LennardJones(1, 2, 12, 6)
@@ -36,7 +36,8 @@ def lj_system():
 
 
 def isosceles():
-    return TRIANGLE.families.reduction("isosceles")
+    """The isosceles family's representative vector: a direction to switch along at the primary."""
+    return TRIANGLE.families.families["isosceles"]
 
 
 def make_primary_event(system, parameter):
@@ -500,8 +501,7 @@ def _lennard_jones_secondaries():
 
 
 def _scalene_seeds(system, ev):
-    reduction = Reduction(PermGroup((Perm.identity(4),)), ev.kernel[0])
-    seeds, _ = branch_switch(system, ev, reduction)
+    seeds, _ = branch_switch(system, ev, ev.kernel[0])
     return [(seed, seed.z() - np.append(ev.state, ev.parameter)) for seed in seeds]
 
 
@@ -756,7 +756,9 @@ SWITCH_BUILDS = {
 
 @pytest.mark.parametrize("rel", [0.0, 1e-10])
 @pytest.mark.parametrize("name", sorted(SWITCH_BUILDS))
-def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, rel):
+def test_every_switch_seed_lies_in_its_directions_fixed_space(monkeypatch, name, rel):
+    # primaries switch along a family's vector, secondaries along their own
+    # kernel vector; each seed is fixed by every element fixing its direction
     problem, spec, window = SWITCH_BUILDS[name]
     switches = []
 
@@ -766,22 +768,29 @@ def test_every_primary_seed_lies_exactly_in_its_fixed_space(monkeypatch, name, r
         x = np.linalg.solve(M, b)
         return x * (1.0 + rel * np.linspace(-1.0, 1.0, len(x)))
 
-    def recording(system, event, reduction):
-        seeds, v = branch_switch(system, event, reduction)
-        if event.kind == "primary":  # a switch off the symmetric branch
-            switches.append((system, reduction, seeds))
+    def recording(system, event, direction):
+        seeds, v = branch_switch(system, event, direction)
+        switches.append((system, event, direction, seeds))
         return seeds, v
 
     monkeypatch.setattr(cli, "branch_switch", recording)
     monkeypatch.setattr(continuation, "solve", perturbed)
     build_diagram(problem, spec, window, ContinuationSettings(max_points=20))
-    assert switches
-    for system, reduction, seeds in switches:
+    assert {event.kind for _, event, _, _ in switches} == {"primary", "secondary"}
+    secondary_orders = []
+    for system, event, direction, seeds in switches:
         assert len(seeds) == 2
+        group = system.group()
+        fixing = group.members(int(stabilizer(group, direction)[0]))
+        if event.kind == "secondary":
+            secondary_orders.append(len(fixing))
         for pt in seeds:
             x = np.asarray(pt.state)
-            assert all(np.array_equal(P.apply(x), x) for P in reduction.subgroup)
+            assert all(np.array_equal(P.apply(x), x) for P in fixing)
             assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < continuation.NEWTON_TOL
+    # only the Lennard-Jones tetrahedron's 0.200348 secondary has a direction
+    # that more than the identity fixes
+    assert secondary_orders == ([2] if name == "lennard-jones-tetrahedron" else [1])
 
 
 def test_dedup_events():

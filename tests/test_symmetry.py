@@ -13,9 +13,9 @@ from cluster_bifurc.potentials import LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import (
     Perm,
     PermGroup,
-    crossing_functionals,
     fixed_projection,
     fixed_projection_exact,
+    fixed_space,
     isotropy,
     orbit,
     tetra_group,
@@ -32,8 +32,9 @@ APEX = (TETRAHEDRON, "apex-base")
 EQUAL_PAIR = (TETRAHEDRON, "equal-pair")
 
 
-def reduction(geometry, name):
-    return geometry.families.reduction(name)
+def family_subgroup(geometry, name):
+    """The isotropy subgroup of the named family's representative vector."""
+    return isotropy(geometry.families.group(), geometry.families.families[name])
 
 
 def edge_perm(sources):
@@ -126,7 +127,7 @@ def test_tetra_isotropy_equal_pair_vector():
 
 
 def test_projection_triangle_printed_matrix():
-    exact = fixed_projection_exact(reduction(*ISOSCELES).subgroup)
+    exact = fixed_projection_exact(family_subgroup(*ISOSCELES))
     assert exact == (
         (F(1), F(0), F(0), F(0)),
         (F(0), F(1), F(0), F(0)),
@@ -137,7 +138,7 @@ def test_projection_triangle_printed_matrix():
 
 def test_projection_tetra_printed_matrices():
     q, t, h = F(1, 4), F(1, 3), F(1, 2)
-    pair = fixed_projection_exact(reduction(*OPPOSITE_PAIR).subgroup)
+    pair = fixed_projection_exact(family_subgroup(*OPPOSITE_PAIR))
     assert pair == (
         (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
         (F(0), q, q, F(0), q, q, F(0)),
@@ -147,7 +148,7 @@ def test_projection_tetra_printed_matrices():
         (F(0), q, q, F(0), q, q, F(0)),
         (F(0), F(0), F(0), F(0), F(0), F(0), F(1)),
     )
-    apex = fixed_projection_exact(reduction(*APEX).subgroup)
+    apex = fixed_projection_exact(family_subgroup(*APEX))
     assert apex == (
         (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
         (F(0), t, t, t, F(0), F(0), F(0)),
@@ -157,7 +158,7 @@ def test_projection_tetra_printed_matrices():
         (F(0), F(0), F(0), F(0), t, t, t),
         (F(0), F(0), F(0), F(0), t, t, t),
     )
-    eqp = fixed_projection_exact(reduction(*EQUAL_PAIR).subgroup)
+    eqp = fixed_projection_exact(family_subgroup(*EQUAL_PAIR))
     assert eqp == (
         (F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
         (F(0), h, F(0), F(0), h, F(0), F(0)),
@@ -170,20 +171,20 @@ def test_projection_tetra_printed_matrices():
 
 
 def test_projection_idempotent_symmetric_exact():
-    for red in (reduction(*ISOSCELES), reduction(*OPPOSITE_PAIR),
-                reduction(*APEX), reduction(*EQUAL_PAIR)):
-        P = fixed_projection_exact(red.subgroup)
+    for geometry, name in (ISOSCELES, OPPOSITE_PAIR, APEX, EQUAL_PAIR):
+        subgroup = family_subgroup(geometry, name)
+        P = fixed_projection_exact(subgroup)
         n = len(P)
         for i in range(n):
             for j in range(n):
                 assert P[i][j] == P[j][i]
                 assert sum(P[i][k] * P[k][j] for k in range(n)) == P[i][j]
-        v = np.asarray(red.kernel_vector)
-        assert np.max(np.abs(red.projection @ v - v)) < 1e-14
+        v = np.asarray(geometry.families.families[name])
+        assert np.max(np.abs(fixed_projection(subgroup) @ v - v)) < 1e-14
 
 
 def test_reduced_jacobian_simple_eigenvalue_triangle():
-    P = reduction(*ISOSCELES).projection
+    P = fixed_projection(family_subgroup(*ISOSCELES))
     for A in (0.4, 0.5877, 1.1):
         L = P @ jacobian3(LJ, ClusterProblem(TRIANGLE, LJ).trivial_state(A)) @ P
         v = np.array([0.0, -2.0, 1.0, 1.0])
@@ -197,12 +198,13 @@ def test_reduced_jacobian_simple_eigenvalues_tetra():
     x = ClusterProblem(TETRAHEDRON, LJ).trivial_state(0.4)
     m1, m2 = (margin(TETRAHEDRON, LJ, 0.4, k) for k in (3, 7))
     scale = max(1.0, np.abs(jacobian4(LJ, x)).max())
-    for red, vec, mu in (
-        (reduction(*OPPOSITE_PAIR), (0, 0, 0, -1.0, 0, 0, 1.0), m1),
-        (reduction(*APEX), (0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0), m1),
-        (reduction(*EQUAL_PAIR), (0, -2.0, 1.0, 1.0, -2.0, 1.0, 1.0), m2),
+    for family, vec, mu in (
+        (OPPOSITE_PAIR, (0, 0, 0, -1.0, 0, 0, 1.0), m1),
+        (APEX, (0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0), m1),
+        (EQUAL_PAIR, (0, -2.0, 1.0, 1.0, -2.0, 1.0, 1.0), m2),
     ):
-        L = red.projection @ jacobian4(LJ, x) @ red.projection
+        P = fixed_projection(family_subgroup(*family))
+        L = P @ jacobian4(LJ, x) @ P
         v = np.asarray(vec)
         assert np.max(np.abs(L @ v - mu * v)) < 1e-10 * scale
 
@@ -274,7 +276,7 @@ def test_equivariance_full_group_both_systems():
 
 
 def test_scalene_triangle_crosses_the_three_isosceles_lines():
-    normals, projections = crossing_functionals(triangle_group(), (Perm.identity(4),))
+    normals, projections = fixed_space(triangle_group(), (Perm.identity(4),))[1:]
     expected = []
     for i, j in ((1, 2), (1, 3), (2, 3)):
         u = np.zeros(4)
@@ -291,8 +293,8 @@ def test_scalene_triangle_crosses_the_three_isosceles_lines():
 
 @pytest.mark.parametrize("family", [ISOSCELES, OPPOSITE_PAIR, APEX, EQUAL_PAIR], ids=lambda f: f[1])
 def test_crossing_normals_are_unit_vectors_of_fix_s_orthogonal_to_fix_s_prime(family):
-    subgroup = reduction(*family).subgroup
-    normals, projections = crossing_functionals(family[0].families.group(), subgroup.elements)
+    subgroup = family_subgroup(*family)
+    normals, projections = fixed_space(family[0].families.group(), subgroup.elements)[1:]
     assert len(normals) == 1  # each of these branches has one more symmetric neighbour
     P = fixed_projection(subgroup)
     for u, Q in zip(normals, projections):
@@ -305,30 +307,30 @@ def test_crossing_normals_are_unit_vectors_of_fix_s_orthogonal_to_fix_s_prime(fa
 
 
 def test_crossing_normals_are_read_only():
-    for array in crossing_functionals(triangle_group(), (Perm.identity(4),)):
+    for array in fixed_space(triangle_group(), (Perm.identity(4),)):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
 
 
-def test_crossing_functionals_are_built_once_per_isotropy_type(monkeypatch):
+def test_fixed_spaces_are_built_once_per_isotropy_type(monkeypatch):
     built = Counter()
-    build = symmetry._build_crossings
+    project = symmetry.fixed_projection
 
-    def counting(group, subgroup):
-        built[group.n, subgroup] += 1
-        return build(group, subgroup)
+    def counting(subgroup):  # called once by each build of a fixed space
+        built[subgroup[0].n, subgroup] += 1
+        return project(subgroup)
 
-    monkeypatch.setattr(symmetry, "_build_crossings", counting)
-    symmetry._cached_crossings.cache_clear()
+    monkeypatch.setattr(symmetry, "fixed_projection", counting)
+    symmetry._build_crossings.cache_clear()
     try:
         # every switched branch starts a trace, two at a time on the thread pool
         for _ in range(2):
             build_diagram("triangle", LJ, (0.3, 0.9), ContinuationSettings(h_max=0.2))
             build_diagram("tetrahedron", LJ, (0.05, 0.5), ContinuationSettings())
     finally:
-        symmetry._cached_crossings.cache_clear()
+        symmetry._build_crossings.cache_clear()
     triangle_types = {subgroup for n, subgroup in built if n == 4}
-    assert triangle_types == {(Perm.identity(4),), reduction(*ISOSCELES).subgroup.elements}
+    assert triangle_types == {(Perm.identity(4),), family_subgroup(*ISOSCELES).elements}
     assert len(built) > len(triangle_types)
     assert set(built.values()) == {1}
 
@@ -432,7 +434,7 @@ def test_axial_subgroups_of_each_kernel_are_the_classes_of_its_families(geometry
             v = fixed[:, np.argmax(np.abs(fixed).sum(axis=0))]
             if frozenset(isotropy(group, v).elements) == sub:
                 axial.add(sub)
-    families = set().union(*(_conjugates(group, reduction(geometry, name).subgroup.elements)
+    families = set().union(*(_conjugates(group, family_subgroup(geometry, name).elements)
                              for name in row.reductions))
     assert axial == families
     assert {len(sub) for sub in axial} == orders
