@@ -9,11 +9,13 @@ Subcommands:
     trace       continue a single branch from a start point
     diagram     full pipeline: symmetric branch -> primary events -> branch
                 switching -> secondary detection -> orbit expansion -> export
-    verify      run the finite-difference / equivariance self-checks
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification failure.  Runs are reproducible: identical configs produce
-byte-identical JSON/CSV; timestamps only appear in the run_meta.json sidecar.
+Exit codes: 0 success, 2 configuration or usage error (argparse exits 2 on
+an unknown subcommand), 3 numerical failure.  Runs are reproducible:
+identical configs produce byte-identical JSON/CSV; timestamps only appear in
+the run_meta.json sidecar.  The identities the pipeline rests on
+(finite-difference derivatives, equivariance, the closed-form spectra) are
+checked by the test suite, `pytest`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +37,6 @@ from .cluster import (
     ClusterProblem,
     Geometry,
     classify_trivial,
-    jacobian,
-    margin,
-    residual,
     stability_boundaries,
     trivial_point,
 )
@@ -58,33 +56,14 @@ from .continuation import (
     trace_branch,
 )
 from .diagram import Abc3d, Diagram, ParamVsComponent, check_projection, export, render_svg
-from .linalg import sym_eigen
-from .potentials import (
-    Buckingham,
-    ConfigError,
-    LennardJones,
-    NormalizedBuckingham,
-    PolynomialSpring,
-    closed_form_thresholds,
-    derivatives,
-    potential_from_json,
-    potential_to_json,
-)
-from .symmetry import (
-    Perm,
-    fixed_projection,
-    fixed_projection_exact,
-    fixed_space,
-    isotropy,
-    orbit,
-)
-from .tetrahedron import RESTRICTION_COLUMNS, TETRAHEDRON, cayley_menger, jacobian4, trivial_spectrum4
-from .triangle import TRIANGLE, jacobian3, trivial_spectrum3
+from .potentials import ConfigError, closed_form_thresholds, potential_from_json, potential_to_json
+from .symmetry import orbit
+from .tetrahedron import TETRAHEDRON, trivial_spectrum4
+from .triangle import TRIANGLE, trivial_spectrum3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_VERIFY = 4
 
 GEOMETRIES = {geometry.name: geometry for geometry in (TRIANGLE, TETRAHEDRON)}
 # every top-level config key some subcommand reads; one config serves them all
@@ -247,201 +226,6 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     )
     diagram.validate()
     return diagram
-
-
-# ---------------------------------------------------------------------------
-# self checks
-
-
-def _check(name, passed, detail=""):
-    return (name, bool(passed), detail)
-
-
-def _random_spec(rng) -> object:
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        d2 = rng.uniform(3.0, 6.5)
-        return LennardJones(rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0),
-                            d2 + rng.uniform(2.0, 7.0), d2)
-    if kind == 1:
-        return Buckingham(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
-                          rng.uniform(0.2, 1.5), rng.uniform(2.5, 6.0))
-    if kind == 2:
-        eta = rng.uniform(2.5, 6.0)
-        return NormalizedBuckingham(rng.uniform(0.5, 2.0), rng.uniform(0.7, 1.5),
-                                    eta + rng.uniform(2.0, 9.0), eta)
-    return PolynomialSpring(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.5))
-
-
-def _fd_relative_error(fn, d_fn, x, h) -> float:
-    num = (fn(x + h) - fn(x - h)) / (2.0 * h)
-    ana = d_fn(x)
-    return abs(num - ana) / max(1.0, abs(ana))
-
-
-def run_verification() -> list[tuple[str, bool, str]]:
-    """The self-check battery behind `cluster-bifurc verify` (all deterministic)."""
-    checks: list[tuple[str, bool, str]] = []
-    rng = np.random.default_rng(20240811)
-
-    # potential derivatives against central differences
-    worst = 0.0
-    specs = [LennardJones(1, 2, 12, 6), Buckingham(1, 1, 1, 4),
-             NormalizedBuckingham(1.0, 1.0, 14.3863, 5.6518), PolynomialSpring(1, -0.1),
-             PolynomialSpring(2, 0.3)]
-    for spec in specs:
-        for _ in range(25):
-            r = float(rng.uniform(0.5, 10.0))
-            h = 1e-5 * r
-            e1 = _fd_relative_error(lambda t: derivatives(spec, t)[0],
-                                    lambda t: derivatives(spec, t)[1], r, h)
-            e2 = _fd_relative_error(lambda t: derivatives(spec, t)[1],
-                                    lambda t: derivatives(spec, t)[2], r, h)
-            worst = max(worst, e1, e2)
-    checks.append(_check("potential-derivatives-fd", worst < 1e-6, f"max rel err {worst:.2e}"))
-
-    # per geometry: check-name prefix, random edges for the constraint
-    # derivatives, random edges and parameter range for the equivariance
-    cases = (
-        (TRIANGLE, "triangle", lambda: rng.uniform(0.5, 2.0, 3),
-         lambda: rng.uniform(0.6, 1.6, 3), (0.2, 2.0)),
-        (TETRAHEDRON, "tetra", lambda: 1.0 + 0.25 * rng.uniform(-1.0, 1.0, 6),
-         lambda: 1.0 + 0.15 * rng.uniform(-1, 1, 6), (0.1, 0.3)),
-    )
-
-    # constraint derivatives against central differences
-    for geometry, prefix, draw_edges, _, _ in cases:
-        worst = 0.0
-        count = 0
-        while count < 100:
-            e = draw_edges()
-            g0, g, H = geometry.terms(e)
-            if g0 <= 1e-3:
-                continue
-            count += 1
-            H = np.array(H)
-            for i in range(geometry.n_edges):
-                h = 1e-6 * e[i]
-                ep, em = e.copy(), e.copy()
-                ep[i] += h
-                em[i] -= h
-                (gp, grad_p, _), (gm, grad_m, _) = geometry.terms(ep), geometry.terms(em)
-                fd_g = (gp - gm) / (2 * h)
-                worst = max(worst, abs(fd_g - g[i]) / max(1.0, abs(g[i])))
-                fd_h = (np.array(grad_p) - np.array(grad_m)) / (2 * h)
-                worst = max(worst, float(np.max(np.abs(fd_h - H[:, i]) / np.maximum(1.0, np.abs(H[:, i])))))
-        checks.append(_check(f"{prefix}-constraint-fd", worst < 1e-6, f"max rel err {worst:.2e}"))
-
-    # equivariance of the residual under the symmetry group
-    spec = LennardJones(1, 2, 12, 6)
-    for geometry, prefix, _, draw_edges, (p_lo, p_hi) in cases:
-        worst = 0.0
-        for _ in range(100):
-            x = np.concatenate([[rng.uniform(-2, 2)], draw_edges()])
-            p = float(rng.uniform(p_lo, p_hi))
-            Fx = residual(geometry, spec, x, p)
-            for P in geometry.families.group():
-                diff = float(np.max(np.abs(residual(geometry, spec, P.apply(x), p) - P.apply(Fx))))
-                worst = max(worst, diff)
-        checks.append(_check(f"{prefix}-equivariance", worst < 1e-12, f"max |F(Px)-PF(x)| {worst:.2e}"))
-
-    # Cayley-Menger invariance under all 24 permutations
-    worst = 0.0
-    for _ in range(100):
-        e = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, 6)
-        g0 = cayley_menger(e)
-        for P in TETRAHEDRON.families.group():
-            ge = cayley_menger(P.apply(np.concatenate([[0.0], e]))[1:])
-            worst = max(worst, abs(ge - g0) / max(1.0, abs(g0)))
-    checks.append(_check("cm-invariance", worst < 1e-12, f"max rel diff {worst:.2e}"))
-
-    # trivial-state spectra against closed forms
-    worst = 0.0
-    for _ in range(20):
-        spec_i = _random_spec(rng)
-        A = float(rng.uniform(0.3, 3.0))
-        sp = trivial_spectrum3(spec_i, A)
-        w, _ = sym_eigen(jacobian3(spec_i, ClusterProblem(TRIANGLE, spec_i).trivial_state(A)))
-        expect = np.sort([sp.mu, sp.mu, sp.simple_pair[0], sp.simple_pair[1]])
-        scale = max(1.0, float(np.max(np.abs(expect))))
-        worst = max(worst, float(np.max(np.abs(np.sort(w) - expect))) / scale)
-    checks.append(_check("triangle-trivial-spectrum", worst < 1e-9, f"max rel dev {worst:.2e}"))
-
-    worst = 0.0
-    prod_worst = 0.0
-    M = RESTRICTION_COLUMNS
-    for _ in range(20):
-        spec_i = _random_spec(rng)
-        V = float(rng.uniform(0.3, 3.0))
-        sp = trivial_spectrum4(spec_i, V)
-        J = jacobian4(spec_i, ClusterProblem(TETRAHEDRON, spec_i).trivial_state(V))
-        U = M.T @ J[1:, 1:] @ M
-        w, _ = sym_eigen(0.5 * (U + U.T))
-        expect = np.asarray(sp.u_eigs)
-        scale = max(1.0, float(np.max(np.abs(expect))))
-        worst = max(worst, float(np.max(np.abs(np.sort(w) - expect))) / scale)
-        disc = math.sqrt(16.0 * sp.alpha ** 2 + 9.0 * (sp.alpha - 2.0 * sp.beta) ** 2)
-        prod = 0.25 * ((7.0 * sp.alpha - 6.0 * sp.beta) ** 2 - disc ** 2)
-        target = 6.0 * sp.alpha * (sp.alpha - 2.0 * sp.beta)
-        prod_worst = max(prod_worst, abs(prod - target) / max(1.0, abs(target)))
-    checks.append(_check("tetra-trivial-spectrum", worst < 1e-9, f"max rel dev {worst:.2e}"))
-    checks.append(_check("tetra-spectrum-product", prod_worst < 1e-9, f"max rel dev {prod_worst:.2e}"))
-
-    # eigenvector identities on the trivial branches
-    worst = 0.0
-    for _ in range(10):
-        spec_i = _random_spec(rng)
-        for geometry in (TRIANGLE, TETRAHEDRON):
-            p = float(rng.uniform(0.3, 3.0))
-            J = jacobian(geometry, spec_i, ClusterProblem(geometry, spec_i).trivial_state(p))
-            scale = max(1.0, float(np.max(np.abs(J))))
-            for k, row in geometry.margins.items():
-                mu = margin(geometry, spec_i, p, k)
-                for v in row.kernel:
-                    v = np.asarray(v)
-                    worst = max(worst, float(np.max(np.abs(J @ v - mu * v))) / scale)
-    checks.append(_check("trivial-eigenvectors", worst < 1e-12, f"max rel dev {worst:.2e}"))
-
-    # projections match their reference matrices entry for entry: the
-    # average 1/|B| over each block B of coordinates the subgroup permutes
-    def block_average(n, blocks):
-        return tuple(tuple(next((Fraction(1, len(B)) for B in blocks if i in B and j in B), Fraction(0))
-                           for j in range(n)) for i in range(n))
-
-    ok = all(fixed_projection_exact(isotropy(geometry.families.group(), geometry.families.families[name]))
-             == block_average(geometry.n_edges + 1, blocks) for geometry, name, blocks in (
-        (TRIANGLE, "isosceles", ((0,), (1,), (2, 3))),
-        (TETRAHEDRON, "opposite-pair", ((0,), (1, 2, 4, 5), (3,), (6,))),
-        (TETRAHEDRON, "apex-base", ((0,), (1, 2, 3), (4, 5, 6))),
-        (TETRAHEDRON, "equal-pair", ((0,), (1, 4), (2, 3, 5, 6)))))
-    checks.append(_check("fixed-projections", ok, "exact rational comparison"))
-
-    g_reg = cayley_menger(np.ones(6))
-    checks.append(_check("cm-regular-value", abs(g_reg - 4.0) < 1e-12, f"g(1,..,1) = {g_reg!r}"))
-
-    # the Cayley-Menger cubic against the 5x5 determinant it expands
-    worst = 0.0
-    for _ in range(100):
-        a, b, c, A, B, C = u = (1.0 + 0.2 * rng.uniform(-1.0, 1.0, 6)) ** 2
-        M = [[0, a, b, c, 1], [a, 0, C, B, 1], [b, C, 0, A, 1], [c, B, A, 0, 1], [1, 1, 1, 1, 0]]
-        g = cayley_menger(np.sqrt(u))
-        worst = max(worst, abs(g - float(np.linalg.det(M))) / abs(g))
-    checks.append(_check("cm-cubic-vs-determinant", worst < 1e-12, f"max rel diff {worst:.2e}"))
-
-    # the crossing monitor's functionals for the trivial isotropy and each
-    # named family: P(S) = P(S'_k) + u_k u_k^t, u_k a unit vector
-    worst, counts = 0.0, []
-    for geometry in (TRIANGLE, TETRAHEDRON):
-        group = geometry.families.group()
-        for sub in [(Perm.identity(group.n),)] + [
-                isotropy(group, vector).elements for vector in geometry.families.families.values()]:
-            normals, projections = fixed_space(group, sub)[1:]
-            counts.append(len(normals))
-            for u, Q in zip(normals, projections):
-                worst = max(worst, float(np.max(np.abs(Q + np.outer(u, u) - fixed_projection(sub)))))
-    checks.append(_check("crossing-functionals", worst < 1e-15 and counts == [3, 1, 0, 1, 1, 1],
-                         f"counts {counts}, max dev {worst:.1e}"))
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -681,25 +465,11 @@ def cmd_diagram(cfg: dict, out_dir: Path | None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out_dir: Path | None) -> int:
-    checks = run_verification()
-    failed = 0
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name:28s} {detail}")
-        failed += 0 if ok else 1
-    if failed:
-        print(f"{failed} of {len(checks)} checks failed", file=sys.stderr)
-        return EXIT_VERIFY
-    print(f"all {len(checks)} checks passed")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "trivial": cmd_trivial,
     "stability": cmd_stability,
     "trace": cmd_trace,
     "diagram": cmd_diagram,
-    "verify": cmd_verify,
 }
 
 

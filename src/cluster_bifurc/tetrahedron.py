@@ -20,8 +20,8 @@ edges u = e^2,
 
 with S the sum of all six u; it is 4 at unit edges.  The constraint
 kernel `cayley_menger_terms` gives this polynomial, its gradient and its
-Hessian (hand derivatives) in one pass on Python floats.  The tests and
-`cluster-bifurc verify` check the cubic against the determinant and the derivatives against finite
+Hessian (hand derivatives) in one pass on Python floats.  The tests check
+the cubic against the determinant and the derivatives against finite
 differences.
 
 The regular tetrahedron a_V^3 = 6 sqrt(2) V with multiplier

@@ -7,6 +7,26 @@ measured: in the Lennard-Jones window (lo, hi) the equilateral state is the
 lower of the two coexisting stable states on (lo, A_M) and the stable
 isosceles state is the lower on (A_M, hi), with the equal-energy point
 A_M ~ 0.58590 (see test_criterion_4_energy_ordering_as_stated).
+
+Criterion 8, the property suite, has no test here; its properties are
+checked where their code is tested:
+- potential derivatives against finite differences:
+  test_potentials::test_derivatives_match_finite_differences;
+- constraint derivatives against finite differences:
+  test_triangle::test_heron_derivatives_match_finite_differences and
+  test_tetrahedron::test_gradient_hessian_match_finite_differences;
+- equivariance of the residual:
+  test_symmetry::test_equivariance_full_group_both_systems;
+- the Cayley-Menger polynomial: test_tetrahedron::test_cm_invariance_under_group,
+  test_cayley_menger_regular_values and
+  test_cayley_menger_cubic_matches_the_determinant;
+- the closed-form trivial spectra and their kernel vectors:
+  test_triangle::test_trivial_spectrum_identity and
+  test_trivial_eigenvector_identity, test_tetrahedron::test_trivial_spectrum_closed_forms
+  and test_trivial_eigenvector_identities;
+- the exact fixed-point projections: test_symmetry::test_projection_*;
+- the crossing normals: test_symmetry::test_scalene_triangle_crosses_the_three_isosceles_lines
+  and test_crossing_normals_are_unit_vectors_of_fix_s_orthogonal_to_fix_s_prime.
 """
 
 import math
@@ -27,7 +47,7 @@ from cluster_bifurc import (
     stability_boundaries3,
     stability_boundaries4,
 )
-from cluster_bifurc.cli import build_diagram, run_verification
+from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.cluster import energy
 from cluster_bifurc.continuation import newton_correct
 from cluster_bifurc.diagram import export
@@ -316,15 +336,6 @@ def test_criterion_7_tetra_thresholds():
     assert all(pt.stability == "stable" for pt in hooke.branches[0].points)
     print(f"\nACCEPTANCE 7: PASS  V0 = {roots[0].parameter:.6f}; Hooke tetra emits no events "
           f"on [0.1, 50]")
-
-
-def test_criterion_8_property_suite():
-    checks = run_verification()
-    failed = [name for name, ok, _ in checks if not ok]
-    for name, ok, detail in checks:
-        print(f"\n  {'PASS' if ok else 'FAIL'} {name}: {detail}", end="")
-    assert failed == []
-    print(f"\nACCEPTANCE 8: PASS  all {len(checks)} property checks green")
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -17,7 +17,6 @@ from cluster_bifurc.cli import (
     load_config,
     main,
     make_system,
-    run_verification,
 )
 from cluster_bifurc.cluster import stability_boundaries
 from cluster_bifurc.diagram import load_diagram
@@ -50,8 +49,13 @@ LJ_STABILITY = {
 }
 
 
-def test_verify_passes():
-    assert main(["verify"]) == EXIT_OK
+def test_verify_is_no_longer_a_subcommand(capsys):
+    # the self-checks it ran are tests of this suite; argparse rejects the name as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "verify" in err
 
 
 def test_stability_subcommand(tmp_path, capsys):
@@ -252,7 +256,7 @@ def test_diagram_subcommand_and_determinism(tmp_path):
     assert any(ev.kind == "primary" for ev in d.events)
 
 
-@pytest.mark.parametrize("command", ["diagram", "stability", "trace", "trivial", "verify"])
+@pytest.mark.parametrize("command", ["diagram", "stability", "trace", "trivial"])
 @pytest.mark.parametrize("item, key", [
     ("contination.h_max=0.01", "contination"),  # a misspelt key, not a build at the default h_max
     ("grid_n=2000", "grid_n"),
@@ -281,7 +285,6 @@ def _readme_config() -> dict:
     ("trace", "trace.paramter=0.5", "trace.paramter"),  # not a trace from the window midpoint
     ("stability", "svg.azimuth=10", "svg.azimuth"),
     ("trivial", "continuation.step=1", "continuation.step"),
-    ("verify", "trace.start_state=[0]", "trace.start_state"),
     ("diagram", "svg=7", "svg"),
     ("trace", "trace=[0.5]", "trace"),
     ("diagram", "continuation=0.01", "continuation"),
@@ -354,12 +357,6 @@ def test_the_version_is_the_one_pyproject_toml_declares():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
     assert cluster_bifurc.__version__ == version
-
-
-def test_run_verification_all_green():
-    checks = run_verification()
-    assert len(checks) >= 10
-    assert all(ok for _, ok, _ in checks)
 
 
 def test_svg_projection_config():

@@ -291,14 +291,21 @@ def test_scalene_triangle_crosses_the_three_isosceles_lines():
         assert np.allclose(Q, np.eye(4) - np.outer(u, u), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("family", [ISOSCELES, OPPOSITE_PAIR, APEX, EQUAL_PAIR], ids=lambda f: f[1])
+@pytest.mark.parametrize("family", [ISOSCELES, OPPOSITE_PAIR, APEX, EQUAL_PAIR, (TETRAHEDRON, None)],
+                         ids=lambda f: f[1] or "tetrahedron-identity")
 def test_crossing_normals_are_unit_vectors_of_fix_s_orthogonal_to_fix_s_prime(family):
-    subgroup = family_subgroup(*family)
-    normals, projections = fixed_space(family[0].families.group(), subgroup.elements)[1:]
-    assert len(normals) == 1  # each of these branches has one more symmetric neighbour
+    geometry, name = family
+    group = geometry.families.group()
+    subgroup = family_subgroup(*family).elements if name else (Perm.identity(group.n),)
+    normals, projections = fixed_space(group, subgroup)[1:]
+    # each named branch has one more symmetric neighbour; a tetrahedron with no symmetry has
+    # none: the largest fixed space of a non-identity element, a vertex transposition's,
+    # has codimension 2, as the transposition swaps two pairs of edges
+    assert len(normals) == (1 if name else 0)
     P = fixed_projection(subgroup)
     for u, Q in zip(normals, projections):
         assert abs(u @ u - 1.0) < 1e-15
+        assert np.max(np.abs(Q + np.outer(u, u) - P)) < 1e-15  # P(S) = P(S') + u u^t
         assert np.max(np.abs(P @ u - u)) < 1e-15  # in Fix(S)
         assert np.max(np.abs(Q @ u)) < 1e-15  # orthogonal to Fix(S')
         assert round(float(np.trace(P) - np.trace(Q))) == 1  # Fix(S') has codimension 1

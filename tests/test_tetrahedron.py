@@ -5,7 +5,7 @@ import pytest
 
 from cluster_bifurc.cluster import ClusterProblem, margin, trivial_point
 from cluster_bifurc.linalg import sym_eigen
-from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
+from cluster_bifurc.potentials import Buckingham, LennardJones, NormalizedBuckingham, PolynomialSpring
 from cluster_bifurc.symmetry import tetra_group
 from cluster_bifurc.tetrahedron import (
     RESTRICTION_COLUMNS,
@@ -193,16 +193,17 @@ def test_residual_vanishes_on_trivial_branch():
 
 
 def test_trivial_eigenvector_identities():
-    for V in (0.1, 0.8, 2.0):
-        J = jacobian4(LJ, regular(LJ, V))
-        m1, m2 = (margin(TETRAHEDRON, LJ, V, k) for k in (3, 7))
-        scale = max(1.0, np.abs(J).max())
-        for v in ((0, -1, 0, 0, 1, 0, 0), (0, 0, -1, 0, 0, 1, 0), (0, 0, 0, -1, 0, 0, 1)):
-            v = np.asarray(v, dtype=float)
-            assert np.max(np.abs(J @ v - m1 * v)) < 1e-11 * scale
-        for v in ((0, -1, 1, 0, -1, 1, 0), (0, -1, 0, 1, -1, 0, 1)):
-            v = np.asarray(v, dtype=float)
-            assert np.max(np.abs(J @ v - m2 * v)) < 1e-11 * scale
+    # every kernel vector of the margins table is an eigenvector of J, its margin the eigenvalue
+    assert all(np.linalg.matrix_rank(np.array(row.kernel)) == len(row.kernel) for row in TETRAHEDRON.margins.values())
+    for spec in (LJ, Buckingham(1, 1, 1, 4), NormalizedBuckingham(1, 1, 14.3863, 5.6518), SOFT):
+        for V in (0.1, 0.8, 2.0):
+            J = jacobian4(spec, regular(spec, V))
+            scale = max(1.0, np.abs(J).max())
+            for k, row in TETRAHEDRON.margins.items():
+                mu = margin(TETRAHEDRON, spec, V, k)
+                for v in row.kernel:
+                    v = np.asarray(v)
+                    assert np.max(np.abs(J @ v - mu * v)) < 1e-12 * scale
 
 
 def test_jacobian_symmetry():

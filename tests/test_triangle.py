@@ -18,7 +18,7 @@ from cluster_bifurc.cluster import (
 )
 from cluster_bifurc.continuation import ContinuationSettings, CorrectorFailure
 from cluster_bifurc.linalg import sym_eigen
-from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
+from cluster_bifurc.potentials import Buckingham, LennardJones, NormalizedBuckingham, PolynomialSpring
 from cluster_bifurc.symmetry import triangle_group
 from cluster_bifurc.triangle import (
     TRIANGLE,
@@ -225,12 +225,17 @@ def test_trivial_spectrum_identity():
 
 
 def test_trivial_eigenvector_identity():
-    for A in (0.4, 0.5877, 1.7):
-        J = jacobian3(LJ, equilateral(LJ, A))
-        mu = margin(TRIANGLE, LJ, A, 3)
-        for v in ((0.0, -1.0, 1.0, 0.0), (0.0, -1.0, 0.0, 1.0)):
-            v = np.asarray(v)
-            assert np.max(np.abs(J @ v - mu * v)) < 1e-10 * max(1.0, np.abs(J).max())
+    # every kernel vector of the margins table is an eigenvector of J, its margin the eigenvalue
+    assert all(np.linalg.matrix_rank(np.array(row.kernel)) == len(row.kernel) for row in TRIANGLE.margins.values())
+    for spec in (LJ, Buckingham(1, 1, 1, 4), NormalizedBuckingham(1, 1, 14.3863, 5.6518), HOOKE):
+        for A in (0.4, 0.5877, 1.7):
+            J = jacobian3(spec, equilateral(spec, A))
+            scale = max(1.0, np.abs(J).max())
+            for k, row in TRIANGLE.margins.items():
+                mu = margin(TRIANGLE, spec, A, k)
+                for v in row.kernel:
+                    v = np.asarray(v)
+                    assert np.max(np.abs(J @ v - mu * v)) < 1e-12 * scale
 
 
 def test_mu_spring_constant():
