@@ -31,7 +31,6 @@ from .continuation import (  # noqa: E402
     CorrectorFailure,
     DomainExit,
     PseudoArclength,
-    TraceAbort,
     branch_switch,
     detect_and_localize,
     newton_correct,

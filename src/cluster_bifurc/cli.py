@@ -46,12 +46,12 @@ from .continuation import (
     ContinuationSettings,
     CorrectorFailure,
     DomainExit,
-    TraceAbort,
-    dedup_events,
     branch_switch,
+    branch_tangent,
     classified_point,
     concatenate_branches,
     cumulative_arclengths,
+    dedup_events,
     newton_correct,
     trace_branch,
 )
@@ -95,53 +95,23 @@ def _trivial_branch(system, window, extra_params) -> Branch:
                   stability, [system.geometry.families.whole] * len(params), id=0, label="trivial")
 
 
-def _run_traces(system, jobs, settings, window, targets):
-    """Trace every (seed, center) job, each ending at any of `targets`; deterministic result order.
-
-    A seed whose trace aborts immediately (non-isolated solutions make every
-    bordered corrector singular, e.g. the soft-spring solution sphere) is
-    kept as a single converged point rather than dropped.
-    """
-    def one(job):
-        seed, center_z = job
-        hint = seed.z() - center_z
-        try:
-            return trace_branch(system, seed, hint, settings, window, bifurcation_kind="secondary",
-                                targets=targets)
-        except TraceAbort:
-            return Branch.from_points([seed]), []
-
-    if len(jobs) <= 1:
-        return [one(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        return list(pool.map(one, jobs))
-
-
 def _switch_and_trace(system, ev: BifurcationEvent, direction, settings, window,
-                      targets) -> tuple[Branch, list[BifurcationEvent], set[int]] | None:
+                      targets) -> tuple[Branch, list[BifurcationEvent], set[int]]:
     """(branch, events its traces localized, ids of the targets they ended at) of the switch at `ev`
-    along `direction`, the branch's `parent_event` and `label` set, from the switch's seeds inside
-    the window; None where no seed lies inside the window."""
-    seeds, isolated = branch_switch(system, ev, direction)
-    inside = [(s, ok) for s, ok in zip(seeds, isolated) if window[0] <= s.parameter <= window[1]]
-    if not inside:
-        return None
-    seeds, isolated = zip(*inside)
-    x_ev = np.asarray(ev.state, dtype=float)
-    if all(isolated):
-        center_z = np.append(x_ev, ev.parameter)
-        results = _run_traces(system, [(seed, center_z) for seed in seeds], settings, window, targets)
-        halves = [r[0] for r in results]
-        events = dedup_events([e for r in results for e in r[1]])
-    else:
-        # degenerate family: the switched solutions are not isolated, so a
-        # branch trace is ill posed; report the converged seed points alone
-        halves, events = [Branch.from_points(seeds[:1]), Branch.from_points(seeds[1:])], []
-    if len(halves) == 2:
-        branch = concatenate_branches(halves[0], classified_point(system, x_ev, ev.parameter), halves[1])
-    else:
-        branch = halves[0]
-    branch.parent_event, branch.label = ev.id, seeds[0].shape
+    along `direction`, the branch's `parent_event` and `label` set.
+
+    Both halves are traced, on a pool of two threads, from the event point along the switch's
+    tangents t and -t, each ending at any of `targets`, and joined at the event."""
+    tangents, _ = branch_switch(system, ev, direction)
+    start = classified_point(system, np.asarray(ev.state, dtype=float), ev.parameter)
+    with ThreadPoolExecutor(max_workers=len(tangents)) as pool:
+        results = list(pool.map(lambda t: trace_branch(system, start, t, settings, window, targets=targets),
+                                tangents))
+    halves = [branch for branch, _ in results]
+    branch = concatenate_branches(*halves)
+    # labeled by the first traced point: the start has the event's larger symmetry
+    branch.parent_event, branch.label = ev.id, [*halves[0].shape[1:], *halves[1].shape[1:], start.shape][0]
+    events = dedup_events([e for _, found in results for e in found])
     return branch, events, {h.reached_event for h in halves} - {None}
 
 
@@ -155,8 +125,8 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
     switched branches are traced through the window (detecting secondary and
     turning events), and the refined secondary bifurcations those traces
     localize are switched once more, along their first kernel vector, with
-    no further level.  A switch is an event and a direction, and keeps only
-    the seeds inside the window.  Every trace ends where it
+    no further level.  A switch is an event and a direction: both halves of
+    its branch are traced from the event point.  Every trace ends where it
     reaches a primary event or an event of a branch traced before it, or
     where it crosses into a larger fixed-point space at a bifurcation it
     localizes itself; a simple secondary event that some trace reached is
@@ -197,10 +167,7 @@ def build_diagram(problem: str, spec, window: tuple[float, float],
         for ev, direction in jobs:
             if ev.kernel_dim == 1 and ev.id in reached:
                 continue  # a trace already ran into this point; its branches are images of that one
-            switched = _switch_and_trace(system, ev, direction, settings, window, tuple(known))
-            if switched is None:
-                continue
-            branch, events, ended_at = switched
+            branch, events, ended_at = _switch_and_trace(system, ev, direction, settings, window, tuple(known))
             ends = {tuple(branch.states[0].tolist()), tuple(branch.states[-1].tolist())}
             for e in events:
                 if e.state in ends:
@@ -390,9 +357,12 @@ def cmd_trace(cfg: dict, out_dir: Path | None) -> int:
     start, _ = newton_correct(system, x0, p0)
     hint = np.zeros(system.dim + 1)
     hint[-1] = math.copysign(1.0, direction)
-    branch, events = trace_branch(system, start, hint, settings, window,
+    tangent = branch_tangent(system, np.asarray(start.state), start.parameter, hint)
+    branch, events = trace_branch(system, start, tangent, settings, window,
                                   bifurcation_kind="primary" if tr.get("start", "trivial") == "trivial"
                                   else "secondary")
+    if len(branch.parameters) == 1:
+        raise CorrectorFailure(f"the trace kept only its start point at {system.param_name}={p0:.6g}")
     branch.id = 0
     branch.label = "traced"
     params = branch.parameters
@@ -502,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         key = f" (field: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceAbort, CorrectorFailure, DomainExit, LinAlgError) as exc:
+    except (CorrectorFailure, DomainExit, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

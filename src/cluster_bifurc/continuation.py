@@ -18,23 +18,22 @@ There is one corrector, Keller's bordered Newton iteration, in a
 relative-scale arclength metric: the predictor tangent is frozen as the
 extra (weighted) row during correction.  Event localization uses the same
 corrector with a zero step along the segment chord, which keeps each probe
-on the hyperplane through it normal to the chord; branch-switch seeds use
-it with the extra row pinning an amplitude, and window-edge and
-crossing-end probes at fixed parameter.  Such a probe or seed goes through
+on the hyperplane through it normal to the chord, and window-edge and
+crossing-end probes correct at fixed parameter.  Such a probe goes through
 `_try_correct`, the one place where its failed correction becomes None;
 only a trace's own step reads why it failed.  A branch of isotropy S
 lies in the fixed-point space Fix(S), and the corrector projects every
-iterate onto it with the exact group-average projector of the start point's
-stabilizer, so a trace keeps its symmetry by construction, whatever the
-linear solver rounds.  Each Newton iterate evaluates the residual and
-Jacobian in one pass and refills the correction's one bordered matrix and
-right-hand side in place; an accepted point reuses its last Jacobian for the
-tangent, and keeps it until the trace ends, when all of the trace's points
-are classified in one stacked pass (`classify_stack`).  A step that leaves
-the parameter window ends the trace on the edge it crossed: the edge is a
-special point p - edge = 0 of the solution curve (Allgower & Georg 1990,
-ch. 9), computed by one correction at that fixed parameter from the
-step's chord.
+iterate onto it with the exact group-average projector of the stabilizer
+of a point just off the start along its tangent, so a trace keeps its
+symmetry by construction, whatever the linear solver rounds.  Each Newton
+iterate evaluates the residual and Jacobian in one pass and refills the
+correction's one bordered matrix and right-hand side in place; an accepted
+point reuses its last Jacobian for the tangent, and keeps it until the
+trace ends, when all of the trace's points are classified in one stacked
+pass (`classify_stack`).  A step that leaves the parameter window ends the
+trace on the edge it crossed: the edge is a special point p - edge = 0 of
+the solution curve (Allgower & Georg 1990, ch. 9), computed by one
+correction at that fixed parameter from the step's chord.
 
 Event detection then compares one monitor between neighbouring points, as
 an array over the whole trace: the tangent-space (Morse) index, the number
@@ -56,13 +55,14 @@ is the fallback elsewhere.  The crossing step's two ends, corrected into
 Fix(S') at fixed parameter, bracket the bifurcation of the symmetric branch
 for the same localizer; where they bracket no index change, the step
 jumped across Fix(S') and is shrunk and retried.
-`branch_switch` seeds the bifurcating branches along a kernel direction,
-in the fixed-point space Fix(S) of the direction's isotropy subgroup, by
-one rule, whether the branch leaves transcritically or as a pitchfork: a
-correction with the amplitude along the direction pinned to
-+-PITCHFORK_DELTA and the parameter free, walked outward along the branch
-until the seed is isolated (Golubitsky, Stewart & Schaeffer, ch. XIII);
-every seed is corrected on the full residual and projected onto Fix(S).
+A branch switch is the first arclength step of its trace (Keller 1977, in
+Rabinowitz (ed.), Applications of Bifurcation Theory; Allgower & Georg
+1990, ch. 8): `branch_switch` gives the bifurcating branch's tangent at the
+event, in the fixed-point space Fix(S) of its isotropy subgroup, and both
+halves are traced from the event point itself, along t and -t.  At a
+pitchfork, where a symmetry of the event maps the critical direction v to
+-v, the tangent is (v, 0); elsewhere it is the root of the algebraic
+bifurcation equation on the 2-D kernel of [J F_p] in Fix(S) x R.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ __all__ = [
     "Correction",
     "CorrectorFailure",
     "DomainExit",
-    "TraceAbort",
     "newton_correct",
     "branch_tangent",
     "trace_branch",
@@ -101,9 +100,9 @@ __all__ = [
 ]
 
 
-# The corrector's and the step control's constants, and branch switching's
-# first amplitude.  Every function reads them when it is called, so a test
-# can patch one (a stalled corrector, say) with monkeypatch.
+# The corrector's and the step control's constants.  Every function reads
+# them when it is called, so a test can patch one (a stalled corrector, say)
+# with monkeypatch.
 H0 = 1e-2  # the first step of a trace, unless h_max is shorter
 H_MIN = 1e-6  # the shortest step; a step that fails at it ends the trace
 NEWTON_TOL = 1e-10  # the residual infinity norm a converged iterate stays below
@@ -111,7 +110,6 @@ NEWTON_MAX_ITERS = 20
 STEP_GROWTH = 1.5  # the step grows by this after a correction of at most CONTRACTION_TARGET iterations
 STEP_SHRINK = 0.5  # and shrinks by this after a failed or rejected step
 CONTRACTION_TARGET = 4
-PITCHFORK_DELTA = 1e-3  # the first pinned amplitude of both seeds of a switch
 
 
 @dataclass(frozen=True)
@@ -229,10 +227,6 @@ class DomainExit(RuntimeError):
     pass
 
 
-class TraceAbort(RuntimeError):
-    pass
-
-
 def classified_point(system, x: np.ndarray, p: float) -> BranchPoint:
     """A solution point with its labels and index, from its Jacobian."""
     return Correction(system, x, p, 0, system.evaluate(x, p)[1]).point
@@ -332,8 +326,7 @@ def _try_correct(system, state, parameter: float,
                  constraint: PseudoArclength | None = None,
                  projection: np.ndarray | None = None) -> Correction | None:
     """`newton_correct`, or None where it raises `CorrectorFailure` or
-    `DomainExit`: the one place a probe's or a seed's failed correction is
-    decided."""
+    `DomainExit`: the one place a probe's failed correction is decided."""
     try:
         return newton_correct(system, state, parameter, constraint, projection)
     except (CorrectorFailure, DomainExit):
@@ -368,20 +361,23 @@ def branch_tangent(system, x: np.ndarray, p: float, t_prev: np.ndarray,
     return t / np.sqrt((w * t) @ t)
 
 
-def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSettings,
+def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSettings,
                  window: tuple[float, float] = (0.0, math.inf),
                  bifurcation_kind: str = "secondary",
                  targets: Sequence[BifurcationEvent] = ()) -> tuple[Branch, list[BifurcationEvent]]:
-    """Trace one branch from a converged start point.
+    """Trace one branch from a converged start point along its `tangent`.
 
-    `direction` seeds the tangent orientation (only its sign content
-    matters).  The trace stops at max_points, on the parameter window's
-    edge, when the corrector keeps failing/leaving the domain at the
-    minimum step, or where the branch meets a more symmetric one.  A
-    converged correction farther than h/2 from its predictor z + h t, in
-    the step's metric, has jumped onto another part of the solution curve
-    (past a fold the corrector's hyperplane can meet its other leg; Allgower
-    & Georg 1990, ch. 6) and counts as a corrector failure.
+    `tangent` is the branch's tangent (x, p) at the start, in any scale:
+    `branch_tangent` at a regular point, one of `branch_switch`'s at a
+    bifurcation event; the first step goes along it.  The trace stops at
+    max_points, on the parameter window's edge, when the corrector keeps
+    failing/leaving the domain at the minimum step (at the first step this
+    leaves the start point alone), or where the branch meets a more
+    symmetric one.  A converged correction farther than h/2 from its
+    predictor z + h t, in the step's metric, has jumped onto another part
+    of the solution curve (past a fold the corrector's hyperplane can meet
+    its other leg; Allgower & Georg 1990, ch. 6) and counts as a corrector
+    failure.
 
     * window edge: a correction past the window is dropped unlabeled, and
       one `newton_correct` at the crossed edge's parameter, from the state
@@ -391,43 +387,51 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
       from the last point than the dropped one in the arclength metric,
       the step is shrunk and retried as after a corrector failure;
     * crossing: the monitor u.x (`symmetry.fixed_space`) of a Fix(S')
-      of codimension 1 in the start point's Fix(S) changes sign over a step
-      or ends it within the stabilizer's 1e-6 relative of zero; the trace
-      ends exactly on a group image of one of `targets` in Fix(S') within
-      that step, kept as the branch's `reached_event`, or else on the
-      bifurcation of the symmetric branch there, reported as an event.
-      Where the step's ends bracket no such bifurcation, the step jumped
-      across Fix(S') and is shrunk and retried as after a corrector failure;
+      of codimension 1 in the branch's Fix(S) changes sign over a step
+      or ends it within the stabilizer's 1e-6 relative of zero; a start on
+      Fix(S') takes its side from u.t.  The trace ends exactly on a group
+      image of one of `targets` in Fix(S') within that step, kept as the
+      branch's `reached_event`, or else on the bifurcation of the symmetric
+      branch there, reported as an event.  Where the step's ends bracket no
+      such bifurcation, the step jumped across Fix(S') and is shrunk and
+      retried as after a corrector failure;
     * landing, the fallback where the larger fixed space has codimension
-      above 1: a kept point has another shape label and a larger isotropy
-      order than the start point; the trace ends before the first such
-      point, and whatever came after it, a crossing end too, is dropped.
+      above 1: a kept point has another shape than the first one after the
+      start and a larger isotropy order than the branch; the trace ends
+      before the first such point, and whatever came after it, a crossing
+      end too, is dropped;
+    * degenerate family: the first accepted point is not `is_isolated`
+      (its solutions form a continuum off Fix(S)), so the trace ends there.
 
-    Every correction and localization probe is projected onto Fix(S), S the
-    start point's stabilizer.  The loop keeps each accepted point's state,
-    parameter, arclength, Jacobian and tangent slope, and the crossing end's
-    state, parameter, arclength and Jacobian; after it, the points are
-    labeled in one `classify_stack` call (corrections that the window or
-    crossing rules reject are never labeled), the landing rule cuts them,
-    the branch's columns are filled from these lists, and
-    `detect_and_localize` runs, from its two rows, on each segment before
-    the cut or the crossing end whose index changed.  The crossing end's
-    event comes last.
+    S is the stabilizer of a point just off the start along the tangent,
+    and every correction and localization probe is projected onto Fix(S).
+    The loop keeps each accepted point's state, parameter, arclength,
+    Jacobian and tangent slope, and the crossing end's state, parameter,
+    arclength and Jacobian; after it, the points are labeled in one
+    `classify_stack` call (corrections that the window or crossing rules
+    reject are never labeled), the landing rule cuts them, the branch's
+    columns are filled from these lists, and `detect_and_localize` runs,
+    from its two rows, on each segment before the cut or the crossing end
+    whose index changed, but the first one when the start is one of
+    `targets`: that event is known.  The crossing end's event comes last.
     Detected events are classified as `bifurcation_kind` ("primary" when
     the caller is tracing the fully symmetric branch) or "turning".
     """
     x0 = np.array(start.state, dtype=float)
     p0 = float(start.parameter)
-    d = np.asarray(direction, dtype=float)
-    d = d / np.sqrt(d @ d)
     z = np.append(x0, p0)
     w = metric_weights(z)
-    t = branch_tangent(system, x0, p0, d, w)
+    t = np.asarray(tangent, dtype=float)
+    t = t / np.sqrt((w * t) @ t)
     # the accepted corrections after the start point, labeled after the loop
     states, params, arclengths, jacobians = [], [], [], []
     slopes = [float(t[-1])]  # the tangents' parameter components
-    fix, normals, projections = system.fixed_space(x0)
+    off = _off(x0, t[:-1])
+    fix, normals, projections = system.fixed_space(off)
+    branch_order = system.isotropy_order(off)
     phi = normals @ x0
+    phi = np.where(np.abs(phi) <= 1e-6 * np.max(np.abs(x0[1:])), normals @ t[:-1], phi)
+    at_target = any(tg.parameter == start.parameter and tg.state == start.state for tg in targets)
     reached = end = None
     h = min(H0, settings.h_max)
     s = 0.0
@@ -438,9 +442,7 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
             jump = np.append(corrected.state, corrected.parameter) - z_pred
             if (w * jump) @ jump > 0.25 * h * h:  # converged onto another part of the curve
                 raise CorrectorFailure("correction farther than h/2 from its predictor")
-        except (CorrectorFailure, DomainExit) as err:
-            if h <= H_MIN and not states and isinstance(err, CorrectorFailure):
-                raise TraceAbort(f"corrector failed at the start point with minimum step: {err}") from err
+        except (CorrectorFailure, DomainExit):
             corrected = None
         at_edge = corrected is not None and not (window[0] <= corrected.parameter <= window[1])
         if at_edge:
@@ -479,16 +481,15 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
         jacobians.append(corrected.jacobian)
         slopes.append(float(t_new[-1]))
         z, t, w, phi = z_new, t_new, w_new, phi_new
-        if at_edge:
+        if at_edge or (len(states) == 1 and not is_isolated(corrected.jacobian, fix)):
             break
         if corrected.iterations <= CONTRACTION_TARGET:
             h = min(h * STEP_GROWTH, settings.h_max)
 
     labels = system.classify_stack(states, jacobians)
     n_kept = 1 + len(states) - (reached is not None or end is not None)  # the points before a crossing end
-    start_order = system.isotropy_order(x0)
     cut = next((i for i, (x, c) in enumerate(zip(states[:n_kept - 1], labels))
-                if c.shape != start.shape and system.isotropy_order(x) > start_order), None)
+                if c.shape != labels[0].shape and system.isotropy_order(x) > branch_order), None)
     if cut is not None:  # landed on a more symmetric point
         states, params, arclengths, labels, slopes = (
             states[:cut], params[:cut], arclengths[:cut], labels[:cut], slopes[:cut + 1])
@@ -502,6 +503,8 @@ def trace_branch(system, start: BranchPoint, direction, settings: ContinuationSe
     index = branch.index[:n_kept]
     events: list[BifurcationEvent] = []
     for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
+        if i == 0 and at_target:
+            continue  # the start's own event, known already
         ev = detect_and_localize(system, z_rows[i], z_rows[i + 1], (index[i], index[i + 1]),
                                  bifurcation_kind, (slopes[i], slopes[i + 1]), fix)
         if ev is not None:
@@ -694,90 +697,87 @@ def detect_and_localize(system, za: np.ndarray, zb: np.ndarray, indices: tuple[i
     )
 
 
-def is_isolated(got: Correction) -> bool:
-    """True once no tangent eigenvalue of the corrected solution is trapped
-    near zero.
+def is_isolated(jacobian: np.ndarray, fix: np.ndarray) -> bool:
+    """False where the solution with this Jacobian lies on a continuum off its
+    fixed-point space: the Hessian of the Lagrangian H = J[1:, 1:],
+    restricted to the complement of Fix(S) (`fix` its projector), has an
+    eigenvalue within 1e-10 of max|H|.
 
-    The tangent eigenvalues are those of Z^t H Z in the correction's
-    `classification`, H = J[1:, 1:] the Hessian of the Lagrangian in its
-    Jacobian J; they are judged against max|H|, the scale stability is
-    decided on, not against J, whose constraint row can outweigh H by many
-    orders of magnitude.  Near a bifurcation the critical eigenvalue is O(amplitude),
-    or O(amplitude^2) on a pitchfork, so a seed too close to it leaves every
-    bordered matrix nearly singular; the tracer needs the spectrum clear of
-    zero before taking over.  A state that stays non-isolated at any
-    amplitude signals a degenerate solution family (the soft-spring cluster
-    equations, for example, admit a whole surface of nontrivial critical
-    points), where branch tracing is ill posed.
+    Away from a symmetry-breaking bifurcation no such eigenvalue of an
+    isolated solution vanishes; on a degenerate family one vanishes
+    everywhere.  The soft-spring cluster equations, for example, admit a
+    whole surface of nontrivial critical points, where branch tracing is ill
+    posed: there the ratio to max|H| is round-off, 3e-14 or less, against
+    4e-4 or more on every other potential tried.  The complement lies in
+    the constraint's tangent space, since grad g is fixed by S.
     """
-    w = np.abs(got.classification.tangent_eigenvalues)
-    scale = float(np.max(np.abs(got.jacobian[1:, 1:])))
-    return scale > 0 and float(np.min(w)) > 1e-7 * scale
+    H = jacobian[1:, 1:]
+    w, V = np.linalg.eigh(np.eye(len(H)) - fix[1:, 1:])
+    C = V[:, w > 0.5]  # an orthonormal basis of the complement of Fix(S) in the edges
+    mu = np.abs(np.linalg.eigvalsh(C.T @ H @ C))
+    return not (mu.size and float(mu.min()) <= 1e-10 * float(np.abs(H).max()))
 
 
-def _pinned_walk(system, P: np.ndarray, v: np.ndarray, x0: np.ndarray, p0: float,
-                 delta: float) -> tuple[Correction | None, bool]:
-    """Walk out along a bifurcating branch by doubling the pinned amplitude;
-    (the last good point of the branch, whether it `is_isolated`).
-
-    Each step is a `newton_correct` in Fix(S), projected with `P`, with the
-    parameter free and the amplitude v.(x - x0) pinned by the constraint
-    row (v, 0); inside Fix(S) the kernel is simple and the pinned Newton is
-    well posed arbitrarily close to the bifurcation.  The walk stops at the
-    first amplitude whose point `is_isolated`, judged on its correction's
-    classification, or where a wider amplitude fails to converge, after at most
-    16 doublings.
-    """
-    def pinned(guess: np.ndarray, p: float, amp: float) -> Correction | None:
-        return _try_correct(system, guess, p, PseudoArclength(np.append(v, 0.0), np.append(x0, p0), amp), P)
-
-    got = pinned(x0 + delta * v, p0, delta)
-    amp = delta
-    for _ in range(16):
-        if got is None or is_isolated(got):
-            return got, got is not None
-        amp *= 2.0
-        wider = pinned(got.state + 0.5 * amp * v, got.parameter, amp)
-        if wider is None:
-            return got, False
-        got = wider
-    return got, is_isolated(got)  # the last doubling's point, not judged yet
+def _off(x0: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """x0 moved along dx by 1e-2 of max|x0|: a point with the isotropy of a
+    branch leaving x0 along dx (x0 itself where dx is zero)."""
+    scale = float(np.max(np.abs(dx)))
+    return x0 if scale == 0.0 else x0 + 1e-2 * float(np.max(np.abs(x0))) / scale * dx
 
 
-def branch_switch(system, event: BifurcationEvent, direction) -> tuple[list[BranchPoint], tuple[bool, ...]]:
-    """Seed the branches leaving a bifurcation event along a critical
-    direction; (seeds, whether each `is_isolated`).
+def branch_switch(system, event: BifurcationEvent, direction) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """((t, -t), P): the unit tangents (x, p) of the branch leaving a
+    bifurcation event along a critical direction, and the projector P onto
+    its fixed-point space Fix(S).
 
     `direction` is a vector of the event's kernel (multiplier slot first),
     such as a family's representative vector at a primary event or the
-    event's own kernel vector at a secondary.  Let v be its unit vector and
-    S its isotropy subgroup; the projector onto Fix(S) is
-    `system.fixed_space(v)[0]`, the one every trace reads.  In Fix(S) the
-    critical eigenvalue is simple.  Whether the branch crosses the
-    parameter of the event (transcritical) or lies on one side of it
-    (pitchfork), it is parametrized near the event by the amplitude
-    v.(x - x0): each seed pins that amplitude at +-PITCHFORK_DELTA with the
-    parameter free, and doubles it along the branch until the seed
-    `is_isolated`, so an isolated seed is traceable; the verdicts are the
-    walk's own.  The seeds come with the one above the event's parameter
-    first, in a stable order, so a pitchfork pair keeps its +-delta order.
-
-    Every seed is a `newton_correct` projected onto Fix(S), so it converges
-    on the full residual, lies in Fix(S) exactly and is labeled by the
-    classification of the corrector's last Jacobian that its isolation test
-    read; a seed whose correction fails is left out, so no corrector
-    exception leaves this function.
+    event's own kernel vector at a secondary; v is its unit vector, and S
+    the stabilizer of the event state moved along v, in whose Fix(S) the
+    critical eigenvalue is simple.  Where a symmetry of the event state
+    maps v to -v (a pitchfork), the branch leaves along t = (v, 0) exactly.
+    Elsewhere the kernel of A = [J F_p] in Fix(S) x R is 2-D, spanned by
+    (v, 0) and the parent branch's direction, the smallest right singular
+    vector of A on the rest of Fix(S) x R, and the branch's tangent is a
+    root of the algebraic bifurcation equation, v . D^2F[t, t] = 0 (Keller
+    1977; Allgower & Georg 1990, ch. 8), with v the left kernel vector of
+    the symmetric J; of its two roots t is the one with the larger component
+    along (v, 0), the other being the parent branch, and it points up in the
+    parameter.  The second derivatives are central differences of the
+    analytic A along the kernel basis.  Both halves of the branch are traced
+    from the event, along t first.
     """
     v = np.asarray(direction, dtype=float)
     v = v / np.sqrt(v @ v)
-    P = system.fixed_space(v)[0]
     x0 = np.array(event.state, dtype=float)
-    p0 = float(event.parameter)
-    tries = [_pinned_walk(system, P, v, x0, p0, delta) for delta in (PITCHFORK_DELTA, -PITCHFORK_DELTA)]
-    # a seed that does not converge is left out
-    seeds = [(got.point, ok) for got, ok in tries if got is not None]
-    seeds.sort(key=lambda seed: seed[0].parameter <= p0)
-    return [pt for pt, _ in seeds], tuple(ok for _, ok in seeds)
+    n = system.dim
+    P = system.fixed_space(_off(x0, v))[0]
+    t = np.append(v, 0.0)
+    sources = system.group().sources  # row k: the coordinate permutation of group element k
+    images = x0[sources]
+    fixes = (np.abs(images - x0) <= 1e-6 * np.maximum(np.abs(images), np.abs(x0))).all(axis=1)
+    if not (fixes & (np.abs(v[sources] + v) <= 1e-6).all(axis=1)).any():
+        z0 = np.append(x0, event.parameter)
+
+        def A(z):
+            return np.column_stack([system.evaluate(z[:n], z[n])[1], system.parameter_derivative(z[:n], z[n])])
+
+        # an orthonormal basis of Fix(S) x R orthogonal to (v, 0), and on it the parent's direction
+        rest = np.zeros((n + 1, n + 1))
+        rest[:n, :n], rest[n, n] = P, 1.0
+        mu, V = np.linalg.eigh(rest - np.outer(t, t))
+        B = V[:, mu > 0.5]
+        kernel = np.column_stack([t, B @ np.linalg.svd(A(z0) @ B)[2][-1]])
+        eps = 1e-4 * max(1.0, float(np.max(np.abs(z0))))
+        dA = [(A(z0 + eps * k) - A(z0 - eps * k)) / (2.0 * eps) for k in kernel.T]
+        Q = np.array([[v @ dA[j] @ kernel[:, i] for j in range(2)] for i in range(2)])
+        lam, E = np.linalg.eigh(0.5 * (Q + Q.T))
+        # the null directions of the quadratic form: sqrt(lam2) e1 +- sqrt(-lam1) e2
+        a = max((np.sqrt(max(lam[1], 0.0)) * E[:, 0] + sign * np.sqrt(max(-lam[0], 0.0)) * E[:, 1]
+                 for sign in (1.0, -1.0)), key=lambda r: abs(r[0]))
+        t = kernel @ a
+        t = t / (np.sqrt(t @ t) * (1.0 if t[-1] > 0.0 else -1.0))
+    return (t, -t), P
 
 
 def cumulative_arclengths(z_rows: np.ndarray) -> np.ndarray:
@@ -785,17 +785,14 @@ def cumulative_arclengths(z_rows: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.sqrt(squared_norms(np.diff(z_rows, axis=0))))])
 
 
-def concatenate_branches(first: Branch, junction: BranchPoint | None, second: Branch) -> Branch:
-    """Join two half-traces into one branch (first reversed), rebuilding arclength.
+def concatenate_branches(first: Branch, second: Branch) -> Branch:
+    """Join two half-traces from one start into one branch (first reversed), rebuilding arclength.
 
-    A row within 1e-12 relative of the row before it (the halves usually
-    share their seed or start state at the junction) is dropped, so
-    arclength stays strictly increasing.
+    A row within 1e-12 relative of the row before it (the halves' shared
+    start point) is dropped, so arclength stays strictly increasing.
     """
-    reversed_first = Branch(first.states[::-1], first.parameters[::-1], first.arclengths[::-1],
-                            first.index[::-1], first.stability[::-1], first.shape[::-1])
-    parts = [reversed_first] + ([Branch.from_points([junction])] if junction is not None else []) + [second]
-    parts = [b for b in parts if len(b.parameters)]  # a half can be empty: a stub with one seed
+    parts = [Branch(first.states[::-1], first.parameters[::-1], first.arclengths[::-1],
+                    first.index[::-1], first.stability[::-1], first.shape[::-1]), second]
     z_rows = np.concatenate([np.column_stack([b.states, b.parameters]) for b in parts])
     step = np.sqrt(squared_norms(np.diff(z_rows, axis=0)))
     keep = np.flatnonzero(np.append(True, ~(step < 1e-12 * np.maximum(1.0, np.abs(z_rows[1:]).max(axis=1)))))

@@ -3,9 +3,9 @@
 Linear systems are solved by `numpy.linalg.solve`, re-exported here as
 `solve`; an exactly singular matrix raises `numpy.linalg.LinAlgError`.  No
 decision of the package reads a pivot: whether a point is singular is
-judged from eigenvalues, relative to a scale, and each traced branch and
-switch seed stays in its fixed-point space because the corrector projects
-onto it, not because the elimination happens to round symmetrically.
+judged from eigenvalues, relative to a scale, and each traced branch
+stays in its fixed-point space because the corrector projects onto it,
+not because the elimination happens to round symmetrically.
 The constrained Hessian's tangent-space basis is a Householder complement
 (`householder_complement`), computed for one vector or a stack at once.
 
@@ -13,7 +13,7 @@ The symmetric eigensolver is LAPACK's `eigh` (through numpy) with one sign
 convention fixed on top: every eigenvector's largest-magnitude entry is
 positive, the first such entry on a tie, where entries within a relative
 1e-12 of the largest magnitude tie.  Bifurcation kernels are exported and
-orient the switched branches' seeds, so they must depend neither on the
+give the switched branches' tangents, so they must depend neither on the
 sign LAPACK happens to choose nor on the last bit of a kernel such as
 (0, 0, -1, 1)/sqrt(2).  numpy remains the only runtime dependency.
 """

@@ -242,22 +242,39 @@ def test_criterion_4_energy_ordering_as_stated(lj_diagram):
           f"sampled minimum {sampled_min:.10f}")
 
 
+def _unrecorded_flips(iso, events) -> list[tuple[float, float]]:
+    """The segments (z_a, z_b) of a branch over which the stability flag flips
+    with no group image z_e of an event's (x, p) as close to both ends as
+    they are to each other: max(|z_e - z_a|, |z_e - z_b|) <= |z_b - z_a|.
+
+    The test is scale-free and ties each flip to the event's state, not
+    only to its parameter; a fold's parameter is the local extremum, just
+    outside its segment's parameter range.
+    """
+    images = np.array([np.append(P.apply(ev.state), ev.parameter) for ev in events
+                       for P in LJ_TRIANGLE.group()])
+    z = np.column_stack([iso.states, iso.parameters])
+    stable = np.array([s == "stable" for s in iso.stability])
+    out = []
+    for i in np.flatnonzero(stable[1:] != stable[:-1]).tolist():
+        chord = np.linalg.norm(z[i + 1] - z[i])
+        reach = np.maximum(np.linalg.norm(images - z[i], axis=1), np.linalg.norm(images - z[i + 1], axis=1))
+        if not (reach <= chord).any():
+            out.append((float(iso.parameters[i]), float(iso.parameters[i + 1])))
+    return out
+
+
 def test_stability_changes_only_at_recorded_events(lj_diagram):
     """Trace invariant: flips of the stability flag sit at recorded events."""
     diagram, _ = lj_diagram
     primary, iso = _primary_isosceles(diagram)
-    markers = sorted({ev.parameter for ev in diagram.events
-                      if ev.source_branch == iso.id} | {primary.parameter})
-    points = iso.points  # built on each access: read once
-    for a, b in zip(points, points[1:]):
-        if (a.stability == "stable") != (b.stability == "stable"):
-            # a fold's parameter is the local extremum, slightly outside the
-            # segment's own parameter range; allow the quadratic sagitta
-            tol = 1e-5 * max(1.0, abs(a.parameter))
-            lo = min(a.parameter, b.parameter) - tol
-            hi = max(a.parameter, b.parameter) + tol
-            assert any(lo <= m <= hi for m in markers), \
-                f"stability flip on ({a.parameter}, {b.parameter}) has no recorded event"
+    recorded = [ev for ev in diagram.events if ev.source_branch == iso.id] + [primary]
+    assert _unrecorded_flips(iso, recorded) == []
+    # without the 0.585663 fold, the flip across it has no event
+    fold = next(ev for ev in recorded if ev.kind == "turning")
+    assert round(fold.parameter, 6) == 0.585663
+    unrecorded = _unrecorded_flips(iso, [ev for ev in recorded if ev is not fold])
+    assert len(unrecorded) == 1 and min(abs(p - fold.parameter) for p in unrecorded[0]) < 1e-4
 
 
 def test_multistability_energy_ordering_vs_unstable_neighbor(lj_diagram):

@@ -28,9 +28,10 @@ from cluster_bifurc.continuation import (
     ContinuationSettings,
     CorrectorFailure,
     DomainExit,
-    TraceAbort,
     branch_switch,
     classified_point,
+    concatenate_branches,
+    dedup_events,
     trace_branch,
 )
 
@@ -223,6 +224,28 @@ def test_trace_subcommand(tmp_path, capsys):
     d = load_diagram((out_dir / "diagram.json").read_bytes())
     assert d.branches[0].points[-1].parameter <= 0.7
     assert (out_dir / "diagram.csv").exists()
+
+
+def test_a_trace_that_keeps_only_its_start_point_exits_3(tmp_path, monkeypatch, capsys):
+    # every bordered correction fails, so the trace's first step shrinks to the
+    # minimum step and the trace ends at its start: a numerical failure
+    from cluster_bifurc import continuation
+
+    correct = continuation.newton_correct
+
+    def failing(system, state, parameter, constraint=None, projection=None):
+        if constraint is not None:
+            raise CorrectorFailure("refused")
+        return correct(system, state, parameter, constraint, projection)
+
+    monkeypatch.setattr(continuation, "newton_correct", failing)
+    cfg = write_config(tmp_path, {**LJ_STABILITY, "window": [0.3, 0.7],
+                                  "trace": {"start": "trivial", "parameter": 0.35}})
+    out_dir = tmp_path / "out"
+    assert main(["trace", "--config", cfg, "--out", str(out_dir)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "numerical failure: the trace kept only its start point at area=0.35" in captured.err
+    assert captured.out == "" and not out_dir.exists()
 
 
 def test_a_diagram_writes_only_the_outputs_asked_for(tmp_path):
@@ -437,29 +460,29 @@ def _primary_switch():
     return system, ev, system.geometry.families.families["isosceles"]
 
 
-def test_one_trace_runs_serially_and_an_aborted_seed_is_kept_as_a_point(monkeypatch):
+def test_a_switch_traces_both_halves_from_the_event_and_joins_them_there():
+    # the halves start at the classified event point along the switch's two
+    # tangents, end at any of the targets, and are joined with the t half reversed
     from cluster_bifurc import cli
 
     system, ev, direction = _primary_switch()
     settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
-    seed = branch_switch(system, ev, direction)[0][0]
-    center = np.append(ev.state, ev.parameter)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", None)  # a single job never reaches the pool
-    want = trace_branch(system, seed, seed.z() - center, settings, window, targets=(ev,))
-    assert cli._run_traces(system, [(seed, center)], settings, window, (ev,)) == [want]
-
-    def aborting(*args, **kwargs):
-        raise TraceAbort("corrector failed at the start point with minimum step")
-
-    monkeypatch.setattr(cli, "trace_branch", aborting)
-    (got,) = cli._run_traces(system, [(seed, center)], settings, window, (ev,))
-    assert got[0].points == (replace(seed, arclength=0.0),) and got[1] == []
+    branch, events, ended_at = cli._switch_and_trace(system, ev, direction, settings, window, (ev,))
+    start = classified_point(system, np.asarray(ev.state), ev.parameter)
+    halves = [trace_branch(system, start, t, settings, window, targets=(ev,))
+              for t in branch_switch(system, ev, direction)[0]]
+    assert branch == replace(concatenate_branches(halves[0][0], halves[1][0]), parent_event=ev.id,
+                             label="isosceles(b=c)")
+    joint = branch.points[len(halves[0][0].parameters) - 1]
+    assert replace(joint, arclength=0.0) == start
+    assert events == dedup_events(halves[0][1] + halves[1][1]) and len(events) == 3
+    assert ended_at == {h.reached_event for h, _ in halves} - {None}
 
 
 @pytest.mark.parametrize("error", [CorrectorFailure("no convergence"), DomainExit("left the domain")])
-def test_a_switch_that_raises_is_skipped(monkeypatch, error):
-    # every correction of a switch goes through `_try_correct`, so a corrector
-    # exception leaves no seed, never the switch, and the switch is skipped
+def test_a_switch_whose_every_correction_raises_exports_the_event_alone(monkeypatch, error):
+    # the switch itself corrects nothing; each half's first step shrinks to
+    # the minimum step and ends its trace at the start, the event point
     from cluster_bifurc import cli, continuation
 
     def raising(*args, **kwargs):
@@ -467,51 +490,16 @@ def test_a_switch_that_raises_is_skipped(monkeypatch, error):
 
     system, ev, direction = _primary_switch()
     monkeypatch.setattr(continuation, "newton_correct", raising)
-    assert branch_switch(system, ev, direction) == ([], ())
-    assert cli._switch_and_trace(system, ev, direction, ContinuationSettings(), (0.3, 0.9), (ev,)) is None
+    branch, events, ended_at = cli._switch_and_trace(system, ev, direction, ContinuationSettings(), (0.3, 0.9),
+                                                     (ev,))
+    assert branch.points == (classified_point(system, np.asarray(ev.state), ev.parameter),)
+    assert events == [] and ended_at == set() and branch.parent_event == ev.id
 
 
-def test_a_switch_with_one_converged_seed_exports_that_half_alone(monkeypatch):
-    from cluster_bifurc import cli
-
-    def first_seed_only(*args, **kwargs):
-        seeds, data = branch_switch(*args, **kwargs)
-        return seeds[:1], data
-
-    system, ev, direction = _primary_switch()
-    settings, window = ContinuationSettings(h_max=0.05), (0.3, 0.9)
-    monkeypatch.setattr(cli, "branch_switch", first_seed_only)
-    branch, events, ended_at = cli._switch_and_trace(system, ev, direction, settings, window, (ev,))
-    (seed,), _ = first_seed_only(system, ev, direction)
-    half, want = trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings,
-                              window, targets=(ev,))
-    assert branch.points == half.points and branch.points[0] == replace(seed, arclength=0.0)
-    assert events == want and branch.parent_event == ev.id and branch.label == seed.shape
-    assert ended_at == {half.reached_event} - {None}
-
-
-def test_a_switch_keeps_only_the_seeds_inside_the_window():
-    from cluster_bifurc import cli
-
-    system, ev, direction = _primary_switch()
-    settings = ContinuationSettings(h_max=0.05)
-    center = np.append(ev.state, ev.parameter)
-    above, below = branch_switch(system, ev, direction)[0]
-    assert below.parameter < ev.parameter < above.parameter
-    window = (0.3, 0.5 * (ev.parameter + above.parameter))  # the upper seed lies past the top
-    branch, events, _ = cli._switch_and_trace(system, ev, direction, settings, window, (ev,))
-    half, want = trace_branch(system, below, below.z() - center, settings, window, targets=(ev,))
-    assert branch.points == half.points and events == want
-    above_both = (above.parameter + 0.01, 0.9)
-    assert cli._switch_and_trace(system, ev, direction, settings, above_both, (ev,)) is None
-
-
-def test_a_build_writes_its_branches_with_no_point_record_but_seeds_junctions_and_crossing_ends(
-        tmp_path, monkeypatch):
+def test_a_build_writes_its_branches_with_no_point_record_but_its_switch_starts(tmp_path, monkeypatch):
     # the Buckingham triangle at h_max=0.2 (the seed-0 buck-tri-coarse benchmark
     # input): each branch goes from the tracer to the files as columns, and a
-    # BranchPoint is built only for a switch's seeds, its junction and its
-    # traces' crossing ends
+    # BranchPoint is built only for a switch's start, the classified event point
     from cluster_bifurc import cli
 
     records, switches = [], []
@@ -530,7 +518,7 @@ def test_a_build_writes_its_branches_with_no_point_record_but_seeds_junctions_an
     cfg = write_config(tmp_path, {**LJ_STABILITY, "potential": {"family": "buckingham", "params": {
         "alpha": 1, "beta": 1, "gamma": 1, "eta": 4}}, "window": [1.0, 100.0], "continuation": {"h_max": 0.2}})
     assert main(["diagram", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert switches and len(records) <= 6 * len(switches)
+    assert switches and len(records) == len(switches)
 
 
 def test_a_linear_algebra_error_exits_3(tmp_path, monkeypatch, capsys):

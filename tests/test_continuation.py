@@ -40,6 +40,11 @@ def isosceles():
     return TRIANGLE.families.families["isosceles"]
 
 
+def rising_tangent(system, point):
+    """The unit tangent at a converged point, oriented up in the parameter."""
+    return branch_tangent(system, np.asarray(point.state), point.parameter, np.eye(system.dim + 1)[-1])
+
+
 def make_primary_event(system, parameter):
     return BifurcationEvent(
         kind="primary",
@@ -226,7 +231,7 @@ def _assert_same_correction(args, kwargs):
 
 
 @pytest.mark.parametrize("problem, spec, window, settings", [
-    ("triangle", LJ, (0.3, 0.9), ContinuationSettings(h_max=0.2)),
+    ("triangle", LJ, (0.3, 0.9), ContinuationSettings(h_max=0.1)),
     ("triangle", Buckingham(1, 1, 1, 4), (1.0, 100.0), ContinuationSettings(h_max=0.2)),
     ("tetrahedron", PolynomialSpring(1, -0.1), (0.5, 4.0), ContinuationSettings(h_max=0.05, max_points=60)),
 ])
@@ -319,9 +324,8 @@ def test_trace_trivial_branch_stability_flip():
     system = lj_system()
     settings = ContinuationSettings(h_max=0.02)
     start, _ = newton_correct(system, system.trivial_state(0.3), 0.3)
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    branch, events = trace_branch(system, start, hint, settings, (0.3, 0.8),
+    tangent = rising_tangent(system, start)
+    branch, events = trace_branch(system, start, tangent, settings, (0.3, 0.8),
                                   bifurcation_kind="primary")
     points = branch.points  # built on each access: read once
     flips = [
@@ -350,9 +354,8 @@ def test_trace_buckingham_trivial_stable_window():
     system = ClusterProblem(TRIANGLE, spec)
     settings = ContinuationSettings(h_max=0.2)
     start, _ = newton_correct(system, system.trivial_state(1.0), 1.0)
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    branch, events = trace_branch(system, start, hint, settings, (1.0, 100.0),
+    tangent = rising_tangent(system, start)
+    branch, events = trace_branch(system, start, tangent, settings, (1.0, 100.0),
                                   bifurcation_kind="primary")
     lo, hi = 5.3154, 74.2253
     for pt in branch.points:
@@ -370,9 +373,8 @@ def test_trace_hooke_emits_no_events():
     system = ClusterProblem(TRIANGLE, PolynomialSpring(1, 0))
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1)
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
+    tangent = rising_tangent(system, start)
+    branch, events = trace_branch(system, start, tangent, settings, (0.1, 100.0))
     assert events == []
     assert branch.points[-1].parameter > 99.0
     assert all(pt.stability == "stable" for pt in branch.points)
@@ -404,9 +406,8 @@ def test_trace_evaluates_each_iterate_and_each_point_once(monkeypatch):
     counts.clear()
     monkeypatch.setattr(cluster, "classify_stack", stack)
     monkeypatch.setattr(continuation, "newton_correct", correct)
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
+    tangent = rising_tangent(system, start)
+    branch, events = trace_branch(system, start, tangent, settings, (0.1, 100.0))
     assert events == [] and branch.points[-1].parameter > 99.0
     assert counts["corrections"] >= len(branch.points) - 1 > 25
     assert counts["corrections"] <= counts["terms"] <= counts["iterates"] + 1
@@ -437,9 +438,8 @@ def test_trace_labels_only_the_points_it_keeps(monkeypatch):
     assert corrected[1] == corrected.iterations and rows == []
     assert corrected[0] is corrected.point and rows == [1]
     rows.clear()
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    branch, _ = trace_branch(system, start, hint, settings, (0.1, 100.0))
+    tangent = rising_tangent(system, start)
+    branch, _ = trace_branch(system, start, tangent, settings, (0.1, 100.0))
     past = [i for i, (_, c) in enumerate(calls) if c.parameter > 100.0]
     assert len(past) == 1 and "point" not in vars(calls[past[0]][1])
     assert calls[past[0] + 1][0] is None and calls[past[0] + 1][1].parameter == 100.0
@@ -464,13 +464,18 @@ def test_a_failed_edge_correction_falls_back_to_a_shorter_step(monkeypatch, fail
     settings = ContinuationSettings(h_max=0.5)
     start, _ = newton_correct(system, system.trivial_state(0.1), 0.1)
     monkeypatch.setattr(continuation, "newton_correct", correct)
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    branch, events = trace_branch(system, start, hint, settings, (0.1, 100.0))
+    tangent = rising_tangent(system, start)
+    branch, events = trace_branch(system, start, tangent, settings, (0.1, 100.0))
     end = branch.points[-1].parameter
     assert events == [] and raised["edge"] >= 1 and 99.0 < end <= 100.0
     assert (end == 100.0) == (failures == 1)
     assert np.all(np.diff(branch.parameters) > 0.0)
+
+
+def _switch_starts(system, ev, direction):
+    """(start, tangent) of both halves of the switch at `ev`: the event point along t and -t."""
+    start = continuation.classified_point(system, np.asarray(ev.state), ev.parameter)
+    return [(start, t) for t in branch_switch(system, ev, direction)[0]]
 
 
 def test_stacked_trace_labels_equal_the_per_point_ones():
@@ -479,13 +484,11 @@ def test_stacked_trace_labels_equal_the_per_point_ones():
     system = lj_system()
     settings = ContinuationSettings(h_max=0.2)
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, isosceles())
-    center = np.append(ev.state, ev.parameter)
     kinds, indices = [], set()
-    for seed in seeds:
-        branch, events = trace_branch(system, seed, seed.z() - center, settings, (0.3, 0.9))
+    for start, tangent in _switch_starts(system, ev, isosceles()):
+        branch, events = trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=(ev,))
         kinds += [e.kind for e in events]
-        for pt in branch.points:
+        for pt in branch.points[1:]:
             want = continuation.classified_point(system, np.array(pt.state), pt.parameter)
             assert (pt.stability, pt.shape, pt.index) == (want.stability, want.shape, want.index)
             indices.add(pt.index)
@@ -500,30 +503,26 @@ def _lennard_jones_secondaries():
     return lj_system(), low, high
 
 
-def _scalene_seeds(system, ev):
-    seeds, _ = branch_switch(system, ev, ev.kernel[0])
-    return [(seed, seed.z() - np.append(ev.state, ev.parameter)) for seed in seeds]
-
-
 def test_crossing_ends_the_trace_exactly_on_the_image_of_a_target():
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.2)
-    for seed, hint in _scalene_seeds(system, low):
-        branch, events = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=(low, high))
+    for start, tangent in _switch_starts(system, low, low.kernel[0]):
+        branch, events = trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=(low, high))
         assert events == [] and branch.reached_event == high.id
         end = branch.points[-1]
         assert end.parameter == high.parameter
         assert any(np.array_equal(end.state, P.apply(high.state)) for P in system.group())
-        assert all(pt.shape == "scalene" for pt in branch.points[:-1])
+        assert all(pt.shape == "scalene" for pt in branch.points[1:-1])
 
 
 def test_crossing_without_a_target_is_localized_on_the_symmetric_branch():
-    # with nothing known to end at, the scalene trace from the lower secondary
-    # finds the upper one as the point where u^t J u vanishes on the isosceles branch
+    # with nothing known to end at but its own start, the scalene trace from the
+    # lower secondary finds the upper one as the point where u^t J u vanishes on
+    # the isosceles branch
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.05)
-    for seed, hint in _scalene_seeds(system, low):
-        branch, events = trace_branch(system, seed, hint, settings, (0.3, 0.9))
+    for start, tangent in _switch_starts(system, low, low.kernel[0]):
+        branch, events = trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=(low,))
         assert len(events) == 1 and branch.reached_event is None
         ev = events[0]
         assert ev.kind == "secondary" and ev.kernel_dim == 1 and ev.refined
@@ -543,8 +542,8 @@ def test_a_step_onto_the_mirror_branch_is_a_jump():
     # on one side of the secondary, so they bracket no index change
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.2)
-    seed, hint = _scalene_seeds(system, low)[0]
-    branch, _ = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=(low, high))
+    start, tangent = _switch_starts(system, low, low.kernel[0])[0]
+    branch, _ = trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=(low, high))
     end = np.asarray(branch.points[-1].state)
     x_a, x_b = (np.asarray(pt.state) for pt in branch.points[-2:-4:-1])
     mirror = next(P for P in system.group()
@@ -585,13 +584,13 @@ def test_landing_on_a_more_symmetric_point_ends_the_trace_before_it(with_targets
     # the crossing end, the reached target and the crossing event
     system, low, high = _lennard_jones_secondaries()
     settings = ContinuationSettings(h_max=0.2)
-    targets = (low, high) if with_targets else ()
-    for seed, hint in _scalene_seeds(system, low):
-        full, full_events = trace_branch(system, seed, hint, settings, (0.3, 0.9), targets=targets)
+    targets = (low, high) if with_targets else (low,)
+    for start, tangent in _switch_starts(system, low, low.kernel[0]):
+        full, full_events = trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=targets)
         assert full_events or full.reached_event is not None
         kept = [pt for pt in full.points if pt.parameter < 0.645]
         assert 1 < len(kept) < len(full.points) - 1
-        branch, events = trace_branch(_LandsPast(0.645), seed, hint, settings, (0.3, 0.9), targets=targets)
+        branch, events = trace_branch(_LandsPast(0.645), start, tangent, settings, (0.3, 0.9), targets=targets)
         assert branch.points == tuple(kept) == full.points[:len(kept)]
         assert branch.reached_event is None and events == []
 
@@ -625,27 +624,33 @@ def test_detect_primary_between_trivial_points():
 
 
 def test_branch_switch_transcritical_isosceles():
-    # the pinned walk seeds both halves of the transcritical isosceles branch,
-    # each isolated by the walk's own verdict, the one above the primary first
+    # at the Lennard-Jones primary the isosceles branch crosses the symmetric
+    # one: t and -t are unit vectors of the kernel of [J F_p] in Fix(S) x R,
+    # away from the parent's direction (0 along v), and t rises in the parameter
     system = lj_system()
     ev = make_primary_event(system, A0)
-    seeds, isolated = branch_switch(system, ev, isosceles())
-    assert len(seeds) == 2 and isolated == (True, True)
-    assert seeds[0].parameter > A0 > seeds[1].parameter
-    for pt in seeds:
-        x = np.asarray(pt.state)
-        assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < 10 * continuation.NEWTON_TOL
-        assert pt.shape == "isosceles(b=c)"
-        assert abs(x[1] - x[2]) > 1e-4  # genuinely nontrivial
-        assert continuation.is_isolated(newton_correct(system, x, pt.parameter))
+    (t, back), P = branch_switch(system, ev, isosceles())
+    assert _bits(back) == _bits(-t) and t @ t == pytest.approx(1.0, abs=1e-14) and t[-1] > 0.0
+    x0 = np.asarray(ev.state)
+    A = np.column_stack([system.evaluate(x0, A0)[1], system.parameter_derivative(x0, A0)])
+    assert np.max(np.abs(A @ t)) < 1e-9 * np.max(np.abs(A))
+    assert np.max(np.abs(P @ t[:-1] - t[:-1])) < 1e-12
+    v = np.asarray(isosceles()) / math.sqrt(6.0)
+    assert abs(v @ t[:-1]) > 0.1
 
 
-def test_branch_switch_seeds_straddle_the_parameter():
-    # trans-criticality: the two seeds continue to opposite sides of A0
+def test_branch_switch_halves_straddle_the_parameter():
+    # trans-criticality: traced from the event, the two halves leave to
+    # opposite sides of A0, as isosceles states off the equilateral one
     system = lj_system()
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, isosceles())
-    sides = {int(np.sign(pt.parameter - A0)) for pt in seeds}
+    settings = ContinuationSettings(h_max=0.01, max_points=3)
+    sides = set()
+    for start, tangent in _switch_starts(system, ev, isosceles()):
+        branch, _ = trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=(ev,))
+        assert len(branch.parameters) == 3 and set(branch.shape[1:]) == {"isosceles(b=c)"}
+        assert abs(branch.states[1][1] - branch.states[1][2]) > 1e-4
+        sides.add(int(np.sign(branch.parameters[1] - A0)))
     assert sides == {-1, 1}
 
 
@@ -654,65 +659,99 @@ def test_branch_switch_buckingham_second_root():
     system = ClusterProblem(TRIANGLE, spec)
     roots = stability_boundaries3(spec, (1.0, 100.0))
     ev = make_primary_event(system, roots[1].parameter)
-    seeds, _ = branch_switch(system, ev, isosceles())
-    assert len(seeds) == 2
-    for pt in seeds:
-        assert pt.shape.startswith("isosceles")
+    settings = ContinuationSettings(h_max=0.2, max_points=4)
+    for start, tangent in _switch_starts(system, ev, isosceles()):
+        branch, _ = trace_branch(system, start, tangent, settings, (1.0, 100.0), targets=(ev,))
+        assert len(branch.parameters) == 4
+        assert all(shape.startswith("isosceles") for shape in branch.shape[1:])
 
 
-def test_each_seed_is_labeled_from_its_corrector_jacobian(monkeypatch):
+def test_the_switch_at_a_pitchfork_leaves_along_the_kernel_vector_bit_for_bit():
+    # the reflection that fixes the isosceles state at the 0.625072 secondary
+    # maps its kernel vector v to -v, so the scalene branch leaves along (v, 0)
+    system, low, _ = _lennard_jones_secondaries()
+    assert round(low.parameter, 6) == 0.625072
+    v = np.asarray(low.kernel[0])
+    v = v / np.sqrt(v @ v)
+    (t, back), _ = branch_switch(system, low, low.kernel[0])
+    assert _bits(t) == _bits(np.append(v, 0.0)) and _bits(back) == _bits(-np.append(v, 0.0))
+
+
+# the Buckingham potential of the buckingham-3-4 case of `test_step_size_corpus.py`
+BUCKINGHAM_3_4 = Buckingham(0.9263017456231872, 1.4728208106197376, 1.105080795671202, 3.5245226215437047)
+
+
+def test_the_transcritical_tangent_slope_matches_the_chord_of_pinned_corrections():
+    # at the 8.10226 primary of buckingham-3-4, the corrections with the
+    # amplitude v.(x - x0) pinned at +-delta and the parameter free lie on the
+    # isosceles branch; their chord's parameter slope is the tangent's.  The
+    # branch is steep (dA/d(v.x) = 152) and strongly curved: the one-sided
+    # slopes at delta = 1e-4 are 168 and 141, so delta is small
+    system = ClusterProblem(TRIANGLE, BUCKINGHAM_3_4)
+    root = stability_boundaries3(BUCKINGHAM_3_4, (4.05112897895257, 11.591060125393065))[0]
+    assert round(root.parameter, 5) == 8.10226
+    ev = make_primary_event(system, root.parameter)
+    (t, _), P = branch_switch(system, ev, isosceles())
+    v = np.asarray(isosceles()) / math.sqrt(6.0)
+    z0 = np.append(ev.state, ev.parameter)
+    slope = t[-1] / (v @ t[:-1])
+    assert slope == pytest.approx(152.14, rel=1e-4)
+    delta = 3e-6
+    ends = []
+    for amp in (delta, -delta):
+        guess = z0 + amp * t / (v @ t[:-1])
+        ends.append(newton_correct(system, guess[:-1], guess[-1], PseudoArclength(np.append(v, 0.0), z0, amp), P))
+    assert (ends[0].parameter - ends[1].parameter) / (2.0 * delta) == pytest.approx(slope, rel=1e-4)
+    for end, amp in zip(ends, (delta, -delta)):
+        assert (end.parameter - ev.parameter) / amp == pytest.approx(slope, rel=1e-2)
+
+
+def test_a_switch_corrects_and_classifies_nothing(monkeypatch):
+    # the transcritical tangent reads the Jacobian at the event and at four
+    # central-difference points of [J F_p]; the pitchfork's, the group alone
     system = lj_system()
-    outside, correcting = [], []
+    evaluated, corrected, classified = [], [], []
     evaluate = system.evaluate
 
     def counting(*args):
-        if not correcting:
-            outside.append(args)
+        evaluated.append(args)
         return evaluate(*args)
 
     def correct(*args, **kwargs):
-        correcting.append(True)
-        try:
-            return newton_correct(*args, **kwargs)
-        finally:
-            correcting.pop()
+        corrected.append(args)
+        return newton_correct(*args, **kwargs)
 
-    isolated, judge = [], continuation.is_isolated
-
-    def judging(*args):
-        isolated.append(args)
-        return judge(*args)
+    def stack(geometry, states, jacobians):
+        classified.append(len(states))
+        return classify_stack(geometry, states, jacobians)
 
     monkeypatch.setattr(system, "evaluate", counting)
     monkeypatch.setattr(continuation, "newton_correct", correct)
-    monkeypatch.setattr(continuation, "is_isolated", judging)
-    seeds, _ = branch_switch(system, make_primary_event(system, A0), isosceles())
-    # every isolation test of a walk point reads its correction's Jacobian, and
-    # no seed evaluates its own Jacobian outside its correction
-    assert len(seeds) == 2 and isolated and outside == []
-    for pt in seeds:
-        assert pt == continuation.classified_point(system, np.asarray(pt.state), pt.parameter)
+    monkeypatch.setattr(cluster, "classify_stack", stack)
+    branch_switch(system, make_primary_event(system, A0), isosceles())
+    assert len(evaluated) == 5 and corrected == [] and classified == []
+    evaluated.clear()
+    pitchfork = BifurcationEvent("secondary", 0.6, 1, ((0.0, 0.0, 1.0, -1.0),), (-1.0, 1.2, 1.1, 1.1))
+    branch_switch(system, pitchfork, pitchfork.kernel[0])
+    assert evaluated == [] and corrected == [] and classified == []
 
 
-def test_each_switch_seed_is_classified_once(monkeypatch):
-    # the isolation test and the seed's labels read one classification of
-    # the correction: one classify_stack call per walk point judged, none more
-    rows, judged, judge = [], [], continuation.is_isolated
+def test_a_switch_classifies_its_event_once_and_each_half_in_one_pass(monkeypatch):
+    # both halves start at the event point, labeled once before they run; each
+    # half labels the points after it in one stacked call
+    system = lj_system()
+    ev = make_primary_event(system, A0)
+    rows = []
 
     def stack(geometry, states, jacobians):
         rows.append(len(states))
         return classify_stack(geometry, states, jacobians)
 
-    def judging(*args):
-        judged.append(args)
-        return judge(*args)
-
-    system = lj_system()
     monkeypatch.setattr(cluster, "classify_stack", stack)
-    monkeypatch.setattr(continuation, "is_isolated", judging)
-    seeds, isolated = branch_switch(system, make_primary_event(system, A0), isosceles())
-    assert len(seeds) == 2 and isolated == (True, True)
-    assert rows == [1] * len(judged)
+    monkeypatch.setattr(continuation, "detect_and_localize", lambda *args, **kwargs: None)  # no probes
+    branch, events, _ = cli._switch_and_trace(system, ev, isosceles(), ContinuationSettings(h_max=0.05),
+                                              (0.3, 0.9), (ev,))
+    assert events == [] and rows[0] == 1 and len(rows) == 3 and sum(rows) == len(branch.parameters)
 
 
 class _DocumentedInterface:
@@ -728,21 +767,25 @@ class _DocumentedInterface:
 
 def test_continuation_needs_only_the_documented_interface():
     # the trivial trace across A0 localizes the primary by index bisection,
-    # and the switch there walks its two seeds out along the branch
+    # and the switch there and both halves traced from it need nothing more
     problem = lj_system()
     system = _DocumentedInterface(problem)
     settings = ContinuationSettings(h_max=0.02)
     start, _ = newton_correct(problem, problem.trivial_state(0.55), 0.55)
     assert newton_correct(system, problem.trivial_state(0.55), 0.55).point == start
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    want = trace_branch(problem, start, hint, settings, (0.55, 0.62), bifurcation_kind="primary")
-    got = trace_branch(system, start, hint, settings, (0.55, 0.62), bifurcation_kind="primary")
+    tangent = rising_tangent(problem, start)
+    want = trace_branch(problem, start, tangent, settings, (0.55, 0.62), bifurcation_kind="primary")
+    got = trace_branch(system, start, tangent, settings, (0.55, 0.62), bifurcation_kind="primary")
     assert got == want and [ev.kind for ev in got[1]] == ["primary"]
     ev = make_primary_event(problem, A0)
-    want = branch_switch(problem, ev, isosceles())
-    got = branch_switch(system, ev, isosceles())
-    assert got == want and len(got[0]) == 2
+    (t, back), P = branch_switch(system, ev, isosceles())
+    (want_t, want_back), want_P = branch_switch(problem, ev, isosceles())
+    assert _bits(t) == _bits(want_t) and _bits(back) == _bits(want_back) and _bits(P) == _bits(want_P)
+    for (start, tangent), (_, want_tangent) in zip(_switch_starts(system, ev, isosceles()),
+                                                   _switch_starts(problem, ev, isosceles())):
+        want = trace_branch(problem, start, want_tangent, settings, (0.55, 0.62), targets=(ev,))
+        got = trace_branch(system, start, tangent, settings, (0.55, 0.62), targets=(ev,))
+        assert got == want and len(got[0].parameters) > 1
 
 
 # (problem, potential, window)
@@ -756,11 +799,13 @@ SWITCH_BUILDS = {
 
 @pytest.mark.parametrize("rel", [0.0, 1e-10])
 @pytest.mark.parametrize("name", sorted(SWITCH_BUILDS))
-def test_every_switch_seed_lies_in_its_directions_fixed_space(monkeypatch, name, rel):
+def test_every_switched_half_lies_in_its_directions_fixed_space(monkeypatch, name, rel):
     # primaries switch along a family's vector, secondaries along their own
-    # kernel vector; each seed is fixed by every element fixing its direction
+    # kernel vector; both halves start at the event along the switch's two
+    # tangents, and each of their points is fixed by every element fixing
+    # the direction
     problem, spec, window = SWITCH_BUILDS[name]
-    switches = []
+    switches, by_tangent, halves = [], {}, []
 
     # rel > 0: a solver off by up to rel, unequally across entries, so only the
     # projection keeps equal edges equal
@@ -769,27 +814,36 @@ def test_every_switch_seed_lies_in_its_directions_fixed_space(monkeypatch, name,
         return x * (1.0 + rel * np.linspace(-1.0, 1.0, len(x)))
 
     def recording(system, event, direction):
-        seeds, v = branch_switch(system, event, direction)
-        switches.append((system, event, direction, seeds))
-        return seeds, v
+        tangents, P = branch_switch(system, event, direction)
+        switches.append((system, event, direction))
+        by_tangent.update({id(t): (switches[-1], t, P) for t in tangents})
+        return tangents, P
+
+    def tracing(system, start, tangent, *args, **kwargs):
+        out = trace_branch(system, start, tangent, *args, **kwargs)
+        halves.append((by_tangent[id(tangent)], start, out[0]))
+        return out
 
     monkeypatch.setattr(cli, "branch_switch", recording)
+    monkeypatch.setattr(cli, "trace_branch", tracing)
     monkeypatch.setattr(continuation, "solve", perturbed)
     build_diagram(problem, spec, window, ContinuationSettings(max_points=20))
-    assert {event.kind for _, event, _, _ in switches} == {"primary", "secondary"}
-    secondary_orders = []
-    for system, event, direction, seeds in switches:
-        assert len(seeds) == 2
+    assert {event.kind for _, event, _ in switches} == {"primary", "secondary"}
+    assert len(halves) == 2 * len(switches)
+    for _, t, P in by_tangent.values():
+        assert np.max(np.abs(P @ t[:-1] - t[:-1])) < 1e-12
+    for ((system, event, direction), _, _), start, branch in halves:
+        assert (start.state, start.parameter) == (event.state, event.parameter)
         group = system.group()
         fixing = group.members(int(stabilizer(group, direction)[0]))
-        if event.kind == "secondary":
-            secondary_orders.append(len(fixing))
-        for pt in seeds:
-            x = np.asarray(pt.state)
-            assert all(np.array_equal(P.apply(x), x) for P in fixing)
-            assert np.max(np.abs(system.evaluate(x, pt.parameter)[0])) < continuation.NEWTON_TOL
+        assert len(branch.parameters) > 1
+        for x, p in zip(branch.states, branch.parameters):
+            assert all(np.array_equal(g.apply(x), x) for g in fixing)
+            assert np.max(np.abs(system.evaluate(x, p)[0])) < continuation.NEWTON_TOL
     # only the Lennard-Jones tetrahedron's 0.200348 secondary has a direction
     # that more than the identity fixes
+    secondary_orders = [int(stabilizer(system.group(), direction)[0]).bit_count()
+                        for system, event, direction in switches if event.kind == "secondary"]
     assert secondary_orders == ([2] if name == "lennard-jones-tetrahedron" else [1])
 
 
@@ -819,11 +873,10 @@ def test_concatenate_rebuilds_arclength():
     system = lj_system()
     settings = ContinuationSettings(max_points=8)
     start, _ = newton_correct(system, system.trivial_state(0.4), 0.4)
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    up, _ = trace_branch(system, start, hint, settings, (0.3, 0.8))
-    down, _ = trace_branch(system, start, -hint, settings, (0.3, 0.8))
-    merged = concatenate_branches(down, None, up)
+    tangent = rising_tangent(system, start)
+    up, _ = trace_branch(system, start, tangent, settings, (0.3, 0.8))
+    down, _ = trace_branch(system, start, -tangent, settings, (0.3, 0.8))
+    merged = concatenate_branches(down, up)
     s = [pt.arclength for pt in merged.points]
     assert s[0] == 0.0
     assert all(b > a for a, b in zip(s, s[1:]))
@@ -831,12 +884,12 @@ def test_concatenate_rebuilds_arclength():
     assert len(merged.points) == len(up.points) + len(down.points) - 1
 
 
-def _joined_point_by_point(first, junction, second):
+def _joined_point_by_point(first, second):
     """The join as a loop over point records: each point is dropped within
     1e-12 relative of the last one kept, and its arclength adds its chord
     to that point."""
     out, s = [], 0.0
-    for pt in list(reversed(first.points)) + ([junction] if junction is not None else []) + list(second.points):
+    for pt in list(reversed(first.points)) + list(second.points):
         if out:
             dz = pt.z() - out[-1].z()
             step = float(np.sqrt(dz @ dz))
@@ -848,19 +901,17 @@ def _joined_point_by_point(first, junction, second):
 
 
 def test_the_array_join_equals_the_point_by_point_one():
-    # bit for bit, with the coincident start points of the halves and with a junction
+    # bit for bit, with the coincident start points of the halves: of a
+    # regular point, and of a switch's event
     system = lj_system()
     settings = ContinuationSettings(max_points=8)
     start, _ = newton_correct(system, system.trivial_state(0.4), 0.4)
-    hint = np.zeros(5)
-    hint[-1] = 1.0
-    up, _ = trace_branch(system, start, hint, settings, (0.3, 0.8))
-    down, _ = trace_branch(system, start, -hint, settings, (0.3, 0.8))
+    tangent = rising_tangent(system, start)
+    up, _ = trace_branch(system, start, tangent, settings, (0.3, 0.8))
+    down, _ = trace_branch(system, start, -tangent, settings, (0.3, 0.8))
     ev = make_primary_event(system, A0)
-    seeds, _ = branch_switch(system, ev, isosceles())
-    halves = [trace_branch(system, seed, seed.z() - np.append(ev.state, ev.parameter), settings, (0.3, 0.9))[0]
-              for seed in seeds]
-    junction = continuation.classified_point(system, np.asarray(ev.state), ev.parameter)
-    for first, junction, second in ((down, None, up), (halves[0], junction, halves[1])):
-        want = _joined_point_by_point(first, junction, second)
-        assert concatenate_branches(first, junction, second).points == want
+    halves = [trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=(ev,))[0]
+              for start, tangent in _switch_starts(system, ev, isosceles())]
+    for first, second in ((down, up), tuple(halves)):
+        want = _joined_point_by_point(first, second)
+        assert concatenate_branches(first, second).points == want

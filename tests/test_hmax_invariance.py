@@ -6,10 +6,10 @@ range must give the same event multiset (kind, parameter to 1e-6) and the
 same branch count as the finest step; every switched branch keeps one
 isotropy type between its junction and its end points; and no branch is
 stored twice.  The Lennard-Jones tetrahedron has 14 branches at every
-`h_max`.  Every switched branch of the Lennard-Jones triangle and of both
-tetrahedra ends exactly on a window edge or on a group image of an event,
-and every Buckingham branch switched at the 5.3154 primary ends on the
-window top, A = 100.
+`h_max`.  Every switched branch of the four fixtures ends exactly on a
+window edge or on a group image of an event, and passes through a group
+image of its own event; every Buckingham branch switched at the 5.3154
+primary ends on the window top, A = 100.
 A solver whose every solution is off by a relative 1e-13 (or 1e-10) leaves
 the branch counts and the events as they are.
 """
@@ -23,6 +23,7 @@ from cluster_bifurc import continuation
 from cluster_bifurc.cli import build_diagram, make_system
 from cluster_bifurc.continuation import ContinuationSettings
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
+from test_step_size_corpus import assert_switched_branches_pass_through_their_events
 
 CASES = {
     "lennard-jones": ("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9)),
@@ -111,9 +112,12 @@ def test_buckingham_needle_branches_reach_the_window_top(h_max):
 LENNARD_JONES_STEPS = [h for name, h in ALL if name == "lennard-jones"]
 
 
-@pytest.mark.parametrize("name, h_max", [("lennard-jones", h) for h in LENNARD_JONES_STEPS] + [
-    ("soft-spring-tetrahedron", 0.2), ("soft-spring-tetrahedron", 0.05),
-    ("lennard-jones-tetrahedron", 0.5), ("lennard-jones-tetrahedron", 0.05)])
+FIXTURE_STEPS = ALL + [("soft-spring-tetrahedron", 0.2), ("soft-spring-tetrahedron", 0.05),
+                       ("lennard-jones-tetrahedron", 0.5), ("lennard-jones-tetrahedron", 0.2),
+                       ("lennard-jones-tetrahedron", 0.05)]
+
+
+@pytest.mark.parametrize("name, h_max", FIXTURE_STEPS)
 def test_switched_half_branches_end_at_an_event_image_or_the_window_edge(name, h_max):
     # a trace that leaves the window ends exactly on the edge it crossed; one
     # that meets a more symmetric branch ends on a group image of its event
@@ -129,6 +133,12 @@ def test_switched_half_branches_end_at_an_event_image_or_the_window_edge(name, h
             at_edge = z[-1] in (lo, hi)
             at_event = any(np.max(np.abs(z - img)) <= 1e-8 * np.max(np.abs(img)) for img in images)
             assert at_edge or at_event, (branch.id, end.parameter)
+
+
+@pytest.mark.parametrize("name, h_max", FIXTURE_STEPS)
+def test_switched_branches_pass_through_their_event(name, h_max):
+    problem, spec, _ = CASES[name]
+    assert_switched_branches_pass_through_their_events(make_system(problem, spec), _diagram(name, h_max))
 
 
 @pytest.mark.parametrize("h_max", LENNARD_JONES_STEPS)

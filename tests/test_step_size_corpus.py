@@ -6,7 +6,8 @@ the step min(continuation.H0, h_max)) and `max_points` 4000, and must give the s
 events (kind, parameter to 6 significant digits, `kernel_dim`) and the same
 branch count at both, with every exported point inside the window.  Every
 end of a switched branch must also lie exactly on a window edge or within
-1e-8 of a group image of an event.
+1e-8 of a group image of an event, and every switched branch passes
+through a group image of its own event.
 
 Buckingham triangles: 10 draws from each of `numpy.random.default_rng(3)`
 and `default_rng(4)`, with alpha ~ U(0.5, 2), beta ~ U(0.5, 2),
@@ -100,31 +101,18 @@ CASES.update({name: (problem, spec, window, (50, 200)) for name, (problem, spec,
 
 # (check, case) -> the defect that fails it and the ROADMAP item expected to fix it
 DEFECTS = {
-    ("steps", "buckingham-3-3"): "a turning at 53.4509 at width/400 and none at width/100; the fold, at "
+    ("steps", "buckingham-3-3"): "a turning at 53.4913 at width/400 and none at width/100; the fold, at "
                                  "53.75998 by an h_max=2e-3 trace, lies past the end of the width/400 "
                                  "step that turns across it (item 8)",
     ("steps", "buckingham-4-5"): "a width/100 step crosses the 149.272 fold with no tangent flip, and "
-                                 "the fold is localized, unrefined, as a secondary at 149.267, which is "
+                                 "the fold is localized, unrefined, as a secondary at 149.254, which is "
                                  "not switched (item 8)",
     ("steps", "buckingham-4-6"): "width/100 steps show no tangent flip over the 69.6825 fold and are "
-                                 "localized as secondaries at 69.6486 (unrefined), 90.224 and 99.6776; "
-                                 "the last two are switched, 10 branches against 7 (items 3 and 8)",
-    ("ends", "buckingham-3-4"): "each switch at the 8.10226 and 8.27933 primaries returns one seed, at "
-                                "8.00491 and 8.3792, 0.097 and 0.100 from its event, and the branch "
-                                "is the half traced from that seed; the half through the event is "
-                                "missing (items 17 and 3)",
-    ("ends", "buckingham-4-4"): "the scalene switch at the 10.5144 secondary exports 3-point "
-                                "seed-event-seed stubs, both seeds at 4.30988, as the isolation gate "
-                                "judged them not isolated (item 17)",
-    ("ends", "buckingham-4-6"): "the scalene switch at the 8.18183 secondary exports 3-point "
-                                "seed-event-seed stubs, both seeds at 6.9879, as the isolation gate "
-                                "judged them not isolated (item 17)",
-    ("ends", "buckingham-4-9"): "the scalene switch at the 20.2927 secondary exports 3-point "
-                                "seed-event-seed stubs, both seeds at 17.4491, as the isolation gate "
-                                "judged them not isolated (item 17)",
-    ("ends", "spring-triangle"): "the 1.77801 primary's non-isolated seed at A = 1.2624 is exported as "
-                                 "a branch end far from any event; its mirror seed, below the window, "
-                                 "is dropped (item 9)",
+                                 "localized as secondaries at 69.535 (unrefined), 90.224 and 99.6776; "
+                                 "the switch at 90.224 gives 10 branches against 7 (items 3 and 8)",
+    ("ends", "spring-triangle"): "the soft-spring solutions are not isolated, so each half of the switch "
+                                 "at the 1.77801 primary stops after one traced point, near A = 1.7778: "
+                                 "the 3-point branches end far from any event (item 9)",
 }
 
 
@@ -176,3 +164,22 @@ def test_switched_branches_end_on_a_window_edge_or_an_event_image(name):
                 z = end.z()
                 at_event = any(np.max(np.abs(z - img)) <= 1e-8 * np.max(np.abs(img)) for img in images)
                 assert z[-1] in window or at_event, (branch.id, end.parameter)
+
+
+def assert_switched_branches_pass_through_their_events(system, diagram):
+    """Every switched branch has a group image of its event's (x, p) as a row: both halves start there."""
+    events = {ev.id: ev for ev in diagram.events}
+    for branch in diagram.branches:
+        if branch.parent_event is None:
+            continue
+        ev = events[branch.parent_event]
+        rows = np.column_stack([branch.states, branch.parameters])
+        images = [np.append(P.apply(ev.state), ev.parameter) for P in system.group()]
+        assert any((rows == img).all(axis=1).any() for img in images), (branch.id, ev.parameter)
+
+
+@pytest.mark.parametrize("name", _cases("through", CASES))
+def test_switched_branches_pass_through_their_event(name):
+    problem, spec, _, _ = CASES[name]
+    for diagram in _builds(name):
+        assert_switched_branches_pass_through_their_events(make_system(problem, spec), diagram)

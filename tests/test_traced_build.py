@@ -7,12 +7,13 @@ call shapes they expect (`newton_correct(...)[1]`, `branch_switch(...)[0]`,
 `linalg.solve`/`sym_eigen`, calls made through module globals).  The
 triangle build takes the switch at a secondary bifurcation and ends its
 scalene traces on a crossing, which the Buckingham build of
-`perfbench/test_perfbench.py` does not reach.  The tetrahedron build seeds
-its pitchfork wing and most of its switches with traced `newton_correct`
-calls nested in `branch_switch`.
+`perfbench/test_perfbench.py` does not reach.  The tetrahedron build
+switches at pitchforks and at transcritical points; each switch is followed
+by the traces of its two halves, both started at the event.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -77,8 +78,10 @@ def test_a_traced_soft_spring_tetrahedron_build_reconciles_and_passes_its_checks
     failures, _ = worker.judge("spring-tet", [traced, plain])
     assert failures == []  # both pass the workload's checks, with identical bytes
     layers = tracing.layer_metrics(tracer.spans + tracer.roots, 1)
+    # the switch's two tangents count as its seeds
     assert layers["continuation.branch_switch.seeds"] == 2 * layers["continuation.branch_switch.calls"] >= 8
-    # every seed is a traced correction inside its switch's span
-    seeds = [sp for sp in tracer.spans if sp.layer == "continuation.newton_correct"
-             and sp.parent is not None and sp.parent.layer == "continuation.branch_switch"]
-    assert len(seeds) >= layers["continuation.branch_switch.seeds"]
+    # each switch is followed by two traces, its halves, before the next switch
+    switches = sorted(sp.t0 for sp in tracer.spans if sp.layer == "continuation.branch_switch")
+    traces = [sp.t0 for sp in tracer.spans if sp.layer == "continuation.trace_branch"]
+    assert [sum(a < t < b for t in traces) for a, b in zip(switches, switches[1:] + [math.inf])] == \
+        [2] * len(switches)
