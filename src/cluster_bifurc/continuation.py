@@ -756,7 +756,8 @@ def branch_switch(system, event: BifurcationEvent, direction) -> tuple[tuple[np.
     sources = system.group().sources  # row k: the coordinate permutation of group element k
     images = x0[sources]
     fixes = (np.abs(images - x0) <= 1e-6 * np.maximum(np.abs(images), np.abs(x0))).all(axis=1)
-    if not (fixes & (np.abs(v[sources] + v) <= 1e-6).all(axis=1)).any():
+    flips = (np.abs(v[sources] + v) <= 1e-6).all(axis=1)
+    if not (fixes & flips).any():  # no symmetry of the event state maps v to -v: not a pitchfork
         z0 = np.append(x0, event.parameter)
 
         def A(z):
