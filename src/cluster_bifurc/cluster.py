@@ -435,10 +435,6 @@ class ClusterProblem:
     def group(self):
         return self.geometry.families.group()
 
-    def isotropy_order(self, x) -> int:
-        """Number of group elements fixing x, to the shapes' 1e-6 relative (`symmetry.stabilizer`)."""
-        return int(stabilizer(self.group(), x)[0]).bit_count()
-
     def fixed_space(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`symmetry.fixed_space` of the isotropy subgroup of x."""
         group = self.group()

@@ -11,7 +11,6 @@ A `system` is any object with the small interface that
     feasible(x)               converged states allowed here (realizability)
     classify_stack(xs, Js)    the `cluster.Classification` of each solution, from its Jacobian
     group()                   the permutation group the system is equivariant under
-    isotropy_order(x)         number of group elements in the `symmetry.stabilizer` of x
     fixed_space(x)            `symmetry.fixed_space` of the stabilizer of x
 
 There is one corrector, Keller's bordered Newton iteration, in a
@@ -46,15 +45,19 @@ fold or bifurcation, with one bracketing loop on the crossing eigenvalue,
 reads the kernel dimension from the index jump, and calls the event a fold
 where the tangent's parameter component flips.
 
-A trace ends where it meets a more symmetric branch, inside a larger
-fixed-point space Fix(S') (Golubitsky, Stewart & Schaeffer, ch. XIII); where
-Fix(S') has codimension 1 the crossing monitor is the signed distance u.x
-from it, a symmetry-adapted test function as in Dellnitz & Werner (1989,
-J. Comput. Appl. Math. 26), and landing on a point of larger isotropy order
-is the fallback elsewhere.  The crossing step's two ends, corrected into
-Fix(S') at fixed parameter, bracket the bifurcation of the symmetric branch
-for the same localizer; where they bracket no index change, the step
-jumped across Fix(S') and is shrunk and retried.
+A trace ends where it meets a more symmetric branch, which it can do only
+inside a larger fixed-point space Fix(S') (Golubitsky, Stewart & Schaeffer,
+ch. XIII).  The crossing monitor is the signed distance u.x from each
+Fix(S') of codimension 1 in the branch's Fix(S), a symmetry-adapted test
+function as in Dellnitz & Werner (1989, J. Comput. Appl. Math. 26).  Every
+larger fixed space that a triangle branch, or a tetrahedron branch of
+isotropy order 3 or more, can meet lies in such a Fix(S').  A tetrahedron
+branch of order 2 can also meet a Fix(S') of order 6 and codimension 2,
+and one of order 1 has no monitor at all; a trace would go on through
+such a point.  The crossing step's two ends, corrected into Fix(S') at
+fixed parameter, bracket the bifurcation of the symmetric branch for the
+same localizer; where they bracket no index change, the step jumped
+across Fix(S') and is shrunk and retried.
 A branch switch is the first arclength step of its trace (Keller 1977, in
 Rabinowitz (ed.), Applications of Bifurcation Theory; Allgower & Georg
 1990, ch. 8): `branch_switch` gives the bifurcating branch's tangent at the
@@ -372,20 +375,20 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
     bifurcation event; the first step goes along it.  The trace stops at
     max_points, on the parameter window's edge, when the corrector keeps
     failing/leaving the domain at the minimum step (at the first step this
-    leaves the start point alone), or where the branch meets a more
-    symmetric one.  A converged correction farther than h/2 from its
-    predictor z + h t, in the step's metric, has jumped onto another part
-    of the solution curve (past a fold the corrector's hyperplane can meet
-    its other leg; Allgower & Georg 1990, ch. 6) and counts as a corrector
-    failure.
+    leaves the start point alone), or where the branch crosses into a more
+    symmetric fixed-point space.  A converged correction farther than h/2
+    from its predictor z + h t, in the step's metric, has jumped onto
+    another part of the solution curve (past a fold the corrector's
+    hyperplane can meet its other leg; Allgower & Georg 1990, ch. 6) and
+    counts as a corrector failure.
 
     * window edge: a correction past the window is dropped unlabeled, and
       one `newton_correct` at the crossed edge's parameter, from the state
       interpolated along the step's chord, gives the trace's last point,
-      exactly on the edge; the point passes the crossing and landing rules
-      below like any other.  If that correction fails, or lies farther
-      from the last point than the dropped one in the arclength metric,
-      the step is shrunk and retried as after a corrector failure;
+      exactly on the edge; the point passes the crossing rule below like
+      any other.  If that correction fails, or lies farther from the last
+      point than the dropped one in the arclength metric, the step is
+      shrunk and retried as after a corrector failure;
     * crossing: the monitor u.x (`symmetry.fixed_space`) of a Fix(S')
       of codimension 1 in the branch's Fix(S) changes sign over a step
       or ends it within the stabilizer's 1e-6 relative of zero; a start on
@@ -394,12 +397,8 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
       branch's `reached_event`, or else on the bifurcation of the symmetric
       branch there, reported as an event.  Where the step's ends bracket no
       such bifurcation, the step jumped across Fix(S') and is shrunk and
-      retried as after a corrector failure;
-    * landing, the fallback where the larger fixed space has codimension
-      above 1: a kept point has another shape than the first one after the
-      start and a larger isotropy order than the branch; the trace ends
-      before the first such point, and whatever came after it, a crossing
-      end too, is dropped;
+      retried as after a corrector failure.  The module docstring says
+      which more symmetric spaces these monitors leave unwatched;
     * degenerate family: the first accepted point is not `is_isolated`
       (its solutions form a continuum off Fix(S)), so the trace ends there.
 
@@ -409,11 +408,11 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
     Jacobian and tangent slope, and the crossing end's state, parameter,
     arclength and Jacobian; after it, the points are labeled in one
     `classify_stack` call (corrections that the window or crossing rules
-    reject are never labeled), the landing rule cuts them, the branch's
-    columns are filled from these lists, and `detect_and_localize` runs,
-    from its two rows, on each segment before the cut or the crossing end
-    whose index changed, but the first one when the start is one of
-    `targets`: that event is known.  The crossing end's event comes last.
+    reject are never labeled), the branch's columns are filled from these
+    lists, and `detect_and_localize` runs, from its two rows, on each
+    segment before the crossing end whose index changed, but the first one
+    when the start is one of `targets`: that event is known.  The crossing
+    end's event comes last.
     Detected events are classified as `bifurcation_kind` ("primary" when
     the caller is tracing the fully symmetric branch) or "turning".
     """
@@ -428,7 +427,6 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
     slopes = [float(t[-1])]  # the tangents' parameter components
     off = _off(x0, t[:-1])
     fix, normals, projections = system.fixed_space(off)
-    branch_order = system.isotropy_order(off)
     phi = normals @ x0
     phi = np.where(np.abs(phi) <= 1e-6 * np.max(np.abs(x0[1:])), normals @ t[:-1], phi)
     at_target = any(tg.parameter == start.parameter and tg.state == start.state for tg in targets)
@@ -464,8 +462,8 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
                 continue
             break
         if crossing is not None:
-            # the end point, labeled with the loop's points; the landing rule and
-            # event detection look only at the points before it
+            # the end point, labeled with the loop's points; event detection
+            # looks only at the points before it
             z_end, reached, end = crossing
             states.append(z_end[:-1])
             params.append(float(z_end[-1]))
@@ -488,13 +486,6 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
 
     labels = system.classify_stack(states, jacobians)
     n_kept = 1 + len(states) - (reached is not None or end is not None)  # the points before a crossing end
-    cut = next((i for i, (x, c) in enumerate(zip(states[:n_kept - 1], labels))
-                if c.shape != labels[0].shape and system.isotropy_order(x) > branch_order), None)
-    if cut is not None:  # landed on a more symmetric point
-        states, params, arclengths, labels, slopes = (
-            states[:cut], params[:cut], arclengths[:cut], labels[:cut], slopes[:cut + 1])
-        reached = end = None
-        n_kept = 1 + cut
     branch = Branch(np.array([x0] + states), np.array([p0] + params), np.array([0.0] + arclengths),
                     np.array([start.index] + [c.index for c in labels]),
                     [start.stability] + [c.stability for c in labels], [start.shape] + [c.shape for c in labels],
@@ -609,10 +600,11 @@ def detect_and_localize(system, za: np.ndarray, zb: np.ndarray, indices: tuple[i
     difficulty; `newton_correct` does this with a zero arclength step along
     the chord, projecting onto the branch's fixed-point space with
     `projection`.  Localization targets relative parameter accuracy 1e-10;
-    if a probe correction fails the event is reported from the best point
-    found, flagged `refined=False`.  The kernel dimension m is the index
-    jump across the final bracket, and the kernel is the m eigenvectors of
-    the Jacobian nearest zero at the reported point.
+    if a probe correction fails the event is reported from the last probe
+    that converged, or from z_a when none did, flagged `refined=False`.
+    The kernel dimension m is the index jump across the final bracket, and
+    the kernel is the m eigenvectors of the Jacobian nearest zero at the
+    reported point.
     """
     chord = zb - za
     chord_len = float(np.sqrt(chord @ chord))
@@ -675,13 +667,8 @@ def detect_and_localize(system, za: np.ndarray, zb: np.ndarray, indices: tuple[i
         else:
             hi, neg_hi = theta, cls.index
 
-    if best is None:
-        best = corrected(0.5 * (lo + hi))
-        if best is None:
-            # bracket lost entirely: report the midpoint at reduced precision
-            z_mid = za + 0.5 * chord
-            best = z_mid, system.evaluate(z_mid[:-1], z_mid[-1])[1]
-            refined = False
+    if best is None:  # no probe converged: report the segment's converged end
+        best = za, system.evaluate(za[:-1], za[-1])[1]
 
     z_best, J_best = best
     # the kernel: as many eigenvectors of J, nearest zero first, as eigenvalues crossed

@@ -227,10 +227,23 @@ def test_trace_subcommand(tmp_path, capsys):
 
 
 def test_a_trace_that_keeps_only_its_start_point_exits_3(tmp_path, monkeypatch, capsys):
-    # every bordered correction fails, so the trace's first step shrinks to the
-    # minimum step and the trace ends at its start: a numerical failure
     from cluster_bifurc import continuation
 
+    def assert_exits_3(parameter):
+        cfg = write_config(tmp_path, {**LJ_STABILITY, "window": [0.3, 0.7],
+                                      "trace": {"start": "trivial", "parameter": parameter}})
+        out_dir = tmp_path / "out"
+        assert main(["trace", "--config", cfg, "--out", str(out_dir)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert f"numerical failure: the trace kept only its start point at area={parameter}" in captured.err
+        assert captured.out == "" and not out_dir.exists()
+
+    # a trivial start on the window top, heading up: every step crosses the
+    # edge from the start itself, so no edge point can replace it; the first
+    # step shrinks to the minimum step and the trace ends at its start
+    assert_exits_3(0.7)
+    # every bordered correction fails, so the trace's first step shrinks to the
+    # minimum step and the trace ends at its start: a numerical failure
     correct = continuation.newton_correct
 
     def failing(system, state, parameter, constraint=None, projection=None):
@@ -239,13 +252,7 @@ def test_a_trace_that_keeps_only_its_start_point_exits_3(tmp_path, monkeypatch, 
         return correct(system, state, parameter, constraint, projection)
 
     monkeypatch.setattr(continuation, "newton_correct", failing)
-    cfg = write_config(tmp_path, {**LJ_STABILITY, "window": [0.3, 0.7],
-                                  "trace": {"start": "trivial", "parameter": 0.35}})
-    out_dir = tmp_path / "out"
-    assert main(["trace", "--config", cfg, "--out", str(out_dir)]) == EXIT_NUMERICAL
-    captured = capsys.readouterr()
-    assert "numerical failure: the trace kept only its start point at area=0.35" in captured.err
-    assert captured.out == "" and not out_dir.exists()
+    assert_exits_3(0.35)
 
 
 def test_a_diagram_writes_only_the_outputs_asked_for(tmp_path):

@@ -25,7 +25,7 @@ from cluster_bifurc.continuation import (
 )
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import stabilizer
-from cluster_bifurc.triangle import TRIANGLE, heron, stability_boundaries3
+from cluster_bifurc.triangle import TRIANGLE, stability_boundaries3
 
 LJ = LennardJones(1, 2, 12, 6)
 A0 = math.sqrt(3.0) / 4.0 * 2.5 ** (1.0 / 3.0)
@@ -555,46 +555,6 @@ def test_a_step_onto_the_mirror_branch_is_a_jump():
     assert continuation._crossing_end(system, normals, projections, ks, z_a, z_b, 0.2, (), "secondary") is None
 
 
-class _LandsPast(ClusterProblem):
-    """The Lennard-Jones triangle, on which every state of area beyond `area`
-    reads as isosceles with isotropy order 2: more symmetric than scalene."""
-
-    def __init__(self, area):
-        super().__init__(TRIANGLE, LJ)
-        self.area = area
-
-    def _past(self, x):
-        return math.sqrt(heron(*np.asarray(x)[1:])) > self.area
-
-    def shape_of(self, x):
-        return "isosceles(a=b)" if self._past(x) else TRIANGLE.families.shapes(x)[0]
-
-    def classify_stack(self, states, jacobians):
-        return [replace(c, shape="isosceles(a=b)") if self._past(x) else c
-                for x, c in zip(states, super().classify_stack(states, jacobians))]
-
-    def isotropy_order(self, x):
-        return 2 if self._past(x) else super().isotropy_order(x)
-
-
-@pytest.mark.parametrize("with_targets", [True, False])
-def test_landing_on_a_more_symmetric_point_ends_the_trace_before_it(with_targets):
-    # the scalene trace from the lower secondary runs up in area and ends on
-    # the upper one (a crossing); landing at A = 0.645, short of it, cuts
-    # the crossing end, the reached target and the crossing event
-    system, low, high = _lennard_jones_secondaries()
-    settings = ContinuationSettings(h_max=0.2)
-    targets = (low, high) if with_targets else (low,)
-    for start, tangent in _switch_starts(system, low, low.kernel[0]):
-        full, full_events = trace_branch(system, start, tangent, settings, (0.3, 0.9), targets=targets)
-        assert full_events or full.reached_event is not None
-        kept = [pt for pt in full.points if pt.parameter < 0.645]
-        assert 1 < len(kept) < len(full.points) - 1
-        branch, events = trace_branch(_LandsPast(0.645), start, tangent, settings, (0.3, 0.9), targets=targets)
-        assert branch.points == tuple(kept) == full.points[:len(kept)]
-        assert branch.reached_event is None and events == []
-
-
 def test_index_monitor_jumps_by_two_across_the_double_crossing():
     # two eigenvalues cross together at the primary A0, which leaves the
     # determinant sign as it was; the tangent-space index moves by 2
@@ -621,6 +581,18 @@ def test_detect_primary_between_trivial_points():
     assert ev.parameter == pytest.approx(A0, abs=1e-8)
     assert ev.kernel_dim == 2
     assert ev.refined
+
+
+def test_a_localization_whose_probes_all_fail_reports_the_converged_end(monkeypatch):
+    # with no probe converging, the event is reported unrefined from the
+    # segment's start, a point on the solution curve, not from its chord
+    system = lj_system()
+    a, _ = newton_correct(system, system.trivial_state(A0 - 0.01), A0 - 0.01)
+    b, _ = newton_correct(system, system.trivial_state(A0 + 0.01), A0 + 0.01)
+    monkeypatch.setattr(continuation, "_try_correct", lambda *args, **kwargs: None)
+    ev = detect_and_localize(system, a.z(), b.z(), (a.index, b.index), bifurcation_kind="primary")
+    assert ev.state == a.state and ev.parameter == a.parameter and not ev.refined
+    assert np.max(np.abs(system.evaluate(np.asarray(ev.state), ev.parameter)[0])) < continuation.NEWTON_TOL
 
 
 def test_branch_switch_transcritical_isosceles():
@@ -761,7 +733,7 @@ class _DocumentedInterface:
     def __init__(self, problem: ClusterProblem):
         self.dim, self.param_name = problem.dim, problem.param_name
         for name in ("evaluate", "parameter_derivative", "in_domain", "feasible", "classify_stack",
-                     "group", "isotropy_order", "fixed_space"):
+                     "group", "fixed_space"):
             setattr(self, name, getattr(problem, name))
 
 

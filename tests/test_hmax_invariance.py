@@ -3,13 +3,13 @@ or on the last bits of the linear solver.
 
 For the Lennard-Jones and Buckingham triangles, every `h_max` in a sane
 range must give the same event multiset (kind, parameter to 1e-6) and the
-same branch count as the finest step; every switched branch keeps one
-isotropy type between its junction and its end points; and no branch is
-stored twice.  The Lennard-Jones tetrahedron has 14 branches at every
-`h_max`.  Every switched branch of the four fixtures ends exactly on a
-window edge or on a group image of an event, and passes through a group
-image of its own event; every Buckingham branch switched at the 5.3154
-primary ends on the window top, A = 100.
+same branch count as the finest step, and no branch is stored twice.  The
+Lennard-Jones tetrahedron has 14 branches at every `h_max`.  Every switched
+branch of the four fixtures ends exactly on a window edge or on a group
+image of an event, passes through a group image of its own event, and
+keeps one isotropy type between its junction and its end points; every
+Buckingham branch switched at the 5.3154 primary ends on the window top,
+A = 100.
 A solver whose every solution is off by a relative 1e-13 (or 1e-10) leaves
 the branch counts and the events as they are.
 """
@@ -23,7 +23,10 @@ from cluster_bifurc import continuation
 from cluster_bifurc.cli import build_diagram, make_system
 from cluster_bifurc.continuation import ContinuationSettings
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
-from test_step_size_corpus import assert_switched_branches_pass_through_their_events
+from test_step_size_corpus import (
+    assert_switched_branches_keep_one_isotropy_type,
+    assert_switched_branches_pass_through_their_events,
+)
 
 CASES = {
     "lennard-jones": ("triangle", LennardJones(1, 2, 12, 6), (0.3, 0.9)),
@@ -66,19 +69,6 @@ def test_lennard_jones_tetrahedron_has_fourteen_branches(name, h_max):
     # each curve is stored once, whichever h_max the halves of the bridge
     # switched at 0.200348 were traced with
     assert len(_diagram(name, h_max).branches) == 14
-
-
-@pytest.mark.parametrize("name, h_max", ALL)
-def test_switched_branches_keep_one_isotropy_type(name, h_max):
-    diagram = _diagram(name, h_max)
-    system = make_system(CASES[name][0], CASES[name][1])
-    junction = {ev.id: ev.parameter for ev in diagram.events}
-    for branch in diagram.branches:
-        if branch.parent_event is None:
-            continue
-        interior = [pt for pt in branch.points[1:-1] if pt.parameter != junction[branch.parent_event]]
-        orders = {system.isotropy_order(pt.state) for pt in interior}
-        assert len(orders) <= 1, (branch.id, orders)
 
 
 @pytest.mark.parametrize("name, h_max", ALL + TETRAHEDRON_STEPS)
@@ -139,6 +129,12 @@ def test_switched_half_branches_end_at_an_event_image_or_the_window_edge(name, h
 def test_switched_branches_pass_through_their_event(name, h_max):
     problem, spec, _ = CASES[name]
     assert_switched_branches_pass_through_their_events(make_system(problem, spec), _diagram(name, h_max))
+
+
+@pytest.mark.parametrize("name, h_max", FIXTURE_STEPS)
+def test_switched_branches_keep_one_isotropy_type(name, h_max):
+    problem, spec, _ = CASES[name]
+    assert_switched_branches_keep_one_isotropy_type(make_system(problem, spec), _diagram(name, h_max))
 
 
 @pytest.mark.parametrize("h_max", LENNARD_JONES_STEPS)

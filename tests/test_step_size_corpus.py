@@ -7,7 +7,8 @@ events (kind, parameter to 6 significant digits, `kernel_dim`) and the same
 branch count at both, with every exported point inside the window.  Every
 end of a switched branch must also lie exactly on a window edge or within
 1e-8 of a group image of an event, and every switched branch passes
-through a group image of its own event.
+through a group image of its own event and keeps one isotropy type
+between its junction and its end points.
 
 Buckingham triangles: 10 draws from each of `numpy.random.default_rng(3)`
 and `default_rng(4)`, with alpha ~ U(0.5, 2), beta ~ U(0.5, 2),
@@ -33,6 +34,7 @@ import pytest
 from cluster_bifurc.cli import build_diagram, make_system
 from cluster_bifurc.continuation import ContinuationSettings
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
+from cluster_bifurc.symmetry import stabilizer
 
 BUCKINGHAM = {  # (alpha, beta, gamma, eta), window
     "buckingham-3-0": ((0.6284737507154365, 0.8552157598941496, 1.2416568047683159, 4.537567126225287),
@@ -178,8 +180,28 @@ def assert_switched_branches_pass_through_their_events(system, diagram):
         assert any((rows == img).all(axis=1).any() for img in images), (branch.id, ev.parameter)
 
 
+def assert_switched_branches_keep_one_isotropy_type(system, diagram):
+    """Every switched branch's rows but its two ends and its junction, the
+    rows at its event's parameter, have one isotropy order (`stabilizer`)."""
+    junction = {ev.id: ev.parameter for ev in diagram.events}
+    for branch in diagram.branches:
+        if branch.parent_event is None:
+            continue
+        interior = branch.parameters != junction[branch.parent_event]
+        interior[[0, -1]] = False
+        orders = {mask.bit_count() for mask in stabilizer(system.group(), branch.states[interior]).tolist()}
+        assert len(orders) <= 1, (branch.id, orders)
+
+
 @pytest.mark.parametrize("name", _cases("through", CASES))
 def test_switched_branches_pass_through_their_event(name):
     problem, spec, _, _ = CASES[name]
     for diagram in _builds(name):
         assert_switched_branches_pass_through_their_events(make_system(problem, spec), diagram)
+
+
+@pytest.mark.parametrize("name", _cases("isotropy", CASES))
+def test_switched_branches_keep_one_isotropy_type(name):
+    problem, spec, _, _ = CASES[name]
+    for diagram in _builds(name):
+        assert_switched_branches_keep_one_isotropy_type(make_system(problem, spec), diagram)
