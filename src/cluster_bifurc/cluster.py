@@ -17,7 +17,10 @@ candidate primary bifurcations.
 A `Geometry` carries only what differs between the problems; everything
 else here is written once, the constraint too: one kernel per geometry,
 `terms(e) -> (g, grad g, hess g)` in one pass on Python floats, from which
-`evaluate` assembles F and J as lists with one `numpy.array` call each.
+`evaluate` assembles F and J as lists with one `numpy.array` call each,
+with phi' and phi'' from the potential's `kernel`, bound once per
+`ClusterProblem` (per call by the module-level `evaluate`); the edges are
+checked once, and a zero, negative or NaN one is refused.
 The symmetric branch needs neither: `classify_trivial` labels its states
 from the margins, and `stability_boundaries` brackets their zeros from one
 array pass over its grid.
@@ -32,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import householder_complement
-from .potentials import PotentialSpec, derivatives, stability_margin
+from .potentials import PotentialSpec, derivatives, kernel, stability_margin
 from .symmetry import FamilyTable, fixed_space, stabilizer
 
 __all__ = [
@@ -154,26 +157,32 @@ def _unpack(geometry: Geometry, state, positive: bool = False) -> tuple[float, l
     if x.shape != (n + 1,):
         raise ValueError(f"{geometry.name} state must have {n + 1} components (lambda, {n} edges)")
     lam, *e = x.tolist()
-    if positive and min(e) <= 0:
+    if positive and not all(v > 0.0 for v in e):  # a NaN edge fails too
         raise ValueError("edge lengths must be positive")
     return lam, e
+
+
+def _evaluate(geometry: Geometry, phi: Callable, state, param: float) -> tuple[np.ndarray, np.ndarray]:
+    """`evaluate` with the potential's bound kernel `phi` (`potentials.kernel`)."""
+    lam, e = _unpack(geometry, state, positive=True)
+    g, grad, hess = geometry.terms(e)
+    F = [g - geometry.target_scale * param * param]
+    J = [0.0, *grad]  # row by row, flat
+    for i, (v, gi, row) in enumerate(zip(e, grad, hess)):
+        _, d1, d2 = phi(v)
+        F.append(d1 + lam * gi)
+        # off the diagonal 0.0 + lam * h, as diag + lam * H gives, signed zeros included
+        block = [0.0 + lam * h for h in row]
+        block[i] = d2 + lam * row[i]
+        J += [gi, *block]
+    return np.array(F), np.array(J).reshape(len(F), len(F))
 
 
 def evaluate(geometry: Geometry, spec: PotentialSpec, state, param: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """KKT residual (g - s p^2, grad E + lambda grad g), zero exactly at critical
     points, and Jacobian [[0, grad g^t], [grad g, hess E + lambda hess g]], in one pass."""
-    lam, e = _unpack(geometry, state, positive=True)
-    d = [derivatives(spec, v) for v in e]
-    g, grad, hess = geometry.terms(e)
-    F = [g - geometry.target_scale * param * param] + [di[1] + lam * gi for di, gi in zip(d, grad)]
-    J = [0.0, *grad]  # row by row, flat
-    for i, (di, gi, row) in enumerate(zip(d, grad, hess)):
-        # off the diagonal 0.0 + lam * h, as diag + lam * H gives, signed zeros included
-        block = [0.0 + lam * h for h in row]
-        block[i] = di[2] + lam * row[i]
-        J += [gi, *block]
-    return np.array(F), np.array(J).reshape(len(F), len(F))
+    return _evaluate(geometry, kernel(spec), state, param)
 
 
 def residual(geometry: Geometry, spec: PotentialSpec, state, param: float) -> np.ndarray:
@@ -381,15 +390,15 @@ def classify_trivial(geometry: Geometry, spec: PotentialSpec, params
     those multiplicities over the negative margins, and the zero band is
     `classify_stack`'s, 1e-8 times the larger of max |sigma_k| and max |H|,
     with H = diag(phi'') + lambda hess g(a 1) scaled from unit edges
-    (`_homogeneity`).  One scalar `derivatives` call per parameter gives the
-    state, bit-identical to `trivial_point`, and every sigma_k, bit-identical
-    to `margin`; the labels follow from arrays.  Every state's shape is the
-    whole group's, `geometry.families.whole`.
+    (`_homogeneity`).  One call of the spec's bound `kernel` per parameter
+    gives the state, bit-identical to `trivial_point`, and every sigma_k,
+    bit-identical to `margin`; the labels follow from arrays.  Every state's
+    shape is the whole group's, `geometry.families.whole`.
     """
-    rows = []
+    rows, phi = [], kernel(spec)
     for p in params:
         a = _trivial_edge(geometry, p)
-        _, d1, d2 = derivatives(spec, a)
+        _, d1, d2 = phi(a)
         rows.append((geometry.trivial_multiplier(a, d1), a, d1, d2))
     lam, a, d1, d2 = np.array(rows, dtype=float).reshape(-1, 4).T
     states = np.column_stack([lam] + [a] * geometry.n_edges)
@@ -409,9 +418,10 @@ class ClusterProblem:
         self.spec = spec
         self.dim = geometry.n_edges + 1
         self.param_name = geometry.param_name
+        self._phi = kernel(spec)
 
     def evaluate(self, x, p: float) -> tuple[np.ndarray, np.ndarray]:
-        return evaluate(self.geometry, self.spec, x, p)
+        return _evaluate(self.geometry, self._phi, x, p)
 
     def parameter_derivative(self, x, p: float) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -419,7 +429,7 @@ class ClusterProblem:
         return out
 
     def in_domain(self, x) -> bool:
-        return bool((np.asarray(x)[1:] > 0.0).all())
+        return all(v > 0.0 for v in np.asarray(x, dtype=float)[1:].tolist())
 
     def feasible(self, x) -> bool:
         x = np.asarray(x, dtype=float)

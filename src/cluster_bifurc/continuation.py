@@ -283,28 +283,31 @@ def newton_correct(system, state, parameter: float,
     infeasible.
     """
     n = system.dim
+    evaluate, in_domain, tol = system.evaluate, system.in_domain, NEWTON_TOL
     x = np.array(state, dtype=float)
     p = float(parameter)
-    h = 0.0
+    gap, h = 0.0, 0.0
     if constraint is not None:
         row, origin, h = constraint.row, constraint.origin, constraint.h
         M, rhs, z = np.empty((n + 1, n + 1)), np.empty(n + 1), np.empty(n + 1)
         M[n] = row
+        M_J, M_p, rhs_F, z_x = M[:n, :n], M[:n, n], rhs[:n], z[:n]
+    gap_tol = 1e-10 * max(1.0, abs(h))
     res_norm = math.inf
     for it in range(NEWTON_MAX_ITERS + 1):
         if projection is not None:
             x = projection @ x
-        if not system.in_domain(x):
+        if not in_domain(x):
             raise DomainExit(f"iterate left the domain at {system.param_name}={p:.6g}")
-        F, J = system.evaluate(x, p)
-        res_norm = float(np.abs(F).max())  # NaN when F holds one: max propagates it
-        if not math.isfinite(res_norm):
+        F, J = evaluate(x, p)
+        res = F.tolist()
+        res_norm = max(map(abs, res))
+        if not math.isfinite(res_norm) or math.isnan(sum(res)):  # max passes over a NaN, a sum keeps it
             raise CorrectorFailure("non-finite residual", math.inf, it)
-        gap = 0.0
         if constraint is not None:
-            z[:n], z[n] = x, p
+            z_x[...], z[n] = x, p
             gap = row @ (z - origin) - h
-        if res_norm < NEWTON_TOL and abs(gap) < 1e-10 * max(1.0, abs(h)):
+        if res_norm < tol and abs(gap) < gap_tol:
             if not system.feasible(x):
                 raise DomainExit(f"converged point is infeasible at {system.param_name}={p:.6g}")
             return Correction(system, x, p, it, J)
@@ -314,8 +317,9 @@ def newton_correct(system, state, parameter: float,
             if constraint is None:
                 x = x + solve(J, -F)
             else:
-                M[:n, :n], M[:n, n] = J, system.parameter_derivative(x, p)
-                rhs[:n], rhs[n] = -F, -gap
+                M_J[...], M_p[...] = J, system.parameter_derivative(x, p)
+                np.negative(F, rhs_F)
+                rhs[n] = -gap
                 step = solve(M, rhs)
                 x, p = x + step[:n], p + step[n]
         except LinAlgError as exc:
@@ -428,7 +432,7 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
     off = _off(x0, t[:-1])
     fix, normals, projections = system.fixed_space(off)
     phi = normals @ x0
-    phi = np.where(np.abs(phi) <= 1e-6 * np.max(np.abs(x0[1:])), normals @ t[:-1], phi)
+    phi = np.where(np.abs(phi) <= 1e-6 * np.max(np.abs(x0[1:])), normals @ t[:-1], phi).tolist()
     at_target = any(tg.parameter == start.parameter and tg.state == start.state for tg in targets)
     reached = end = None
     h = min(H0, settings.h_max)
@@ -437,7 +441,8 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
         z_pred = z + h * t
         try:
             corrected = newton_correct(system, z_pred[:-1], z_pred[-1], PseudoArclength(w * t, z, h), fix)
-            jump = np.append(corrected.state, corrected.parameter) - z_pred
+            z_new = np.append(corrected.state, corrected.parameter)
+            jump = z_new - z_pred
             if (w * jump) @ jump > 0.25 * h * h:  # converged onto another part of the curve
                 raise CorrectorFailure("correction farther than h/2 from its predictor")
         except (CorrectorFailure, DomainExit):
@@ -446,13 +451,14 @@ def trace_branch(system, start: BranchPoint, tangent, settings: ContinuationSett
         if at_edge:
             # the step left the window: end it on the edge it crossed instead
             corrected = _edge_correction(system, z, corrected, window, w, fix)
+            z_new = None if corrected is None else np.append(corrected.state, corrected.parameter)
         crossing = None
         if corrected is not None:
-            x_new, z_new = corrected.state, np.append(corrected.state, corrected.parameter)
-            phi_new = normals @ x_new
-            crossed = np.flatnonzero((phi * phi_new < 0.0)
-                                     | (np.abs(phi_new) <= 1e-6 * np.max(np.abs(x_new[1:]))))
-            if crossed.size:
+            x_new = corrected.state
+            phi_new = (normals @ x_new).tolist()
+            band = 1e-6 * max(map(abs, x_new[1:].tolist()))
+            crossed = [k for k, (a, b) in enumerate(zip(phi, phi_new)) if a * b < 0.0 or abs(b) <= band]
+            if crossed:
                 crossing = _crossing_end(system, normals, projections, crossed, z, z_new, h,
                                          targets, bifurcation_kind)
                 corrected = None if crossing is None else corrected  # it jumped across Fix(S')

@@ -9,10 +9,14 @@ Four families are supported:
     spring                  phi(r) = k*r^2/2 + beta*r^4/4
 
 All specs are immutable records; every operation here is a pure function of
-(spec, r), so they are safe to share across threads.  `derivatives` also
-takes an array of distances, evaluated with numpy's power and exponential:
-the margin scan brackets its zeros from one such pass over its grid, and
-every state is still computed on Python floats.
+(spec, r), so they are safe to share across threads.  Each family's
+(phi, phi', phi'') is written once, in `kernel`, which binds the spec's
+constants and checks nothing: a `cluster.ClusterProblem` binds its kernel
+when it is built, so a corrector iterate calls it once per edge with no
+dispatch on the spec.  `derivatives` checks r > 0 and runs the same kernel
+on a float, with Python's `**` and `math.exp`, or on an array of distances,
+with numpy's: the margin scan brackets its zeros from one such pass over
+its grid, and every state is still computed on Python floats.
 
 The quantity that controls the stability of the fully symmetric cluster
 states is the margin
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +44,7 @@ __all__ = [
     "PotentialSpec",
     "Threshold",
     "eval_potential",
+    "kernel",
     "derivatives",
     "stability_margin",
     "closed_form_thresholds",
@@ -125,8 +131,56 @@ class PolynomialSpring:
 PotentialSpec = LennardJones | Buckingham | NormalizedBuckingham | PolynomialSpring
 
 
+def kernel(spec: PotentialSpec, exp=math.exp) -> Callable:
+    """r -> (phi, phi', phi'') of the spec's family, with its constants bound.
+
+    The one place each family's formulas are written; each bound constant is
+    a leading factor of the product it stands for, so the kernel gives the
+    bits of the formulas as written.  `exp` is `math.exp` for Python floats
+    r, whose `**` is Python's pow, and `numpy.exp` for arrays.  It does not
+    check r > 0: `derivatives` does, and `cluster` checks its edges.
+    """
+    if isinstance(spec, LennardJones):
+        c1, c2, d1, d2 = spec.c1, spec.c2, spec.delta1, spec.delta2
+        n1, n2, m1, m2, k1, k2 = -d1, -d2, -d1 - 1, -d2 - 1, -d1 - 2, -d2 - 2
+        a1, a2, b1, b2 = -c1 * d1, c2 * d2, c1 * d1 * (d1 + 1), c2 * d2 * (d2 + 1)
+
+        def lennard_jones(r):
+            return c1 * r ** n1 - c2 * r ** n2, a1 * r ** m1 + a2 * r ** m2, b1 * r ** k1 - b2 * r ** k2
+        return lennard_jones
+    if isinstance(spec, Buckingham):
+        al, be, ga, eta = spec.alpha, spec.beta, spec.gamma, spec.eta
+        nb, n0, n1, n2 = -be, -eta, -eta - 1, -eta - 2
+        a1, a2, b1, b2 = -al * be, ga * eta, al * be * be, ga * eta * (eta + 1)
+
+        def buckingham(r):
+            e = exp(nb * r)
+            return al * e - ga * r ** n0, a1 * e + a2 * r ** n1, b1 * e - b2 * r ** n2
+        return buckingham
+    if isinstance(spec, NormalizedBuckingham):
+        # Combined-exponent form: alpha*exp(-beta*r) = depth*eta/(xi-eta) * exp(xi*(1-r/r_min)),
+        # which stays finite for large xi where materializing alpha = O(e^xi) would overflow.
+        D, R, xi, eta = spec.depth, spec.r_min, spec.xi, spec.eta
+        s = D / (xi - eta)
+        sxe, R2, eta1 = s * xi * eta, R * R, eta + 1.0
+
+        def normalized_buckingham(r):
+            e = exp(xi * (1.0 - r / R))
+            pw = (R / r) ** eta
+            return s * (eta * e - xi * pw), sxe * (-e / R + pw / r), sxe * (xi * e / R2 - eta1 * pw / (r * r))
+        return normalized_buckingham
+    if isinstance(spec, PolynomialSpring):
+        k, be = spec.k, spec.beta
+        hk, qb, tb = 0.5 * k, 0.25 * be, 3.0 * be
+
+        def spring(r):
+            return hk * r * r + qb * r ** 4, k * r + be * r ** 3, k + tb * r * r
+        return spring
+    raise TypeError(f"unknown potential spec {type(spec).__name__}")
+
+
 def derivatives(spec: PotentialSpec, r):
-    """(phi, phi', phi'') at r > 0, a float or a numpy array of them.
+    """(phi, phi', phi'') at r > 0, a float or a numpy array of them, by the spec's `kernel`.
 
     A float is evaluated with Python's `**` and `math.exp`, as every
     corrector iterate needs; an array with numpy's, which can differ from
@@ -136,42 +190,10 @@ def derivatives(spec: PotentialSpec, r):
     if isinstance(r, np.ndarray):
         if not (r > 0).all():
             raise ValueError("potential evaluated at a non-positive distance")
-        exp = np.exp
-    elif not r > 0:
+        return kernel(spec, np.exp)(r)
+    if not r > 0:
         raise ValueError(f"potential evaluated at non-positive distance r={r}")
-    else:
-        exp = math.exp
-    if isinstance(spec, LennardJones):
-        c1, c2, d1, d2 = spec.c1, spec.c2, spec.delta1, spec.delta2
-        return (
-            c1 * r ** -d1 - c2 * r ** -d2,
-            -c1 * d1 * r ** (-d1 - 1) + c2 * d2 * r ** (-d2 - 1),
-            c1 * d1 * (d1 + 1) * r ** (-d1 - 2) - c2 * d2 * (d2 + 1) * r ** (-d2 - 2),
-        )
-    if isinstance(spec, Buckingham):
-        al, be, ga, eta = spec.alpha, spec.beta, spec.gamma, spec.eta
-        e = exp(-be * r)
-        return (
-            al * e - ga * r ** -eta,
-            -al * be * e + ga * eta * r ** (-eta - 1),
-            al * be * be * e - ga * eta * (eta + 1) * r ** (-eta - 2),
-        )
-    if isinstance(spec, NormalizedBuckingham):
-        # Combined-exponent form: alpha*exp(-beta*r) = depth*eta/(xi-eta) * exp(xi*(1-r/r_min)),
-        # which stays finite for large xi where materializing alpha = O(e^xi) would overflow.
-        D, R, xi, eta = spec.depth, spec.r_min, spec.xi, spec.eta
-        s = D / (xi - eta)
-        e = exp(xi * (1.0 - r / R))
-        pw = (R / r) ** eta
-        return (
-            s * (eta * e - xi * pw),
-            s * xi * eta * (-e / R + pw / r),
-            s * xi * eta * (xi * e / (R * R) - (eta + 1.0) * pw / (r * r)),
-        )
-    if isinstance(spec, PolynomialSpring):
-        k, be = spec.k, spec.beta
-        return (0.5 * k * r * r + 0.25 * be * r ** 4, k * r + be * r ** 3, k + 3.0 * be * r * r)
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
+    return kernel(spec)(r)
 
 
 def eval_potential(spec: PotentialSpec, r: float, order: int = 0) -> float:

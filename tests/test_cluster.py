@@ -601,6 +601,27 @@ def test_evaluate_is_bit_identical_to_the_pre_kernel_assembly(name):
         assert _identical(J, _ref_evaluate(name, SPECS[0], x, 0.3)[1])
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+def test_evaluate_refuses_a_nonpositive_or_nan_edge_in_any_slot(name, bad):
+    # one check on the unpacked edges, now that the bound kernel checks none;
+    # min() alone would pass a NaN anywhere but in the first slot
+    case = CASES[name]
+    n = case["n_edges"]
+    for spec in (SPECS[0], SPECS[-1]):
+        problem = case["problem"](spec)
+        for slot in (1, 1 + n // 2, n):
+            x = np.array([-0.3] + [1.0] * n)
+            x[slot] = bad
+            with pytest.raises(ValueError, match="edge lengths must be positive"):
+                cluster.evaluate(problem.geometry, spec, x, 0.5)
+            with pytest.raises(ValueError, match="edge lengths must be positive"):
+                problem.evaluate(x, 0.5)
+            assert not problem.in_domain(x) and not problem.in_domain(x.tolist())
+            if math.isnan(bad):
+                assert problem.in_domain(np.where(np.isnan(x), 1.0, x))
+
+
 # ---------------------------------------------------------------------------
 # the family tables against the shape namers they replaced
 

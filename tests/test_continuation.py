@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cluster_bifurc import cli, cluster, continuation
+from cluster_bifurc import cli, cluster, continuation, potentials
 from cluster_bifurc.cli import build_diagram
 from cluster_bifurc.cluster import ClusterProblem, classify_stack
 from cluster_bifurc.continuation import (
@@ -25,6 +25,7 @@ from cluster_bifurc.continuation import (
 )
 from cluster_bifurc.potentials import Buckingham, LennardJones, PolynomialSpring
 from cluster_bifurc.symmetry import stabilizer
+from cluster_bifurc.tetrahedron import TETRAHEDRON
 from cluster_bifurc.triangle import TRIANGLE, stability_boundaries3
 
 LJ = LennardJones(1, 2, 12, 6)
@@ -758,6 +759,37 @@ def test_continuation_needs_only_the_documented_interface():
         want = trace_branch(problem, start, want_tangent, settings, (0.55, 0.62), targets=(ev,))
         got = trace_branch(system, start, tangent, settings, (0.55, 0.62), targets=(ev,))
         assert got == want and len(got[0].parameters) > 1
+
+
+def _corrector_runs(problem, x0, p0):
+    """A correction at fixed parameter 2 % above p0 from the symmetric state x0
+    at p0, and a 20-point trace of the symmetric branch up from x0, as bits."""
+    got = newton_correct(problem, x0, 1.02 * p0)
+    start = continuation.classified_point(problem, x0, p0)
+    branch, events = trace_branch(problem, start, rising_tangent(problem, start),
+                                  ContinuationSettings(h_max=0.05, max_points=20))
+    assert len(branch.parameters) == 20
+    return (_bits(got.state), _bits(got.parameter), got.iterations, _bits(got.jacobian), _bits(branch.states),
+            _bits(branch.parameters), _bits(branch.arclengths), branch.index.tolist(), branch.stability, events)
+
+
+@pytest.mark.parametrize("geometry, spec, p0", [(TRIANGLE, LJ, 0.5), (TETRAHEDRON, PolynomialSpring(1, -0.1), 1.0)])
+def test_the_corrector_never_dispatches_on_the_spec(monkeypatch, geometry, spec, p0):
+    # a problem binds its potential's kernel once, when it is built: with every
+    # dispatch on the spec raising, corrections and traces run as before, bit for bit
+    problem = ClusterProblem(geometry, spec)
+    x0 = problem.trivial_state(p0)
+    want = _corrector_runs(problem, x0, p0)
+
+    def dispatch(*args):
+        raise AssertionError("dispatched on the potential spec")
+
+    for module in (potentials, cluster):
+        monkeypatch.setattr(module, "derivatives", dispatch)
+        monkeypatch.setattr(module, "kernel", dispatch)
+    assert _corrector_runs(problem, x0, p0) == want
+    with pytest.raises(AssertionError, match="dispatched"):
+        problem.trivial_state(p0)  # the patch is live: the symmetric state does dispatch
 
 
 # (problem, potential, window)

@@ -14,6 +14,7 @@ from cluster_bifurc.potentials import (
     closed_form_thresholds,
     derivatives,
     eval_potential,
+    kernel,
     normalized_buckingham_convert,
     potential_from_json,
     potential_to_json,
@@ -89,6 +90,52 @@ def test_derivatives_take_an_array_and_keep_the_float_path(spec):
             assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
     with pytest.raises(ValueError):
         derivatives(spec, np.array([1.0, 0.0]))
+
+
+def _written_out(spec, r, exp):
+    """(phi, phi', phi'') by each family's formulas as written, no constant
+    bound ahead: what a bound kernel must reproduce bit for bit."""
+    if isinstance(spec, LennardJones):
+        c1, c2, d1, d2 = spec.c1, spec.c2, spec.delta1, spec.delta2
+        return (c1 * r ** -d1 - c2 * r ** -d2,
+                -c1 * d1 * r ** (-d1 - 1) + c2 * d2 * r ** (-d2 - 1),
+                c1 * d1 * (d1 + 1) * r ** (-d1 - 2) - c2 * d2 * (d2 + 1) * r ** (-d2 - 2))
+    if isinstance(spec, Buckingham):
+        al, be, ga, eta = spec.alpha, spec.beta, spec.gamma, spec.eta
+        e = exp(-be * r)
+        return (al * e - ga * r ** -eta,
+                -al * be * e + ga * eta * r ** (-eta - 1),
+                al * be * be * e - ga * eta * (eta + 1) * r ** (-eta - 2))
+    if isinstance(spec, NormalizedBuckingham):
+        D, R, xi, eta = spec.depth, spec.r_min, spec.xi, spec.eta
+        s = D / (xi - eta)
+        e = exp(xi * (1.0 - r / R))
+        pw = (R / r) ** eta
+        return (s * (eta * e - xi * pw),
+                s * xi * eta * (-e / R + pw / r),
+                s * xi * eta * (xi * e / (R * R) - (eta + 1.0) * pw / (r * r)))
+    k, be = spec.k, spec.beta
+    return 0.5 * k * r * r + 0.25 * be * r ** 4, k * r + be * r ** 3, k + 3.0 * be * r * r
+
+
+def _hex(values) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("spec", [LJ, LennardJones(1.3, 0.7, 9.5, 4.25), Buckingham(1, 1, 1, 4),
+                                  Buckingham(2.5, 1.7, 0.3, 6.5), NormalizedBuckingham(1, 1, 14.3863, 5.6518),
+                                  NormalizedBuckingham(0.4, 1.8, 9.0, 3.5), PolynomialSpring(1, -0.1),
+                                  PolynomialSpring(1.5, 0.2)])
+def test_one_formula_per_family(spec):
+    # the bound float kernel gives `derivatives`' bits on every float, and both
+    # give the formulas as written; the array kernel is `derivatives`' array path
+    r = np.geomspace(0.3, 50.0, 400)
+    bound = kernel(spec)
+    for v in r.tolist():
+        assert _hex(bound(v)) == _hex(derivatives(spec, v)) == _hex(_written_out(spec, v, math.exp))
+    arrays = kernel(spec, np.exp)(r)
+    for got, want, written in zip(arrays, derivatives(spec, r), _written_out(spec, r, np.exp)):
+        assert got.tobytes() == want.tobytes() == written.tobytes()
 
 
 def test_derivatives_match_finite_differences():
